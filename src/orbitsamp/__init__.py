@@ -10,7 +10,6 @@ and ``cli`` for the batch front end.
 from .hilbert import (
     CrossCorrelation,
     LinearOperator,
-    apply_power,
     cross_correlation,
     gram_matrix,
     inner,
@@ -54,7 +53,6 @@ from .spectral import (
     perfect_reconstruction_check,
     polyphase,
     reconstruction_coefficients,
-    spectrum_from_sequence,
     synthesis,
 )
 from .lca import (
@@ -64,7 +62,6 @@ from .lca import (
     Subgroup,
     annihilator,
     build_group_G_matrix,
-    group_dual_and_reconstruct,
     group_duals,
     group_reconstruct,
     section_omega,

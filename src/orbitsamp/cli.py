@@ -146,6 +146,9 @@ def _load_lca(doc):
     group_doc = _require(doc, "group")
     for key in ("moduli", "H_gens", "M_gens"):
         _require(group_doc, key, "group")
+    generators = _require(doc, "generators")
+    if not isinstance(generators, list) or len(generators) != 1:
+        raise SchemaError("generators: the lca model takes exactly one generator")
     try:
         group = lca.FiniteAbelianGroup(tuple(int(d) for d in group_doc["moduli"]))
         H = lca.Subgroup(group, [tuple(g) for g in group_doc["H_gens"]])
@@ -158,7 +161,7 @@ def _load_lca(doc):
         else:
             ops = [_matrix(_require(doc, "operator"), "operator")]
         rep = lca.GroupRepresentation(H, ops)
-        a = _vector(_require(doc, "generators")[0], "generators")
+        a = _vector(generators[0], "generators")
         samplers = [_vector(b, "samplers") for b in _require(doc, "samplers")]
         spectrum = lca.build_group_G_matrix(rep, a, samplers, H, M)
     except SchemaError:
@@ -273,7 +276,7 @@ def cmd_dual(args):
             return 1
         try:
             hs = cyclic.structurize_left_inverse(R, U=U, tol=args.tol)
-        except cyclic.LeftInverseError as exc:
+        except (cyclic.LeftInverseError, cyclic.RankDeficiencyError) as exc:
             print(f"structured inverse failed: {exc}")
             return 1
         basis = cyclic.reconstruction_vectors(spec, hs)
@@ -285,13 +288,12 @@ def cmd_dual(args):
             print(f"wrote {path}")
         if R.rows == R.cols:
             print("interpolation table L_j' c_j(r n) (rows: j', n; columns: j):")
+            table = np.column_stack(
+                [cyclic.take_samples(spec, scheme, c) for c in basis.vectors]
+            )
             for jp in range(scheme.s):
                 for n in range(scheme.ell):
-                    row = [
-                        cyclic.take_samples(spec, scheme, c)[jp * scheme.ell + n]
-                        for c in basis.vectors
-                    ]
-                    cells = " ".join(_fmt(abs(v)) for v in row)
+                    cells = " ".join(_fmt(abs(v)) for v in table[jp * scheme.ell + n])
                     print(f"  j'={jp + 1} n={n}: {cells}")
         return 0
     if model == "shift":
@@ -382,7 +384,11 @@ def cmd_reconstruct(args):
         if not report.full_rank:
             print(f"not recoverable: rank {report.rank}/{report.cols}")
             return 1
-        hs = cyclic.structurize_left_inverse(R, tol=args.tol)
+        try:
+            hs = cyclic.structurize_left_inverse(R, tol=args.tol)
+        except (cyclic.LeftInverseError, cyclic.RankDeficiencyError) as exc:
+            print(f"structured inverse failed: {exc}")
+            return 1
         basis = cyclic.reconstruction_vectors(spec, hs)
         x = cyclic.reconstruct(spec, scheme, basis, samples)
         alpha = np.concatenate(cyclic.filter_bank_coefficients(hs, samples, spec))

@@ -20,8 +20,6 @@ from .hilbert import (
     DimensionMismatch,
     LinearOperator,
     as_cvector,
-    cross_correlation,
-    inner,
 )
 
 __all__ = [
@@ -75,18 +73,17 @@ class CyclicSubspaceSpec:
         self.orders = [int(n) for n in self.orders]
         if any(n < 1 for n in self.orders):
             raise ValueError("orders must be positive")
-        for a, n in zip(self.generators, self.orders):
-            drift = np.linalg.norm(self.operator.apply_power(n, a) - a)
-            if drift > self.period_tol * np.linalg.norm(a):
-                raise ValueError(
-                    f"generator is not fixed by T^{n} (relative drift {drift:.3e})"
-                )
         cols = []
         for a, n in zip(self.generators, self.orders):
             v = a
             for _ in range(n):
                 cols.append(v)
                 v = self.operator.matrix @ v
+            drift = np.linalg.norm(v - a)
+            if drift > self.period_tol * np.linalg.norm(a):
+                raise ValueError(
+                    f"generator is not fixed by T^{n} (relative drift {drift:.3e})"
+                )
         orbit = np.column_stack(cols)
         sv = np.linalg.svd(orbit, compute_uv=False)
         if sv[-1] <= self.rank_tol * sv[0]:
@@ -180,30 +177,38 @@ class SampleMatrix:
         return self.matrix[j * self.ell : (j + 1) * self.ell, offs[l] : offs[l + 1]]
 
 
+def _shift_index(orders, r, ell):
+    """Gather index of the blockwise r-circulant layout.
+
+    ``idx[n, off_l + k] = off_l + (k - r*n) mod N_l``, so ``first_rows[:, idx]``
+    reshaped to ``ell`` rows per first row shifts each first row right by
+    ``r*n`` within every generator block; rows stay sampler-major.
+    """
+    offs = np.concatenate(([0], np.cumsum(orders)))
+    n = np.arange(ell)[:, None]
+    return np.hstack(
+        [off + (np.arange(Nl) - r * n) % Nl for off, Nl in zip(offs, orders)]
+    )
+
+
 def build_sample_matrix(spec, scheme):
     """Assemble ``R`` from the cross-correlations of generators and samplers.
 
     Block ``(j, l)`` holds ``r_{a_l,b_j}(N - r*n + k)`` at row ``n``, column
     ``k``, indices reduced modulo ``N_l``.  Rows group all ``ell`` reads of
-    the first sampler, then the second, and so on.
+    the first sampler, then the second, and so on.  Every such value is an
+    entry of ``S^H`` times the orbit matrix, so ``R`` is one product and a
+    gather.
     """
-    op = spec.operator
-    N = spec.lcm_order
-    r, ell = scheme.r, scheme.ell
-    blocks = []
-    for b in scheme.samplers:
-        row_blocks = []
-        for a, Nl in zip(spec.generators, spec.orders):
-            cc = cross_correlation(op, a, b, range(Nl), period=Nl)
-            block = np.empty((ell, Nl), dtype=complex)
-            for n in range(ell):
-                for k in range(Nl):
-                    block[n, k] = cc.values[(N - r * n + k) % Nl]
-            row_blocks.append(block)
-        blocks.append(np.hstack(row_blocks))
-    matrix = np.vstack(blocks)
+    correlations = np.array(scheme.samplers).conj() @ spec.orbit_matrix()
+    idx = _shift_index(spec.orders, scheme.r, scheme.ell)
+    matrix = correlations[:, idx].reshape(-1, spec.total_order)
     return SampleMatrix(
-        matrix=matrix, r=r, ell=ell, orders=tuple(spec.orders), lcm_order=N
+        matrix=matrix,
+        r=scheme.r,
+        ell=scheme.ell,
+        orders=tuple(spec.orders),
+        lcm_order=spec.lcm_order,
     )
 
 
@@ -216,15 +221,14 @@ def take_samples(spec, scheme, x):
     """
     op = spec.operator
     x = as_cvector(x, op.dim)
-    r, ell, s = scheme.r, scheme.ell, scheme.s
-    step = op.power(-r)
-    out = np.empty(s * ell, dtype=complex)
+    step = op.power(-scheme.r)
+    rows = np.array(scheme.samplers).conj()
+    out = np.empty((scheme.s, scheme.ell), dtype=complex)
     z = x
-    for n in range(ell):
-        for j, b in enumerate(scheme.samplers):
-            out[j * ell + n] = inner(z, b)
+    for n in range(scheme.ell):
+        out[:, n] = rows @ z
         z = step @ z
-    return out
+    return out.ravel()
 
 
 @dataclass(frozen=True)
@@ -276,22 +280,18 @@ class StructuredLeftInverse:
         return float(np.max(np.abs(self.entries @ R.matrix - np.eye(R.cols))))
 
 
-def _structured_first_column(H, R, j):
-    offs = R.column_offsets()
-    r, ell = R.r, R.ell
-    base = np.empty(R.cols, dtype=complex)
-    for l, Nl in enumerate(R.orders):
-        block = H[offs[l] : offs[l + 1], j * ell : (j + 1) * ell]
-        if Nl <= r:
-            base[offs[l] : offs[l + 1]] = block[:, 0]
-        else:
-            top = block[:r, :]
-            col = np.empty(Nl, dtype=complex)
-            for p in range(Nl):
-                i, q = divmod(p, r)
-                col[p] = top[q, (-i) % ell]
-            base[offs[l] : offs[l + 1]] = col
-    return base
+def _structured_first_columns(H, R):
+    """Column ``(j, 0)`` of the structured inverse, as row ``j``.
+
+    Entry ``p`` of generator block ``l`` is ``H[off_l + p mod r, (j, -(p // r))]``:
+    the first ``min(N_l, r)`` rows of the seed's columns ``(j, 0), (j, -1),
+    ...`` laid end to end.
+    """
+    p = np.concatenate([np.arange(Nl) for Nl in R.orders])
+    offs = np.repeat(R.column_offsets()[:-1], R.orders)
+    rows = offs + p % R.r
+    cols = (-(p // R.r)) % R.ell + R.ell * np.arange(R.s)[:, None]
+    return H[rows, cols]
 
 
 def structurize_left_inverse(R, H=None, *, U=None, tol=1e-10):
@@ -337,16 +337,8 @@ def structurize_left_inverse(R, H=None, *, U=None, tol=1e-10):
             f"seed is not a left inverse of R (residual {seed_resid:.3e})"
         )
 
-    offs = R.column_offsets()
-    out = np.empty((R.cols, R.rows), dtype=complex)
-    for j in range(R.s):
-        base = _structured_first_column(H, R, j)
-        for n in range(R.ell):
-            col = np.empty(R.cols, dtype=complex)
-            for l, Nl in enumerate(R.orders):
-                seg = base[offs[l] : offs[l + 1]]
-                col[offs[l] : offs[l + 1]] = np.roll(seg, (R.r * n) % Nl)
-            out[:, j * R.ell + n] = col
+    idx = _shift_index(R.orders, R.r, R.ell)
+    out = _structured_first_columns(H, R)[:, idx].reshape(R.rows, R.cols).T
     result = StructuredLeftInverse(entries=out, r=R.r, ell=R.ell, orders=R.orders)
     resid = result.residual(R)
     if resid > tol:
@@ -376,12 +368,10 @@ def reconstruct(spec, scheme, basis, samples):
     samples = as_cvector(samples, scheme.s * scheme.ell)
     op = spec.operator
     Tr = op.power(scheme.r)
+    W = np.column_stack(basis.vectors) @ samples.reshape(scheme.s, scheme.ell)
     x = np.zeros(op.dim, dtype=complex)
     for n in reversed(range(scheme.ell)):
-        w = np.zeros(op.dim, dtype=complex)
-        for j, c in enumerate(basis.vectors):
-            w += samples[j * scheme.ell + n] * c
-        x = Tr @ x + w
+        x = Tr @ x + W[:, n]
     return x
 
 
@@ -393,16 +383,7 @@ def filter_bank_coefficients(hs, samples, spec):
     order) to the matrix product of the structured inverse with the samples.
     """
     samples = as_cvector(samples, hs.s * hs.ell)
-    offs = hs.column_offsets()
-    out = []
-    for l, Nl in enumerate(hs.orders):
-        alpha = np.zeros(Nl, dtype=complex)
-        for j in range(hs.s):
-            beta = hs.entries[offs[l] : offs[l + 1], j * hs.ell]
-            for n in range(hs.ell):
-                alpha += samples[j * hs.ell + n] * np.roll(beta, (hs.r * n) % Nl)
-        out.append(alpha)
-    return out
+    return np.split(hs.entries @ samples, hs.column_offsets()[1:-1])
 
 
 def is_r_circulant(C, block_rows, r, *, col_periods=None, tol=1e-12):

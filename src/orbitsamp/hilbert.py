@@ -1,11 +1,12 @@
 """Finite-dimensional model of the ambient space.
 
-Complex vectors, invertible operators with cached inverses and cached
-integer powers, inner products, Gram matrices, and the cross-correlation
-sequences ``r(k) = <T^k a, b>`` that drive the sampling constructions.
+Complex vectors, invertible operators with a stored inverse and the integer
+powers their callers ask for, inner products, Gram matrices, and the
+cross-correlation sequences ``r(k) = <T^k a, b>`` that drive the sampling
+constructions.
 
-Everything here is immutable after construction and side-effect free, so
-callers may evaluate powers and correlations in parallel.
+Everything here is side-effect free; an operator only memoizes the powers it
+is asked for, so callers may evaluate powers and correlations in parallel.
 """
 
 from __future__ import annotations
@@ -16,26 +17,18 @@ import numpy as np
 
 __all__ = [
     "RANK_TOL",
-    "MAX_POWER",
     "DimensionMismatch",
-    "PowerBoundExceeded",
     "inner",
     "LinearOperator",
     "CrossCorrelation",
-    "apply_power",
     "cross_correlation",
     "gram_matrix",
 ]
 
 RANK_TOL = 1e-10
-MAX_POWER = 4096
 
 
 class DimensionMismatch(ValueError):
-    pass
-
-
-class PowerBoundExceeded(ValueError):
     pass
 
 
@@ -61,14 +54,15 @@ def inner(x, y):
 
 
 class LinearOperator:
-    """Invertible operator on C^dim with a cached inverse and power table.
+    """Invertible operator on C^dim with a stored inverse and power table.
 
-    The inverse is computed once at construction; negative powers reuse it
-    rather than solving per call, because matrix assembly walks many powers.
-    ``max_power`` bounds ``|k|`` as a guard against runaway loops.
+    The inverse is computed once at construction; negative powers are powers
+    of it rather than solves per call.  Only the exponents callers ask for are
+    kept (the sampling code asks for ``T^{+-r}``), each built by repeated
+    squaring.
     """
 
-    def __init__(self, matrix, *, rank_tol=RANK_TOL, max_power=MAX_POWER):
+    def __init__(self, matrix, *, rank_tol=RANK_TOL):
         m = np.array(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"operator matrix must be square, got {m.shape}")
@@ -89,27 +83,18 @@ class LinearOperator:
         self.inv_matrix = inv
         self.dim = dim
         self.rank_tol = float(rank_tol)
-        self.max_power = int(max_power)
-        self._powers = {0: np.eye(dim, dtype=complex), 1: m, -1: inv}
+        self._powers = {1: m, -1: inv}
 
     @property
     def adjoint(self):
         return self.matrix.conj().T
 
     def power(self, k):
-        """Matrix of T^k, built by repeated multiplication and cached."""
+        """Matrix of T^k by repeated squaring, kept for the next call."""
         k = int(k)
-        if abs(k) > self.max_power:
-            raise PowerBoundExceeded(f"|{k}| exceeds the configured bound {self.max_power}")
         if k not in self._powers:
-            step = self.matrix if k > 0 else self.inv_matrix
-            sign = 1 if k > 0 else -1
-            j = sign * max((abs(i) for i in self._powers if i * sign > 0), default=0)
-            acc = self._powers[j]
-            while j != k:
-                acc = acc @ step
-                j += sign
-                self._powers[j] = acc
+            base = self.matrix if k >= 0 else self.inv_matrix
+            self._powers[k] = np.linalg.matrix_power(base, abs(k))
         return self._powers[k]
 
     def apply_power(self, k, v):
@@ -120,11 +105,6 @@ class LinearOperator:
 
     def __repr__(self):
         return f"LinearOperator(dim={self.dim})"
-
-
-def apply_power(op, k, v):
-    """Apply T^k to a vector (k may be negative; k = 0 returns the input)."""
-    return op.apply_power(k, v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,15 +146,25 @@ class CrossCorrelation:
 
 
 def cross_correlation(op, a, b, k_range, *, period=None):
-    """Sequence ``r(k) = <T^k a, b>`` over a contiguous range of powers."""
+    """Sequence ``r(k) = <T^k a, b>`` over a contiguous range of powers.
+
+    One vector steps from ``a`` to ``T^{k_start} a`` and then through the
+    range, so no power matrix is formed.
+    """
     ks = list(k_range)
     if not ks:
         raise ValueError("k_range must be nonempty")
     if any(ks[i + 1] - ks[i] != 1 for i in range(len(ks) - 1)):
         raise ValueError("k_range must be contiguous ascending integers")
-    a = as_cvector(a, op.dim)
+    v = as_cvector(a, op.dim)
     b = as_cvector(b, op.dim)
-    vals = np.array([inner(op.apply_power(k, a), b) for k in ks])
+    lead = op.matrix if ks[0] >= 0 else op.inv_matrix
+    for _ in range(abs(ks[0])):
+        v = lead @ v
+    vals = np.empty(len(ks), dtype=complex)
+    for i in range(len(ks)):
+        vals[i] = np.vdot(b, v)
+        v = op.matrix @ v
     return CrossCorrelation(k_start=ks[0], values=vals, period=period)
 
 

@@ -40,7 +40,6 @@ __all__ = [
     "take_group_samples",
     "group_duals",
     "group_reconstruct",
-    "group_dual_and_reconstruct",
 ]
 
 
@@ -485,7 +484,3 @@ def group_reconstruct(dual, samples):
             x += samples[j * len(pts) + i] * rep.apply(m, c)
     return x
 
-
-def group_dual_and_reconstruct(spectrum, samples, U=None, *, threshold=1e-8):
-    """Convenience composition of ``group_duals`` and ``group_reconstruct``."""
-    return group_reconstruct(group_duals(spectrum, U, threshold=threshold), samples)

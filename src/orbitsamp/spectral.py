@@ -27,7 +27,6 @@ __all__ = [
     "SplineBank",
     "FrameError",
     "TailEnergyError",
-    "spectrum_from_sequence",
     "build_spectral_field",
     "frame_constants",
     "dual_field",
@@ -151,11 +150,6 @@ class FiniteSequence:
         a[self.offset - lo : self.end - lo] = self.values
         b[other.offset - lo : other.end - lo] = other.values
         return bool(np.max(np.abs(a - b)) <= tol)
-
-
-def spectrum_from_sequence(c, w):
-    """Trigonometric-polynomial spectrum of a finite sequence at ``w``."""
-    return c.spectrum(w)
 
 
 def sequence_from_laurent(p):

@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
+import pytest
 
 import orbitsamp as o
 from orbitsamp import cli
+from orbitsamp.instances import CyclicInstanceConfig, random_cyclic_instance
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def cpairs(values):
@@ -60,6 +67,18 @@ def write_problem(tmp_path, doc, name="problem.json"):
     return str(path)
 
 
+def run_cli(*argv):
+    """Run the CLI in a fresh interpreter, as from a shell."""
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "orbitsamp.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+
+
 class TestAnalyze:
     def test_recoverable_cyclic(self, tmp_path, capsys):
         path = write_problem(tmp_path, cyclic_problem([E4[0], E4[1]]))
@@ -83,6 +102,14 @@ class TestAnalyze:
         assert cli.main(["analyze", "--input", path]) == 0
         out = capsys.readouterr().out
         assert "alpha_G = 1" in out and "beta_G = 1" in out
+
+    def test_lca_extra_generator_rejected(self, tmp_path):
+        doc = lca_problem()
+        doc["generators"].append(cpairs(E4[1]))
+        proc = run_cli("analyze", "--input", write_problem(tmp_path, doc))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == 1 and "generators" in proc.stderr
 
     def test_lca(self, tmp_path, capsys):
         path = write_problem(tmp_path, lca_problem())
@@ -225,6 +252,35 @@ class TestReconstruct:
         )
         assert rc == 1
         assert "residual exceeds" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["reconstruct", "dual"])
+    def test_unmet_residual_tolerance_exit_one(self, tmp_path, command):
+        # a 1e-17 tolerance is below the pseudo-inverse's rounding residual
+        rng = np.random.default_rng(0)
+        inst = random_cyclic_instance(
+            rng, CyclicInstanceConfig(max_dim=12, distortion=0.5)
+        )
+        spec, scheme = inst.spec, inst.scheme
+        doc = {
+            "model": "cyclic",
+            "dimension": spec.operator.dim,
+            "operator": [cpairs(row) for row in spec.operator.matrix],
+            "generators": [cpairs(a) for a in spec.generators],
+            "orders": spec.orders,
+            "samplers": [cpairs(b) for b in scheme.samplers],
+            "r": scheme.r,
+        }
+        x = spec.synthesize(rng.standard_normal(spec.total_order))
+        spath = str(tmp_path / "samples.csv")
+        cli.write_vector_csv(spath, o.take_samples(spec, scheme, x))
+        argv = [command, "--input", write_problem(tmp_path, doc), "--tol", "1e-17"]
+        argv += ["--out", str(tmp_path / "out")]
+        if command == "reconstruct":
+            argv += ["--samples", spath]
+        proc = run_cli(*argv)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "structured inverse failed" in proc.stdout
 
     def test_length_mismatch_exit_two(self, tmp_path):
         samplers = [E4[0], E4[1]]

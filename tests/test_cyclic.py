@@ -47,6 +47,20 @@ def oracle_sample_matrix(spec, scheme):
     return np.array(rows)
 
 
+def periodic_convolution(hs, samples):
+    """Independent path: ``alpha_l(m) = sum_{j,n} samples(j, n) beta_j^l(m - r*n)``."""
+    offs = hs.column_offsets()
+    out = []
+    for l, Nl in enumerate(hs.orders):
+        alpha = np.zeros(Nl, dtype=complex)
+        for j in range(hs.s):
+            beta = hs.first_column(j)[offs[l] : offs[l + 1]]
+            for n in range(hs.ell):
+                alpha += samples[j * hs.ell + n] * np.roll(beta, (hs.r * n) % Nl)
+        out.append(alpha)
+    return np.concatenate(out)
+
+
 class TestBuildSampleMatrix:
     def test_undersampled_shift(self):
         # s = 1 < r = 2 cannot reach full rank
@@ -74,12 +88,38 @@ class TestBuildSampleMatrix:
         R = build_sample_matrix(spec, scheme)
         assert np.allclose(R.matrix, np.eye(5))
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches_inner_product_oracle(self, seed):
+    @pytest.mark.parametrize(
+        "seed, orders, r",
+        [
+            (0, None, None),
+            (1, None, None),
+            (2, None, None),
+            # multi-generator, r not dividing every N_l (and r > N_l)
+            (3, [6, 4], 3),
+            (4, [6, 4, 3], 2),
+            (5, [8, 2], 4),
+        ],
+        ids=["0", "1", "2", "orders6,4-r3", "orders6,4,3-r2", "orders8,2-r4"],
+    )
+    def test_matches_inner_product_oracle(self, seed, orders, r):
         rng = np.random.default_rng(seed)
-        inst = random_cyclic_instance(rng, CyclicInstanceConfig(max_dim=14, distortion=0.2))
-        oracle = oracle_sample_matrix(inst.spec, inst.scheme)
-        assert np.max(np.abs(inst.sample_matrix.matrix - oracle)) < 1e-9
+        if orders is None:
+            inst = random_cyclic_instance(
+                rng, CyclicInstanceConfig(max_dim=14, distortion=0.2)
+            )
+            spec, scheme, R = inst.spec, inst.scheme, inst.sample_matrix
+        else:
+            dim = sum(orders) + 2
+            op, gens = operator_with_orders(rng, dim, orders, distortion=0.2)
+            spec = CyclicSubspaceSpec(operator=op, generators=gens, orders=orders)
+            samplers = [
+                rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+                for _ in range(3)
+            ]
+            scheme = SamplingScheme.for_spec(spec, samplers, r)
+            R = build_sample_matrix(spec, scheme)
+        oracle = oracle_sample_matrix(spec, scheme)
+        assert np.max(np.abs(R.matrix - oracle)) < 1e-9
 
     def test_r_must_divide(self):
         spec = shift_spec(4)
@@ -298,7 +338,8 @@ class TestFilterBankCoefficients:
         hs = structurize_left_inverse(R)
         samples = rng.standard_normal(R.rows) + 1j * rng.standard_normal(R.rows)
         out = np.concatenate(filter_bank_coefficients(hs, samples, spec))
-        assert np.max(np.abs(out - hs.entries @ samples)) < 1e-12 * np.linalg.norm(samples)
+        ref = periodic_convolution(hs, samples)
+        assert np.max(np.abs(out - ref)) < 1e-12 * np.linalg.norm(samples)
 
     def test_structurally_deficient_config_detected(self):
         # N = (4, 2), r = 2 with square s = 3: the short block repeats rows,

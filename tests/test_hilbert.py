@@ -6,8 +6,6 @@ from orbitsamp.hilbert import (
     CrossCorrelation,
     DimensionMismatch,
     LinearOperator,
-    PowerBoundExceeded,
-    apply_power,
     cross_correlation,
     gram_matrix,
     inner,
@@ -37,29 +35,31 @@ class TestLinearOperator:
         op = random_well_conditioned(rng, 4)
         assert np.max(np.abs(op.inv_matrix @ op.matrix - np.eye(4))) < 1e-10
 
-    def test_power_bound(self):
-        op = cyclic_shift(3)
-        with pytest.raises(PowerBoundExceeded):
-            op.power(op.max_power + 1)
+    def test_far_powers_of_permutation(self):
+        # T^k of a cyclic shift is the shift by k mod n, however large k is
+        op = cyclic_shift(5)
+        k = 100_003
+        assert np.array_equal(op.power(k), np.roll(np.eye(5), k % 5, axis=0))
+        assert np.array_equal(op.power(-k), np.roll(np.eye(5), -k % 5, axis=0))
 
 
 class TestApplyPower:
     def test_identity_any_power(self):
         op = LinearOperator(np.eye(4))
         v = np.arange(4) + 1j
-        assert np.allclose(apply_power(op, 5, v), v)
+        assert np.allclose(op.apply_power(5, v), v)
 
     def test_shift_full_cycle(self):
         op = cyclic_shift(3)
         d0 = np.eye(3)[0]
-        assert np.allclose(apply_power(op, 3, d0), d0)
-        assert np.allclose(apply_power(op, 1, d0), np.eye(3)[1])
+        assert np.allclose(op.apply_power(3, d0), d0)
+        assert np.allclose(op.apply_power(1, d0), np.eye(3)[1])
 
     def test_negative_power_matches_solve(self):
         rng = np.random.default_rng(1)
         op = random_well_conditioned(rng, 4)
         v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        got = apply_power(op, -2, v)
+        got = op.apply_power(-2, v)
         # oracle: solve T^2 w = v directly
         w = np.linalg.solve(op.matrix @ op.matrix, v)
         assert np.max(np.abs(got - w)) < 1e-10
@@ -67,7 +67,7 @@ class TestApplyPower:
     def test_dimension_mismatch(self):
         op = cyclic_shift(3)
         with pytest.raises(DimensionMismatch):
-            apply_power(op, 1, np.ones(4))
+            op.apply_power(1, np.ones(4))
 
 
 class TestCrossCorrelation:
@@ -121,7 +121,7 @@ class TestGramMatrix:
         rng = np.random.default_rng(3)
         op = random_well_conditioned(rng, 4)
         a = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        orbit = [apply_power(op, k, a) for k in range(4)]
+        orbit = [op.apply_power(k, a) for k in range(4)]
         g = gram_matrix(orbit)
         sv = np.linalg.svd(np.column_stack(orbit), compute_uv=False)
         rank = int(np.sum(sv > 1e-10 * sv[0]))
@@ -160,8 +160,8 @@ def test_power_group_law(seed, k1, k2):
     rng = np.random.default_rng(seed)
     op = random_well_conditioned(rng, 3, scale=0.2)
     v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    lhs = apply_power(op, k1, apply_power(op, k2, v))
-    rhs = apply_power(op, k1 + k2, v)
+    lhs = op.apply_power(k1, op.apply_power(k2, v))
+    rhs = op.apply_power(k1 + k2, v)
     assert np.max(np.abs(lhs - rhs)) < 1e-10 * max(1.0, np.linalg.norm(rhs))
 
 

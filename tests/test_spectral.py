@@ -18,7 +18,6 @@ from orbitsamp.spectral import (
     polyphase,
     reconstruction_coefficients,
     sequence_from_laurent,
-    spectrum_from_sequence,
     synthesis,
 )
 
@@ -65,10 +64,10 @@ class TestFiniteSequence:
 
 class TestSpectrum:
     def test_delta_constant(self):
-        assert spectrum_from_sequence(FiniteSequence.delta(0), 0.3) == 1
+        assert FiniteSequence.delta(0).spectrum(0.3) == 1
 
     def test_monomial_phase(self):
-        val = spectrum_from_sequence(FiniteSequence.delta(3), 0.2)
+        val = FiniteSequence.delta(3).spectrum(0.2)
         assert abs(val - np.exp(2j * np.pi * 3 * 0.2)) < 1e-14
 
     def test_cosine_polynomial(self):
