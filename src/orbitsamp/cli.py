@@ -47,32 +47,53 @@ def _fmt_vec(values):
     return " ".join(_fmt(v) for v in values)
 
 
-def _complex_pair(v, where):
-    if (
-        not isinstance(v, (list, tuple))
-        or len(v) != 2
-        or not all(isinstance(t, (int, float)) for t in v)
-    ):
-        raise SchemaError(f"{where}: complex values must be [re, im] pairs, got {v!r}")
-    return complex(v[0], v[1])
+def _complex_array(data, where, ndim, what):
+    """``[re, im]`` pairs nested ``ndim - 1`` deep, converted in one pass."""
+    if not isinstance(data, list) or not data:
+        raise SchemaError(f"{where}: expected a nonempty {what}")
+    try:
+        arr = np.array(data)
+    except ValueError as exc:
+        raise SchemaError(f"{where}: entries have inconsistent shapes") from exc
+    # Python ints beyond int64 give an object array; anything else in one is not a number
+    numeric = (
+        all(isinstance(t, (int, float)) for t in arr.flat)
+        if arr.dtype == object
+        else arr.dtype.kind in "biuf"
+    )
+    if not numeric or arr.ndim != ndim or arr.shape[-1] != 2 or 0 in arr.shape:
+        raise SchemaError(f"{where}: expected a nonempty {what} of [re, im] number pairs")
+    try:
+        arr = arr.astype(float)
+    except OverflowError as exc:
+        raise SchemaError(f"{where}: a number is too large for a float") from exc
+    return arr[..., 0] + 1j * arr[..., 1]
 
 
 def _vector(data, where):
-    if not isinstance(data, list) or not data:
-        raise SchemaError(f"{where}: expected a nonempty list of [re, im] pairs")
-    return np.array([_complex_pair(v, where) for v in data])
+    return _complex_array(data, where, 2, "list of [re, im] pairs")
 
 
 def _matrix(data, where):
-    if not isinstance(data, list) or not data:
-        raise SchemaError(f"{where}: expected a nonempty row-major matrix")
-    rows = [_vector(row, where) for row in data]
-    if len({r.size for r in rows}) != 1:
-        raise SchemaError(f"{where}: rows have inconsistent lengths")
-    return np.vstack(rows)
+    return _complex_array(data, where, 3, "row-major matrix")
+
+
+def _int(value, where):
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"{where}: expected an integer, got {value!r}") from exc
+
+
+def _int_list(values, where):
+    if not isinstance(values, list):
+        raise SchemaError(f"{where}: expected a list of integers, got {values!r}")
+    return [_int(v, where) for v in values]
 
 
 def _require(doc, key, where="problem"):
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{where}: expected a JSON object")
     if key not in doc:
         raise SchemaError(f"{where}: missing required field {key!r}")
     return doc[key]
@@ -85,7 +106,8 @@ def _sequence(doc, name):
     if not isinstance(entry, dict) or "offset" not in entry or "values" not in entry:
         raise SchemaError(f"sequences.{name}: need 'offset' and 'values'")
     return FiniteSequence(
-        offset=int(entry["offset"]), values=_vector(entry["values"], f"sequences.{name}")
+        offset=_int(entry["offset"], f"sequences.{name}.offset"),
+        values=_vector(entry["values"], f"sequences.{name}"),
     )
 
 
@@ -95,7 +117,7 @@ def load_problem(path):
             doc = json.load(fh)
     except OSError as exc:
         raise SchemaError(f"cannot read problem file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, or an integer literal too long to convert
         raise SchemaError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("problem file must hold a JSON object")
@@ -106,17 +128,17 @@ def load_problem(path):
 
 
 def _load_cyclic(doc):
-    dim = int(_require(doc, "dimension"))
+    dim = _int(_require(doc, "dimension"), "dimension")
     op_m = _matrix(_require(doc, "operator"), "operator")
     if op_m.shape != (dim, dim):
         raise SchemaError(f"operator: expected {dim}x{dim}, got {op_m.shape}")
     try:
         op = LinearOperator(op_m)
         generators = [_vector(g, "generators") for g in _require(doc, "generators")]
-        orders = [int(n) for n in _require(doc, "orders")]
+        orders = _int_list(_require(doc, "orders"), "orders")
         spec = cyclic.CyclicSubspaceSpec(operator=op, generators=generators, orders=orders)
         samplers = [_vector(b, "samplers") for b in _require(doc, "samplers")]
-        scheme = cyclic.SamplingScheme.for_spec(spec, samplers, int(_require(doc, "r")))
+        scheme = cyclic.SamplingScheme.for_spec(spec, samplers, _int(_require(doc, "r"), "r"))
     except SchemaError:
         raise
     except ValueError as exc:
@@ -133,8 +155,8 @@ def _load_shift(doc, grid, prefix="g"):
         raise SchemaError(f"sequences: need {prefix}1..{prefix}s entries")
     names.sort(key=lambda n: int(n[len(prefix) :]))
     seqs = [_sequence(seqs_doc, n) for n in names]
-    r = int(doc.get("r", 1))
-    Q = int(grid if grid is not None else doc.get("grid", 1024)) * r
+    r = _int(doc.get("r", 1), "r")
+    Q = (grid if grid is not None else _int(doc.get("grid", 1024), "grid")) * r
     try:
         field = spectral.build_spectral_field(seqs, r, Q)
     except ValueError as exc:
@@ -150,9 +172,14 @@ def _load_lca(doc):
     if not isinstance(generators, list) or len(generators) != 1:
         raise SchemaError("generators: the lca model takes exactly one generator")
     try:
-        group = lca.FiniteAbelianGroup(tuple(int(d) for d in group_doc["moduli"]))
-        H = lca.Subgroup(group, [tuple(g) for g in group_doc["H_gens"]])
-        M_in_H = lca.Subgroup(group, [tuple(g) for g in group_doc["M_gens"]])
+        group = lca.FiniteAbelianGroup(tuple(_int_list(group_doc["moduli"], "group.moduli")))
+        gens = {}
+        for key in ("H_gens", "M_gens"):
+            if not isinstance(group_doc[key], list):
+                raise SchemaError(f"group.{key}: expected a list of elements")
+            gens[key] = [_int_list(g, f"group.{key}") for g in group_doc[key]]
+        H = lca.Subgroup(group, gens["H_gens"])
+        M_in_H = lca.Subgroup(group, gens["M_gens"])
         M = lca.Subgroup(group, M_in_H.generators)
         if not M.is_subgroup_of(H):
             raise SchemaError("group: M_gens must generate a subgroup of H")
@@ -244,7 +271,8 @@ def cmd_analyze(args):
     )
     print(f"alpha_G = {_fmt(spectrum.alpha_G)}")
     print(f"beta_G = {_fmt(spectrum.beta_G)}")
-    ok = spectrum.alpha_G > args.tol
+    print(f"sigma_min/sigma_max = {_fmt(spectrum.sigma_ratio)}")
+    ok = spectrum.sigma_ratio > args.tol
     print(f"recoverable: {'yes' if ok else 'no'}")
     return 0 if ok else 1
 
@@ -334,7 +362,7 @@ def cmd_dual(args):
             print(str(exc))
             return 1
         print(f"dual residual: {_fmt(dual.residual_max)}")
-        length = int(doc.get("dual_length", 65))
+        length = _int(doc.get("dual_length", 65), "dual_length")
         try:
             coeffs = spectral.reconstruction_coefficients(dual, length)
         except spectral.TailEnergyError as exc:
@@ -461,7 +489,7 @@ def cmd_pr_check(args):
     if doc["model"] != "shift":
         raise SchemaError("pr-check needs a shift-model problem with filter sequences")
     seqs_doc = _require(doc, "sequences")
-    r = int(doc.get("r", 1))
+    r = _int(doc.get("r", 1), "r")
     hs, gs = [], []
     j = 1
     while f"h{j}" in seqs_doc:
@@ -522,7 +550,8 @@ def cmd_lca_demo(args):
     print(f"section labels: {list(spectrum.omega.representatives)}")
     print(f"alpha_G = {_fmt(spectrum.alpha_G)}")
     print(f"beta_G = {_fmt(spectrum.beta_G)}")
-    if spectrum.alpha_G <= args.tol:
+    print(f"sigma_min/sigma_max = {_fmt(spectrum.sigma_ratio)}")
+    if spectrum.sigma_ratio <= args.tol:
         print("recoverable: no")
         return 1
     gdual = lca.group_duals(spectrum, threshold=args.tol)
@@ -546,7 +575,11 @@ def _build_parser():
     common.add_argument("--input", help="problem file (JSON)")
     common.add_argument("--out", help="output path prefix for CSV files")
     common.add_argument(
-        "--tol", type=float, default=1e-10, help="rank/recoverability tolerance"
+        "--tol",
+        type=float,
+        default=1e-10,
+        help="recoverability tolerance on sigma_min/sigma_max (cyclic, lca) or on "
+        "alpha_G (shift); cyclic dual/reconstruct also bound the left-inverse residual by it",
     )
     common.add_argument(
         "--grid", type=int, default=None, help="grid points per unit interval"

@@ -239,10 +239,15 @@ class RankReport:
     singular_values: np.ndarray
 
 
+def _numerical_rank(sv, rank_tol):
+    """Count of singular values (descending) above ``rank_tol`` times the largest."""
+    return int(np.sum(sv > rank_tol * sv[0])) if sv.size and sv[0] > 0 else 0
+
+
 def check_rank(R, rank_tol=RANK_TOL):
     """Numerical rank of the sampling matrix via SVD, values descending."""
     sv = np.linalg.svd(R.matrix, compute_uv=False)
-    rank = int(np.sum(sv > rank_tol * sv[0])) if sv.size and sv[0] > 0 else 0
+    rank = _numerical_rank(sv, rank_tol)
     return RankReport(
         full_rank=rank == R.cols, rank=rank, cols=R.cols, singular_values=sv
     )
@@ -311,13 +316,15 @@ def structurize_left_inverse(R, H=None, *, U=None, tol=1e-10):
     """
     Rm = R.matrix
     eye = np.eye(R.cols)
-    report = check_rank(R, rank_tol=min(tol, RANK_TOL))
-    if not report.full_rank:
-        raise RankDeficiencyError(
-            f"R has rank {report.rank} < {report.cols}; no left inverse exists"
-        )
+    # one thin SVD gives the rank test and, at full rank, the pseudo-inverse
+    u, sv, vh = np.linalg.svd(Rm, full_matrices=False)
+    rank = _numerical_rank(sv, min(tol, RANK_TOL))
+    if rank < R.cols:
+        raise RankDeficiencyError(f"R has rank {rank} < {R.cols}; no left inverse exists")
     if H is None:
-        pinv = np.linalg.pinv(Rm)
+        # pinv = V S^-1 U^H, formed as the adjoint of U S^-1 V^H in u's storage
+        u /= sv
+        pinv = np.conjugate(u @ vh, out=u).T
         if U is None:
             H = pinv
         else:

@@ -4,9 +4,10 @@ Groups are products of cyclic groups; a subgroup ``H`` acts on the ambient
 space through a representation by invertible operators, samples of an orbit
 element are read on a subgroup ``M < H``, and recoverability is decided by
 the spectral matrices indexed over a transversal of the dual of ``H`` modulo
-the annihilator of ``M``.  Everything is finite, so annihilators, sections
-and Fourier coefficients are exact enumerations; Haar measure on the dual is
-normalized to total mass one (averages over the dual).
+the annihilator of ``M``.  Everything is finite: subgroups are enumerated in
+the normal form of their generators' relations, characters are read from one
+integer phase table, and Haar measure on the dual is normalized to total
+mass one (averages over the dual).
 
 The single-generator cyclic pipeline is the special case ``H = Z_N`` with
 ``M`` the multiples of the sampling period.
@@ -14,14 +15,14 @@ The single-generator cyclic pipeline is the special case ``H = Z_N`` with
 
 from __future__ import annotations
 
-import cmath
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .hilbert import LinearOperator, as_cvector, inner
+from .hilbert import LinearOperator, as_cvector
 
 __all__ = [
     "FiniteAbelianGroup",
@@ -71,6 +72,11 @@ class FiniteAbelianGroup:
         return n
 
     @property
+    def exponent(self):
+        """Least common multiple ``L`` of the moduli: every phase is a multiple of ``1/L``."""
+        return math.lcm(*self.moduli)
+
+    @property
     def identity(self):
         return (0,) * len(self.moduli)
 
@@ -89,26 +95,58 @@ class FiniteAbelianGroup:
     def elements(self):
         return itertools.product(*(range(d) for d in self.moduli))
 
+    def flat(self, elements):
+        """Lexicographic rank of each element in the last axis of an integer array."""
+        strides = np.cumprod((self.moduli[1:] + (1,))[::-1])[::-1]
+        return np.mod(elements, self.moduli) @ strides
+
+
+def _rows(elements, rank):
+    return np.array(elements, dtype=np.int64).reshape(-1, rank)
+
 
 class Subgroup:
-    """Subgroup generated by the given elements, enumerated by closure."""
+    """Subgroup generated by the given elements, in normal-form coordinates.
+
+    With ``H_i = <g_i, ..., g_k>``, ``d_i`` is the least positive multiple of
+    ``g_i`` that lies in ``H_{i+1}``; every element is ``sum n_i g_i`` for
+    exactly one coordinate tuple with ``0 <= n_i < d_i`` (``coords``, one row
+    per element in sorted order).  Row ``i`` of ``relations`` is
+    ``d_i e_i - coords(d_i g_i)``: the rows are an upper triangular (Hermite)
+    basis of the relation lattice ``{n : sum n_i g_i = 0}``.
+    """
 
     def __init__(self, group, generators):
         self.group = group
         self.generators = [group.reduce(g) for g in generators]
-        elements = {group.identity}
-        frontier = [group.identity]
-        while frontier:
-            nxt = []
-            for h in frontier:
-                for g in self.generators:
-                    e = group.add(h, g)
-                    if e not in elements:
-                        elements.add(e)
-                        nxt.append(e)
-            frontier = nxt
-        self._set = frozenset(elements)
-        self._sorted = tuple(sorted(elements))
+        rank, k = len(group.moduli), len(self.generators)
+        mods = np.array(group.moduli, dtype=np.int64)
+        # H_{k+1} = {0}; each pass prepends one generator, n_i-major
+        elems = np.zeros((1, rank), dtype=np.int64)
+        coords = np.zeros((1, 0), dtype=np.int64)
+        self.relations = np.zeros((k, k), dtype=np.int64)
+        for i in reversed(range(k)):
+            g = np.array(self.generators[i], dtype=np.int64)
+            position = {x: p for p, x in enumerate(group.flat(elems).tolist())}
+            # L g = 0 lies in H_{i+1}, so the first hit is at most L
+            multiples = group.flat(np.arange(1, group.exponent + 1)[:, None] * g).tolist()
+            d = next(n for n, x in enumerate(multiples, start=1) if x in position)
+            tail = coords[position[multiples[d - 1]]]
+            self.relations[i, i] = d
+            self.relations[i, i + 1 :] = -tail
+            elems = ((np.arange(d)[:, None, None] * g + elems) % mods).reshape(-1, rank)
+            coords = np.hstack(
+                [np.repeat(np.arange(d), len(coords))[:, None], np.tile(coords, (d, 1))]
+            )
+        flat = group.flat(elems)
+        # closure position of each sorted element: orbits are stepped in
+        # closure order and read out in sorted order
+        self._closure_order = np.argsort(flat)
+        self._flat = flat[self._closure_order]
+        self.element_array = elems[self._closure_order]
+        self.coords = coords[self._closure_order]
+        self._sorted = tuple(map(tuple, self.element_array.tolist()))
+        self._set = frozenset(self._sorted)
 
     @property
     def order(self):
@@ -123,6 +161,18 @@ class Subgroup:
     def __len__(self):
         return len(self._set)
 
+    def index(self, elements):
+        """Sorted position of each row of an integer array of elements."""
+        q = self.group.flat(elements)
+        pos = np.minimum(np.searchsorted(self._flat, q), self._flat.size - 1)
+        if not np.array_equal(self._flat[pos], q):
+            raise ValueError("element is not in the subgroup")
+        return pos
+
+    def coordinates(self, h):
+        """Normal-form coordinates of ``h`` over the generators."""
+        return self.coords[self.index(_rows(self.group.reduce(h), len(self.group.moduli)))[0]]
+
     def is_subgroup_of(self, other):
         return self.group is other.group and self._set <= other._set
 
@@ -130,12 +180,21 @@ class Subgroup:
         return f"Subgroup(order={self.order}, generators={self.generators})"
 
 
-def _pairing_exponent(group, label, h):
-    """Exact exponent of ``exp(2 pi i <label, h>)`` as a fraction mod 1."""
-    total = Fraction(0)
-    for li, hi, di in zip(label, h, group.moduli):
-        total += Fraction(li * hi, di)
-    return total % 1
+def _phases(group, labels, elements):
+    """Integer phase table ``P[a, b] = sum_t labels[a, t] elements[b, t] (L / m_t) mod L``.
+
+    ``L`` is the group's exponent, so ``(elements[b], labels[a]) = exp(2 pi i P / L)``
+    exactly up to the one rounding of the exponential.
+    """
+    L = group.exponent
+    P = np.zeros((len(labels), len(elements)), dtype=np.int64)
+    for t, m in enumerate(group.moduli):
+        P += (np.multiply.outer(labels[:, t], elements[:, t]) % m) * (L // m)
+    return P % L
+
+
+def _characters(group, P):
+    return np.exp(2j * np.pi * (P / group.exponent))
 
 
 class DualGroup:
@@ -144,22 +203,24 @@ class DualGroup:
     Two ambient labels induce the same character when they agree on the
     subgroup's generators; each class is represented by its lexicographically
     smallest member, so dual arithmetic canonicalizes after adding labels.
+    The classes are found once for the whole ambient group, from the phases
+    of every ambient label on the generators.
     """
 
     def __init__(self, H):
         self.H = H
         group = H.group
-        classes = {}
-        for label in group.elements():
-            key = tuple(_pairing_exponent(group, label, g) for g in H.generators)
-            rep = classes.get(key)
-            if rep is None or label < rep:
-                classes[key] = label
-        self._rep_by_key = classes
-        self.labels = tuple(sorted(classes.values()))
-        if len(self.labels) != H.order:
+        ambient = np.indices(group.moduli).reshape(len(group.moduli), -1).T  # lexicographic
+        keys = _phases(group, ambient, _rows(H.generators, len(group.moduli)))
+        _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+        if first.size != H.order:
             raise RuntimeError("character count does not match the subgroup order")
-        self._index = {g: i for i, g in enumerate(self.labels)}
+        # classes numbered by their smallest member, which is the sorted order
+        number = np.empty_like(first)
+        number[np.argsort(first)] = np.arange(first.size)
+        self._class = number[inverse.ravel()]
+        self.label_array = ambient[np.sort(first)]
+        self.labels = tuple(map(tuple, self.label_array.tolist()))
 
     @property
     def order(self):
@@ -168,11 +229,12 @@ class DualGroup:
     def __iter__(self):
         return iter(self.labels)
 
+    def indices(self, labels):
+        """Dual index of each ambient label in the last axis of an integer array."""
+        return self._class[self.H.group.flat(labels)]
+
     def canonical(self, label):
-        group = self.H.group
-        label = group.reduce(label)
-        key = tuple(_pairing_exponent(group, label, g) for g in self.H.generators)
-        return self._rep_by_key[key]
+        return self.labels[self.index(label)]
 
     def add(self, g1, g2):
         return self.canonical(self.H.group.add(g1, g2))
@@ -181,16 +243,26 @@ class DualGroup:
         return self.canonical(self.H.group.neg(g))
 
     def index(self, label):
-        return self._index[self.canonical(label)]
+        return int(self.indices(self.H.group.reduce(label)))
+
+    def _phase(self, label, h):
+        if h not in self.H:
+            raise ValueError(f"{h} is not in the subgroup")
+        group = self.H.group
+        label, h = (_rows(group.reduce(x), len(group.moduli)) for x in (label, h))
+        return int(_phases(group, label, h)[0, 0])
 
     def pairing_exponent(self, label, h):
         """Exact fraction ``t`` with ``(h, label) = exp(2 pi i t)``."""
-        if h not in self.H:
-            raise ValueError(f"{h} is not in the subgroup")
-        return _pairing_exponent(self.H.group, label, self.H.group.reduce(h))
+        return Fraction(self._phase(label, h), self.H.group.exponent)
 
     def value(self, label, h):
-        return cmath.exp(2j * cmath.pi * float(self.pairing_exponent(label, h)))
+        return complex(_characters(self.H.group, self._phase(label, h)))
+
+    def character_table(self):
+        """``chi[gamma, h] = (h, gamma)`` over the sorted labels and sorted ``H``."""
+        group = self.H.group
+        return _characters(group, _phases(group, self.label_array, self.H.element_array))
 
 
 @dataclass(frozen=True)
@@ -214,15 +286,22 @@ def annihilator(H, M, *, dual=None):
         raise ValueError("M must be a subgroup of H")
     if dual is None:
         dual = DualGroup(H)
-    labels = tuple(
-        g
-        for g in dual
-        if all(dual.pairing_exponent(g, m) == 0 for m in M.generators)
+    group = H.group
+    phases = _phases(group, dual.label_array, _rows(M.generators, len(group.moduli)))
+    trivial = ~np.any(phases, axis=1)
+    perp = CharacterSubgroup(
+        dual=dual, labels=tuple(g for g, t in zip(dual.labels, trivial) if t)
     )
-    perp = CharacterSubgroup(dual=dual, labels=labels)
     if perp.order * M.order != H.order:
         raise RuntimeError("annihilator order check failed")
     return perp
+
+
+def _coset_indices(dual, labels, perp):
+    """Dual index of ``labels[i] + mu_k`` for every label row and ``mu_k`` in ``perp``."""
+    rank = len(dual.H.group.moduli)
+    mu = _rows(perp.labels, rank)
+    return dual.indices(_rows(labels, rank)[:, None, :] + mu[None, :, :])
 
 
 @dataclass(frozen=True)
@@ -233,39 +312,43 @@ class SectionOmega:
     perp: CharacterSubgroup
     representatives: tuple
 
+    def cells(self):
+        """Dual index of ``xi_i + mu_k``: row ``i`` is the coset of ``xi_i``."""
+        return _coset_indices(self.dual, self.representatives, self.perp)
+
     def verify_tiling(self):
-        seen = set()
-        for xi in self.representatives:
-            for mu in self.perp:
-                t = self.dual.add(xi, mu)
-                if t in seen:
-                    return False
-                seen.add(t)
-        return len(seen) == self.dual.order
+        cells = self.cells()
+        return cells.size == self.dual.order and np.unique(cells).size == cells.size
 
 
 def section_omega(dual, perp):
     """Deterministic section: lexicographically smallest label per coset."""
-    reps = []
-    assigned = set()
-    for g in dual:
-        if g in assigned:
-            continue
-        reps.append(g)
-        for mu in perp:
-            assigned.add(dual.add(g, mu))
-    omega = SectionOmega(dual=dual, perp=perp, representatives=tuple(reps))
+    smallest = np.unique(_coset_indices(dual, dual.labels, perp).min(axis=1))
+    omega = SectionOmega(
+        dual=dual, perp=perp, representatives=tuple(dual.labels[i] for i in smallest)
+    )
     if not omega.verify_tiling():
         raise RuntimeError("section translates fail to tile the dual")
     return omega
 
 
-class GroupRepresentation:
-    """Representation of a subgroup by invertible operators.
+def _max_abs_gap(lhs, rhs, tol):
+    """Whether two products differ by more than ``tol`` times their entry scale."""
+    scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))), 1.0)
+    return float(np.max(np.abs(lhs - rhs))) > tol * scale
 
-    Generator assignments are extended multiplicatively over the closure;
-    the homomorphism property is then verified on every pair of elements
-    (which covers the order relations of the generators) within ``tol``.
+
+class GroupRepresentation:
+    """Representation of a subgroup by invertible operators, one per generator.
+
+    ``Pi(h)`` for ``h = sum n_i g_i`` (normal-form coordinates of ``H``) is
+    the product of the powers ``T_i^{n_i}``, formed on request.  A commuting
+    assignment factors through ``Z^k / L = H`` exactly when it kills a basis
+    of the relation lattice ``L``, so the homomorphism law is checked in two
+    parts, each within ``tol`` times the entry scale of the compared
+    products: the generators commute pairwise, and each row of
+    ``H.relations`` maps to the identity (``T_i^{d_i}`` equals the product of
+    the later generators' powers it names).
     """
 
     def __init__(self, H, generator_ops, *, tol=1e-8):
@@ -280,36 +363,57 @@ class GroupRepresentation:
             raise RepresentationError("generator operators must share one dimension")
         self.H = H
         self.dim = dims.pop()
-        group = H.group
-        table = {group.identity: np.eye(self.dim, dtype=complex)}
-        frontier = [group.identity]
-        while frontier:
-            nxt = []
-            for h in frontier:
-                for g, op in zip(H.generators, ops):
-                    e = group.add(h, g)
-                    if e not in table:
-                        table[e] = op.matrix @ table[h]
-                        nxt.append(e)
-            frontier = nxt
-        if len(table) != H.order:
-            raise RepresentationError("generator closure does not cover the subgroup")
-        scale = max(max(np.max(np.abs(m)) for m in table.values()), 1.0)
-        for h1 in H:
-            for h2 in H:
-                lhs = table[group.add(h1, h2)]
-                rhs = table[h1] @ table[h2]
-                if np.max(np.abs(lhs - rhs)) > tol * scale:
-                    raise RepresentationError(
-                        f"assignment is not a homomorphism at {h1} + {h2}"
-                    )
-        self._table = table
+        self._matrices = [op.matrix for op in ops]
+        T = self._matrices
+        for i, j in itertools.combinations(range(len(T)), 2):
+            if _max_abs_gap(T[i] @ T[j], T[j] @ T[i], tol):
+                raise RepresentationError(
+                    f"assignment is not a homomorphism: generators {i} and {j} do not commute"
+                )
+        for i, row in enumerate(H.relations):
+            rest = -row
+            rest[i] = 0
+            if _max_abs_gap(np.linalg.matrix_power(T[i], int(row[i])), self._monomial(rest), tol):
+                raise RepresentationError(
+                    f"assignment is not a homomorphism: relation {row.tolist()} "
+                    "of the generators does not map to the identity"
+                )
+
+    def _monomial(self, exponents):
+        """``prod_i T_i^{n_i}`` for nonnegative exponents ``n_i``."""
+        out = None
+        for T, n in zip(self._matrices, exponents):
+            if n:
+                P = np.linalg.matrix_power(T, int(n))
+                out = P if out is None else P @ out
+        return np.eye(self.dim, dtype=complex) if out is None else out
 
     def op(self, h):
-        return self._table[self.H.group.reduce(h)]
+        return self._monomial(self.H.coordinates(h))
 
     def apply(self, h, v):
         return self.op(h) @ v
+
+    def orbit(self, vectors, K=None, *, adjoint=False):
+        """``Pi(k) v`` (or ``Pi(k)^H v``) for every ``k`` of ``K <= H``, sorted.
+
+        Blocks of vectors step along the normal-form enumeration of ``K``
+        (default ``H``): ``|K|`` mat-vecs per vector.  A vector gives a
+        ``dim x |K|`` array, a ``dim x m`` block a ``dim x |K| x m`` array.
+        """
+        K = self.H if K is None else K
+        V = np.asarray(vectors, dtype=complex)
+        block = V.reshape(self.dim, -1)
+        for i in reversed(range(len(K.generators))):
+            T = self.op(K.generators[i])
+            if adjoint:
+                T = T.conj().T
+            steps = [block]
+            for _ in range(K.relations[i, i] - 1):
+                steps.append(T @ steps[-1])
+            block = np.hstack(steps)
+        out = block.reshape(self.dim, K.order, -1)[:, K._closure_order, :]
+        return out[:, :, 0] if V.ndim == 1 else out
 
 
 @dataclass(eq=False)
@@ -317,7 +421,9 @@ class GroupSpectrum:
     """Spectral matrices of a group sampling problem over a section.
 
     ``matrices[i][j, k]`` is sampler ``j``'s spectrum at ``xi_i + mu_k``;
-    with everything finite the frame constants are true extremes.
+    with everything finite the frame constants are true extremes.  Row
+    ``(j, m)`` of ``analyzers`` is ``(Pi(-m)^H b_j)^H``, sampler-major over
+    ``sample_points``.
     """
 
     rep: GroupRepresentation
@@ -331,6 +437,7 @@ class GroupSpectrum:
     alpha_G: float
     beta_G: float
     sample_points: tuple
+    analyzers: np.ndarray
 
     @property
     def r(self):
@@ -340,9 +447,13 @@ class GroupSpectrum:
     def s(self):
         return len(self.samplers)
 
+    @property
+    def sigma_ratio(self):
+        """``sigma_min / sigma_max = sqrt(alpha_G / beta_G)``, the recoverability margin."""
+        return math.sqrt(self.alpha_G / self.beta_G) if self.beta_G > 0 else 0.0
+
     def orbit_matrix(self):
-        cols = [self.rep.apply(h, self.generator) for h in self.rep.H]
-        return np.column_stack(cols)
+        return self.rep.orbit(self.generator)
 
 
 def build_group_G_matrix(rep, a, samplers, H, M, *, rank_tol=1e-10):
@@ -350,7 +461,9 @@ def build_group_G_matrix(rep, a, samplers, H, M, *, rank_tol=1e-10):
 
     Requires the orbit of ``a`` under the representation to be linearly
     independent.  The annihilator of ``M`` fixes the matrix width ``r`` and
-    the section fixes the row of evaluation points.
+    the section fixes the row of evaluation points.  ``alpha_G`` and
+    ``beta_G`` are the extreme squared singular values of the ``s x r``
+    matrices (``alpha_G = 0`` when ``s < r``).
     """
     if H is not rep.H:
         if not (H.is_subgroup_of(rep.H) and rep.H.is_subgroup_of(H)):
@@ -361,7 +474,7 @@ def build_group_G_matrix(rep, a, samplers, H, M, *, rank_tol=1e-10):
     a = as_cvector(a, rep.dim)
     samplers = [as_cvector(b, rep.dim) for b in samplers]
 
-    orbit = np.column_stack([rep.apply(h, a) for h in H])
+    orbit = rep.orbit(a)
     sv = np.linalg.svd(orbit, compute_uv=False)
     if sv[-1] <= rank_tol * sv[0]:
         raise RepresentationError(
@@ -373,24 +486,18 @@ def build_group_G_matrix(rep, a, samplers, H, M, *, rank_tol=1e-10):
     omega = section_omega(dual, perp)
     r = perp.order
     s = len(samplers)
+    S = np.column_stack(samplers)
 
-    # spectra G_j(gamma) = sum_k <a, Pi*(-k) b_j> (k, gamma); the sample
+    # spectra G_j(gamma) = sum_h <Pi(-h) a, b_j> (h, gamma); the sample
     # identity <x, Pi*(-m) b_j> = <F, conj(G_j) chi_m> pins the character sign
-    sample_of_a = {
-        h: [inner(rep.op(dual.H.group.neg(h)) @ a, b) for b in samplers] for h in H
-    }
-    spectra = {}
-    for gamma in dual:
-        vals = np.zeros(s, dtype=complex)
-        for h in H:
-            vals += dual.value(gamma, h) * np.asarray(sample_of_a[h])
-        spectra[gamma] = vals
+    samples_of_a = (S.conj().T @ orbit)[:, H.index(-H.element_array)]
+    spectra = samples_of_a @ dual.character_table().T
+    mats = np.moveaxis(spectra[:, omega.cells()], 0, 1)
+    sv = np.linalg.svd(mats, compute_uv=False)
 
-    mats = np.empty((len(omega.representatives), s, r), dtype=complex)
-    for i, xi in enumerate(omega.representatives):
-        for k, mu in enumerate(perp):
-            mats[i, :, k] = spectra[dual.add(xi, mu)]
-    eigs = np.linalg.eigvalsh(np.conj(np.swapaxes(mats, 1, 2)) @ mats)
+    # Pi(-m)^H b_j is the adjoint orbit of b_j read at -m
+    steps = rep.orbit(S, M, adjoint=True)[:, M.index(-M.element_array), :]
+    analyzers = steps.transpose(2, 1, 0).reshape(s * M.order, rep.dim).conj()
     return GroupSpectrum(
         rep=rep,
         generator=a,
@@ -400,44 +507,42 @@ def build_group_G_matrix(rep, a, samplers, H, M, *, rank_tol=1e-10):
         perp=perp,
         omega=omega,
         matrices=mats,
-        alpha_G=float(eigs[:, 0].min()),
-        beta_G=float(eigs[:, -1].max()),
-        sample_points=tuple(sorted(M)),
+        alpha_G=float(sv[:, -1].min()) ** 2 if s >= r else 0.0,
+        beta_G=float(sv[:, 0].max()) ** 2,
+        sample_points=tuple(M),
+        analyzers=analyzers,
     )
 
 
 def take_group_samples(spectrum, x):
     """Samples ``<x, Pi*(-m) b_j>`` ordered sampler-major over sorted ``M``."""
-    rep = spectrum.rep
-    x = as_cvector(x, rep.dim)
-    group = rep.H.group
-    out = np.empty(spectrum.s * len(spectrum.sample_points), dtype=complex)
-    for j, b in enumerate(spectrum.samplers):
-        for i, m in enumerate(spectrum.sample_points):
-            out[j * len(spectrum.sample_points) + i] = inner(rep.op(group.neg(m)) @ x, b)
-    return out
+    return spectrum.analyzers @ as_cvector(x, spectrum.rep.dim)
 
 
 @dataclass(eq=False)
 class GroupDual:
-    """Reconstruction vectors and the dual matrices they came from."""
+    """Reconstruction vectors, the dual matrices they came from, and the
+    synthesis matrix whose column ``(j, m)`` is ``Pi(m) c_j``."""
 
     spectrum: GroupSpectrum
     h_matrices: np.ndarray
     vectors: list
+    synthesis: np.ndarray
 
 
 def group_duals(spectrum, U=None, *, threshold=1e-8):
     """Reconstruction vectors from per-point pseudo-inverse dual matrices.
 
-    Row ``k`` of each ``r x s`` dual matrix carries the dual functions'
-    values at ``xi + mu_k``; averaging against the characters gives their
-    exact Fourier coefficients, which synthesize the vectors ``c_j`` in the
-    orbit of the generator.
+    Refuses problems whose ``sigma_min / sigma_max`` is at most
+    ``threshold``.  Row ``k`` of each ``r x s`` dual matrix carries the dual
+    functions' values at ``xi + mu_k``; averaging against the characters
+    gives their exact Fourier coefficients, which synthesize the vectors
+    ``c_j`` in the orbit of the generator.
     """
-    if spectrum.alpha_G <= threshold:
+    ratio = spectrum.sigma_ratio
+    if ratio <= threshold:
         raise GroupFrameError(
-            f"not recoverable: alpha_G = {spectrum.alpha_G:.3e} <= {threshold:.1e}"
+            f"not recoverable: sigma_min/sigma_max = {ratio:.3e} <= {threshold:.1e}"
         )
     hmats = np.linalg.pinv(spectrum.matrices)
     if U is not None:
@@ -446,41 +551,22 @@ def group_duals(spectrum, U=None, *, threshold=1e-8):
         hmats = hmats + U @ (eye - spectrum.matrices @ hmats)
 
     dual = spectrum.dual
-    H = spectrum.rep.H
     r, s = spectrum.r, spectrum.s
-    n_dual = dual.order
-
     # dual function values on the whole dual group
-    h_full = np.empty((n_dual, s), dtype=complex)
-    for i, xi in enumerate(spectrum.omega.representatives):
-        for k, mu in enumerate(spectrum.perp):
-            h_full[dual.index(dual.add(xi, mu)), :] = hmats[i, k, :]
-
-    chars = np.empty((n_dual, H.order), dtype=complex)
-    for gi, gamma in enumerate(dual):
-        for hi, h in enumerate(H):
-            chars[gi, hi] = dual.value(gamma, h)
+    h_full = np.empty((dual.order, s), dtype=complex)
+    h_full[spectrum.omega.cells().ravel()] = hmats.reshape(-1, s)
     # coefficients alpha[h, j] = (r / |dual|) sum_gamma h_j(gamma) conj((h, gamma))
-    coeff = (r / n_dual) * (np.conj(chars).T @ h_full)
-
-    vectors = []
-    for j in range(s):
-        c = np.zeros(spectrum.rep.dim, dtype=complex)
-        for hi, h in enumerate(H):
-            c += coeff[hi, j] * spectrum.rep.apply(h, spectrum.generator)
-        vectors.append(c)
-    return GroupDual(spectrum=spectrum, h_matrices=hmats, vectors=vectors)
+    coeff = (r / dual.order) * (dual.character_table().conj().T @ h_full)
+    C = spectrum.orbit_matrix() @ coeff
+    synthesis = spectrum.rep.orbit(C, spectrum.M).transpose(0, 2, 1).reshape(spectrum.rep.dim, -1)
+    return GroupDual(
+        spectrum=spectrum,
+        h_matrices=hmats,
+        vectors=list(np.ascontiguousarray(C.T)),
+        synthesis=synthesis,
+    )
 
 
 def group_reconstruct(dual, samples):
     """Evaluate ``sum_j sum_m samples(j, m) Pi(m) c_j``."""
-    spectrum = dual.spectrum
-    rep = spectrum.rep
-    pts = spectrum.sample_points
-    samples = as_cvector(samples, spectrum.s * len(pts))
-    x = np.zeros(rep.dim, dtype=complex)
-    for j, c in enumerate(dual.vectors):
-        for i, m in enumerate(pts):
-            x += samples[j * len(pts) + i] * rep.apply(m, c)
-    return x
-
+    return dual.synthesis @ as_cvector(samples, dual.synthesis.shape[1])

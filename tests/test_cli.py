@@ -116,6 +116,16 @@ class TestAnalyze:
         assert cli.main(["analyze", "--input", path]) == 0
         assert "r = 2" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("scale", [1e-6, 1e3])
+    def test_lca_verdict_scale_invariant(self, tmp_path, capsys, scale):
+        doc = lca_problem()
+        doc["samplers"] = [cpairs(scale * E4[0]), cpairs(scale * E4[1])]
+        path = write_problem(tmp_path, doc)
+        assert cli.main(["analyze", "--input", path]) == 0
+        out = capsys.readouterr().out
+        assert "sigma_min/sigma_max" in out and "recoverable: yes" in out
+        assert cli.main(["dual", "--input", path, "--out", str(tmp_path / "d")]) == 0
+
     def test_schema_error_exit_two(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{\"model\": \"nonsense\"}")
@@ -445,3 +455,59 @@ class TestCsvRoundTrip:
         assert lines[2] == "2,5/486,1/3"
         _, back = cli.read_vector_csv(str(path))
         assert back[0] == complex(float(Fraction(-38, 243)), 0.0)
+
+
+class TestMalformedNumbers:
+    """Malformed numbers in problem files exit 2 with a one-line reason."""
+
+    EDITS = {
+        "operator-int-beyond-float": (
+            lambda: cyclic_problem([E4[0], E4[1]]),
+            lambda d: d["operator"][0].__setitem__(0, [10**400, 0]),
+        ),
+        "cyclic-dimension": (
+            lambda: cyclic_problem([E4[0], E4[1]]),
+            lambda d: d.__setitem__("dimension", "four"),
+        ),
+        "shift-r": (spline_shift_problem, lambda d: d.__setitem__("r", "one")),
+        "shift-grid": (spline_shift_problem, lambda d: d.__setitem__("grid", "fine")),
+        "sequence-offset": (
+            spline_shift_problem,
+            lambda d: d["sequences"]["g1"].__setitem__("offset", "zero"),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(EDITS))
+    def test_exit_two_without_traceback(self, tmp_path, case):
+        make, edit = self.EDITS[case]
+        doc = make()
+        edit(doc)
+        proc = run_cli("analyze", "--input", write_problem(tmp_path, doc))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == 1
+
+    def test_integer_literal_too_long_exit_two(self, tmp_path):
+        text = json.dumps(cyclic_problem([E4[0], E4[1]]))
+        path = tmp_path / "long.json"
+        path.write_text(text.replace('"dimension": 4', '"dimension": ' + "4" * 5000))
+        proc = run_cli("analyze", "--input", str(path))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "entry", [["1", 0], [None, 0], [1], [1, 2, 3], "x", [[1], 0]], ids=repr
+    )
+    def test_non_pairs_rejected(self, entry):
+        with pytest.raises(cli.SchemaError):
+            cli._vector([[1, 0], entry], "samplers")
+
+    def test_ragged_matrix_rejected(self):
+        with pytest.raises(cli.SchemaError):
+            cli._matrix([[[1, 0], [0, 0]], [[1, 0]]], "operator")
+
+    def test_numbers_accepted(self):
+        v = cli._vector([[1, 2.5], [True, False], [2**70, -3]], "samplers")
+        assert v.tolist() == [1 + 2.5j, 1 + 0j, complex(2**70, -3)]
+        m = cli._matrix([[[1, 0], [0, 1]], [[0.5, 0], [2, 0]]], "operator")
+        assert m.tolist() == [[1, 1j], [0.5, 2]]

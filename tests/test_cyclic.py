@@ -255,6 +255,23 @@ class TestStructurizeLeftInverse:
         assert hs.residual(R) <= 1e-10
 
 
+    def test_default_seed_matches_numpy_pinv(self):
+        # the seed comes from the rank test's own SVD; numpy's pinv is the reference
+        rng = np.random.default_rng(10)
+        op, gens = operator_with_orders(rng, 12, [12])
+        spec = CyclicSubspaceSpec(operator=op, generators=gens, orders=[12])
+        samplers = [
+            rng.standard_normal(12) + 1j * rng.standard_normal(12) for _ in range(5)
+        ]
+        R = build_sample_matrix(spec, SamplingScheme.for_spec(spec, samplers, 3))
+        U = 0.1 * (rng.standard_normal((12, 20)) + 1j * rng.standard_normal((12, 20)))
+        pinv = np.linalg.pinv(R.matrix)
+        for u, seed in ((None, pinv), (U, pinv + U @ (np.eye(20) - R.matrix @ pinv))):
+            got = structurize_left_inverse(R, U=u).entries
+            want = structurize_left_inverse(R, H=seed).entries
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 class TestReconstruction:
     def test_orthonormal_case_returns_generator(self):
         spec = shift_spec(5)

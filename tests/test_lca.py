@@ -1,6 +1,8 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from orbitsamp.cyclic import (
     CyclicSubspaceSpec,
@@ -308,3 +310,185 @@ class TestGroupReconstruction:
         spectrum = build_group_G_matrix(rep, e[0], [e[0]], h, m)
         with pytest.raises(GroupFrameError):
             group_duals(spectrum)
+
+
+def unitary(rng, n):
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q
+
+
+def all_pairs_homomorphism(H, mats, tol=1e-8):
+    """Reference check: extend the assignment along the closure, test every pair.
+
+    The closure never multiplies by a generator that adds no new element (a
+    zero or repeated generator), so each generator's operator is also
+    compared with the table's entry for it.
+    """
+    group = H.group
+    table = {group.identity: np.eye(mats[0].shape[0], dtype=complex)}
+    frontier = [group.identity]
+    while frontier:
+        nxt = []
+        for h in frontier:
+            for g, m in zip(H.generators, mats):
+                e = group.add(h, g)
+                if e not in table:
+                    table[e] = m @ table[h]
+                    nxt.append(e)
+        frontier = nxt
+    assert set(table) == set(H)
+    scale = max(max(np.max(np.abs(m)) for m in table.values()), 1.0)
+    pairs = [(table[group.add(h1, h2)], table[h1] @ table[h2]) for h1 in H for h2 in H]
+    pairs += [(table[g], m) for g, m in zip(H.generators, mats)]
+    return all(np.max(np.abs(lhs - rhs)) <= tol * scale for lhs, rhs in pairs)
+
+
+@st.composite
+def assignments(draw):
+    moduli = tuple(draw(st.lists(st.integers(2, 6), min_size=1, max_size=2)))
+    element = st.tuples(*(st.integers(0, m - 1) for m in moduli))
+    gens = draw(st.lists(element, min_size=1, max_size=3))
+    mode = draw(st.sampled_from(["consistent", "phase", "rotate"]))
+    which = draw(st.integers(0, len(gens) - 1))
+    return moduli, gens, mode, which, draw(st.integers(1, 11)), draw(st.integers(0, 2**16))
+
+
+class TestRelationCheck:
+    def test_non_diagonal_relation_basis(self):
+        g = FiniteAbelianGroup((4, 6))
+        h = Subgroup(g, [(2, 0), (1, 3)])
+        assert sorted(h) == [(0, 0), (1, 3), (2, 0), (3, 3)]
+        # (2, 0) = 2 (1, 3) in Z4 x Z6, and (1, 3) has order 4
+        assert h.relations.tolist() == [[1, -2], [0, 4]]
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=assignments())
+    @example(case=((4, 6), [(2, 0), (1, 3)], "consistent", 0, 1, 0))
+    @example(case=((4, 6), [(2, 0), (1, 3)], "phase", 1, 6, 0))
+    @example(case=((4, 6), [(2, 0), (1, 3)], "rotate", 1, 1, 0))
+    def test_accepts_exactly_as_all_pairs_oracle(self, case):
+        moduli, gens, mode, which, q, seed = case
+        g = FiniteAbelianGroup(moduli)
+        H = Subgroup(g, gens)
+        for row in H.relations:
+            total = [int(n) * np.array(e) for n, e in zip(row, H.generators)]
+            assert g.reduce(sum(total)) == g.identity
+        assert int(np.prod(np.diag(H.relations))) == H.order
+        # characters of H in a random unitary basis: a representation; a
+        # root-of-unity factor may break a relation (a wrong order), a
+        # rotation of one generator breaks commutation
+        rng = np.random.default_rng(seed)
+        dual = DualGroup(H)
+        V = unitary(rng, H.order)
+        ops = [
+            V @ np.diag([dual.value(gam, gen) for gam in dual]) @ V.conj().T
+            for gen in H.generators
+        ]
+        if mode == "phase":
+            ops[which] = ops[which] * np.exp(2j * np.pi * q / 12)
+        elif mode == "rotate":
+            Q = unitary(rng, H.order)
+            ops[which] = Q @ ops[which] @ Q.conj().T
+        try:
+            GroupRepresentation(H, ops)
+            accepted = True
+        except RepresentationError:
+            accepted = False
+        assert accepted == all_pairs_homomorphism(H, ops)
+
+    def test_relation_violation_named(self):
+        g = FiniteAbelianGroup((4, 6))
+        h = Subgroup(g, [(2, 0), (1, 3)])
+        # Pi(1, 3) of order 4 but Pi(2, 0) not its square
+        ops = [np.eye(4), shift_matrix(4)]
+        with pytest.raises(RepresentationError, match="relation"):
+            GroupRepresentation(h, ops)
+
+
+class TestDualEnumeration:
+    @settings(max_examples=30, deadline=None)
+    @given(case=assignments(), m_count=st.integers(0, 2))
+    def test_matches_fraction_enumeration(self, case, m_count):
+        moduli, gens, *_ = case
+        g = FiniteAbelianGroup(moduli)
+        H = Subgroup(g, gens)
+        M = Subgroup(g, [g.add(x, x) for x in gens[:m_count]])
+        dual = DualGroup(H)
+        perp = annihilator(H, M, dual=dual)
+        omega = section_omega(dual, perp)
+
+        def key(label, elems):
+            return tuple(
+                sum(Fraction(a * b, m) for a, b, m in zip(label, e, moduli)) % 1
+                for e in elems
+            )
+
+        classes = {}
+        for label in g.elements():
+            classes.setdefault(key(label, H.generators), label)
+        assert dual.labels == tuple(sorted(classes.values()))
+        assert perp.labels == tuple(
+            gam for gam in dual.labels if all(v == 0 for v in key(gam, M.generators))
+        )
+        reps, assigned = [], set()
+        for gam in dual:
+            if gam not in assigned:
+                reps.append(gam)
+                assigned.update(dual.add(gam, mu) for mu in perp)
+        assert omega.representatives == tuple(reps)
+        for gam in dual:
+            for h in H:
+                assert dual.pairing_exponent(gam, h) == key(gam, [h])[0]
+
+
+class TestScaleInvariance:
+    @settings(max_examples=15, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        case=st.sampled_from(
+            [
+                ((6,), [(1,)], [(2,)]),
+                ((6,), [(1,)], [(3,)]),
+                ((2, 4), [(1, 0), (0, 1)], [(0, 2)]),
+                ((4, 6), [(2, 0), (1, 3)], [(2, 0)]),
+            ]
+        ),
+        extra=st.integers(-1, 1),
+    )
+    def test_verdict_and_reconstruction(self, seed, case, extra):
+        moduli, H_gens, M_gens = case
+        rng = np.random.default_rng(seed)
+        g = FiniteAbelianGroup(moduli)
+        H, M = Subgroup(g, H_gens), Subgroup(g, M_gens)
+        rep, a = representation_from_characters(rng, H, distortion=0.2)
+        n = rep.dim
+        count = max(1, H.order // M.order + extra)
+        samplers = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(count)]
+        x = rep.orbit(a) @ (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        verdicts, rebuilt = set(), []
+        for c in (1e-6, 1.0, 1e3):
+            spectrum = build_group_G_matrix(rep, a, [c * b for b in samplers], H, M)
+            try:
+                duals = group_duals(spectrum)
+            except GroupFrameError:
+                verdicts.add((spectrum.sigma_ratio > 1e-10, False))
+                continue
+            verdicts.add((spectrum.sigma_ratio > 1e-10, True))
+            rebuilt.append(group_reconstruct(duals, take_group_samples(spectrum, x)))
+        assert len(verdicts) == 1
+        for xh in rebuilt:
+            assert np.linalg.norm(xh - x) <= 1e-8 * np.linalg.norm(x)
+
+
+def test_z16_by_z16_round_trip():
+    rng = np.random.default_rng(3)
+    g = FiniteAbelianGroup((16, 16))
+    h = Subgroup(g, [(1, 0), (0, 1)])
+    m = Subgroup(g, [(2, 0), (0, 2)])
+    rep, a = representation_from_characters(rng, h, distortion=0.2)
+    samplers = [rng.standard_normal(256) + 1j * rng.standard_normal(256) for _ in range(6)]
+    spectrum = build_group_G_matrix(rep, a, samplers, h, m)
+    assert rep.dim == 256 and spectrum.r == 4
+    x = spectrum.orbit_matrix() @ (rng.standard_normal(256) + 1j * rng.standard_normal(256))
+    xh = group_reconstruct(group_duals(spectrum), take_group_samples(spectrum, x))
+    assert np.linalg.norm(xh - x) <= 1e-9 * np.linalg.norm(x)
