@@ -4,6 +4,7 @@ Subpackages by setting: ``hilbert`` for the ambient finite-dimensional
 model, ``cyclic`` for finite orbit periods, ``spectral`` for the
 shift-invariant desk model with filter banks, ``laurent`` for exact
 polynomial arithmetic, ``lca`` for finite abelian group representations,
+``duals`` for the dual family and frame constants the three models share,
 and ``cli`` for the batch front end.
 """
 

@@ -21,6 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import cyclic, lca, spectral
+from .duals import DualFamily
 from .hilbert import DimensionMismatch, LinearOperator
 from .laurent import CoprimalityError, LaurentPoly, bezout, positivity_certificate
 from .spectral import FiniteSequence
@@ -80,9 +81,13 @@ def _matrix(data, where):
 
 def _int(value, where):
     try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(f"{where}: expected an integer, got {value!r}") from exc
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    # int() alone would read true as 1 and truncate 2.5 to 2
+    if n is None or isinstance(value, bool) or (isinstance(value, float) and n != value):
+        raise SchemaError(f"{where}: expected an integer, got {value!r}")
+    return n
 
 
 def _int_list(values, where):
@@ -277,8 +282,21 @@ def cmd_analyze(args):
     return 0 if ok else 1
 
 
-def _out_prefix(args, default):
-    return args.out if args.out else default
+def _structured_inverse(R, U, tol):
+    """Rank verdict at ``tol`` and structured inverse from one SVD of ``R``.
+
+    Prints the reason and returns ``None`` when either fails.
+    """
+    family = DualFamily(R.matrix)
+    report = cyclic.check_rank(R, rank_tol=tol, singular_values=family.singular_values)
+    if not report.full_rank:
+        print(f"not recoverable: rank {report.rank}/{report.cols}")
+        return None
+    try:
+        return cyclic.structurize_left_inverse(R, family.member(U), tol=tol)
+    except cyclic.LeftInverseError as exc:
+        print(f"structured inverse failed: {exc}")
+        return None
 
 
 def _load_u_matrix(path):
@@ -291,34 +309,29 @@ def _load_u_matrix(path):
         raise SchemaError(f"cannot read U matrix: {exc}") from exc
 
 
+def _write_duals(prefix, vectors):
+    for j, c in enumerate(vectors, start=1):
+        write_vector_csv(f"{prefix}.c{j}.csv", c)
+        print(f"wrote {prefix}.c{j}.csv")
+
+
 def cmd_dual(args):
     doc = load_problem(args.input)
     model = doc["model"]
     U = _load_u_matrix(args.u_matrix)
+    prefix = args.out or "dual"
     if model == "cyclic":
         spec, scheme = _load_cyclic(doc)
         R = cyclic.build_sample_matrix(spec, scheme)
-        report = cyclic.check_rank(R, rank_tol=args.tol)
-        if not report.full_rank:
-            print(f"not recoverable: rank {report.rank}/{report.cols}")
-            return 1
-        try:
-            hs = cyclic.structurize_left_inverse(R, U=U, tol=args.tol)
-        except (cyclic.LeftInverseError, cyclic.RankDeficiencyError) as exc:
-            print(f"structured inverse failed: {exc}")
+        hs = _structured_inverse(R, U, args.tol)
+        if hs is None:
             return 1
         basis = cyclic.reconstruction_vectors(spec, hs)
         print(f"left-inverse residual: {_fmt(hs.residual(R))}")
-        prefix = _out_prefix(args, "dual")
-        for j, c in enumerate(basis.vectors, start=1):
-            path = f"{prefix}.c{j}.csv"
-            write_vector_csv(path, c)
-            print(f"wrote {path}")
+        _write_duals(prefix, basis.vectors)
         if R.rows == R.cols:
             print("interpolation table L_j' c_j(r n) (rows: j', n; columns: j):")
-            table = np.column_stack(
-                [cyclic.take_samples(spec, scheme, c) for c in basis.vectors]
-            )
+            table = np.column_stack([cyclic.take_samples(spec, scheme, c) for c in basis.vectors])
             for jp in range(scheme.s):
                 for n in range(scheme.ell):
                     cells = " ".join(_fmt(abs(v)) for v in table[jp * scheme.ell + n])
@@ -327,7 +340,6 @@ def cmd_dual(args):
     if model == "shift":
         seqs, field = _load_shift(doc, args.grid)
         method = doc.get("method", "pseudoinverse")
-        prefix = _out_prefix(args, "dual")
         if method == "bezout":
             if len(seqs) != 2 or field.r != 1:
                 raise SchemaError("bezout duals need exactly two sequences and r = 1")
@@ -381,11 +393,7 @@ def cmd_dual(args):
     except lca.GroupFrameError as exc:
         print(str(exc))
         return 1
-    prefix = _out_prefix(args, "dual")
-    for j, c in enumerate(gdual.vectors, start=1):
-        path = f"{prefix}.c{j}.csv"
-        write_vector_csv(path, c)
-        print(f"wrote {path}")
+    _write_duals(prefix, gdual.vectors)
     return 0
 
 
@@ -400,7 +408,7 @@ def cmd_reconstruct(args):
             "reconstruct supports the cyclic and lca models; use pr-check for filter banks"
         )
     _, samples = read_vector_csv(args.samples)
-    prefix = _out_prefix(args, "reconstruction")
+    prefix = args.out or "reconstruction"
     if model == "cyclic":
         spec, scheme = _load_cyclic(doc)
         expected = scheme.s * scheme.ell
@@ -408,14 +416,8 @@ def cmd_reconstruct(args):
             print(f"sample count {samples.size} does not match s*ell = {expected}")
             return 2
         R = cyclic.build_sample_matrix(spec, scheme)
-        report = cyclic.check_rank(R, rank_tol=args.tol)
-        if not report.full_rank:
-            print(f"not recoverable: rank {report.rank}/{report.cols}")
-            return 1
-        try:
-            hs = cyclic.structurize_left_inverse(R, tol=args.tol)
-        except (cyclic.LeftInverseError, cyclic.RankDeficiencyError) as exc:
-            print(f"structured inverse failed: {exc}")
+        hs = _structured_inverse(R, None, args.tol)
+        if hs is None:
             return 1
         basis = cyclic.reconstruction_vectors(spec, hs)
         x = cyclic.reconstruct(spec, scheme, basis, samples)
@@ -450,6 +452,13 @@ def cmd_reconstruct(args):
     return 0
 
 
+def _print_pr_report(pr):
+    print(f"PR torus residual on {pr.torus_grid} points: {_fmt(pr.max_residual)}")
+    print(f"PR torus residual relative to max |G||H|: {_fmt(pr.relative_residual)}")
+    print(f"time-domain round-trip max relative error: {_fmt(pr.roundtrip_error)}")
+    print(f"perfect reconstruction: {'pass' if pr.passed else 'fail'}")
+
+
 def cmd_spline_demo(args):
     t0 = time.perf_counter()
     if args.K % 2 == 0:
@@ -471,9 +480,7 @@ def cmd_spline_demo(args):
     print(f"bezout residual polynomial: {residual_poly} (exact)")
     grid = args.grid if args.grid is not None else 1024
     pr = spectral.perfect_reconstruction_check(sb.bank, torus_grid=grid)
-    print(f"PR torus residual on {pr.torus_grid} points: {_fmt(pr.max_residual)}")
-    print(f"time-domain round-trip max relative error: {_fmt(pr.roundtrip_error)}")
-    print(f"perfect reconstruction: {'pass' if pr.passed else 'fail'}")
+    _print_pr_report(pr)
     cert = positivity_certificate(g1, grid)
     verdict = "strictly positive" if cert.positive else "NOT strictly positive"
     print(
@@ -510,9 +517,7 @@ def cmd_pr_check(args):
             print(f"  G[{k},{jcol}] = {entry}")
     grid = args.grid if args.grid is not None else 1024
     pr = spectral.perfect_reconstruction_check(bank, torus_grid=grid)
-    print(f"PR torus residual on {pr.torus_grid} points: {_fmt(pr.max_residual)}")
-    print(f"time-domain round-trip max relative error: {_fmt(pr.roundtrip_error)}")
-    print(f"perfect reconstruction: {'pass' if pr.passed else 'fail'}")
+    _print_pr_report(pr)
     return 0 if pr.passed else 1
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .duals import DualFamily
 from .hilbert import (
     RANK_TOL,
     DimensionMismatch,
@@ -100,13 +101,6 @@ class CyclicSubspaceSpec:
     def total_order(self):
         return sum(self.orders)
 
-    @property
-    def num_generators(self):
-        return len(self.generators)
-
-    def column_offsets(self):
-        return np.concatenate(([0], np.cumsum(self.orders)))
-
     def orbit_matrix(self):
         """Columns ``T^k a_l`` for ``0 <= k < N_l``, generator blocks in order."""
         return self._orbit
@@ -115,12 +109,6 @@ class CyclicSubspaceSpec:
         """Map stacked orbit coefficients to the ambient vector they define."""
         coeffs = as_cvector(coeffs, self.total_order)
         return self._orbit @ coeffs
-
-    def coefficients_of(self, x):
-        """Stacked orbit coefficients of an element of the subspace."""
-        x = as_cvector(x, self.operator.dim)
-        sol, *_ = np.linalg.lstsq(self._orbit, x, rcond=None)
-        return sol
 
 
 @dataclass
@@ -171,10 +159,6 @@ class SampleMatrix:
 
     def column_offsets(self):
         return np.concatenate(([0], np.cumsum(self.orders)))
-
-    def block(self, j, l):
-        offs = self.column_offsets()
-        return self.matrix[j * self.ell : (j + 1) * self.ell, offs[l] : offs[l + 1]]
 
 
 def _shift_index(orders, r, ell):
@@ -244,9 +228,14 @@ def _numerical_rank(sv, rank_tol):
     return int(np.sum(sv > rank_tol * sv[0])) if sv.size and sv[0] > 0 else 0
 
 
-def check_rank(R, rank_tol=RANK_TOL):
-    """Numerical rank of the sampling matrix via SVD, values descending."""
-    sv = np.linalg.svd(R.matrix, compute_uv=False)
+def check_rank(R, rank_tol=RANK_TOL, *, singular_values=None):
+    """Numerical rank of the sampling matrix via SVD, values descending.
+
+    A caller that already holds the singular values of ``R`` passes them.
+    """
+    sv = singular_values
+    if sv is None:
+        sv = np.linalg.svd(R.matrix, compute_uv=False)
     rank = _numerical_rank(sv, rank_tol)
     return RankReport(
         full_rank=rank == R.cols, rank=rank, cols=R.cols, singular_values=sv
@@ -276,10 +265,6 @@ class StructuredLeftInverse:
 
     def first_column(self, j):
         return self.entries[:, j * self.ell]
-
-    def block(self, j, l):
-        offs = self.column_offsets()
-        return self.entries[offs[l] : offs[l + 1], j * self.ell : (j + 1) * self.ell]
 
     def residual(self, R):
         return float(np.max(np.abs(self.entries @ R.matrix - np.eye(R.cols))))
@@ -312,33 +297,22 @@ def structurize_left_inverse(R, H=None, *, U=None, tol=1e-10):
     Raises ``LeftInverseError`` when the seed is not a left inverse of ``R``
     within ``tol``, or when the shifted columns fail to form one (possible
     for multi-generator problems with seeds whose blocks lack the cyclic
-    structure; the default seed always works).
+    structure; the default seed always works).  The default seed's SVD also
+    gives the rank test (``RankDeficiencyError``).  An explicit ``H`` takes
+    no SVD: passing the residual test at a small ``tol`` proves full rank.
     """
     Rm = R.matrix
-    eye = np.eye(R.cols)
-    # one thin SVD gives the rank test and, at full rank, the pseudo-inverse
-    u, sv, vh = np.linalg.svd(Rm, full_matrices=False)
-    rank = _numerical_rank(sv, min(tol, RANK_TOL))
-    if rank < R.cols:
-        raise RankDeficiencyError(f"R has rank {rank} < {R.cols}; no left inverse exists")
     if H is None:
-        # pinv = V S^-1 U^H, formed as the adjoint of U S^-1 V^H in u's storage
-        u /= sv
-        pinv = np.conjugate(u @ vh, out=u).T
-        if U is None:
-            H = pinv
-        else:
-            U = np.asarray(U, dtype=complex)
-            if U.shape != (R.cols, R.rows):
-                raise DimensionMismatch(
-                    f"U must have shape {(R.cols, R.rows)}, got {U.shape}"
-                )
-            H = pinv + U @ (np.eye(R.rows) - Rm @ pinv)
+        family = DualFamily(Rm)
+        rank = _numerical_rank(family.singular_values, min(tol, RANK_TOL))
+        if rank < R.cols:
+            raise RankDeficiencyError(f"R has rank {rank} < {R.cols}; no left inverse exists")
+        H = family.member(U)
     else:
         H = np.asarray(H, dtype=complex)
         if H.shape != (R.cols, R.rows):
             raise DimensionMismatch(f"H must have shape {(R.cols, R.rows)}, got {H.shape}")
-    seed_resid = np.max(np.abs(H @ Rm - eye))
+    seed_resid = np.max(np.abs(H @ Rm - np.eye(R.cols)))
     if seed_resid > tol:
         raise LeftInverseError(
             f"seed is not a left inverse of R (residual {seed_resid:.3e})"

@@ -438,14 +438,6 @@ class DiscreteBSpline:
         return range(-self.radius, self.radius + 1)
 
 
-def _conv_int(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return out
-
-
 def bspline(K, p):
     """Exact integer values of the order-``p`` central discrete B-spline."""
     K, p = int(K), int(p)
@@ -453,11 +445,11 @@ def bspline(K, p):
         raise ValueError("node spacing K must be odd")
     if K < 1 or p < 1:
         raise ValueError("K and p must be positive")
-    base = [1] * K
+    base = LaurentPoly(0, [1] * K)
     vals = base
     for _ in range(p - 1):
-        vals = _conv_int(vals, base)
-    return DiscreteBSpline(K=K, p=p, values=tuple(vals))
+        vals = vals * base
+    return DiscreteBSpline(K=K, p=p, values=vals.coeffs)
 
 
 def polyphase_sample(m, K, i):

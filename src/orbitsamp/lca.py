@@ -22,6 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .duals import DualFamily, frame_bounds
 from .hilbert import LinearOperator, as_cvector
 
 __all__ = [
@@ -493,7 +494,7 @@ def build_group_G_matrix(rep, a, samplers, H, M, *, rank_tol=1e-10):
     samples_of_a = (S.conj().T @ orbit)[:, H.index(-H.element_array)]
     spectra = samples_of_a @ dual.character_table().T
     mats = np.moveaxis(spectra[:, omega.cells()], 0, 1)
-    sv = np.linalg.svd(mats, compute_uv=False)
+    fc = frame_bounds(np.linalg.svd(mats, compute_uv=False) ** 2, r)
 
     # Pi(-m)^H b_j is the adjoint orbit of b_j read at -m
     steps = rep.orbit(S, M, adjoint=True)[:, M.index(-M.element_array), :]
@@ -507,8 +508,8 @@ def build_group_G_matrix(rep, a, samplers, H, M, *, rank_tol=1e-10):
         perp=perp,
         omega=omega,
         matrices=mats,
-        alpha_G=float(sv[:, -1].min()) ** 2 if s >= r else 0.0,
-        beta_G=float(sv[:, 0].max()) ** 2,
+        alpha_G=fc.alpha_G,
+        beta_G=fc.beta_G,
         sample_points=tuple(M),
         analyzers=analyzers,
     )
@@ -544,11 +545,7 @@ def group_duals(spectrum, U=None, *, threshold=1e-8):
         raise GroupFrameError(
             f"not recoverable: sigma_min/sigma_max = {ratio:.3e} <= {threshold:.1e}"
         )
-    hmats = np.linalg.pinv(spectrum.matrices)
-    if U is not None:
-        U = np.asarray(U, dtype=complex)
-        eye = np.eye(spectrum.s)
-        hmats = hmats + U @ (eye - spectrum.matrices @ hmats)
+    hmats = DualFamily(spectrum.matrices).member(U)
 
     dual = spectrum.dual
     r, s = spectrum.r, spectrum.s

@@ -371,8 +371,8 @@ class TestSplineDemo:
 
 
 class TestPrCheck:
-    def bank_doc(self):
-        sb = o.bspline_filter_bank(3, 4)
+    def bank_doc(self, K=3, p=4):
+        sb = o.bspline_filter_bank(K, p)
         seqs = {}
         for j, (h, g) in enumerate(zip(sb.bank.analysis, sb.bank.synthesis), start=1):
             seqs[f"h{j}"] = {"offset": h.offset, "values": cpairs(h.values)}
@@ -389,6 +389,24 @@ class TestPrCheck:
     def test_broken_bank_fails(self, tmp_path):
         doc = self.bank_doc()
         doc["sequences"]["g1"]["values"][0][0] += 0.25
+        path = write_problem(tmp_path, doc)
+        assert cli.main(["pr-check", "--input", path]) == 1
+
+    def test_exact_bank_with_large_taps_passes(self, tmp_path, capsys):
+        # synthesis taps near 1.7e10 put the absolute torus residual near 6e-7,
+        # while the Bezout identity is exact
+        path = write_problem(tmp_path, self.bank_doc(15, 10))
+        assert cli.main(["pr-check", "--input", path]) == 0
+        out = capsys.readouterr().out
+        absolute = float(out.split("PR torus residual on 1024 points: ")[1].split()[0])
+        relative = float(out.split("relative to max |G||H|: ")[1].split()[0])
+        assert absolute > 1e-9 and relative <= 1e-9
+        assert cli.main(["spline-demo", "--K", "15", "--p", "10"]) == 0
+        assert "perfect reconstruction: pass" in capsys.readouterr().out
+
+    def test_relative_perturbation_fails(self, tmp_path):
+        doc = self.bank_doc()
+        doc["sequences"]["g1"]["values"][1][0] *= 1 + 1e-6
         path = write_problem(tmp_path, doc)
         assert cli.main(["pr-check", "--input", path]) == 1
 
@@ -486,6 +504,41 @@ class TestMalformedNumbers:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr.count("\n") == 1
+
+    # int() would truncate a fraction and read a boolean as 0 or 1
+    INEXACT = {
+        "dimension-fraction": ("analyze", lambda: cyclic_problem([E4[0], E4[1]]),
+                               lambda d: d.__setitem__("dimension", 4.5)),
+        "dimension-bool": ("analyze", lambda: cyclic_problem([E4[0], E4[1]]),
+                           lambda d: d.__setitem__("dimension", True)),
+        "orders-fraction": ("analyze", lambda: cyclic_problem([E4[0], E4[1]]),
+                            lambda d: d.__setitem__("orders", [4.5])),
+        "cyclic-r-fraction": ("analyze", lambda: cyclic_problem([E4[0], E4[1]]),
+                              lambda d: d.__setitem__("r", 2.5)),
+        "shift-r-bool": ("analyze", spline_shift_problem, lambda d: d.__setitem__("r", True)),
+        "grid-fraction": ("analyze", spline_shift_problem,
+                          lambda d: d.__setitem__("grid", 1024.5)),
+        "offset-fraction": ("analyze", spline_shift_problem,
+                            lambda d: d["sequences"]["g1"].__setitem__("offset", -1.5)),
+        "dual_length-fraction": ("dual", lambda: spline_shift_problem("pseudoinverse"),
+                                 lambda d: d.__setitem__("dual_length", 9.5)),
+        "dual_length-bool": ("dual", lambda: spline_shift_problem("pseudoinverse"),
+                             lambda d: d.__setitem__("dual_length", True)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(INEXACT))
+    def test_fraction_or_boolean_exit_two(self, tmp_path, capsys, case):
+        command, make, edit = self.INEXACT[case]
+        doc = make()
+        edit(doc)
+        path = write_problem(tmp_path, doc)
+        assert cli.main([command, "--input", path, "--out", str(tmp_path / "d")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "expected an integer" in err
+
+    def test_integral_numbers_accepted(self):
+        assert [cli._int(v, "r") for v in (4, 4.0, "4", -3)] == [4, 4, 4, -3]
 
     def test_integer_literal_too_long_exit_two(self, tmp_path):
         text = json.dumps(cyclic_problem([E4[0], E4[1]]))

@@ -1,0 +1,84 @@
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from orbitsamp.duals import DualFamily, frame_bounds
+from orbitsamp.hilbert import DimensionMismatch
+from orbitsamp.spectral import FiniteSequence, build_spectral_field, dual_field, frame_constants
+
+
+def crandn(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def random_field(rng, s, r, L, Q):
+    seqs = [
+        [FiniteSequence(int(rng.integers(-3, 3)), crandn(rng, int(rng.integers(1, 6))))
+         for _ in range(L)]
+        for _ in range(s)
+    ]
+    return build_spectral_field(seqs, r, Q)
+
+
+class TestDualFamily:
+    def test_single_matrix_matches_numpy(self):
+        rng = np.random.default_rng(0)
+        A = crandn(rng, 7, 4)
+        U = crandn(rng, 4, 7)
+        family = DualFamily(A)
+        assert np.allclose(family.singular_values, np.linalg.svd(A, compute_uv=False))
+        pinv = np.linalg.pinv(A)
+        assert np.max(np.abs(family.pinv - pinv)) <= 1e-12
+        member = family.member(U)
+        assert np.max(np.abs(member - (pinv + U @ (np.eye(7) - A @ pinv)))) <= 1e-12
+        assert np.max(np.abs(member @ A - np.eye(4))) <= 1e-12
+
+    def test_wide_matrix_and_dropped_singular_values(self):
+        # a rank-one wide matrix: pinv keeps one singular value, as numpy's does
+        A = np.outer([1.0, 2.0], [1.0, 0.0, 1.0]).astype(complex)
+        assert np.max(np.abs(DualFamily(A).pinv - np.linalg.pinv(A))) <= 1e-15
+
+    def test_wrong_shape_member_rejected(self):
+        family = DualFamily(np.eye(3, 2))
+        with pytest.raises(DimensionMismatch):
+            family.member(np.zeros((3, 2)))
+
+
+class TestSpectralDuals:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        r=st.integers(1, 3),
+        L=st.integers(1, 2),
+        extra=st.integers(0, 2),
+        per_point=st.booleans(),
+    )
+    def test_dual_field_matches_numpy_pinv(self, seed, r, L, extra, per_point):
+        rng = np.random.default_rng(seed)
+        s = r * L + extra
+        field = random_field(rng, s, r, L, 64 * r)
+        sv = np.linalg.svd(field.values, compute_uv=False)
+        assume(sv[:, -1].min() > 1e-3 * sv[:, 0].max())
+        pinv = np.linalg.pinv(field.values)
+        shape = (field.num_points, r * L, s) if per_point else (r * L, s)
+        U = 0.1 * crandn(rng, *shape)
+        assert np.max(np.abs(dual_field(field).h_values - pinv)) <= 1e-12
+        want = pinv + U @ (np.eye(s) - field.values @ pinv)
+        assert np.max(np.abs(dual_field(field, U=U).h_values - want)) <= 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        r=st.integers(1, 3),
+        L=st.integers(1, 2),
+        s=st.integers(1, 5),
+    )
+    def test_bounds_from_singular_values_match_gram_eigenvalues(self, seed, r, L, s):
+        # s < r*L included: the wide matrices' missing eigenvalues are zero
+        rng = np.random.default_rng(seed)
+        field = random_field(rng, s, r, L, 64 * r)
+        gram = frame_constants(field)
+        sv = DualFamily(field.values).singular_values
+        fc = frame_bounds(sv**2, r * L)
+        assert abs(fc.alpha_G - gram.alpha_G) <= 1e-12 * gram.beta_G
+        assert abs(fc.beta_G - gram.beta_G) <= 1e-12 * gram.beta_G

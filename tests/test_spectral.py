@@ -112,6 +112,35 @@ class TestSpectralField:
                     assert np.allclose(field.values[:, j, k * 2 + l], direct)
 
 
+class TestGridSpectra:
+    """The FFT grid evaluation against the direct sum of ``FiniteSequence.spectrum``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        r=st.integers(1, 4),
+        L=st.integers(1, 3),
+        s=st.integers(1, 3),
+        long_support=st.booleans(),
+    )
+    def test_field_matches_direct_evaluation(self, seed, r, L, s, long_support):
+        rng = np.random.default_rng(seed)
+        Q = 64 * r
+        # offsets reach -Q, and long supports exceed Q, so the scatter aliases
+        max_support = 2 * Q if long_support else 8
+        seqs = [[rand_seq(rng, max_support, Q) for _ in range(L)] for _ in range(s)]
+        field = build_spectral_field(seqs, r, Q)
+        dual = dual_field_from_sequences(field, seqs)
+        w = field.grid()
+        for j in range(s):
+            for l in range(L):
+                bound = 1e-12 * np.sum(np.abs(seqs[j][l].values))
+                for k in range(r):
+                    direct = seqs[j][l].spectrum(w + k / r)
+                    assert np.max(np.abs(field.values[:, j, k * L + l] - direct)) <= bound
+                    assert np.max(np.abs(dual.h_values[:, k * L + l, j] - direct)) <= bound
+
+
 class TestFrameConstants:
     def test_constant_one(self):
         field = build_spectral_field([FiniteSequence.delta(0)], 1, 64)
