@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -21,7 +22,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import cyclic, lca, spectral
-from .duals import DualFamily
 from .hilbert import DimensionMismatch, LinearOperator
 from .laurent import CoprimalityError, LaurentPoly, bezout, positivity_certificate
 from .spectral import FiniteSequence
@@ -68,6 +68,8 @@ def _complex_array(data, where, ndim, what):
         arr = arr.astype(float)
     except OverflowError as exc:
         raise SchemaError(f"{where}: a number is too large for a float") from exc
+    if not np.all(np.isfinite(arr)):
+        raise SchemaError(f"{where}: entries must be finite numbers")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -77,6 +79,12 @@ def _vector(data, where):
 
 def _matrix(data, where):
     return _complex_array(data, where, 3, "row-major matrix")
+
+
+def _list(data, where, parse):
+    if not isinstance(data, list):
+        raise SchemaError(f"{where}: expected a list, got {data!r}")
+    return [parse(item, where) for item in data]
 
 
 def _int(value, where):
@@ -91,9 +99,7 @@ def _int(value, where):
 
 
 def _int_list(values, where):
-    if not isinstance(values, list):
-        raise SchemaError(f"{where}: expected a list of integers, got {values!r}")
-    return [_int(v, where) for v in values]
+    return _list(values, where, _int)
 
 
 def _require(doc, key, where="problem"):
@@ -139,10 +145,10 @@ def _load_cyclic(doc):
         raise SchemaError(f"operator: expected {dim}x{dim}, got {op_m.shape}")
     try:
         op = LinearOperator(op_m)
-        generators = [_vector(g, "generators") for g in _require(doc, "generators")]
+        generators = _list(_require(doc, "generators"), "generators", _vector)
         orders = _int_list(_require(doc, "orders"), "orders")
         spec = cyclic.CyclicSubspaceSpec(operator=op, generators=generators, orders=orders)
-        samplers = [_vector(b, "samplers") for b in _require(doc, "samplers")]
+        samplers = _list(_require(doc, "samplers"), "samplers", _vector)
         scheme = cyclic.SamplingScheme.for_spec(spec, samplers, _int(_require(doc, "r"), "r"))
     except SchemaError:
         raise
@@ -178,23 +184,21 @@ def _load_lca(doc):
         raise SchemaError("generators: the lca model takes exactly one generator")
     try:
         group = lca.FiniteAbelianGroup(tuple(_int_list(group_doc["moduli"], "group.moduli")))
-        gens = {}
-        for key in ("H_gens", "M_gens"):
-            if not isinstance(group_doc[key], list):
-                raise SchemaError(f"group.{key}: expected a list of elements")
-            gens[key] = [_int_list(g, f"group.{key}") for g in group_doc[key]]
+        gens = {
+            key: _list(group_doc[key], f"group.{key}", _int_list) for key in ("H_gens", "M_gens")
+        }
         H = lca.Subgroup(group, gens["H_gens"])
         M_in_H = lca.Subgroup(group, gens["M_gens"])
         M = lca.Subgroup(group, M_in_H.generators)
         if not M.is_subgroup_of(H):
             raise SchemaError("group: M_gens must generate a subgroup of H")
         if "operators" in doc:
-            ops = [_matrix(m, "operators") for m in doc["operators"]]
+            ops = _list(doc["operators"], "operators", _matrix)
         else:
             ops = [_matrix(_require(doc, "operator"), "operator")]
         rep = lca.GroupRepresentation(H, ops)
         a = _vector(generators[0], "generators")
-        samplers = [_vector(b, "samplers") for b in _require(doc, "samplers")]
+        samplers = _list(_require(doc, "samplers"), "samplers", _vector)
         spectrum = lca.build_group_G_matrix(rep, a, samplers, H, M)
     except SchemaError:
         raise
@@ -211,7 +215,11 @@ def write_vector_csv(path, values, indices=None, exact=None):
     n = len(exact) if exact is not None else len(values)
     if indices is None:
         indices = range(n)
-    with open(path, "w", newline="") as fh:
+    try:
+        fh = open(path, "w", newline="")
+    except OSError as exc:
+        raise SchemaError(f"cannot write {path}: {exc.strerror}") from exc
+    with fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "re", "im"])
         if exact is not None:
@@ -223,25 +231,36 @@ def write_vector_csv(path, values, indices=None, exact=None):
                 writer.writerow([i, _fmt(v.real), _fmt(v.imag)])
 
 
-def _parse_cell(text):
+def _parse_cell(text, path):
     try:
-        return Fraction(text) if "/" in text else float(text)
-    except ValueError as exc:
-        raise SchemaError(f"malformed CSV cell {text!r}") from exc
+        value = Fraction(text) if "/" in text else float(text)
+        finite = math.isfinite(value)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise SchemaError(f"{path}: malformed CSV cell {text!r}") from exc
+    if not finite:
+        raise SchemaError(f"{path}: CSV values must be finite, got {text!r}")
+    return value
 
 
 def read_vector_csv(path):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["index", "re", "im"]:
-            raise SchemaError(f"{path}: expected header index,re,im")
-        indices, values = [], []
-        for row in reader:
-            if len(row) != 3:
-                raise SchemaError(f"{path}: malformed row {row!r}")
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except OSError as exc:
+        raise SchemaError(f"cannot read {path}: {exc.strerror}") from exc
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise SchemaError(f"{path}: not a CSV text file ({exc})") from exc
+    if not rows or rows[0] != ["index", "re", "im"]:
+        raise SchemaError(f"{path}: expected header index,re,im")
+    indices, values = [], []
+    for row in rows[1:]:
+        if len(row) != 3:
+            raise SchemaError(f"{path}: malformed row {row!r}")
+        try:
             indices.append(int(row[0]))
-            values.append(complex(_parse_cell(row[1]), _parse_cell(row[2])))
+        except ValueError as exc:
+            raise SchemaError(f"{path}: index {row[0]!r} is not an integer") from exc
+        values.append(complex(_parse_cell(row[1], path), _parse_cell(row[2], path)))
     return indices, np.array(values, dtype=complex)
 
 
@@ -283,18 +302,17 @@ def cmd_analyze(args):
 
 
 def _structured_inverse(R, U, tol):
-    """Rank verdict at ``tol`` and structured inverse from one SVD of ``R``.
+    """Rank verdict at ``tol`` and structured inverse from the one SVD of ``R.blocks``.
 
     Prints the reason and returns ``None`` when either fails.
     """
-    family = DualFamily(R.matrix)
-    report = cyclic.check_rank(R, rank_tol=tol, singular_values=family.singular_values)
+    report = cyclic.check_rank(R, rank_tol=tol)
     if not report.full_rank:
         print(f"not recoverable: rank {report.rank}/{report.cols}")
         return None
     try:
-        return cyclic.structurize_left_inverse(R, family.member(U), tol=tol)
-    except cyclic.LeftInverseError as exc:
+        return cyclic.structurize_left_inverse(R, U=U, tol=tol)
+    except (cyclic.RankDeficiencyError, cyclic.LeftInverseError) as exc:
         print(f"structured inverse failed: {exc}")
         return None
 
@@ -327,7 +345,7 @@ def cmd_dual(args):
         if hs is None:
             return 1
         basis = cyclic.reconstruction_vectors(spec, hs)
-        print(f"left-inverse residual: {_fmt(hs.residual(R))}")
+        print(f"left-inverse residual: {_fmt(hs.certified_residual)}")
         _write_duals(prefix, basis.vectors)
         if R.rows == R.cols:
             print("interpolation table L_j' c_j(r n) (rows: j', n; columns: j):")
@@ -369,7 +387,7 @@ def cmd_dual(args):
                 print(f"wrote {path}")
             return 0
         try:
-            dual = spectral.dual_field(field, U=U)
+            dual = spectral.dual_field(field, U=U, threshold=args.tol)
         except spectral.FrameError as exc:
             print(str(exc))
             return 1
@@ -380,6 +398,8 @@ def cmd_dual(args):
         except spectral.TailEnergyError as exc:
             print(f"truncation refused: {exc}")
             return 1
+        except ValueError as exc:
+            raise SchemaError(f"dual_length: {exc}") from exc
         for j, per_gen in enumerate(coeffs, start=1):
             for l, seq in enumerate(per_gen, start=1):
                 suffix = f"c{j}" if field.L == 1 else f"c{j}g{l}"
@@ -407,14 +427,21 @@ def cmd_reconstruct(args):
         raise SchemaError(
             "reconstruct supports the cyclic and lca models; use pr-check for filter banks"
         )
+    truth = _vector(doc["truth"], "truth") if "truth" in doc else None
     _, samples = read_vector_csv(args.samples)
     prefix = args.out or "reconstruction"
     if model == "cyclic":
         spec, scheme = _load_cyclic(doc)
-        expected = scheme.s * scheme.ell
-        if samples.size != expected:
-            print(f"sample count {samples.size} does not match s*ell = {expected}")
-            return 2
+        dim, expected, count = spec.operator.dim, scheme.s * scheme.ell, "s*ell"
+    else:
+        spectrum = _load_lca(doc)
+        dim, expected = spectrum.rep.dim, spectrum.s * len(spectrum.sample_points)
+        count = "s*|M|"
+    if samples.size != expected:
+        raise SchemaError(f"sample count {samples.size} does not match {count} = {expected}")
+    if truth is not None and truth.size != dim:
+        raise SchemaError(f"truth: expected {dim} entries, got {truth.size}")
+    if model == "cyclic":
         R = cyclic.build_sample_matrix(spec, scheme)
         hs = _structured_inverse(R, None, args.tol)
         if hs is None:
@@ -423,11 +450,6 @@ def cmd_reconstruct(args):
         x = cyclic.reconstruct(spec, scheme, basis, samples)
         alpha = np.concatenate(cyclic.filter_bank_coefficients(hs, samples, spec))
     else:
-        spectrum = _load_lca(doc)
-        expected = spectrum.s * len(spectrum.sample_points)
-        if samples.size != expected:
-            print(f"sample count {samples.size} does not match s*|M| = {expected}")
-            return 2
         try:
             gdual = lca.group_duals(spectrum, threshold=args.tol)
         except lca.GroupFrameError as exc:
@@ -439,10 +461,7 @@ def cmd_reconstruct(args):
     write_vector_csv(f"{prefix}.x.csv", x)
     write_vector_csv(f"{prefix}.alpha.csv", alpha)
     print(f"wrote {prefix}.x.csv and {prefix}.alpha.csv")
-    if "truth" in doc:
-        truth = _vector(doc["truth"], "truth")
-        if truth.size != x.size:
-            raise SchemaError("truth vector dimension does not match the reconstruction")
+    if truth is not None:
         denom = max(float(np.linalg.norm(truth)), 1e-300)
         resid = float(np.linalg.norm(x - truth)) / denom
         print(f"relative residual vs truth: {_fmt(resid)}")
@@ -583,8 +602,9 @@ def _build_parser():
         "--tol",
         type=float,
         default=1e-10,
-        help="recoverability tolerance on sigma_min/sigma_max (cyclic, lca) or on "
-        "alpha_G (shift); cyclic dual/reconstruct also bound the left-inverse residual by it",
+        help="recoverability tolerance on sigma_min/sigma_max (cyclic, lca) or on the "
+        "absolute alpha_G (shift analyze and dual); cyclic dual/reconstruct also bound "
+        "the left-inverse residual by it",
     )
     common.add_argument(
         "--grid", type=int, default=None, help="grid points per unit interval"

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .duals import DualFamily
+from .duals import DualFamily, family_member
 from .hilbert import (
     RANK_TOL,
     DimensionMismatch,
@@ -27,6 +28,7 @@ __all__ = [
     "CyclicSubspaceSpec",
     "SamplingScheme",
     "SampleMatrix",
+    "DFTBlocks",
     "RankReport",
     "StructuredLeftInverse",
     "ReconstructionBasis",
@@ -88,8 +90,9 @@ class CyclicSubspaceSpec:
         orbit = np.column_stack(cols)
         sv = np.linalg.svd(orbit, compute_uv=False)
         if sv[-1] <= self.rank_tol * sv[0]:
+            ratio = sv[-1] / sv[0] if sv[0] > 0 else 0.0
             raise RankDeficiencyError(
-                f"orbit vectors are linearly dependent (sigma ratio {sv[-1] / sv[0]:.3e})"
+                f"orbit vectors are linearly dependent (sigma ratio {ratio:.3e})"
             )
         self._orbit = orbit
 
@@ -160,6 +163,56 @@ class SampleMatrix:
     def column_offsets(self):
         return np.concatenate(([0], np.cumsum(self.orders)))
 
+    @cached_property
+    def blocks(self):
+        """``DFTBlocks`` of ``matrix``, formed on first use from its first rows,
+        which describe it because it is blockwise r-circulant."""
+        return DFTBlocks(self)
+
+
+def _block_fft(rows, offsets):
+    """Unitary DFT of each generator block (columns ``offsets[l]:offsets[l+1]``) of ``rows``."""
+    parts = np.split(rows, offsets[1:-1], axis=1)
+    return np.hstack([np.fft.fft(part, axis=1, norm="ortho") for part in parts])
+
+
+class DFTBlocks:
+    """``R`` split by unitary DFTs into ``ell`` small blocks, and one SVD of them.
+
+    DFTs over each generator block's columns and over each sampler's reads
+    make ``R`` block diagonal: column frequency ``m`` of generator ``l`` meets
+    only read frequency ``p = m * lcm / N_l mod ell``, with entries
+    ``sqrt(ell) * F(c_jl)(m)`` (``F`` the unitary DFT of the first row ``c_jl``
+    of block ``(j, l)``).  One ``DualFamily`` over the blocks, zero-padded to
+    the widest, gives ``singular_values`` of ``R`` (descending) and, by one
+    FFT of the block pseudo-inverses, the first columns of ``pinv(R)``.
+    """
+
+    def __init__(self, R):
+        self.offsets = R.column_offsets()
+        self.ell = R.ell
+        # column (l, m) sits in block freq[(l, m)], at position slot[(l, m)]
+        self.freq = np.concatenate(
+            [np.arange(N) * (R.lcm_order // N) % R.ell for N in R.orders]
+        )
+        widths = np.bincount(self.freq, minlength=R.ell)
+        order = np.argsort(self.freq, kind="stable")
+        self.slot = np.empty_like(self.freq)
+        self.slot[order] = np.arange(R.cols) - (np.cumsum(widths) - widths)[self.freq[order]]
+        stack = np.zeros((R.ell, R.s, widths.max()), dtype=complex)
+        first_rows = R.matrix[:: R.ell]
+        stack[self.freq, :, self.slot] = math.sqrt(R.ell) * _block_fft(first_rows, self.offsets).T
+        self.family = DualFamily(stack)
+        # block p has rank at most w_p: its values past w_p come from the padding
+        sv = self.family.singular_values
+        sv = np.where(np.arange(sv.shape[1]) < widths[:, None], sv, 0.0)
+        self.singular_values = np.sort(sv, axis=None)[::-1][: min(R.rows, R.cols)]
+
+    def pinv_first_columns(self):
+        """Column ``(j, 0)`` of ``pinv(R)`` as row ``j``: one FFT of the block pinvs."""
+        rows = self.family.pinv[self.freq, self.slot].T
+        return _block_fft(rows, self.offsets) / math.sqrt(self.ell)
+
 
 def _shift_index(orders, r, ell):
     """Gather index of the blockwise r-circulant layout.
@@ -228,14 +281,9 @@ def _numerical_rank(sv, rank_tol):
     return int(np.sum(sv > rank_tol * sv[0])) if sv.size and sv[0] > 0 else 0
 
 
-def check_rank(R, rank_tol=RANK_TOL, *, singular_values=None):
-    """Numerical rank of the sampling matrix via SVD, values descending.
-
-    A caller that already holds the singular values of ``R`` passes them.
-    """
-    sv = singular_values
-    if sv is None:
-        sv = np.linalg.svd(R.matrix, compute_uv=False)
+def check_rank(R, rank_tol=RANK_TOL):
+    """Numerical rank of the sampling matrix from its DFT blocks, values descending."""
+    sv = R.blocks.singular_values
     rank = _numerical_rank(sv, rank_tol)
     return RankReport(
         full_rank=rank == R.cols, rank=rank, cols=R.cols, singular_values=sv
@@ -249,12 +297,14 @@ class StructuredLeftInverse:
     Column ``(j, n)`` equals column ``(j, 0)`` shifted down ``r*n`` positions
     within each generator block (wraparound modulo ``N_l``), exactly: the
     construction permutes stored entries rather than recomputing them.
+    ``certified_residual`` is ``max |entries @ R - I|``, checked at construction.
     """
 
     entries: np.ndarray
     r: int
     ell: int
     orders: tuple
+    certified_residual: float
 
     @property
     def s(self):
@@ -267,7 +317,11 @@ class StructuredLeftInverse:
         return self.entries[:, j * self.ell]
 
     def residual(self, R):
-        return float(np.max(np.abs(self.entries @ R.matrix - np.eye(R.cols))))
+        return _left_inverse_residual(self.entries, R)
+
+
+def _left_inverse_residual(H, R):
+    return float(np.max(np.abs(H @ R.matrix - np.eye(R.cols))))
 
 
 def _structured_first_columns(H, R):
@@ -284,50 +338,63 @@ def _structured_first_columns(H, R):
     return H[rows, cols]
 
 
+def _pinv_first_columns(R, tol):
+    """Rank test on the block singular values, then ``DFTBlocks.pinv_first_columns``."""
+    rank = _numerical_rank(R.blocks.singular_values, min(tol, RANK_TOL))
+    if rank < R.cols:
+        raise RankDeficiencyError(f"R has rank {rank} < {R.cols}; no left inverse exists")
+    return R.blocks.pinv_first_columns()
+
+
+def _shifted_columns(first, R):
+    """Columns ``(j, n)``: row ``j`` of ``first`` shifted down ``r*n`` in each generator block."""
+    return first[:, _shift_index(R.orders, R.r, R.ell)].reshape(R.rows, R.cols).T
+
+
 def structurize_left_inverse(R, H=None, *, U=None, tol=1e-10):
-    """Build a structured left inverse of ``R`` from a left-inverse seed.
+    """Build a structured left inverse of ``R``.
 
-    The seed defaults to the Moore-Penrose pseudo-inverse (SVD); passing
-    ``U`` selects the member ``pinv + U @ (I - R @ pinv)`` of the left-inverse
-    family instead, and an explicit ``H`` overrides both.  Per sampler, the
-    first ``min(N_l, r)`` rows of each generator block of the seed are
-    concatenated in cyclic column order into column ``(j, 0)``; every other
-    column is its exact blockwise down-shift.
+    By default it is the Moore-Penrose pseudo-inverse, whose column
+    ``(j, 0)`` comes from the DFT blocks of ``R`` (``R.blocks``) and whose
+    other columns are its exact blockwise down-shifts.  Passing ``U`` seeds
+    the construction with the member ``pinv + U @ (I - R @ pinv)`` of the
+    left-inverse family instead, and an explicit ``H`` seeds it with ``H``.
+    From a seed, the first ``min(N_l, r)`` rows of each generator block of
+    its columns ``(j, 0), (j, -1), ...`` are concatenated into column
+    ``(j, 0)``.
 
-    Raises ``LeftInverseError`` when the seed is not a left inverse of ``R``
-    within ``tol``, or when the shifted columns fail to form one (possible
-    for multi-generator problems with seeds whose blocks lack the cyclic
-    structure; the default seed always works).  The default seed's SVD also
-    gives the rank test (``RankDeficiencyError``).  An explicit ``H`` takes
-    no SVD: passing the residual test at a small ``tol`` proves full rank.
+    Raises ``RankDeficiencyError`` when the block singular values fail the
+    rank test, and ``LeftInverseError`` when a seed is not a left inverse of
+    ``R`` within ``tol`` or the shifted columns fail to form one (possible for
+    multi-generator problems with seeds whose blocks lack the cyclic
+    structure).  An explicit ``H`` takes no SVD: passing the residual test at
+    a small ``tol`` proves full rank.
     """
-    Rm = R.matrix
-    if H is None:
-        family = DualFamily(Rm)
-        rank = _numerical_rank(family.singular_values, min(tol, RANK_TOL))
-        if rank < R.cols:
-            raise RankDeficiencyError(f"R has rank {rank} < {R.cols}; no left inverse exists")
-        H = family.member(U)
+    if H is None and U is None:
+        first = _pinv_first_columns(R, tol)
     else:
+        if H is None:
+            H = family_member(R.matrix, _shifted_columns(_pinv_first_columns(R, tol), R), U)
         H = np.asarray(H, dtype=complex)
         if H.shape != (R.cols, R.rows):
             raise DimensionMismatch(f"H must have shape {(R.cols, R.rows)}, got {H.shape}")
-    seed_resid = np.max(np.abs(H @ Rm - np.eye(R.cols)))
-    if seed_resid > tol:
-        raise LeftInverseError(
-            f"seed is not a left inverse of R (residual {seed_resid:.3e})"
-        )
+        seed_resid = _left_inverse_residual(H, R)
+        if seed_resid > tol:
+            raise LeftInverseError(
+                f"seed is not a left inverse of R (residual {seed_resid:.3e})"
+            )
+        first = _structured_first_columns(H, R)
 
-    idx = _shift_index(R.orders, R.r, R.ell)
-    out = _structured_first_columns(H, R)[:, idx].reshape(R.rows, R.cols).T
-    result = StructuredLeftInverse(entries=out, r=R.r, ell=R.ell, orders=R.orders)
-    resid = result.residual(R)
+    out = _shifted_columns(first, R)
+    resid = _left_inverse_residual(out, R)
     if resid > tol:
         raise LeftInverseError(
             f"structured columns are not a left inverse (residual {resid:.3e}); "
             "the seed's blocks lack the cyclic structure"
         )
-    return result
+    return StructuredLeftInverse(
+        entries=out, r=R.r, ell=R.ell, orders=R.orders, certified_residual=resid
+    )
 
 
 @dataclass

@@ -15,7 +15,7 @@ import numpy as np
 
 from .hilbert import DimensionMismatch
 
-__all__ = ["FrameConstants", "DualFamily", "frame_bounds"]
+__all__ = ["FrameConstants", "DualFamily", "family_member", "frame_bounds"]
 
 PINV_RCOND = 1e-15
 
@@ -64,15 +64,17 @@ class DualFamily:
         self.singular_values = sv
 
     def member(self, U=None):
-        """``pinv + U (I - A pinv)``, a left inverse wherever ``A`` has full column rank.
+        """``pinv + U (I - A pinv)``; without ``U`` the member is ``pinv`` itself."""
+        return self.pinv if U is None else family_member(self.matrices, self.pinv, U)
 
-        ``U`` is one ``cols x rows`` matrix or one per stacked matrix; without
-        it the member is ``pinv`` itself.
-        """
-        if U is None:
-            return self.pinv
-        U = np.asarray(U, dtype=complex)
-        rows, cols = self.matrices.shape[-2:]
-        if U.shape[-2:] != (cols, rows):
-            raise DimensionMismatch(f"U must have shape {(cols, rows)}, got {U.shape}")
-        return self.pinv + U @ (np.eye(rows) - self.matrices @ self.pinv)
+
+def family_member(A, pinv, U):
+    """``pinv + U (I - A pinv)``, a left inverse wherever ``A`` has full column rank.
+
+    ``U`` is one ``cols x rows`` matrix or one per stacked matrix of ``A``.
+    """
+    U = np.asarray(U, dtype=complex)
+    rows, cols = A.shape[-2:]
+    if U.shape[-2:] != (cols, rows):
+        raise DimensionMismatch(f"U must have shape {(cols, rows)}, got {U.shape}")
+    return pinv + U @ (np.eye(rows) - A @ pinv)

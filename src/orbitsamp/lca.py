@@ -478,8 +478,9 @@ def build_group_G_matrix(rep, a, samplers, H, M, *, rank_tol=1e-10):
     orbit = rep.orbit(a)
     sv = np.linalg.svd(orbit, compute_uv=False)
     if sv[-1] <= rank_tol * sv[0]:
+        ratio = sv[-1] / sv[0] if sv[0] > 0 else 0.0
         raise RepresentationError(
-            f"orbit of the generator is linearly dependent (sigma ratio {sv[-1] / sv[0]:.3e})"
+            f"orbit of the generator is linearly dependent (sigma ratio {ratio:.3e})"
         )
 
     dual = DualGroup(H)

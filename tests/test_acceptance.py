@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import orbitsamp as o
 from orbitsamp.instances import CyclicInstanceConfig, random_cyclic_instance
@@ -260,6 +261,42 @@ def test_criterion_8_lca_specialization_coherence():
         ok,
         f"worst reconstruction difference {worst:.2e} <= 1e-10 over 10 elements",
     )
+
+
+@st.composite
+def specializations(draw):
+    """``N``, a divisor ``r`` of it, ``s`` from ``r`` to ``r + 2`` and a seed."""
+    N = draw(st.integers(2, 16))
+    r = draw(st.sampled_from([d for d in range(1, N + 1) if N % d == 0]))
+    return N, r, draw(st.integers(r, r + 2)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=specializations())
+@example(case=(12, 3, 3, 88))
+@example(case=(16, 16, 16, 0))
+def test_criterion_8_holds_on_random_specializations(case):
+    """Cyclic with ``T = Pi(1)`` and ``H = Z_N``, ``M = rZ_N``: same margin, same x."""
+    N, r, s, seed = case
+    rng = np.random.default_rng(seed)
+    group = FiniteAbelianGroup((N,))
+    H, M = Subgroup(group, [(1,)]), Subgroup(group, [(r,)])
+    rep, a = representation_from_characters(rng, H, distortion=0.2)
+    samplers = [rng.standard_normal(N) + 1j * rng.standard_normal(N) for _ in range(s)]
+    spectrum = build_group_G_matrix(rep, a, samplers, H, M)
+
+    T = o.LinearOperator(rep.op((1,)))
+    spec = o.CyclicSubspaceSpec(operator=T, generators=[a], orders=[N])
+    scheme = o.SamplingScheme.for_spec(spec, samplers, r)
+    R = o.build_sample_matrix(spec, scheme)
+    sv = o.check_rank(R).singular_values
+    assert abs(sv[-1] / sv[0] - spectrum.sigma_ratio) <= 1e-12 * spectrum.sigma_ratio
+
+    x = spec.synthesize(rng.standard_normal(N) + 1j * rng.standard_normal(N))
+    basis = o.reconstruction_vectors(spec, o.structurize_left_inverse(R))
+    x_cyc = o.reconstruct(spec, scheme, basis, o.take_samples(spec, scheme, x))
+    x_lca = group_reconstruct(group_duals(spectrum), take_group_samples(spectrum, x))
+    assert np.linalg.norm(x_cyc - x_lca) <= 1e-10 * np.linalg.norm(x)
 
 
 def test_criterion_9_positivity_certificate():

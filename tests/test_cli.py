@@ -1,16 +1,24 @@
+import contextlib
+import copy
+import functools
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import orbitsamp as o
 from orbitsamp import cli
-from orbitsamp.instances import CyclicInstanceConfig, random_cyclic_instance
+from orbitsamp.instances import CyclicInstanceConfig, operator_with_orders, random_cyclic_instance
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 
 
 def cpairs(values):
@@ -176,6 +184,14 @@ class TestDual:
         assert rc == 1
         assert "truncation refused" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("length", [0, -1])
+    def test_nonpositive_dual_length_exit_two(self, tmp_path, capsys, length):
+        doc = spline_shift_problem(method="pseudoinverse")
+        doc["dual_length"] = length
+        path = write_problem(tmp_path, doc)
+        assert cli.main(["dual", "--input", path, "--out", str(tmp_path / "spl")]) == 2
+        assert "dual_length" in capsys.readouterr().err
+
     def test_u_matrix_plumbing(self, tmp_path):
         path = write_problem(tmp_path, cyclic_problem([E4[0], E4[1]]))
         upath = tmp_path / "u.json"
@@ -193,6 +209,23 @@ class TestDual:
             ["dual", "--input", path, "--out", str(tmp_path / "d"), "--u-matrix", str(upath)]
         )
         assert rc == 2
+
+    def test_shift_dual_honours_tol(self, tmp_path, capsys):
+        # alpha_G = (1 - 0.99997)^2 = 9e-10, between 1e-10 and 1e-9
+        doc = {
+            "model": "shift",
+            "r": 1,
+            "grid": 64,
+            "dual_length": 64,
+            "sequences": {"g1": {"offset": 0, "values": cpairs([-0.99997, 1])}},
+        }
+        path = write_problem(tmp_path, doc)
+        out = ["--out", str(tmp_path / "d")]
+        assert cli.main(["analyze", "--input", path]) == 0
+        assert cli.main(["dual", "--input", path, *out]) == 0
+        assert cli.main(["analyze", "--input", path, "--tol", "1e-9"]) == 1
+        assert cli.main(["dual", "--input", path, "--tol", "1e-9", *out]) == 1
+        assert "frame test failed" in capsys.readouterr().out
 
     def test_lca_duals(self, tmp_path):
         path = write_problem(tmp_path, lca_problem())
@@ -338,6 +371,226 @@ class TestReconstruct:
             ]
         )
         assert rc == 0
+
+
+def test_no_dense_svd_of_sample_matrix(tmp_path, monkeypatch):
+    # orders [4, 2], r = 2, s = 4: R is 8 x 6 (ell = 2), the orbit matrix 10 x 6
+    rng = np.random.default_rng(3)
+    op, gens = operator_with_orders(rng, 10, [4, 2])
+    samplers = [rng.standard_normal(10) + 1j * rng.standard_normal(10) for _ in range(4)]
+    spec = o.CyclicSubspaceSpec(operator=op, generators=gens, orders=[4, 2])
+    scheme = o.SamplingScheme.for_spec(spec, samplers, 2)
+    doc = {
+        "model": "cyclic",
+        "dimension": 10,
+        "operator": [cpairs(row) for row in op.matrix],
+        "generators": [cpairs(a) for a in gens],
+        "orders": [4, 2],
+        "samplers": [cpairs(b) for b in samplers],
+        "r": 2,
+    }
+    path = write_problem(tmp_path, doc)
+    samples = str(tmp_path / "samples.csv")
+    cli.write_vector_csv(samples, o.take_samples(spec, scheme, gens[0]))
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    out = ["--out", str(tmp_path / "o")]
+    assert cli.main(["analyze", "--input", path]) == 0
+    assert cli.main(["dual", "--input", path, *out]) == 0
+    assert cli.main(["reconstruct", "--input", path, "--samples", samples, *out]) == 0
+    assert shapes and (8, 6) not in shapes
+
+
+class TestInputOutputErrors:
+    """Unreadable or non-finite inputs and unwritable outputs exit 2 with one line."""
+
+    def problem_files(self, tmp_path, truth=E4[0]):
+        doc = cyclic_problem([E4[0], E4[1]], truth=truth)
+        samples = tmp_path / "samples.csv"
+        samples.write_text("index,re,im\n0,1,0\n1,0,0\n2,0,0\n3,0,0\n")
+        return write_problem(tmp_path, doc), samples
+
+    def run(self, command, problem, samples, out):
+        argv = [command, "--input", problem, "--out", out]
+        if command == "reconstruct":
+            argv += ["--samples", str(samples)]
+        proc = run_cli(*argv)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        return proc
+
+    def test_missing_samples_file(self, tmp_path):
+        problem, _ = self.problem_files(tmp_path)
+        proc = self.run("reconstruct", problem, tmp_path / "absent.csv", str(tmp_path / "r"))
+        assert "absent.csv" in proc.stderr
+
+    def test_non_integer_index(self, tmp_path):
+        problem, samples = self.problem_files(tmp_path)
+        samples.write_text(samples.read_text().replace("\n0,", "\nx0,"))
+        proc = self.run("reconstruct", problem, samples, str(tmp_path / "r"))
+        assert "'x0'" in proc.stderr
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_sample(self, tmp_path, cell):
+        problem, samples = self.problem_files(tmp_path)
+        samples.write_text(samples.read_text().replace("\n1,0,0", f"\n1,{cell},0"))
+        proc = self.run("reconstruct", problem, samples, str(tmp_path / "r"))
+        assert "finite" in proc.stderr
+
+    def test_non_finite_truth(self, tmp_path):
+        problem, samples = self.problem_files(tmp_path, truth=[np.nan, 0, 0, 0])
+        proc = self.run("reconstruct", problem, samples, str(tmp_path / "r"))
+        assert "truth" in proc.stderr and "nan" not in proc.stdout
+
+    @pytest.mark.parametrize("short", ["truth", "sample count"])
+    def test_wrong_length_before_any_output(self, tmp_path, short):
+        truth = E4[:3, 0] if short == "truth" else E4[0]
+        problem, samples = self.problem_files(tmp_path, truth=truth)
+        if short == "sample count":
+            samples.write_text(samples.read_text().replace("3,0,0\n", ""))
+        proc = self.run("reconstruct", problem, samples, str(tmp_path / "r"))
+        assert short in proc.stderr and not list(tmp_path.glob("r.*"))
+
+    @pytest.mark.parametrize("command", ["dual", "reconstruct"])
+    def test_out_into_missing_directory(self, tmp_path, command):
+        problem, samples = self.problem_files(tmp_path)
+        proc = self.run(command, problem, samples, str(tmp_path / "absent" / "o"))
+        assert "cannot write" in proc.stderr
+
+
+@functools.cache
+def fuzz_bases():
+    """Each shipped problem as ``(doc, lines of a samples CSV)``, and two
+    variants that use the ``dual_length`` and ``operators`` fields.
+
+    Cyclic and lca problems gain the truth of a subspace element whose
+    samples the CSV holds; shift problems get a placeholder CSV.
+    """
+    bases = {}
+    for name in sorted(os.listdir(os.path.join(ROOT, "problems"))):
+        with open(os.path.join(ROOT, "problems", name)) as fh:
+            doc = json.load(fh)
+        samples = np.zeros(4)
+        if doc["model"] == "cyclic":
+            spec, scheme = cli._load_cyclic(doc)
+            x = spec.synthesize(np.arange(1.0, spec.total_order + 1))
+            samples = o.take_samples(spec, scheme, x)
+        elif doc["model"] == "lca":
+            spectrum = cli._load_lca(doc)
+            x = spectrum.orbit_matrix() @ np.arange(1.0, spectrum.rep.H.order + 1)
+            samples = o.lca.take_group_samples(spectrum, x)
+        if doc["model"] != "shift":
+            doc["truth"] = cpairs(x)
+        rows = ["index,re,im"] + [f"{i},{z.real!r},{z.imag!r}" for i, z in enumerate(samples)]
+        bases[name] = (doc, rows)
+    # fields that no shipped problem has
+    doc, rows = copy.deepcopy(bases["shift_spline.json"])
+    doc.update(method="pseudoinverse", dual_length=257)
+    bases["shift_spline.json, pseudoinverse"] = (doc, rows)
+    doc, rows = copy.deepcopy(bases["lca_z4.json"])
+    doc["operators"] = [doc.pop("operator")]
+    bases["lca_z4.json, operators"] = (doc, rows)
+    return bases
+
+
+def field_paths(doc, prefix=()):
+    """Paths to the fields of a JSON document: every object member, and the
+    first and last entries of every list."""
+    yield prefix
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from field_paths(value, prefix + (key,))
+    elif isinstance(doc, list) and doc:
+        for i in sorted({0, len(doc) - 1}):
+            yield from field_paths(doc[i], prefix + (i,))
+
+
+MUTATIONS = ("wrong type", "empty", "zero", "negative", "nan", "inf", "shorter", "longer")
+
+
+def mutated_field(value, kind):
+    return {
+        "wrong type": [value] if isinstance(value, str) else "x",
+        "empty": [] if isinstance(value, list) else {} if isinstance(value, dict) else "",
+        "zero": 0,
+        "negative": -1,
+        "nan": math.nan,
+        "inf": math.inf,
+        "shorter": value[:-1] if isinstance(value, list) else [],
+        "longer": value + value[-1:] if isinstance(value, list) else [value, value],
+    }[kind]
+
+
+def mutated_rows(rows, row, col, kind):
+    """``rows`` with one cell replaced, or for a length mutation a row dropped or repeated."""
+    if kind in ("shorter", "longer"):
+        return rows[:row] + rows[row:row + 1] * (2 if kind == "longer" else 0) + rows[row + 1 :]
+    cells = rows[row].split(",")
+    text = {"wrong type": "x" + cells[col], "empty": "", "zero": "0", "negative": "-1"}
+    cells[col] = text.get(kind, kind)
+    return rows[:row] + [",".join(cells)] + rows[row + 1 :]
+
+
+@st.composite
+def fuzz_cases(draw):
+    name = draw(st.sampled_from(sorted(fuzz_bases())))
+    doc, rows = fuzz_bases()[name]
+    command = draw(st.sampled_from(("analyze", "dual", "reconstruct")))
+    kind = draw(st.sampled_from(MUTATIONS))
+    if draw(st.booleans()):
+        edit = ("field", draw(st.sampled_from(list(field_paths(doc)))), kind)
+    else:
+        edit = ("cell", draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, 2)), kind)
+    return name, command, edit
+
+
+class TestFuzz:
+    """One field of a shipped problem or one cell of its samples mutated:
+    ``analyze``/``dual``/``reconstruct`` return 0, 1 or 2 and raise nothing."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=fuzz_cases())
+    @example(case=("cyclic_perm.json", "reconstruct", ("no samples file",)))
+    @example(case=("cyclic_perm.json", "reconstruct", ("cell", 1, 0, "wrong type")))
+    @example(case=("cyclic_perm.json", "reconstruct", ("cell", 2, 1, "nan")))
+    @example(case=("cyclic_perm.json", "reconstruct", ("cell", 2, 2, "inf")))
+    @example(case=("cyclic_perm.json", "reconstruct", ("field", ("truth", 0, 0), "nan")))
+    @example(case=("cyclic_perm.json", "dual", ("no output directory",)))
+    @example(case=("lca_z4.json", "reconstruct", ("no output directory",)))
+    def test_exit_code_without_exception(self, case):
+        name, command, edit = case
+        doc, rows = fuzz_bases()[name]
+        doc = copy.deepcopy(doc)
+        if edit[0] == "field" and not edit[1]:
+            doc = mutated_field(doc, edit[2])
+        elif edit[0] == "field":
+            *parents, last = edit[1]
+            owner = functools.reduce(lambda d, k: d[k], parents, doc)
+            owner[last] = mutated_field(owner[last], edit[2])
+        elif edit[0] == "cell":
+            rows = mutated_rows(rows, *edit[1:])
+        with tempfile.TemporaryDirectory() as tmp:
+            problem, samples = os.path.join(tmp, "p.json"), os.path.join(tmp, "s.csv")
+            with open(problem, "w") as fh:
+                json.dump(doc, fh)
+            if edit[0] != "no samples file":
+                with open(samples, "w") as fh:
+                    fh.write("\n".join(rows) + "\n")
+            out = os.path.join(tmp, "absent" if edit[0] == "no output directory" else "", "o")
+            argv = [command, "--input", problem, "--out", out]
+            if command == "reconstruct":
+                argv += ["--samples", samples]
+            sink = io.StringIO()
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                rc = cli.main(argv)
+        assert rc in (0, 1, 2)
 
 
 class TestSplineDemo:

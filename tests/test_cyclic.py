@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from orbitsamp.cyclic import (
     CyclicSubspaceSpec,
@@ -270,6 +273,58 @@ class TestStructurizeLeftInverse:
             got = structurize_left_inverse(R, U=u).entries
             want = structurize_left_inverse(R, H=seed).entries
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+@st.composite
+def block_cases(draw):
+    """Orders with lcm at most 24, any divisor ``r`` of it and ``s`` from 1 to 6."""
+    orders = draw(
+        st.lists(st.integers(1, 12), min_size=1, max_size=3).filter(
+            lambda o: math.lcm(*o) <= 24
+        )
+    )
+    r = draw(st.sampled_from(divisors(math.lcm(*orders))))
+    return orders, r, draw(st.integers(1, 6)), draw(st.integers(0, 2**32 - 1))
+
+
+class TestDFTBlocks:
+    """The block path against a dense SVD and ``np.linalg.pinv`` of ``R``."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=block_cases())
+    @example(case=([12, 8], 1, 2, 0))  # ell = 24: empty blocks, blocks wider than s
+    @example(case=([12, 8], 4, 4, 1))  # ell = 6, R 24 x 20
+    @example(case=([12, 8], 24, 5, 2))  # ell = 1: one block, R wide
+    @example(case=([12, 8], 2, 2, 3))  # ell = 12, R 24 x 20 with s = r
+    @example(case=([12, 8], 12, 10, 5))  # square R, 20 x 20
+    @example(case=([4, 2], 2, 3, 6))  # structurally deficient
+    @example(case=([6, 4, 3], 2, 4, 7))  # three generators, r dividing only two
+    def test_matches_dense(self, case):
+        orders, r, s, seed = case
+        rng = np.random.default_rng(seed)
+        dim = sum(orders) + 2
+        op, gens = operator_with_orders(rng, dim, orders, distortion=0.2)
+        spec = CyclicSubspaceSpec(operator=op, generators=gens, orders=orders)
+        samplers = [rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for _ in range(s)]
+        R = build_sample_matrix(spec, SamplingScheme.for_spec(spec, samplers, r))
+        dense = np.linalg.svd(R.matrix, compute_uv=False)
+        report = check_rank(R)
+        assert report.singular_values.shape == dense.shape
+        assert np.max(np.abs(report.singular_values - dense)) <= 1e-12 * dense[0]
+        dense_rank = int(np.sum(dense > 1e-10 * dense[0]))
+        assert report.rank == dense_rank
+        if dense_rank < R.cols:
+            with pytest.raises(RankDeficiencyError):
+                structurize_left_inverse(R)
+            return
+        hs = structurize_left_inverse(R)
+        if dense[-1] >= 1e-6 * dense[0]:
+            pinv = np.linalg.pinv(R.matrix)
+            assert np.max(np.abs(hs.entries - pinv)) <= 1e-11 * np.max(np.abs(pinv))
 
 
 class TestReconstruction:
