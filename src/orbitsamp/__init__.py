@@ -12,8 +12,6 @@ from .hilbert import (
     CrossCorrelation,
     LinearOperator,
     cross_correlation,
-    gram_matrix,
-    inner,
 )
 from .cyclic import (
     CyclicSubspaceSpec,
@@ -24,8 +22,6 @@ from .cyclic import (
     build_sample_matrix,
     check_rank,
     filter_bank_coefficients,
-    is_r_circulant,
-    project_onto_subspace,
     reconstruct,
     reconstruction_vectors,
     structurize_left_inverse,

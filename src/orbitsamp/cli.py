@@ -34,7 +34,7 @@ class SchemaError(ValueError):
 
 
 class NotRecoverable(RuntimeError):
-    pass
+    """The problem or its certification failed; ``main`` prints the reason and exits 1."""
 
 
 # -- parsing helpers ---------------------------------------------------------
@@ -157,14 +157,14 @@ def _load_cyclic(doc):
     return spec, scheme
 
 
-def _load_shift(doc, grid, prefix="g"):
+def _load_shift(doc, grid):
     seqs_doc = _require(doc, "sequences")
     if not isinstance(seqs_doc, dict):
         raise SchemaError("sequences: expected an object of named sequences")
-    names = sorted(n for n in seqs_doc if n.startswith(prefix) and n[len(prefix) :].isdigit())
+    names = sorted(n for n in seqs_doc if n.startswith("g") and n[1:].isdigit())
     if not names:
-        raise SchemaError(f"sequences: need {prefix}1..{prefix}s entries")
-    names.sort(key=lambda n: int(n[len(prefix) :]))
+        raise SchemaError("sequences: need g1..gs entries")
+    names.sort(key=lambda n: int(n[1:]))
     seqs = [_sequence(seqs_doc, n) for n in names]
     r = _int(doc.get("r", 1), "r")
     Q = (grid if grid is not None else _int(doc.get("grid", 1024), "grid")) * r
@@ -176,6 +176,7 @@ def _load_shift(doc, grid, prefix="g"):
 
 
 def _load_lca(doc):
+    dim = _int(_require(doc, "dimension"), "dimension")
     group_doc = _require(doc, "group")
     for key in ("moduli", "H_gens", "M_gens"):
         _require(group_doc, key, "group")
@@ -196,6 +197,9 @@ def _load_lca(doc):
             ops = _list(doc["operators"], "operators", _matrix)
         else:
             ops = [_matrix(_require(doc, "operator"), "operator")]
+        for op in ops:
+            if op.shape != (dim, dim):
+                raise SchemaError(f"operator: expected {dim}x{dim}, got {op.shape}")
         rep = lca.GroupRepresentation(H, ops)
         a = _vector(generators[0], "generators")
         samplers = _list(_require(doc, "samplers"), "samplers", _vector)
@@ -302,19 +306,14 @@ def cmd_analyze(args):
 
 
 def _structured_inverse(R, U, tol):
-    """Rank verdict at ``tol`` and structured inverse from the one SVD of ``R.blocks``.
-
-    Prints the reason and returns ``None`` when either fails.
-    """
+    """Rank verdict at ``tol`` and structured inverse from the one SVD of ``R.blocks``."""
     report = cyclic.check_rank(R, rank_tol=tol)
     if not report.full_rank:
-        print(f"not recoverable: rank {report.rank}/{report.cols}")
-        return None
+        raise NotRecoverable(f"not recoverable: rank {report.rank}/{report.cols}")
     try:
         return cyclic.structurize_left_inverse(R, U=U, tol=tol)
     except (cyclic.RankDeficiencyError, cyclic.LeftInverseError) as exc:
-        print(f"structured inverse failed: {exc}")
-        return None
+        raise NotRecoverable(f"structured inverse failed: {exc}") from exc
 
 
 def _load_u_matrix(path):
@@ -342,8 +341,6 @@ def cmd_dual(args):
         spec, scheme = _load_cyclic(doc)
         R = cyclic.build_sample_matrix(spec, scheme)
         hs = _structured_inverse(R, U, args.tol)
-        if hs is None:
-            return 1
         basis = cyclic.reconstruction_vectors(spec, hs)
         print(f"left-inverse residual: {_fmt(hs.certified_residual)}")
         _write_duals(prefix, basis.vectors)
@@ -377,8 +374,7 @@ def cmd_dual(args):
                     polys[0].conj_reciprocal(), polys[1].conj_reciprocal()
                 )
             except CoprimalityError as exc:
-                print(f"coprimality failure: {exc}")
-                return 1
+                raise NotRecoverable(f"coprimality failure: {exc}") from exc
             for j, cpoly in enumerate((q1, q2), start=1):
                 print(f"c{j}(z) = {cpoly}")
                 path = f"{prefix}.c{j}.csv"
@@ -389,15 +385,13 @@ def cmd_dual(args):
         try:
             dual = spectral.dual_field(field, U=U, threshold=args.tol)
         except spectral.FrameError as exc:
-            print(str(exc))
-            return 1
+            raise NotRecoverable(str(exc)) from exc
         print(f"dual residual: {_fmt(dual.residual_max)}")
         length = _int(doc.get("dual_length", 65), "dual_length")
         try:
             coeffs = spectral.reconstruction_coefficients(dual, length)
         except spectral.TailEnergyError as exc:
-            print(f"truncation refused: {exc}")
-            return 1
+            raise NotRecoverable(f"truncation refused: {exc}") from exc
         except ValueError as exc:
             raise SchemaError(f"dual_length: {exc}") from exc
         for j, per_gen in enumerate(coeffs, start=1):
@@ -411,8 +405,7 @@ def cmd_dual(args):
     try:
         gdual = lca.group_duals(spectrum, U=U, threshold=args.tol)
     except lca.GroupFrameError as exc:
-        print(str(exc))
-        return 1
+        raise NotRecoverable(str(exc)) from exc
     _write_duals(prefix, gdual.vectors)
     return 0
 
@@ -444,8 +437,6 @@ def cmd_reconstruct(args):
     if model == "cyclic":
         R = cyclic.build_sample_matrix(spec, scheme)
         hs = _structured_inverse(R, None, args.tol)
-        if hs is None:
-            return 1
         basis = cyclic.reconstruction_vectors(spec, hs)
         x = cyclic.reconstruct(spec, scheme, basis, samples)
         alpha = np.concatenate(cyclic.filter_bank_coefficients(hs, samples, spec))
@@ -453,8 +444,7 @@ def cmd_reconstruct(args):
         try:
             gdual = lca.group_duals(spectrum, threshold=args.tol)
         except lca.GroupFrameError as exc:
-            print(str(exc))
-            return 1
+            raise NotRecoverable(str(exc)) from exc
         x = lca.group_reconstruct(gdual, samples)
         orbit = spectrum.orbit_matrix()
         alpha, *_ = np.linalg.lstsq(orbit, x, rcond=None)
@@ -466,8 +456,9 @@ def cmd_reconstruct(args):
         resid = float(np.linalg.norm(x - truth)) / denom
         print(f"relative residual vs truth: {_fmt(resid)}")
         if resid > RESIDUAL_FLAG:
-            print(f"residual exceeds {RESIDUAL_FLAG:.1e}: samples inconsistent with truth")
-            return 1
+            raise NotRecoverable(
+                f"residual exceeds {RESIDUAL_FLAG:.1e}: samples inconsistent with truth"
+            )
     return 0
 
 
@@ -480,13 +471,13 @@ def _print_pr_report(pr):
 
 def cmd_spline_demo(args):
     t0 = time.perf_counter()
-    if args.K % 2 == 0:
-        raise SchemaError("K must be odd")
+    # the bank's second channel reads the stride-K component at offset 1
+    if args.K % 2 == 0 or args.K < 3:
+        raise SchemaError(f"--K must be odd and at least 3, got {args.K}")
     try:
         sb = spectral.bspline_filter_bank(args.K, args.p)
     except CoprimalityError as exc:
-        print(f"coprimality failure for K={args.K}, p={args.p}: {exc}")
-        return 1
+        raise NotRecoverable(f"coprimality failure for K={args.K}, p={args.p}: {exc}") from exc
     mp = sb.mp
     print(f"M_{args.p} values on |n| <= {mp.radius}: {' '.join(str(v) for v in mp.values)}")
     g1, g2 = sb.g_polys
@@ -576,8 +567,7 @@ def cmd_lca_demo(args):
     print(f"beta_G = {_fmt(spectrum.beta_G)}")
     print(f"sigma_min/sigma_max = {_fmt(spectrum.sigma_ratio)}")
     if spectrum.sigma_ratio <= args.tol:
-        print("recoverable: no")
-        return 1
+        raise NotRecoverable("recoverable: no")
     gdual = lca.group_duals(spectrum, threshold=args.tol)
     rng = np.random.default_rng(0)
     n = spectrum.rep.H.order
@@ -594,56 +584,71 @@ def cmd_lca_demo(args):
 # -- entry point -------------------------------------------------------------
 
 
+_TOL_HELP = (
+    "recoverability tolerance on sigma_min/sigma_max (cyclic, lca) or on the absolute "
+    "alpha_G (shift analyze and dual); cyclic dual/reconstruct also bound the "
+    "left-inverse residual by it"
+)
+_FLAGS = {
+    "input": dict(help="problem file (JSON)"),
+    "out": dict(help="output path prefix for CSV files"),
+    "tol": dict(type=float, default=1e-10, help=_TOL_HELP),
+    "grid": dict(type=int, help="grid points per unit interval"),
+    "u-matrix": dict(help="JSON file with a left-inverse perturbation matrix"),
+    "samples": dict(required=True, help="CSV of samples (index,re,im)"),
+    "K": dict(type=int, required=True, help="node spacing (odd)"),
+    "p": dict(type=int, required=True, help="B-spline order"),
+}
+# name: (handler, help, flags); each command declares only the flags it reads
+_COMMANDS = {
+    "analyze": (cmd_analyze, "recoverability report", "input tol grid"),
+    "dual": (cmd_dual, "reconstruction vectors to CSV", "input out tol grid u-matrix"),
+    "reconstruct": (cmd_reconstruct, "rebuild a vector from samples", "input out tol samples"),
+    "spline-demo": (cmd_spline_demo, "compact-support dual demo", "K p grid"),
+    "pr-check": (cmd_pr_check, "filter-bank certification", "input grid"),
+    "lca-demo": (cmd_lca_demo, "finite-group pipeline demo", "input tol"),
+}
+_OPTIONAL_INPUT = ("spline-demo", "lca-demo")
+
+
 def _build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--input", help="problem file (JSON)")
-    common.add_argument("--out", help="output path prefix for CSV files")
-    common.add_argument(
-        "--tol",
-        type=float,
-        default=1e-10,
-        help="recoverability tolerance on sigma_min/sigma_max (cyclic, lca) or on the "
-        "absolute alpha_G (shift analyze and dual); cyclic dual/reconstruct also bound "
-        "the left-inverse residual by it",
-    )
-    common.add_argument(
-        "--grid", type=int, default=None, help="grid points per unit interval"
-    )
     parser = argparse.ArgumentParser(
         prog="orbitsamp",
         description="Generalized sampling analysis, duals and reconstruction.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    p = sub.add_parser("analyze", parents=[common], help="recoverability report")
-    p.set_defaults(func=cmd_analyze, needs_input=True)
-    p = sub.add_parser("dual", parents=[common], help="reconstruction vectors to CSV")
-    p.add_argument("--u-matrix", help="JSON file with a left-inverse perturbation matrix")
-    p.set_defaults(func=cmd_dual, needs_input=True)
-    p = sub.add_parser("reconstruct", parents=[common], help="rebuild a vector from samples")
-    p.add_argument("--samples", required=True, help="CSV of samples (index,re,im)")
-    p.set_defaults(func=cmd_reconstruct, needs_input=True)
-    p = sub.add_parser("spline-demo", parents=[common], help="compact-support dual demo")
-    p.add_argument("--K", type=int, required=True, help="node spacing (odd)")
-    p.add_argument("--p", type=int, required=True, help="B-spline order")
-    p.set_defaults(func=cmd_spline_demo, needs_input=False)
-    p = sub.add_parser("pr-check", parents=[common], help="filter-bank certification")
-    p.set_defaults(func=cmd_pr_check, needs_input=True)
-    p = sub.add_parser("lca-demo", parents=[common], help="finite-group pipeline demo")
-    p.set_defaults(func=cmd_lca_demo, needs_input=False)
+    for name, (func, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags.split():
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
+        p.set_defaults(func=func)
     return parser
 
 
+def _check_flags(args):
+    """Value ranges of the numeric flags, which ``argparse`` types leave open."""
+    for flag in ("K", "p", "grid"):
+        value = getattr(args, flag, None)
+        if value is not None and value <= 0:
+            raise SchemaError(f"--{flag} must be positive, got {value}")
+    tol = getattr(args, "tol", 0.0)
+    if not (math.isfinite(tol) and tol >= 0):
+        raise SchemaError(f"--tol must be a finite nonnegative number, got {tol}")
+    if args.command not in _OPTIONAL_INPUT and not args.input:
+        raise SchemaError("--input is required for this command")
+
+
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "needs_input", False) and not args.input:
-        print("error: --input is required for this command", file=sys.stderr)
-        return 2
+    args = _build_parser().parse_args(argv)
     try:
+        _check_flags(args)
         return args.func(args)
     except (SchemaError, DimensionMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except NotRecoverable as exc:
+        print(exc)
+        return 1
 
 
 if __name__ == "__main__":

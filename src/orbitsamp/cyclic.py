@@ -41,9 +41,10 @@ __all__ = [
     "reconstruction_vectors",
     "reconstruct",
     "filter_bank_coefficients",
-    "is_r_circulant",
-    "project_onto_subspace",
 ]
+
+
+PERIOD_TOL = 1e-8
 
 
 class RankDeficiencyError(ValueError):
@@ -58,15 +59,13 @@ class LeftInverseError(ValueError):
 class CyclicSubspaceSpec:
     """Operator plus generators of declared orbit periods.
 
-    Construction verifies that ``T^{N_l} a_l == a_l`` within ``period_tol``
+    Construction verifies that ``T^{N_l} a_l == a_l`` within ``PERIOD_TOL``
     relative and that the combined orbit family is linearly independent.
     """
 
     operator: LinearOperator
     generators: list
     orders: list
-    period_tol: float = 1e-8
-    rank_tol: float = RANK_TOL
     _orbit: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -83,13 +82,13 @@ class CyclicSubspaceSpec:
                 cols.append(v)
                 v = self.operator.matrix @ v
             drift = np.linalg.norm(v - a)
-            if drift > self.period_tol * np.linalg.norm(a):
+            if drift > PERIOD_TOL * np.linalg.norm(a):
                 raise ValueError(
                     f"generator is not fixed by T^{n} (relative drift {drift:.3e})"
                 )
         orbit = np.column_stack(cols)
         sv = np.linalg.svd(orbit, compute_uv=False)
-        if sv[-1] <= self.rank_tol * sv[0]:
+        if sv[-1] <= RANK_TOL * sv[0]:
             ratio = sv[-1] / sv[0] if sv[0] > 0 else 0.0
             raise RankDeficiencyError(
                 f"orbit vectors are linearly dependent (sigma ratio {ratio:.3e})"
@@ -432,41 +431,3 @@ def filter_bank_coefficients(hs, samples, spec):
     """
     samples = as_cvector(samples, hs.s * hs.ell)
     return np.split(hs.entries @ samples, hs.column_offsets()[1:-1])
-
-
-def is_r_circulant(C, block_rows, r, *, col_periods=None, tol=1e-12):
-    """Whether every ``block_rows``-row block advances by ``r`` per row.
-
-    Checks ``C[m, k] == C[m-1, k-r]`` with the row index wrapping inside its
-    block and the column index wrapping inside each period block (a single
-    full-width block by default).
-    """
-    C = np.asarray(C, dtype=complex)
-    rows, cols = C.shape
-    if block_rows < 1 or rows % block_rows != 0:
-        raise ValueError("row count must be a multiple of block_rows")
-    if col_periods is None:
-        col_periods = [cols]
-    if sum(col_periods) != cols:
-        raise ValueError("column periods must tile the column count")
-    target = np.empty_like(C)
-    for i in range(rows // block_rows):
-        blk = C[i * block_rows : (i + 1) * block_rows]
-        target[i * block_rows : (i + 1) * block_rows] = np.roll(blk, 1, axis=0)
-    off = 0
-    for Nl in col_periods:
-        target[:, off : off + Nl] = np.roll(target[:, off : off + Nl], r % Nl, axis=1)
-        off += Nl
-    return bool(np.max(np.abs(C - target)) <= tol)
-
-
-def project_onto_subspace(spec, v):
-    """Orthogonal projection onto the orbit span via the normal equations."""
-    v = as_cvector(v, spec.operator.dim)
-    B = spec.orbit_matrix()
-    G = B.conj().T @ B
-    try:
-        gamma = np.linalg.solve(G, B.conj().T @ v)
-    except np.linalg.LinAlgError as exc:
-        raise RankDeficiencyError("orbit Gram matrix is singular") from exc
-    return B @ gamma

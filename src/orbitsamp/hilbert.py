@@ -1,9 +1,8 @@
 """Finite-dimensional model of the ambient space.
 
 Complex vectors, invertible operators with a stored inverse and the integer
-powers their callers ask for, inner products, Gram matrices, and the
-cross-correlation sequences ``r(k) = <T^k a, b>`` that drive the sampling
-constructions.
+powers their callers ask for, and the cross-correlation sequences
+``r(k) = <T^k a, b>`` that drive the sampling constructions.
 
 Everything here is side-effect free; an operator only memoizes the powers it
 is asked for, so callers may evaluate powers and correlations in parallel.
@@ -18,11 +17,9 @@ import numpy as np
 __all__ = [
     "RANK_TOL",
     "DimensionMismatch",
-    "inner",
     "LinearOperator",
     "CrossCorrelation",
     "cross_correlation",
-    "gram_matrix",
 ]
 
 RANK_TOL = 1e-10
@@ -44,15 +41,6 @@ def as_cvector(v, dim=None):
     return v
 
 
-def inner(x, y):
-    """Standard complex inner product, conjugate-linear in the second slot."""
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    if x.shape != y.shape:
-        raise DimensionMismatch(f"shapes {x.shape} and {y.shape} differ")
-    return complex(np.vdot(y, x))
-
-
 class LinearOperator:
     """Invertible operator on C^dim with a stored inverse and power table.
 
@@ -62,14 +50,14 @@ class LinearOperator:
     squaring.
     """
 
-    def __init__(self, matrix, *, rank_tol=RANK_TOL):
+    def __init__(self, matrix):
         m = np.array(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"operator matrix must be square, got {m.shape}")
         if not np.all(np.isfinite(m)):
             raise ValueError("operator entries must be finite")
         sv = np.linalg.svd(m, compute_uv=False)
-        if sv[-1] <= rank_tol * sv[0]:
+        if sv[-1] <= RANK_TOL * sv[0]:
             ratio = sv[-1] / sv[0] if sv[0] > 0 else 0.0
             raise ValueError(
                 f"matrix is numerically singular (sigma_min/sigma_max = {ratio:.3e})"
@@ -82,7 +70,6 @@ class LinearOperator:
         self.matrix = m
         self.inv_matrix = inv
         self.dim = dim
-        self.rank_tol = float(rank_tol)
         self._powers = {1: m, -1: inv}
 
     @property
@@ -166,13 +153,3 @@ def cross_correlation(op, a, b, k_range, *, period=None):
         vals[i] = np.vdot(b, v)
         v = op.matrix @ v
     return CrossCorrelation(k_start=ks[0], values=vals, period=period)
-
-
-def gram_matrix(vectors):
-    """Gram matrix with entry ``(k, l) = <v_l, v_k>``; Hermitian PSD."""
-    if len(vectors) == 0:
-        raise ValueError("need at least one vector")
-    dim = np.asarray(vectors[0]).shape[0]
-    cols = [as_cvector(v, dim) for v in vectors]
-    V = np.column_stack(cols)
-    return V.conj().T @ V

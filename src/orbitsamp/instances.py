@@ -163,19 +163,19 @@ def representation_from_characters(rng, H, *, distortion=0.0, dim=None):
     ``i`` carries character ``i``, so the orbit of a generator with full
     eigen-support is linearly independent.  Returns ``(rep, a)``.
     """
-    dual = DualGroup(H)
-    n = H.order
+    n, rank = H.order, len(H.group.moduli)
     if dim is None:
         dim = n
     if dim < n:
         raise ValueError("dimension must be at least the subgroup order")
     V = _random_similarity(rng, dim, distortion)
     Vinv = np.linalg.inv(V)
+    # column i: every character at generator i
+    chi = DualGroup(H).character_table()[:, H.index(np.reshape(H.generators, (-1, rank)))]
     ops = []
-    for g in H.generators:
+    for values in chi.T:
         eigs = np.ones(dim, dtype=complex)
-        for i, gamma in enumerate(dual):
-            eigs[i] = dual.value(gamma, g)
+        eigs[:n] = values
         ops.append(V @ np.diag(eigs) @ Vinv)
     rep = GroupRepresentation(H, ops)
     coeff = np.zeros(dim, dtype=complex)

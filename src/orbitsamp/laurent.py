@@ -171,10 +171,9 @@ class LaurentPoly:
         lo = min(self.min_deg, other.min_deg)
         hi = max(self.max_deg, other.max_deg)
         coeffs = [0] * (hi - lo + 1)
-        for k in self.exponents():
-            coeffs[k - lo] += self.coeff(k)
-        for k in other.exponents():
-            coeffs[k - lo] += other.coeff(k)
+        for p in (self, other):
+            for i, c in enumerate(p.coeffs, start=p.min_deg - lo):
+                coeffs[i] += c
         return LaurentPoly(lo, coeffs)
 
     __radd__ = __add__
@@ -256,65 +255,16 @@ class LaurentPoly:
         return f"LaurentPoly({self.min_deg}, {self.coeffs!r})"
 
 
-# -- dense polynomial helpers on ascending Fraction lists -------------------
-
-
-def _trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_add(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, v in enumerate(a):
-        out[i] += v
-    for i, v in enumerate(b):
-        out[i] += v
-    return _trim(out)
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return _trim(out)
-
-
-def _poly_divmod(a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = [Fraction(v) for v in a]
-    quo = [Fraction(0)] * max(0, len(rem) - len(b) + 1)
-    while len(rem) >= len(b):
-        if rem[-1] == 0:
-            rem.pop()
-            continue
-        k = len(rem) - len(b)
-        c = rem[-1] / b[-1]
-        quo[k] = c
-        for i, bi in enumerate(b):
-            rem[k + i] -= c * bi
-        rem.pop()
-    return _trim(quo), _trim(rem)
-
-
-def _poly_gcdext(a, b):
-    """Extended Euclid on ascending coefficient lists: g = u*a + v*b."""
-    r0, r1 = [Fraction(v) for v in a], [Fraction(v) for v in b]
-    s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
-    while r1:
-        q, rem = _poly_divmod(r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, _poly_add(s0, [-c for c in _poly_mul(q, s1)])
-        t0, t1 = t1, _poly_add(t0, [-c for c in _poly_mul(q, t1)])
-    return r0, s0, t0
+def _divmod(a, b):
+    """Exact long division of ordinary polynomials (no negative exponents)."""
+    rem = [0] * a.min_deg + list(a.coeffs)  # ascending from z^0
+    n = b.max_deg
+    quo = [0] * max(0, len(rem) - n)
+    for k in reversed(range(len(quo))):
+        c = quo[k] = rem[k + n] / b.coeffs[-1]
+        for i, bi in enumerate(b.coeffs, start=k + b.min_deg):
+            rem[i] -= c * bi
+    return LaurentPoly(0, quo), LaurentPoly(0, rem[:n])
 
 
 def _unit_inverse(p):
@@ -353,24 +303,28 @@ def bezout(g1, g2):
             common_factor=g2 if g1.is_zero else g1,
         )
 
-    p1 = [Fraction(c) for c in g1.coeffs]
-    p2 = [Fraction(c) for c in g2.coeffs]
-    g, u, v = _poly_gcdext(p1, p2)
-    if len(g) > 1:
-        lead = g[-1]
-        monic = LaurentPoly(0, [c / lead for c in g])
+    # extended Euclid on the ordinary parts: r0 = s0*p1 + t0*p2 throughout
+    p1, p2 = (LaurentPoly(0, [Fraction(c) for c in g.coeffs]) for g in (g1, g2))
+    r0, r1 = p1, p2
+    s0, s1 = LaurentPoly.one(), LaurentPoly.zero()
+    t0, t1 = LaurentPoly.zero(), LaurentPoly.one()
+    while not r1.is_zero:
+        q, rem = _divmod(r0, r1)
+        r0, r1 = r1, rem
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    if r0.max_deg > 0:
+        monic = r0 * (1 / r0.coeffs[-1])
         raise CoprimalityError(
             f"common factor {monic} divides both polynomials", common_factor=monic
         )
-    d = g[0]
-    u = [c / d for c in u]
-    v = [c / d for c in v]
+    unit = 1 / r0.coeffs[0]
     # canonical representative: reduce u modulo p2, fold the quotient into v
-    q, u = _poly_divmod(u, p2)
-    v = _poly_add(v, _poly_mul(q, p1))
+    q, u = _divmod(s0 * unit, p2)
+    v = t0 * unit + q * p1
 
-    h1 = LaurentPoly(-g1.min_deg, u)
-    h2 = LaurentPoly(-g2.min_deg, v)
+    h1 = u.shifted(-g1.min_deg)
+    h2 = v.shifted(-g2.min_deg)
     identity = g1 * h1 + g2 * h2
     if identity != LaurentPoly.one():
         raise RuntimeError("Bezout identity failed to verify exactly")

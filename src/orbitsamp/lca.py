@@ -18,12 +18,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .duals import DualFamily, frame_bounds
-from .hilbert import LinearOperator, as_cvector
+from .hilbert import RANK_TOL, LinearOperator, as_cvector
 
 __all__ = [
     "FiniteAbelianGroup",
@@ -55,7 +54,7 @@ class GroupFrameError(ValueError):
 
 @dataclass(frozen=True)
 class FiniteAbelianGroup:
-    """Product of cyclic groups; elements are tuples modulo the moduli."""
+    """Product of cyclic groups; elements are integer rows modulo the moduli."""
 
     moduli: tuple
 
@@ -77,24 +76,11 @@ class FiniteAbelianGroup:
         """Least common multiple ``L`` of the moduli: every phase is a multiple of ``1/L``."""
         return math.lcm(*self.moduli)
 
-    @property
-    def identity(self):
-        return (0,) * len(self.moduli)
-
     def reduce(self, x):
         x = tuple(int(v) for v in x)
         if len(x) != len(self.moduli):
             raise ValueError(f"element rank {len(x)} does not match the group")
         return tuple(v % d for v, d in zip(x, self.moduli))
-
-    def add(self, x, y):
-        return tuple((a + b) % d for a, b, d in zip(x, y, self.moduli))
-
-    def neg(self, x):
-        return tuple((-a) % d for a, d in zip(x, self.moduli))
-
-    def elements(self):
-        return itertools.product(*(range(d) for d in self.moduli))
 
     def flat(self, elements):
         """Lexicographic rank of each element in the last axis of an integer array."""
@@ -194,16 +180,12 @@ def _phases(group, labels, elements):
     return P % L
 
 
-def _characters(group, P):
-    return np.exp(2j * np.pi * (P / group.exponent))
-
-
 class DualGroup:
     """Characters of a subgroup, labeled by ambient frequency tuples.
 
     Two ambient labels induce the same character when they agree on the
     subgroup's generators; each class is represented by its lexicographically
-    smallest member, so dual arithmetic canonicalizes after adding labels.
+    smallest member, and ``indices`` maps any ambient label to its class.
     The classes are found once for the whole ambient group, from the phases
     of every ambient label on the generators.
     """
@@ -234,36 +216,11 @@ class DualGroup:
         """Dual index of each ambient label in the last axis of an integer array."""
         return self._class[self.H.group.flat(labels)]
 
-    def canonical(self, label):
-        return self.labels[self.index(label)]
-
-    def add(self, g1, g2):
-        return self.canonical(self.H.group.add(g1, g2))
-
-    def neg(self, g):
-        return self.canonical(self.H.group.neg(g))
-
-    def index(self, label):
-        return int(self.indices(self.H.group.reduce(label)))
-
-    def _phase(self, label, h):
-        if h not in self.H:
-            raise ValueError(f"{h} is not in the subgroup")
-        group = self.H.group
-        label, h = (_rows(group.reduce(x), len(group.moduli)) for x in (label, h))
-        return int(_phases(group, label, h)[0, 0])
-
-    def pairing_exponent(self, label, h):
-        """Exact fraction ``t`` with ``(h, label) = exp(2 pi i t)``."""
-        return Fraction(self._phase(label, h), self.H.group.exponent)
-
-    def value(self, label, h):
-        return complex(_characters(self.H.group, self._phase(label, h)))
-
     def character_table(self):
         """``chi[gamma, h] = (h, gamma)`` over the sorted labels and sorted ``H``."""
         group = self.H.group
-        return _characters(group, _phases(group, self.label_array, self.H.element_array))
+        P = _phases(group, self.label_array, self.H.element_array)
+        return np.exp(2j * np.pi * (P / group.exponent))
 
 
 @dataclass(frozen=True)
@@ -333,10 +290,13 @@ def section_omega(dual, perp):
     return omega
 
 
-def _max_abs_gap(lhs, rhs, tol):
-    """Whether two products differ by more than ``tol`` times their entry scale."""
+HOMOMORPHISM_TOL = 1e-8
+
+
+def _max_abs_gap(lhs, rhs):
+    """Whether two products differ by more than ``HOMOMORPHISM_TOL`` times their entry scale."""
     scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))), 1.0)
-    return float(np.max(np.abs(lhs - rhs))) > tol * scale
+    return float(np.max(np.abs(lhs - rhs))) > HOMOMORPHISM_TOL * scale
 
 
 class GroupRepresentation:
@@ -346,13 +306,13 @@ class GroupRepresentation:
     the product of the powers ``T_i^{n_i}``, formed on request.  A commuting
     assignment factors through ``Z^k / L = H`` exactly when it kills a basis
     of the relation lattice ``L``, so the homomorphism law is checked in two
-    parts, each within ``tol`` times the entry scale of the compared
+    parts, each within ``HOMOMORPHISM_TOL`` times the entry scale of the compared
     products: the generators commute pairwise, and each row of
     ``H.relations`` maps to the identity (``T_i^{d_i}`` equals the product of
     the later generators' powers it names).
     """
 
-    def __init__(self, H, generator_ops, *, tol=1e-8):
+    def __init__(self, H, generator_ops):
         if len(generator_ops) != len(H.generators):
             raise RepresentationError("need exactly one operator per subgroup generator")
         ops = [
@@ -367,14 +327,14 @@ class GroupRepresentation:
         self._matrices = [op.matrix for op in ops]
         T = self._matrices
         for i, j in itertools.combinations(range(len(T)), 2):
-            if _max_abs_gap(T[i] @ T[j], T[j] @ T[i], tol):
+            if _max_abs_gap(T[i] @ T[j], T[j] @ T[i]):
                 raise RepresentationError(
                     f"assignment is not a homomorphism: generators {i} and {j} do not commute"
                 )
         for i, row in enumerate(H.relations):
             rest = -row
             rest[i] = 0
-            if _max_abs_gap(np.linalg.matrix_power(T[i], int(row[i])), self._monomial(rest), tol):
+            if _max_abs_gap(np.linalg.matrix_power(T[i], int(row[i])), self._monomial(rest)):
                 raise RepresentationError(
                     f"assignment is not a homomorphism: relation {row.tolist()} "
                     "of the generators does not map to the identity"
@@ -391,9 +351,6 @@ class GroupRepresentation:
 
     def op(self, h):
         return self._monomial(self.H.coordinates(h))
-
-    def apply(self, h, v):
-        return self.op(h) @ v
 
     def orbit(self, vectors, K=None, *, adjoint=False):
         """``Pi(k) v`` (or ``Pi(k)^H v``) for every ``k`` of ``K <= H``, sorted.
@@ -457,7 +414,7 @@ class GroupSpectrum:
         return self.rep.orbit(self.generator)
 
 
-def build_group_G_matrix(rep, a, samplers, H, M, *, rank_tol=1e-10):
+def build_group_G_matrix(rep, a, samplers, H, M):
     """Spectra of the sampler correlations, stacked over the section.
 
     Requires the orbit of ``a`` under the representation to be linearly
@@ -477,7 +434,7 @@ def build_group_G_matrix(rep, a, samplers, H, M, *, rank_tol=1e-10):
 
     orbit = rep.orbit(a)
     sv = np.linalg.svd(orbit, compute_uv=False)
-    if sv[-1] <= rank_tol * sv[0]:
+    if sv[-1] <= RANK_TOL * sv[0]:
         ratio = sv[-1] / sv[0] if sv[0] > 0 else 0.0
         raise RepresentationError(
             f"orbit of the generator is linearly dependent (sigma ratio {ratio:.3e})"

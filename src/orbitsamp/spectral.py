@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 MIN_GRID_FACTOR = 64
+TAIL_TOL = 1e-6
 
 
 class FrameError(ValueError):
@@ -244,10 +245,6 @@ class DualField:
     h_values: np.ndarray
     residual_max: float
 
-    @property
-    def dual_rows(self):
-        return self.h_values[:, : self.field.L, :]
-
 
 def _dual_residual(field, h_values):
     L = field.L
@@ -292,14 +289,14 @@ def dual_field_from_sequences(field, hs):
     return DualField(field=field, h_values=h, residual_max=_dual_residual(field, h))
 
 
-def reconstruction_coefficients(dual, length=None, *, tail_tol=1e-6):
+def reconstruction_coefficients(dual, length=None):
     """Orbit-basis coefficients of the reconstruction vectors.
 
     Inverse DFT of the full-circle samples of ``r * conj(h_j)``, truncated to
     a window of ``length`` coefficients centred at zero.  Returns one list of
     ``L`` sequences per sampler.  Tail energy is measured within the ``Q``
     aliased DFT coefficients; when the part outside the window exceeds
-    ``tail_tol`` of the total, the truncation is refused and the caller must
+    ``TAIL_TOL`` of the total, the truncation is refused and the caller must
     raise ``length``.  Trigonometric-polynomial duals come out exactly
     (aliasing hits only the zero tail).
     """
@@ -318,7 +315,7 @@ def reconstruction_coefficients(dual, length=None, *, tail_tol=1e-6):
     total = np.sum(np.abs(coeffs) ** 2, axis=-1)
     kept = coeffs[..., window % Q]
     tail = total - np.sum(np.abs(kept) ** 2, axis=-1)
-    refused = np.argwhere((total > 0) & (tail > tail_tol * total))
+    refused = np.argwhere((total > 0) & (tail > TAIL_TOL * total))
     if refused.size:
         j, l = refused[0]
         raise TailEnergyError(

@@ -23,6 +23,7 @@ from orbitsamp.lca import (
     take_group_samples,
 )
 from orbitsamp.instances import representation_from_characters
+from oracles import is_r_circulant
 
 
 def report(name, passed, detail):
@@ -127,7 +128,7 @@ def test_criterion_4_structured_inverse_invariants(cyclic_instances):
                     if not np.array_equal(col[offs[l] : offs[l + 1]], seg):
                         all_exact = False
         pt = np.linalg.pinv(R.matrix).T
-        if not o.is_r_circulant(pt, R.ell, R.r, col_periods=list(R.orders), tol=1e-10):
+        if not is_r_circulant(pt, R.ell, R.r, col_periods=list(R.orders), tol=1e-10):
             all_circ = False
     ok = worst_resid <= 1e-10 and all_exact and all_circ
     report(

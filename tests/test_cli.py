@@ -584,13 +584,57 @@ class TestFuzz:
                 with open(samples, "w") as fh:
                     fh.write("\n".join(rows) + "\n")
             out = os.path.join(tmp, "absent" if edit[0] == "no output directory" else "", "o")
-            argv = [command, "--input", problem, "--out", out]
+            argv = [command, "--input", problem]
+            if command != "analyze":
+                argv += ["--out", out]
             if command == "reconstruct":
                 argv += ["--samples", samples]
             sink = io.StringIO()
             with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
                 rc = cli.main(argv)
         assert rc in (0, 1, 2)
+
+
+def not_recoverable_cases():
+    """``(command, document, samples or None, reason prefix, stdout line count)``."""
+    deficient = cyclic_problem([E4[0]])
+    common_zero = spline_shift_problem("pseudoinverse")
+    common_zero["sequences"] = {
+        "g1": {"offset": 0, "values": cpairs([1, 1])},
+        "g2": {"offset": 0, "values": cpairs([2, 2])},
+    }
+    shared_factor = spline_shift_problem()
+    shared_factor["sequences"] = {
+        "g1": {"offset": 0, "values": cpairs([1, 2, 1])},
+        "g2": {"offset": 0, "values": cpairs([1, 3, 2])},
+    }
+    one_sampler = lca_problem()
+    one_sampler["samplers"] = one_sampler["samplers"][:1]
+    return {
+        "cyclic dual rank": ("dual", deficient, None, "not recoverable: rank 2/4", 1),
+        "cyclic reconstruct rank": ("reconstruct", deficient, [1, 2], "not recoverable: rank", 1),
+        "shift frame": ("dual", common_zero, None, "frame test failed", 1),
+        # the dual residual is reported before the truncation is refused
+        "shift truncation": ("dual", spline_shift_problem("pseudoinverse"), None,
+                             "truncation refused", 2),
+        "bezout coprimality": ("dual", shared_factor, None, "coprimality failure", 1),
+        "lca sigma ratio": ("dual", one_sampler, None, "not recoverable: sigma_min/sigma_max", 1),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(not_recoverable_cases()))
+def test_not_recoverable_one_line(tmp_path, case):
+    command, doc, samples, reason, lines = not_recoverable_cases()[case]
+    argv = [command, "--input", write_problem(tmp_path, doc), "--out", str(tmp_path / "o")]
+    if samples is not None:
+        path = tmp_path / "s.csv"
+        cli.write_vector_csv(str(path), samples)
+        argv += ["--samples", str(path)]
+    proc = run_cli(*argv)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    out = proc.stdout.splitlines()
+    assert len(out) == lines and out[-1].startswith(reason)
 
 
 class TestSplineDemo:
@@ -740,6 +784,8 @@ class TestMalformedNumbers:
             lambda: cyclic_problem([E4[0], E4[1]]),
             lambda d: d.__setitem__("dimension", "four"),
         ),
+        "lca-dimension-wrong": (lca_problem, lambda d: d.__setitem__("dimension", 7)),
+        "lca-dimension-word": (lca_problem, lambda d: d.__setitem__("dimension", "seven")),
         "shift-r": (spline_shift_problem, lambda d: d.__setitem__("r", "one")),
         "shift-grid": (spline_shift_problem, lambda d: d.__setitem__("grid", "fine")),
         "sequence-offset": (
@@ -785,7 +831,8 @@ class TestMalformedNumbers:
         doc = make()
         edit(doc)
         path = write_problem(tmp_path, doc)
-        assert cli.main([command, "--input", path, "--out", str(tmp_path / "d")]) == 2
+        out = ["--out", str(tmp_path / "d")] if command == "dual" else []
+        assert cli.main([command, "--input", path, *out]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "expected an integer" in err
@@ -811,6 +858,48 @@ class TestMalformedNumbers:
     def test_ragged_matrix_rejected(self):
         with pytest.raises(cli.SchemaError):
             cli._matrix([[[1, 0], [0, 0]], [[1, 0]]], "operator")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spline-demo", "--K", "3", "--p", "0"],
+            ["spline-demo", "--K", "-3", "--p", "2"],
+            ["spline-demo", "--K", "1", "--p", "2"],
+            ["spline-demo", "--K", "3", "--p", "4", "--grid", "0"],
+            ["spline-demo", "--K", "3", "--p", "4", "--grid", "-5"],
+            ["pr-check", "--input", os.path.join(ROOT, "problems", "bank_spline.json"),
+             "--grid", "0"],
+            ["analyze", "--input", os.path.join(ROOT, "problems", "cyclic_perm.json"),
+             "--tol", "nan"],
+            ["analyze", "--input", os.path.join(ROOT, "problems", "cyclic_rank2.json"),
+             "--tol", "-1"],
+            ["lca-demo", "--tol", "inf"],
+        ],
+        ids=lambda argv: " ".join(a for a in argv if not a.endswith(".json")),
+    )
+    def test_out_of_range_flag_exit_two(self, argv):
+        proc = run_cli(*argv)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: --") and proc.stderr.count("\n") == 1
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--input", os.path.join(ROOT, "problems", "cyclic_perm.json"),
+             "--out", "x"],
+            ["spline-demo", "--K", "3", "--p", "4", "--tol", "1e-3"],
+            ["lca-demo", "--grid", "64"],
+            ["pr-check", "--input", os.path.join(ROOT, "problems", "bank_spline.json"),
+             "--tol", "1e-3"],
+        ],
+        ids=lambda argv: " ".join(a for a in argv if not a.endswith(".json")),
+    )
+    def test_undeclared_flag_rejected(self, argv):
+        proc = run_cli(*argv)
+        assert proc.returncode == 2
+        assert "unrecognized arguments" in proc.stderr and proc.stdout == ""
 
     def test_numbers_accepted(self):
         v = cli._vector([[1, 2.5], [True, False], [2**70, -3]], "samplers")

@@ -12,19 +12,18 @@ from orbitsamp.cyclic import (
     build_sample_matrix,
     check_rank,
     filter_bank_coefficients,
-    is_r_circulant,
-    project_onto_subspace,
     reconstruct,
     reconstruction_vectors,
     structurize_left_inverse,
     take_samples,
 )
-from orbitsamp.hilbert import LinearOperator, inner
+from orbitsamp.hilbert import LinearOperator
 from orbitsamp.instances import (
     CyclicInstanceConfig,
     operator_with_orders,
     random_cyclic_instance,
 )
+from oracles import inner, is_r_circulant, project_onto_subspace
 
 
 def shift_spec(n):

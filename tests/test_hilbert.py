@@ -7,9 +7,8 @@ from orbitsamp.hilbert import (
     DimensionMismatch,
     LinearOperator,
     cross_correlation,
-    gram_matrix,
-    inner,
 )
+from oracles import gram_matrix, inner
 
 
 def cyclic_shift(n):

@@ -159,6 +159,10 @@ class TestBezout:
         except CoprimalityError:
             return
         assert g1 * h1 + g2 * h2 == LaurentPoly.one()
+        if len(g2.coeffs) > 1:
+            # degree-minimal: h1 is reduced modulo the ordinary part of g2
+            u = h1.shifted(g1.min_deg)
+            assert u.is_zero or (u.min_deg >= 0 and u.max_deg < g2.max_deg - g2.min_deg)
 
 
 class TestEvalTorus:
