@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -122,14 +123,19 @@ def _sequence(doc, name):
     )
 
 
-def load_problem(path):
+def _read_json(path, what):
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise SchemaError(f"cannot read problem file: {exc}") from exc
-    except ValueError as exc:  # malformed JSON, or an integer literal too long to convert
-        raise SchemaError(f"invalid JSON: {exc}") from exc
+        raise SchemaError(f"cannot read {what}: {exc}") from exc
+    # bad syntax or bytes, an integer literal too long, nesting too deep
+    except (ValueError, RecursionError) as exc:
+        raise SchemaError(f"invalid JSON in {what}: {exc}") from exc
+
+
+def load_problem(path):
+    doc = _read_json(path, "problem file")
     if not isinstance(doc, dict):
         raise SchemaError("problem file must hold a JSON object")
     model = _require(doc, "model")
@@ -139,6 +145,7 @@ def load_problem(path):
 
 
 def _load_cyclic(doc):
+    """``(spec, scheme, R)``; a dependent orbit exits 2 like any invalid field."""
     dim = _int(_require(doc, "dimension"), "dimension")
     op_m = _matrix(_require(doc, "operator"), "operator")
     if op_m.shape != (dim, dim):
@@ -150,11 +157,12 @@ def _load_cyclic(doc):
         spec = cyclic.CyclicSubspaceSpec(operator=op, generators=generators, orders=orders)
         samplers = _list(_require(doc, "samplers"), "samplers", _vector)
         scheme = cyclic.SamplingScheme.for_spec(spec, samplers, _int(_require(doc, "r"), "r"))
+        R = cyclic.build_sample_matrix(spec, scheme)
     except SchemaError:
         raise
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
-    return spec, scheme
+    return spec, scheme, R
 
 
 def _load_shift(doc, grid):
@@ -215,24 +223,25 @@ def _load_lca(doc):
 
 
 def write_vector_csv(path, values, indices=None, exact=None):
-    """Write ``index,re,im`` rows; ``exact`` supplies Fraction pairs instead."""
-    n = len(exact) if exact is not None else len(values)
+    """Write ``index,re,im`` rows; ``exact`` supplies Fraction pairs instead.
+
+    One pass formats the bytes ``csv.writer`` would (CRLF, nothing to quote).
+    """
+    if exact is not None:
+        fmt = "%d,%s,%s\r\n"
+        re = [str(Fraction(x)) for x, _ in exact]
+        im = [str(Fraction(y)) for _, y in exact]
+    else:
+        values = np.asarray(values, dtype=complex)
+        fmt, re, im = "%d,%.17g,%.17g\r\n", values.real.tolist(), values.imag.tolist()
     if indices is None:
-        indices = range(n)
+        indices = range(len(re))
+    text = "index,re,im\r\n" + "".join([fmt % row for row in zip(indices, re, im)])
     try:
-        fh = open(path, "w", newline="")
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
     except OSError as exc:
         raise SchemaError(f"cannot write {path}: {exc.strerror}") from exc
-    with fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "re", "im"])
-        if exact is not None:
-            for i, (re, im) in zip(indices, exact):
-                writer.writerow([i, str(Fraction(re)), str(Fraction(im))])
-        else:
-            for i, v in zip(indices, values):
-                v = complex(v)
-                writer.writerow([i, _fmt(v.real), _fmt(v.imag)])
 
 
 def _parse_cell(text, path):
@@ -276,8 +285,7 @@ def cmd_analyze(args):
     model = doc["model"]
     print(f"model: {model}")
     if model == "cyclic":
-        spec, scheme = _load_cyclic(doc)
-        R = cyclic.build_sample_matrix(spec, scheme)
+        _, _, R = _load_cyclic(doc)
         report = cyclic.check_rank(R, rank_tol=args.tol)
         print(f"rank {report.rank}/{report.cols}")
         print(f"singular values: {_fmt_vec(report.singular_values)}")
@@ -319,11 +327,7 @@ def _structured_inverse(R, U, tol):
 def _load_u_matrix(path):
     if path is None:
         return None
-    try:
-        with open(path) as fh:
-            return _matrix(json.load(fh), "u-matrix")
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"cannot read U matrix: {exc}") from exc
+    return _matrix(_read_json(path, "U matrix"), "u-matrix")
 
 
 def _write_duals(prefix, vectors):
@@ -338,8 +342,7 @@ def cmd_dual(args):
     U = _load_u_matrix(args.u_matrix)
     prefix = args.out or "dual"
     if model == "cyclic":
-        spec, scheme = _load_cyclic(doc)
-        R = cyclic.build_sample_matrix(spec, scheme)
+        spec, scheme, R = _load_cyclic(doc)
         hs = _structured_inverse(R, U, args.tol)
         basis = cyclic.reconstruction_vectors(spec, hs)
         print(f"left-inverse residual: {_fmt(hs.certified_residual)}")
@@ -424,7 +427,7 @@ def cmd_reconstruct(args):
     _, samples = read_vector_csv(args.samples)
     prefix = args.out or "reconstruction"
     if model == "cyclic":
-        spec, scheme = _load_cyclic(doc)
+        spec, scheme, R = _load_cyclic(doc)
         dim, expected, count = spec.operator.dim, scheme.s * scheme.ell, "s*ell"
     else:
         spectrum = _load_lca(doc)
@@ -435,7 +438,6 @@ def cmd_reconstruct(args):
     if truth is not None and truth.size != dim:
         raise SchemaError(f"truth: expected {dim} entries, got {truth.size}")
     if model == "cyclic":
-        R = cyclic.build_sample_matrix(spec, scheme)
         hs = _structured_inverse(R, None, args.tol)
         basis = cyclic.reconstruction_vectors(spec, hs)
         x = cyclic.reconstruct(spec, scheme, basis, samples)
@@ -462,6 +464,16 @@ def cmd_reconstruct(args):
     return 0
 
 
+def _pr_check(bank, grid):
+    """PR report on ``grid`` torus points (default 1024), or exit 2 before any output."""
+    try:
+        return spectral.perfect_reconstruction_check(
+            bank, torus_grid=1024 if grid is None else grid
+        )
+    except ValueError as exc:
+        raise SchemaError(f"torus {exc}") from exc
+
+
 def _print_pr_report(pr):
     print(f"PR torus residual on {pr.torus_grid} points: {_fmt(pr.max_residual)}")
     print(f"PR torus residual relative to max |G||H|: {_fmt(pr.relative_residual)}")
@@ -478,6 +490,7 @@ def cmd_spline_demo(args):
         sb = spectral.bspline_filter_bank(args.K, args.p)
     except CoprimalityError as exc:
         raise NotRecoverable(f"coprimality failure for K={args.K}, p={args.p}: {exc}") from exc
+    pr = _pr_check(sb.bank, args.grid)
     mp = sb.mp
     print(f"M_{args.p} values on |n| <= {mp.radius}: {' '.join(str(v) for v in mp.values)}")
     g1, g2 = sb.g_polys
@@ -488,10 +501,8 @@ def cmd_spline_demo(args):
     print(f"H2(z) = {h2}")
     residual_poly = g1 * h1 + g2 * h2 - LaurentPoly.one()
     print(f"bezout residual polynomial: {residual_poly} (exact)")
-    grid = args.grid if args.grid is not None else 1024
-    pr = spectral.perfect_reconstruction_check(sb.bank, torus_grid=grid)
     _print_pr_report(pr)
-    cert = positivity_certificate(g1, grid)
+    cert = positivity_certificate(g1, pr.torus_grid)
     verdict = "strictly positive" if cert.positive else "NOT strictly positive"
     print(
         f"g1 on {cert.grid} grid points: min {_fmt(cert.min_value)} "
@@ -516,6 +527,7 @@ def cmd_pr_check(args):
     if not hs:
         raise SchemaError("sequences: need analysis/synthesis pairs h1/g1, h2/g2, ...")
     bank = spectral.FilterBank(analysis=hs, synthesis=gs, r=r)
+    pr = _pr_check(bank, args.grid)
     Hp, Gp = spectral.polyphase(bank)
     print("analysis polyphase matrix H(z):")
     for jrow, row in enumerate(Hp, start=1):
@@ -525,8 +537,6 @@ def cmd_pr_check(args):
     for k, row in enumerate(Gp):
         for jcol, entry in enumerate(row, start=1):
             print(f"  G[{k},{jcol}] = {entry}")
-    grid = args.grid if args.grid is not None else 1024
-    pr = spectral.perfect_reconstruction_check(bank, torus_grid=grid)
     _print_pr_report(pr)
     return 0 if pr.passed else 1
 
@@ -611,6 +621,7 @@ _COMMANDS = {
 _OPTIONAL_INPUT = ("spline-demo", "lca-demo")
 
 
+@functools.cache  # one parser per process: ``parse_args`` leaves it unchanged
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="orbitsamp",
@@ -627,10 +638,14 @@ def _build_parser():
 
 def _check_flags(args):
     """Value ranges of the numeric flags, which ``argparse`` types leave open."""
-    for flag in ("K", "p", "grid"):
+    for flag in ("K", "p"):
         value = getattr(args, flag, None)
         if value is not None and value <= 0:
             raise SchemaError(f"--{flag} must be positive, got {value}")
+    # the shift grid (per unit interval) and the torus grid share the floor
+    grid = getattr(args, "grid", None)
+    if grid is not None and grid < spectral.MIN_GRID_FACTOR:
+        raise SchemaError(f"--grid must be at least {spectral.MIN_GRID_FACTOR}, got {grid}")
     tol = getattr(args, "tol", 0.0)
     if not (math.isfinite(tol) and tol >= 0):
         raise SchemaError(f"--tol must be a finite nonnegative number, got {tol}")

@@ -59,8 +59,9 @@ class LeftInverseError(ValueError):
 class CyclicSubspaceSpec:
     """Operator plus generators of declared orbit periods.
 
-    Construction verifies that ``T^{N_l} a_l == a_l`` within ``PERIOD_TOL``
-    relative and that the combined orbit family is linearly independent.
+    Construction verifies that there are at most ``dim`` orbit vectors and
+    that ``T^{N_l} a_l == a_l`` within ``PERIOD_TOL`` relative;
+    ``build_sample_matrix`` certifies that they are independent.
     """
 
     operator: LinearOperator
@@ -75,6 +76,11 @@ class CyclicSubspaceSpec:
         self.orders = [int(n) for n in self.orders]
         if any(n < 1 for n in self.orders):
             raise ValueError("orders must be positive")
+        if self.total_order > self.operator.dim:  # before the loop forms them all
+            raise RankDeficiencyError(
+                f"orbit vectors are linearly dependent "
+                f"({self.total_order} of them in dimension {self.operator.dim})"
+            )
         cols = []
         for a, n in zip(self.generators, self.orders):
             v = a
@@ -86,14 +92,7 @@ class CyclicSubspaceSpec:
                 raise ValueError(
                     f"generator is not fixed by T^{n} (relative drift {drift:.3e})"
                 )
-        orbit = np.column_stack(cols)
-        sv = np.linalg.svd(orbit, compute_uv=False)
-        if sv[-1] <= RANK_TOL * sv[0]:
-            ratio = sv[-1] / sv[0] if sv[0] > 0 else 0.0
-            raise RankDeficiencyError(
-                f"orbit vectors are linearly dependent (sigma ratio {ratio:.3e})"
-            )
-        self._orbit = orbit
+        self._orbit = np.column_stack(cols)
 
     @property
     def lcm_order(self):
@@ -234,18 +233,30 @@ def build_sample_matrix(spec, scheme):
     ``k``, indices reduced modulo ``N_l``.  Rows group all ``ell`` reads of
     the first sampler, then the second, and so on.  Every such value is an
     entry of ``S^H`` times the orbit matrix, so ``R`` is one product and a
-    gather.
+    gather.  Row block ``n`` is ``S^H T^{lcm - r n} O`` for the orbit matrix
+    ``O``, so ``rank R <= rank O``: ``R.blocks`` passing the rank test at
+    ``RANK_TOL`` certifies an independent orbit.  Otherwise ``O`` is
+    decomposed, and a dependent orbit raises ``RankDeficiencyError``.
     """
-    correlations = np.array(scheme.samplers).conj() @ spec.orbit_matrix()
+    orbit = spec.orbit_matrix()
+    correlations = np.array(scheme.samplers).conj() @ orbit
     idx = _shift_index(spec.orders, scheme.r, scheme.ell)
     matrix = correlations[:, idx].reshape(-1, spec.total_order)
-    return SampleMatrix(
+    R = SampleMatrix(
         matrix=matrix,
         r=scheme.r,
         ell=scheme.ell,
         orders=tuple(spec.orders),
         lcm_order=spec.lcm_order,
     )
+    if _numerical_rank(R.blocks.singular_values, RANK_TOL) < R.cols:
+        sv = np.linalg.svd(orbit, compute_uv=False)
+        if sv[-1] <= RANK_TOL * sv[0]:
+            ratio = sv[-1] / sv[0] if sv[0] > 0 else 0.0
+            raise RankDeficiencyError(
+                f"orbit vectors are linearly dependent (sigma ratio {ratio:.3e})"
+            )
+    return R
 
 
 def take_samples(spec, scheme, x):

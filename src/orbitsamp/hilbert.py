@@ -45,9 +45,10 @@ class LinearOperator:
     """Invertible operator on C^dim with a stored inverse and power table.
 
     The inverse is computed once at construction; negative powers are powers
-    of it rather than solves per call.  Only the exponents callers ask for are
-    kept (the sampling code asks for ``T^{+-r}``), each built by repeated
-    squaring.
+    of it rather than solves per call; its residual, within ``1e-10``, also
+    certifies ``sigma_min/sigma_max > RANK_TOL``.  Only the exponents callers
+    ask for are kept (the sampling code asks for ``T^{+-r}``), each built by
+    repeated squaring.
     """
 
     def __init__(self, matrix):
@@ -56,17 +57,25 @@ class LinearOperator:
             raise ValueError(f"operator matrix must be square, got {m.shape}")
         if not np.all(np.isfinite(m)):
             raise ValueError("operator entries must be finite")
-        sv = np.linalg.svd(m, compute_uv=False)
-        if sv[-1] <= RANK_TOL * sv[0]:
-            ratio = sv[-1] / sv[0] if sv[0] > 0 else 0.0
-            raise ValueError(
-                f"matrix is numerically singular (sigma_min/sigma_max = {ratio:.3e})"
-            )
-        inv = np.linalg.inv(m)
         dim = m.shape[0]
+        try:
+            inv = np.linalg.inv(m)
+        except np.linalg.LinAlgError:  # exactly singular: the SVD below says so
+            inv = np.full_like(m, np.nan)
         resid = np.max(np.abs(inv @ m - np.eye(dim)))
-        if resid > 1e-10:
-            raise ValueError(f"inverse verification failed (residual {resid:.3e})")
+        # ||inv @ m - I||_2 <= dim * resid, so sigma_min/sigma_max is at least
+        # (1 - dim * resid) / (||m||_F ||inv||_F); only when that is inconclusive
+        # does a values-only SVD decide, its singular test ahead of the residual's
+        bound = (1 - dim * resid) / (np.linalg.norm(m) * np.linalg.norm(inv))
+        if not (resid <= 1e-10 and bound > RANK_TOL):
+            sv = np.linalg.svd(m, compute_uv=False)
+            if sv[-1] <= RANK_TOL * sv[0]:
+                ratio = sv[-1] / sv[0] if sv[0] > 0 else 0.0
+                raise ValueError(
+                    f"matrix is numerically singular (sigma_min/sigma_max = {ratio:.3e})"
+                )
+            if not resid <= 1e-10:
+                raise ValueError(f"inverse verification failed (residual {resid:.3e})")
         self.matrix = m
         self.inv_matrix = inv
         self.dim = dim

@@ -42,6 +42,8 @@ __all__ = [
 ]
 
 MIN_GRID_FACTOR = 64
+# complex entries of one grid evaluation (sequences x grid points): 1 GiB
+MAX_GRID_ENTRIES = 1 << 26
 TAIL_TOL = 1e-6
 
 
@@ -190,6 +192,18 @@ def _nested_sequences(sequences):
     return rows, L
 
 
+def _check_grid(points, minimum, sequences):
+    """Refuse, unallocated, fewer than ``minimum`` points or more than
+    ``MAX_GRID_ENTRIES`` values for the ``sequences`` on them."""
+    if points < minimum:
+        raise ValueError(f"grid size {points} is too coarse; need at least {minimum}")
+    if sequences * points > MAX_GRID_ENTRIES:
+        raise ValueError(
+            f"grid size {points} is too fine: {sequences} sequences on it exceed "
+            f"{MAX_GRID_ENTRIES} complex entries (1 GiB)"
+        )
+
+
 def _translate_spectra(rows, r, Q):
     """Spectra of an ``s x L`` nest of sequences at ``w + k/r`` for ``w = q/Q < 1/r``.
 
@@ -213,7 +227,7 @@ def build_spectral_field(sequences, r, Q=None):
     ``sequences`` is one row per sampler; each row is a single sequence or a
     list of ``L`` per-generator sequences.  ``Q`` (default ``1024*r``) must be
     a multiple of ``r`` and at least ``64*r`` so the grid resolves the
-    polynomial spectra.
+    polynomial spectra, with at most ``MAX_GRID_ENTRIES`` values in all.
     """
     r = int(r)
     Q = 1024 * r if Q is None else int(Q)
@@ -221,9 +235,8 @@ def build_spectral_field(sequences, r, Q=None):
         raise ValueError("downsampling factor must be positive")
     if Q % r != 0:
         raise ValueError(f"grid size {Q} must be a multiple of r={r}")
-    if Q < MIN_GRID_FACTOR * r:
-        raise ValueError(f"grid size {Q} is too coarse; need at least {MIN_GRID_FACTOR * r}")
     rows, L = _nested_sequences(sequences)
+    _check_grid(Q, MIN_GRID_FACTOR * r, len(rows) * L)
     return SpectralField(r=r, L=L, Q=Q, values=_translate_spectra(rows, r, Q))
 
 
@@ -400,9 +413,11 @@ def perfect_reconstruction_check(fb, torus_grid=512, *, trials=16, max_support=6
     the rounding error of the product grows with that scale, which exact
     banks with large taps reach.  The report also carries the absolute
     residual and the worst relative round-trip error of ``trials`` random
-    finitely supported inputs through analysis and synthesis.
+    finitely supported inputs through analysis and synthesis.  The grid has
+    ``MIN_GRID_FACTOR`` points or more, ``MAX_GRID_ENTRIES / (s*r)`` or fewer.
     """
     r = fb.r
+    _check_grid(torus_grid, MIN_GRID_FACTOR, fb.s * r)
     # a polyphase entry at z = exp(-2 pi i w) is the spectrum of its component
     H = [[_phase(h, r, -k) for k in range(r)] for h in fb.analysis]
     G = [[_phase(g, r, k) for g in fb.synthesis] for k in range(r)]

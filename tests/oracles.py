@@ -1,14 +1,19 @@
 """Reference computations the tests compare the package against.
 
 Each is the direct textbook form of a quantity the package computes by a
-faster or structured route: dense inner products and Gram matrices, an
-entrywise r-circulant check, and a projection by the normal equations.
+faster or structured route: dense inner products and Gram matrices, the
+sample matrix entry by entry, an entrywise r-circulant check, a projection
+by the normal equations, an operator check that takes its SVD first, and
+CSV rows written by the ``csv`` module.
 """
+
+import csv
+from fractions import Fraction
 
 import numpy as np
 
 from orbitsamp.cyclic import RankDeficiencyError
-from orbitsamp.hilbert import DimensionMismatch, as_cvector
+from orbitsamp.hilbert import RANK_TOL, DimensionMismatch, as_cvector
 
 
 def inner(x, y):
@@ -66,3 +71,60 @@ def project_onto_subspace(spec, v):
     except np.linalg.LinAlgError as exc:
         raise RankDeficiencyError("orbit Gram matrix is singular") from exc
     return B @ gamma
+
+
+def sample_matrix(spec, scheme):
+    """Entries as direct inner products ``<T^k a_l, (T*)^{-rn} b_j>``."""
+    op = spec.operator
+    adj_inv = np.linalg.inv(op.matrix.conj().T)
+    rows = []
+    for b in scheme.samplers:
+        for n in range(scheme.ell):
+            analyzer = np.linalg.matrix_power(adj_inv, scheme.r * n) @ b
+            row = []
+            for a, Nl in zip(spec.generators, spec.orders):
+                v = a.copy()
+                for _ in range(Nl):
+                    row.append(inner(v, analyzer))
+                    v = op.matrix @ v
+            rows.append(row)
+    return np.array(rows)
+
+
+def operator_inverse(matrix):
+    """Inverse of a finite square matrix, verified the SVD-first way.
+
+    Raises ``ValueError`` when ``sigma_min/sigma_max <= RANK_TOL`` (singular
+    values of a values-only SVD), then whatever ``np.linalg.inv`` raises, then
+    ``ValueError`` unless ``max |inv @ m - I|`` is within ``1e-10``.
+    """
+    m = np.array(matrix, dtype=complex)
+    sv = np.linalg.svd(m, compute_uv=False)
+    if sv[-1] <= RANK_TOL * sv[0]:
+        ratio = sv[-1] / sv[0] if sv[0] > 0 else 0.0
+        raise ValueError(
+            f"matrix is numerically singular (sigma_min/sigma_max = {ratio:.3e})"
+        )
+    inv = np.linalg.inv(m)
+    resid = np.max(np.abs(inv @ m - np.eye(m.shape[0])))
+    if not resid <= 1e-10:
+        raise ValueError(f"inverse verification failed (residual {resid:.3e})")
+    return inv
+
+
+def write_vector_csv(path, values, indices=None, exact=None):
+    """``index,re,im`` rows through ``csv.writer``: floats at 17 significant
+    digits, ``exact`` Fraction pairs as ``p/q`` strings."""
+    n = len(exact) if exact is not None else len(values)
+    if indices is None:
+        indices = range(n)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["index", "re", "im"])
+        if exact is not None:
+            for i, (re, im) in zip(indices, exact):
+                writer.writerow([i, str(Fraction(re)), str(Fraction(im))])
+        else:
+            for i, v in zip(indices, values):
+                v = complex(v)
+                writer.writerow([i, format(v.real, ".17g"), format(v.imag, ".17g")])

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import types
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import orbitsamp as o
 from orbitsamp import cli
+from orbitsamp.hilbert import RANK_TOL
 from orbitsamp.instances import CyclicInstanceConfig, operator_with_orders, random_cyclic_instance
+import oracles
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
@@ -464,6 +467,30 @@ class TestInputOutputErrors:
         proc = self.run(command, problem, samples, str(tmp_path / "absent" / "o"))
         assert "cannot write" in proc.stderr
 
+    UNREADABLE_JSON = {
+        "integer literal too long": ("[[[" + "4" * 5000 + ", 0]]]").encode(),
+        "not UTF-8": b"\xff\xfe[[[1, 0]]]",
+        "nested too deep": b"[" * 100_000,
+    }
+
+    @pytest.mark.parametrize("content", sorted(UNREADABLE_JSON))
+    def test_unreadable_u_matrix(self, tmp_path, content):
+        problem, _ = self.problem_files(tmp_path)
+        u_matrix = tmp_path / "u.json"
+        u_matrix.write_bytes(self.UNREADABLE_JSON[content])
+        proc = run_cli("dual", "--input", problem, "--u-matrix", str(u_matrix),
+                       "--out", str(tmp_path / "d"))
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: invalid JSON in U matrix: ")
+        assert proc.stderr.count("\n") == 1 and proc.stdout == ""
+
+    def test_problem_nested_too_deep(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_bytes(self.UNREADABLE_JSON["nested too deep"])
+        proc = run_cli("analyze", "--input", str(path))
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: invalid JSON in problem file: ")
+
 
 @functools.cache
 def fuzz_bases():
@@ -479,7 +506,7 @@ def fuzz_bases():
             doc = json.load(fh)
         samples = np.zeros(4)
         if doc["model"] == "cyclic":
-            spec, scheme = cli._load_cyclic(doc)
+            spec, scheme, _ = cli._load_cyclic(doc)
             x = spec.synthesize(np.arange(1.0, spec.total_order + 1))
             samples = o.take_samples(spec, scheme, x)
         elif doc["model"] == "lca":
@@ -772,6 +799,36 @@ class TestCsvRoundTrip:
         assert back[0] == complex(float(Fraction(-38, 243)), 0.0)
 
 
+    FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+        [-0.0, 5e-324, -5e-324, 1.7976931348623157e308, 2.0**53, -3.0, 1e22, 0.1]
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pairs=st.lists(st.tuples(FLOATS, FLOATS), min_size=1, max_size=12),
+        start=st.none() | st.integers(-5, 5),
+    )
+    def test_float_rows_match_csv_module(self, pairs, start):
+        values = [complex(re, im) for re, im in pairs]
+        indices = None if start is None else range(start, start + len(values))
+        assert self.written(values, indices, None) == self.written(values, indices, None, oracles)
+
+    @settings(max_examples=100, deadline=None)
+    @given(pairs=st.lists(st.tuples(st.fractions(), st.fractions()), min_size=1, max_size=8))
+    def test_exact_rows_match_csv_module(self, pairs):
+        indices = range(-len(pairs) // 2, len(pairs) - len(pairs) // 2)
+        got = self.written(None, indices, pairs)
+        assert got == self.written(None, indices, pairs, oracles)
+
+    @staticmethod
+    def written(values, indices, exact, writer=cli):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "v.csv")
+            writer.write_vector_csv(path, values, indices=indices, exact=exact)
+            with open(path, "rb") as fh:
+                return fh.read()
+
+
 class TestMalformedNumbers:
     """Malformed numbers in problem files exit 2 with a one-line reason."""
 
@@ -867,8 +924,13 @@ class TestMalformedNumbers:
             ["spline-demo", "--K", "1", "--p", "2"],
             ["spline-demo", "--K", "3", "--p", "4", "--grid", "0"],
             ["spline-demo", "--K", "3", "--p", "4", "--grid", "-5"],
+            ["spline-demo", "--K", "3", "--p", "4", "--grid", "1"],
             ["pr-check", "--input", os.path.join(ROOT, "problems", "bank_spline.json"),
              "--grid", "0"],
+            ["pr-check", "--input", os.path.join(ROOT, "problems", "bank_spline.json"),
+             "--grid", "1"],
+            ["analyze", "--input", os.path.join(ROOT, "problems", "shift_spline.json"),
+             "--grid", "63"],
             ["analyze", "--input", os.path.join(ROOT, "problems", "cyclic_perm.json"),
              "--tol", "nan"],
             ["analyze", "--input", os.path.join(ROOT, "problems", "cyclic_rank2.json"),
@@ -883,6 +945,27 @@ class TestMalformedNumbers:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: --") and proc.stderr.count("\n") == 1
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--input", os.path.join(ROOT, "problems", "shift_spline.json"),
+             "--grid", "3000000000"],
+            ["dual", "--input", os.path.join(ROOT, "problems", "shift_spline.json"),
+             "--grid", str((o.spectral.MAX_GRID_ENTRIES >> 1) + 1)],
+            ["pr-check", "--input", os.path.join(ROOT, "problems", "bank_spline.json"),
+             "--grid", str((o.spectral.MAX_GRID_ENTRIES >> 1) + 1)],
+            ["spline-demo", "--K", "3", "--p", "4", "--grid", "3000000000"],
+        ],
+        ids=lambda argv: " ".join(a for a in argv if not a.endswith(".json")),
+    )
+    def test_grid_beyond_budget_exit_two(self, argv):
+        # two sequences: the grid just past half the budget is refused unallocated
+        proc = run_cli(*argv)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "too fine" in proc.stderr and proc.stderr.count("\n") == 1
+        assert proc.stdout in ("", "model: shift\n")  # analyze names the model first
 
     @pytest.mark.parametrize(
         "argv",
@@ -906,3 +989,173 @@ class TestMalformedNumbers:
         assert v.tolist() == [1 + 2.5j, 1 + 0j, complex(2**70, -3)]
         m = cli._matrix([[[1, 0], [0, 1]], [[0.5, 0], [2, 0]]], "operator")
         assert m.tolist() == [[1, 1j], [0.5, 2]]
+
+
+ORBIT_DEFECTS = ("none", "repeated generator", "short period", "scaled direction")
+
+
+def orbit_instance(orders, defect, seed, s, extra, r_pick):
+    """A cyclic problem document, its samples, its orbit matrix and ``R``.
+
+    ``defect`` makes the orbit dependent: a generator repeated, a period
+    declared twice its true length, or one eigendirection of the first
+    generator scaled by 1e-12.  The orbit matrix is formed from the parsed
+    file one step at a time, as an SVD-first orbit check forms it, and ``R``
+    entry by entry.
+    """
+    rng = np.random.default_rng(seed)
+    dim = sum(orders) + extra
+    op, gens = operator_with_orders(rng, dim, orders, distortion=0.2)
+    gens, orders = list(gens), list(orders)
+    if defect == "repeated generator":
+        gens.append(gens[0])
+        orders.append(orders[0])
+    elif defect == "short period":
+        orders[0] *= 2
+    elif defect == "scaled direction":
+        n0 = orders[0]
+        phase = np.exp(-2j * np.pi * int(rng.integers(n0)) * np.arange(n0) / n0)
+        component = sum(w * op.apply_power(n, gens[0]) for n, w in enumerate(phase)) / n0
+        gens[0] = gens[0] - (1 - 1e-12) * component
+    lcm = math.lcm(*orders)
+    divisors = [d for d in range(1, lcm + 1) if lcm % d == 0]
+    r = divisors[r_pick % len(divisors)]
+    samplers = [rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for _ in range(s)]
+    spec = types.SimpleNamespace(operator=op, generators=gens, orders=orders)
+    scheme = types.SimpleNamespace(samplers=samplers, r=r, ell=lcm // r)
+    R = oracles.sample_matrix(spec, scheme)
+    coeffs = rng.standard_normal(R.shape[1]) + 1j * rng.standard_normal(R.shape[1])
+    doc = {
+        "model": "cyclic",
+        "dimension": dim,
+        "operator": [cpairs(row) for row in op.matrix],
+        "generators": [cpairs(a) for a in gens],
+        "orders": orders,
+        "samplers": [cpairs(b) for b in samplers],
+        "r": r,
+    }
+    m = cli._matrix(doc["operator"], "operator")
+    cols = []
+    for a, n in zip(doc["generators"], orders):
+        v = cli._vector(a, "generators")
+        for _ in range(n):
+            cols.append(v)
+            v = m @ v
+    return doc, R @ coeffs, np.column_stack(cols), R
+
+
+def sigma_ratio(m):
+    sv = np.linalg.svd(m, compute_uv=False)
+    return sv[-1] / sv[0] if sv[0] > 0 else 0.0
+
+
+def run_in_process(argv):
+    """``(exit code, stdout, stderr)`` of ``cli.main`` in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+class TestOrbitCertificate:
+    """A full-rank ``R`` certifies the orbit; a dependent one exits 2.
+
+    The oracle is an up-front SVD of the orbit matrix, which is blind to the
+    directions a wide orbit matrix lacks.  Outcomes match it exactly except
+    in two documented classes: (1) an orbit with sigma ratio at or below
+    ``RANK_TOL`` whose ``R`` still clears ``RANK_TOL`` is accepted, since
+    ``R`` certifies it; (2) more orbit vectors than the dimension exit 2
+    with a count (the up-front SVD let some through to exit 1 on a
+    rank-deficient ``R``).
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        orders=st.sampled_from([[4], [6], [4, 2], [6, 3], [4, 4]]),
+        defect=st.sampled_from(ORBIT_DEFECTS),
+        seed=st.integers(0, 2**32 - 1),
+        s=st.integers(1, 4),
+        extra=st.integers(0, 8),
+        r_pick=st.integers(0, 5),
+        command=st.sampled_from(("analyze", "dual", "reconstruct")),
+    )
+    @example(orders=[4], defect="repeated generator", seed=0, s=4, extra=4, r_pick=0,
+             command="analyze")
+    @example(orders=[6], defect="short period", seed=1, s=2, extra=0, r_pick=0,
+             command="dual")
+    @example(orders=[4, 2], defect="scaled direction", seed=2, s=3, extra=1, r_pick=0,
+             command="reconstruct")
+    def test_exit_code_matches_orbit_svd_oracle(self, orders, defect, seed, s, extra,
+                                                r_pick, command):
+        doc, samples, orbit, R = orbit_instance(orders, defect, seed, s, extra, r_pick)
+        with tempfile.TemporaryDirectory() as tmp:
+            problem = os.path.join(tmp, "p.json")
+            with open(problem, "w") as fh:
+                json.dump(doc, fh)
+            argv = [command, "--input", problem]
+            if command != "analyze":
+                argv += ["--out", os.path.join(tmp, "o")]
+            if command == "reconstruct":
+                cli.write_vector_csv(os.path.join(tmp, "s.csv"), samples)
+                argv += ["--samples", os.path.join(tmp, "s.csv")]
+            rc, _, err = run_in_process(argv)
+        rows, cols = orbit.shape
+        if cols > rows:  # class (2)
+            assert rc == 2
+            assert err == (f"error: orbit vectors are linearly dependent "
+                           f"({cols} of them in dimension {rows})\n")
+            return
+        ratio = sigma_ratio(orbit)
+        if ratio <= RANK_TOL:
+            if R.shape[0] >= R.shape[1] and sigma_ratio(R) > RANK_TOL:  # class (1)
+                assert rc in (0, 1)
+                return
+            assert rc == 2
+            assert err == (f"error: orbit vectors are linearly dependent "
+                           f"(sigma ratio {ratio:.3e})\n")
+            return
+        # an independent orbit leaves the verdict to R alone
+        assert rc in (0, 1) and err == ""
+        if command == "analyze":
+            sv = np.linalg.svd(R, compute_uv=False)
+            assert (rc == 0) == (R.shape[0] >= R.shape[1] and sv[-1] > RANK_TOL * sv[0])
+
+
+def test_in_process_sequence_matches_fresh_processes(tmp_path, monkeypatch):
+    # one parser serves every call of the process; a fresh interpreter builds its own
+    monkeypatch.setenv("COLUMNS", "80")
+    doc, rows = fuzz_bases()["cyclic_perm.json"]
+    cyc = write_problem(tmp_path, doc)
+    samples = tmp_path / "s.csv"
+    samples.write_text("\n".join(rows) + "\n")
+    problem = functools.partial(os.path.join, ROOT, "problems")
+    out = str(tmp_path / "o")
+    sequence = [
+        ["analyze", "--input", cyc],
+        ["dual", "--input", cyc, "--out", out],
+        ["analyze", "--input", cyc, "--bogus"],
+        ["reconstruct", "--input", cyc, "--samples", str(samples), "--out", out],
+        ["analyze", "--input", problem("cyclic_rank2.json")],
+        [],
+        ["dual", "--input", problem("shift_spline.json"), "--out", out],
+        ["analyze", "--input", problem("shift_spline.json"), "--grid", "8"],
+        ["pr-check", "--input", problem("bank_spline.json")],
+        ["lca-demo", "--input", problem("lca_z4.json")],
+        ["reconstruct", "--input", cyc, "--out", out],
+        ["analyze", "--input", cyc],
+    ]
+
+    def written(result):
+        files = {p.name: p.read_bytes() for p in tmp_path.glob("o.*")}
+        for name in files:
+            (tmp_path / name).unlink()
+        return (*result, files)
+
+    in_process = [written(run_in_process(argv)) for argv in sequence]
+    assert {rc for rc, *_ in in_process} == {0, 1, 2}
+    for argv, expected in zip(sequence, in_process):
+        proc = run_cli(*argv)
+        assert written((proc.returncode, proc.stdout, proc.stderr)) == expected, argv

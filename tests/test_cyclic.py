@@ -23,30 +23,12 @@ from orbitsamp.instances import (
     operator_with_orders,
     random_cyclic_instance,
 )
-from oracles import inner, is_r_circulant, project_onto_subspace
+from oracles import inner, is_r_circulant, project_onto_subspace, sample_matrix
 
 
 def shift_spec(n):
     op = LinearOperator(np.roll(np.eye(n), 1, axis=0))
     return CyclicSubspaceSpec(operator=op, generators=[np.eye(n)[0]], orders=[n])
-
-
-def oracle_sample_matrix(spec, scheme):
-    """Independent path: entries as direct inner products <T^k a_l, (T*)^{-rn} b_j>."""
-    op = spec.operator
-    adj_inv = np.linalg.inv(op.matrix.conj().T)
-    rows = []
-    for b in scheme.samplers:
-        for n in range(scheme.ell):
-            analyzer = np.linalg.matrix_power(adj_inv, scheme.r * n) @ b
-            row = []
-            for a, Nl in zip(spec.generators, spec.orders):
-                v = a.copy()
-                for _ in range(Nl):
-                    row.append(inner(v, analyzer))
-                    v = op.matrix @ v
-            rows.append(row)
-    return np.array(rows)
 
 
 def periodic_convolution(hs, samples):
@@ -61,6 +43,52 @@ def periodic_convolution(hs, samples):
                 alpha += samples[j * hs.ell + n] * np.roll(beta, (hs.r * n) % Nl)
         out.append(alpha)
     return np.concatenate(out)
+
+
+class TestOrbitCertificate:
+    """A full-rank ``R`` certifies the orbit; otherwise the orbit is decomposed."""
+
+    def instance(self, rng, orders, s):
+        dim = 2 * sum(orders)
+        op, gens = operator_with_orders(rng, dim, orders, distortion=0.2)
+        samplers = [rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for _ in range(s)]
+        return op, gens, samplers
+
+    def test_full_rank_R_takes_no_orbit_svd(self, monkeypatch):
+        op, gens, samplers = self.instance(np.random.default_rng(1), [6, 4], 4)
+        spec = CyclicSubspaceSpec(operator=op, generators=gens, orders=[6, 4])
+        scheme = SamplingScheme.for_spec(spec, samplers, 2)
+        shapes = []
+        svd = np.linalg.svd
+
+        def recording_svd(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        R = build_sample_matrix(spec, scheme)
+        assert check_rank(R).full_rank and (20, 10) not in shapes
+
+    def test_dependent_orbit_raises_from_sample_matrix(self):
+        op, gens, samplers = self.instance(np.random.default_rng(2), [4], 4)
+        spec = CyclicSubspaceSpec(operator=op, generators=[gens[0]] * 2, orders=[4, 4])
+        scheme = SamplingScheme.for_spec(spec, samplers, 2)
+        with pytest.raises(RankDeficiencyError, match="orbit vectors are linearly dependent"):
+            build_sample_matrix(spec, scheme)
+
+    def test_independent_orbit_with_deficient_R_is_returned(self):
+        # one sampler read every 2 steps: R is 2 x 4, rank 2
+        spec = shift_spec(4)
+        R = build_sample_matrix(spec, SamplingScheme.for_spec(spec, [np.eye(4)[0]], 2))
+        assert check_rank(R).rank == 2
+
+    def test_more_orbit_vectors_than_dimension_rejected(self):
+        # a declared period of 8 for a period-4 orbit in C^4; no orbit is formed
+        op = LinearOperator(np.roll(np.eye(4), 1, axis=0))
+        with pytest.raises(RankDeficiencyError, match="8 of them in dimension 4"):
+            CyclicSubspaceSpec(operator=op, generators=[np.eye(4)[0]], orders=[8])
+        with pytest.raises(RankDeficiencyError, match="1000000000 of them in dimension 4"):
+            CyclicSubspaceSpec(operator=op, generators=[np.eye(4)[0]], orders=[10**9])
 
 
 class TestBuildSampleMatrix:
@@ -120,7 +148,7 @@ class TestBuildSampleMatrix:
             ]
             scheme = SamplingScheme.for_spec(spec, samplers, r)
             R = build_sample_matrix(spec, scheme)
-        oracle = oracle_sample_matrix(spec, scheme)
+        oracle = sample_matrix(spec, scheme)
         assert np.max(np.abs(R.matrix - oracle)) < 1e-9
 
     def test_r_must_divide(self):

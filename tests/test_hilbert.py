@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from orbitsamp.hilbert import (
     CrossCorrelation,
@@ -8,7 +8,7 @@ from orbitsamp.hilbert import (
     LinearOperator,
     cross_correlation,
 )
-from oracles import gram_matrix, inner
+from oracles import gram_matrix, inner, operator_inverse
 
 
 def cyclic_shift(n):
@@ -40,6 +40,72 @@ class TestLinearOperator:
         k = 100_003
         assert np.array_equal(op.power(k), np.roll(np.eye(5), k % 5, axis=0))
         assert np.array_equal(op.power(-k), np.roll(np.eye(5), -k % 5, axis=0))
+
+
+def unitary(rng, n):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@st.composite
+def square_matrices(draw):
+    """Matrices ``U diag(sigma) V^H`` with ``sigma_min/sigma_max`` drawn
+    log-uniform in [1e-17, 1] or in the band 1e-10..1e-6 where the inverse
+    residual decides, and zero and exactly singular integer matrices."""
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["ratio", "residual band", "zero", "singular"]))
+    if kind == "zero":
+        return np.zeros((n, n))
+    if kind == "singular":
+        m = rng.integers(-3, 4, (n, n)).astype(float)
+        m[-1] = m[0] if n > 1 else 0.0
+        return m
+    log_ratio = draw(st.floats(-17, 0) if kind == "ratio" else st.floats(-10, -6))
+    sigma = np.geomspace(1.0, 10.0**log_ratio, n)
+    scale = 10.0 ** draw(st.floats(-3, 3))
+    return scale * (unitary(rng, n) * sigma) @ unitary(rng, n).conj().T
+
+
+def outcome(build, m):
+    """``("accepts", inverse)`` or the raised exception's ``(type, text)``."""
+    try:
+        return "accepts", build(m)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestOperatorCertificate:
+    """The inverse and its residual certify T; the SVD is only a fallback."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(m=square_matrices())
+    @example(m=np.zeros((3, 3)))
+    @example(m=np.array([[1.0, 2.0], [2.0, 4.0]]))
+    @example(m=np.diag([1.0, 1e-8]) @ np.array([[1.0, 1.0], [0.0, 1.0]]))
+    def test_matches_svd_first_oracle(self, m):
+        got = outcome(lambda a: LinearOperator(a).inv_matrix, m)
+        want = outcome(operator_inverse, m)
+        assert got[0] == want[0]
+        if got[0] == "accepts":
+            assert np.array_equal(got[1], want[1])
+        else:
+            assert got[1] == want[1]
+
+    def test_overflowing_inverse_rejected(self):
+        # sigma ratio 1, but the inverse of 1e-310 * I overflows to nan
+        with pytest.raises(ValueError, match=r"inverse verification failed \(residual nan\)"):
+            LinearOperator(1e-310 * np.eye(2))
+
+    def test_well_conditioned_takes_no_svd(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        m = np.eye(32) + 0.1 * rng.standard_normal((32, 32))
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("svd called")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        assert np.allclose(LinearOperator(m).inv_matrix @ m, np.eye(32))
 
 
 class TestApplyPower:

@@ -4,6 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from orbitsamp.laurent import LaurentPoly, eval_torus
 from orbitsamp.spectral import (
+    MAX_GRID_ENTRIES,
+    MIN_GRID_FACTOR,
     FilterBank,
     FiniteSequence,
     FrameError,
@@ -99,6 +101,14 @@ class TestSpectralField:
             build_spectral_field([FiniteSequence.delta(0)], 2, 129)
         with pytest.raises(ValueError):
             build_spectral_field([FiniteSequence.delta(0)], 2, 64)
+
+    def test_grid_budget_counts_every_sequence(self):
+        # three samplers, two generators: six sequences share the budget
+        seqs = [[FiniteSequence.delta(0)] * 2] * 3
+        with pytest.raises(ValueError, match="too fine"):
+            build_spectral_field(seqs, 2, 2 * (MAX_GRID_ENTRIES // 12 + 1))
+        with pytest.raises(ValueError, match="too fine"):
+            build_spectral_field([FiniteSequence.delta(0)], 1, MAX_GRID_ENTRIES + 1)
 
     def test_multi_generator_layout_matches_direct_formula(self):
         rng = np.random.default_rng(0)
@@ -369,6 +379,15 @@ class TestPerfectReconstruction:
         report = perfect_reconstruction_check(fb, 128)
         assert report.passed
         assert report.roundtrip_error <= 1e-12
+
+
+    def test_torus_grid_floor_and_budget(self):
+        fb = FilterBank([FiniteSequence.delta(0)] * 2, [FiniteSequence.delta(0)] * 2, 1)
+        assert perfect_reconstruction_check(fb, MIN_GRID_FACTOR).torus_grid == MIN_GRID_FACTOR
+        with pytest.raises(ValueError, match="too coarse"):
+            perfect_reconstruction_check(fb, MIN_GRID_FACTOR - 1)
+        with pytest.raises(ValueError, match="too fine"):
+            perfect_reconstruction_check(fb, MAX_GRID_ENTRIES // 2 + 1)
 
 
 class TestParsevalConsistency:
