@@ -45,10 +45,6 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
-def _fmt_vec(values):
-    return " ".join(_fmt(v) for v in values)
-
-
 def _complex_array(data, where, ndim, what):
     """``[re, im]`` pairs nested ``ndim - 1`` deep, converted in one pass."""
     if not isinstance(data, list) or not data:
@@ -144,81 +140,6 @@ def load_problem(path):
     return doc
 
 
-def _load_cyclic(doc):
-    """``(spec, scheme, R)``; a dependent orbit exits 2 like any invalid field."""
-    dim = _int(_require(doc, "dimension"), "dimension")
-    op_m = _matrix(_require(doc, "operator"), "operator")
-    if op_m.shape != (dim, dim):
-        raise SchemaError(f"operator: expected {dim}x{dim}, got {op_m.shape}")
-    try:
-        op = LinearOperator(op_m)
-        generators = _list(_require(doc, "generators"), "generators", _vector)
-        orders = _int_list(_require(doc, "orders"), "orders")
-        spec = cyclic.CyclicSubspaceSpec(operator=op, generators=generators, orders=orders)
-        samplers = _list(_require(doc, "samplers"), "samplers", _vector)
-        scheme = cyclic.SamplingScheme.for_spec(spec, samplers, _int(_require(doc, "r"), "r"))
-        R = cyclic.build_sample_matrix(spec, scheme)
-    except SchemaError:
-        raise
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
-    return spec, scheme, R
-
-
-def _load_shift(doc, grid):
-    seqs_doc = _require(doc, "sequences")
-    if not isinstance(seqs_doc, dict):
-        raise SchemaError("sequences: expected an object of named sequences")
-    names = sorted(n for n in seqs_doc if n.startswith("g") and n[1:].isdigit())
-    if not names:
-        raise SchemaError("sequences: need g1..gs entries")
-    names.sort(key=lambda n: int(n[1:]))
-    seqs = [_sequence(seqs_doc, n) for n in names]
-    r = _int(doc.get("r", 1), "r")
-    Q = (grid if grid is not None else _int(doc.get("grid", 1024), "grid")) * r
-    try:
-        field = spectral.build_spectral_field(seqs, r, Q)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
-    return seqs, field
-
-
-def _load_lca(doc):
-    dim = _int(_require(doc, "dimension"), "dimension")
-    group_doc = _require(doc, "group")
-    for key in ("moduli", "H_gens", "M_gens"):
-        _require(group_doc, key, "group")
-    generators = _require(doc, "generators")
-    if not isinstance(generators, list) or len(generators) != 1:
-        raise SchemaError("generators: the lca model takes exactly one generator")
-    try:
-        group = lca.FiniteAbelianGroup(tuple(_int_list(group_doc["moduli"], "group.moduli")))
-        gens = {
-            key: _list(group_doc[key], f"group.{key}", _int_list) for key in ("H_gens", "M_gens")
-        }
-        H = lca.Subgroup(group, gens["H_gens"])
-        M_in_H = lca.Subgroup(group, gens["M_gens"])
-        M = lca.Subgroup(group, M_in_H.generators)
-        if not M.is_subgroup_of(H):
-            raise SchemaError("group: M_gens must generate a subgroup of H")
-        if "operators" in doc:
-            ops = _list(doc["operators"], "operators", _matrix)
-        else:
-            ops = [_matrix(_require(doc, "operator"), "operator")]
-        for op in ops:
-            if op.shape != (dim, dim):
-                raise SchemaError(f"operator: expected {dim}x{dim}, got {op.shape}")
-        rep = lca.GroupRepresentation(H, ops)
-        a = _vector(generators[0], "generators")
-        samplers = _list(_require(doc, "samplers"), "samplers", _vector)
-        spectrum = lca.build_group_G_matrix(rep, a, samplers, H, M)
-    except SchemaError:
-        raise
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
-    return spectrum
-
-
 # -- CSV ---------------------------------------------------------------------
 
 
@@ -277,57 +198,17 @@ def read_vector_csv(path):
     return indices, np.array(values, dtype=complex)
 
 
-# -- commands ----------------------------------------------------------------
+# -- models ------------------------------------------------------------------
 
 
-def cmd_analyze(args):
-    doc = load_problem(args.input)
-    model = doc["model"]
-    print(f"model: {model}")
-    if model == "cyclic":
-        _, _, R = _load_cyclic(doc)
-        report = cyclic.check_rank(R, rank_tol=args.tol)
-        print(f"rank {report.rank}/{report.cols}")
-        print(f"singular values: {_fmt_vec(report.singular_values)}")
-        print(f"recoverable: {'yes' if report.full_rank else 'no'}")
-        return 0 if report.full_rank else 1
-    if model == "shift":
-        _, field = _load_shift(doc, args.grid)
-        fc = spectral.frame_constants(field)
-        print(f"alpha_G = {_fmt(fc.alpha_G)}")
-        print(f"beta_G = {_fmt(fc.beta_G)}")
-        print(f"det_min = {_fmt(fc.det_min)}")
-        ok = fc.alpha_G > args.tol
-        print(f"recoverable: {'yes' if ok else 'no'}")
-        return 0 if ok else 1
-    spectrum = _load_lca(doc)
-    print(
-        f"|H| = {spectrum.rep.H.order}, |M| = {spectrum.M.order}, "
-        f"r = {spectrum.r}, |Omega| = {len(spectrum.omega.representatives)}"
-    )
-    print(f"alpha_G = {_fmt(spectrum.alpha_G)}")
-    print(f"beta_G = {_fmt(spectrum.beta_G)}")
-    print(f"sigma_min/sigma_max = {_fmt(spectrum.sigma_ratio)}")
-    ok = spectrum.sigma_ratio > args.tol
-    print(f"recoverable: {'yes' if ok else 'no'}")
-    return 0 if ok else 1
-
-
-def _structured_inverse(R, U, tol):
-    """Rank verdict at ``tol`` and structured inverse from the one SVD of ``R.blocks``."""
-    report = cyclic.check_rank(R, rank_tol=tol)
-    if not report.full_rank:
-        raise NotRecoverable(f"not recoverable: rank {report.rank}/{report.cols}")
+def _loaded(build, *args, **kwargs):
+    """``build(*args, **kwargs)``; input that the library refuses with a ``ValueError`` exits 2."""
     try:
-        return cyclic.structurize_left_inverse(R, U=U, tol=tol)
-    except (cyclic.RankDeficiencyError, cyclic.LeftInverseError) as exc:
-        raise NotRecoverable(f"structured inverse failed: {exc}") from exc
-
-
-def _load_u_matrix(path):
-    if path is None:
-        return None
-    return _matrix(_read_json(path, "U matrix"), "u-matrix")
+        return build(*args, **kwargs)
+    except SchemaError:
+        raise
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
 
 
 def _write_duals(prefix, vectors):
@@ -336,80 +217,242 @@ def _write_duals(prefix, vectors):
         print(f"wrote {prefix}.c{j}.csv")
 
 
-def cmd_dual(args):
-    doc = load_problem(args.input)
-    model = doc["model"]
-    U = _load_u_matrix(args.u_matrix)
-    prefix = args.out or "dual"
-    if model == "cyclic":
-        spec, scheme, R = _load_cyclic(doc)
-        hs = _structured_inverse(R, U, args.tol)
-        basis = cyclic.reconstruction_vectors(spec, hs)
+def _orbit_fields(doc, many=False):
+    """Operators, samplers and truth of a cyclic or lca problem; ``many`` admits ``operators``."""
+    dim = _int(_require(doc, "dimension"), "dimension")
+    if many and "operators" in doc:
+        if "operator" in doc:
+            raise SchemaError("give either 'operator' or 'operators', not both")
+        ops = _list(doc["operators"], "operators", _matrix)
+    else:
+        ops = [_matrix(_require(doc, "operator"), "operator")]
+    for op in ops:
+        if op.shape != (dim, dim):
+            raise SchemaError(f"operator: expected {dim}x{dim}, got {op.shape}")
+    samplers = _list(_require(doc, "samplers"), "samplers", _vector)
+    truth = _vector(doc["truth"], "truth") if "truth" in doc else None
+    if truth is not None and truth.size != dim:
+        raise SchemaError(f"truth: expected {dim} entries, got {truth.size}")
+    return ops, samplers, truth
+
+
+class _Cyclic:
+    """Orbits of one operator: recoverable when the sample matrix ``R`` has full rank."""
+
+    def __init__(self, doc):
+        (op,), samplers, self.truth = _orbit_fields(doc)
+        self.spec = cyclic.CyclicSubspaceSpec(
+            operator=LinearOperator(op),
+            generators=_list(_require(doc, "generators"), "generators", _vector),
+            orders=_int_list(_require(doc, "orders"), "orders"),
+        )
+        r = _int(_require(doc, "r"), "r")
+        self.scheme = cyclic.SamplingScheme.for_spec(self.spec, samplers, r)
+        # a dependent orbit exits 2 like any invalid field
+        self.R = cyclic.build_sample_matrix(self.spec, self.scheme)
+
+    def verdict(self, tol):
+        report = cyclic.check_rank(self.R, rank_tol=tol)
+        print(f"rank {report.rank}/{report.cols}")
+        print(f"singular values: {' '.join(_fmt(v) for v in report.singular_values)}")
+        return report.full_rank
+
+    def _inverse(self, U, tol):
+        """Structured inverse and reconstruction vectors once ``R`` passes the rank
+        verdict at ``tol``; the inverse's own test at ``min(tol, RANK_TOL)`` then passes."""
+        report = cyclic.check_rank(self.R, rank_tol=tol)
+        if not report.full_rank:
+            raise NotRecoverable(f"not recoverable: rank {report.rank}/{report.cols}")
+        try:
+            hs = cyclic.structurize_left_inverse(self.R, U=U, tol=tol)
+        except cyclic.LeftInverseError as exc:
+            raise NotRecoverable(f"structured inverse failed: {exc}") from exc
+        return hs, cyclic.reconstruction_vectors(self.spec, hs)
+
+    def dual(self, U, tol, prefix):
+        hs, basis = self._inverse(U, tol)
+        spec, scheme = self.spec, self.scheme
         print(f"left-inverse residual: {_fmt(hs.certified_residual)}")
         _write_duals(prefix, basis.vectors)
-        if R.rows == R.cols:
+        if self.R.rows == self.R.cols:
             print("interpolation table L_j' c_j(r n) (rows: j', n; columns: j):")
             table = np.column_stack([cyclic.take_samples(spec, scheme, c) for c in basis.vectors])
             for jp in range(scheme.s):
                 for n in range(scheme.ell):
                     cells = " ".join(_fmt(abs(v)) for v in table[jp * scheme.ell + n])
                     print(f"  j'={jp + 1} n={n}: {cells}")
-        return 0
-    if model == "shift":
-        seqs, field = _load_shift(doc, args.grid)
-        method = doc.get("method", "pseudoinverse")
-        if method == "bezout":
-            if len(seqs) != 2 or field.r != 1:
-                raise SchemaError("bezout duals need exactly two sequences and r = 1")
-            polys = []
-            for seq in seqs:
-                if np.max(np.abs(seq.values.imag)) != 0 or np.any(
-                    seq.values.real != np.round(seq.values.real)
-                ):
-                    raise SchemaError("bezout duals need integer-valued sequences")
-                polys.append(
-                    LaurentPoly(seq.offset, [int(v.real) for v in seq.values])
-                )
-            # cofactors of the reflected polynomials: their own coefficients
-            # are the reconstruction coefficient sequences
-            try:
-                q1, q2 = bezout(
-                    polys[0].conj_reciprocal(), polys[1].conj_reciprocal()
-                )
-            except CoprimalityError as exc:
-                raise NotRecoverable(f"coprimality failure: {exc}") from exc
-            for j, cpoly in enumerate((q1, q2), start=1):
-                print(f"c{j}(z) = {cpoly}")
-                path = f"{prefix}.c{j}.csv"
-                exact = [(Fraction(c), Fraction(0)) for c in cpoly.coeffs]
-                write_vector_csv(path, None, indices=cpoly.exponents(), exact=exact)
-                print(f"wrote {path}")
-            return 0
+
+    def reconstruct(self, samples, tol):
+        expected = self.scheme.s * self.scheme.ell
+        if samples.size != expected:
+            raise SchemaError(f"sample count {samples.size} does not match s*ell = {expected}")
+        hs, basis = self._inverse(None, tol)
+        x = cyclic.reconstruct(self.spec, self.scheme, basis, samples)
+        return x, np.concatenate(cyclic.filter_bank_coefficients(hs, samples, self.spec))
+
+
+class _Shift:
+    """Shift-invariant spaces: recoverable when ``alpha_G`` exceeds the tolerance."""
+
+    def __init__(self, doc):
+        seqs_doc = _require(doc, "sequences")
+        if not isinstance(seqs_doc, dict):
+            raise SchemaError("sequences: expected an object of named sequences")
+        names = [n for n in seqs_doc if n.startswith("g") and n[1:].isdigit()]
+        if not names:
+            raise SchemaError("sequences: need g1..gs entries")
+        names.sort(key=lambda n: (int(n[1:]), n))
+        self.seqs = [_sequence(seqs_doc, n) for n in names]
+        self.method = doc.get("method", "pseudoinverse")
+        if self.method not in ("pseudoinverse", "bezout"):
+            raise SchemaError(f"method: expected 'pseudoinverse' or 'bezout', got {self.method!r}")
+        self.dual_length = _int(doc.get("dual_length", 65), "dual_length")
+        r = _int(doc.get("r", 1), "r")
+        Q = _int(doc.get("grid", 1024), "grid") * r
+        self.field = spectral.build_spectral_field(self.seqs, r, Q)
+
+    def verdict(self, tol):
+        fc = spectral.frame_constants(self.field)
+        print(f"alpha_G = {_fmt(fc.alpha_G)}")
+        print(f"beta_G = {_fmt(fc.beta_G)}")
+        print(f"det_min = {_fmt(fc.det_min)}")
+        return fc.alpha_G > tol
+
+    def dual(self, U, tol, prefix):
+        if self.method == "bezout":
+            return self._bezout_duals(prefix)
         try:
-            dual = spectral.dual_field(field, U=U, threshold=args.tol)
+            dual = spectral.dual_field(self.field, U=U, threshold=tol)
         except spectral.FrameError as exc:
             raise NotRecoverable(str(exc)) from exc
         print(f"dual residual: {_fmt(dual.residual_max)}")
-        length = _int(doc.get("dual_length", 65), "dual_length")
         try:
-            coeffs = spectral.reconstruction_coefficients(dual, length)
+            coeffs = spectral.reconstruction_coefficients(dual, self.dual_length)
         except spectral.TailEnergyError as exc:
             raise NotRecoverable(f"truncation refused: {exc}") from exc
         except ValueError as exc:
             raise SchemaError(f"dual_length: {exc}") from exc
         for j, per_gen in enumerate(coeffs, start=1):
             for l, seq in enumerate(per_gen, start=1):
-                suffix = f"c{j}" if field.L == 1 else f"c{j}g{l}"
+                suffix = f"c{j}" if self.field.L == 1 else f"c{j}g{l}"
                 path = f"{prefix}.{suffix}.csv"
                 write_vector_csv(path, seq.values, indices=seq.support())
                 print(f"wrote {path}")
-        return 0
-    spectrum = _load_lca(doc)
-    try:
-        gdual = lca.group_duals(spectrum, U=U, threshold=args.tol)
-    except lca.GroupFrameError as exc:
-        raise NotRecoverable(str(exc)) from exc
-    _write_duals(prefix, gdual.vectors)
+
+    def _bezout_duals(self, prefix):
+        if len(self.seqs) != 2 or self.field.r != 1:
+            raise SchemaError("bezout duals need exactly two sequences and r = 1")
+        # a value with a nonzero imaginary part differs from any real number
+        if any(np.any(seq.values != np.round(seq.values.real)) for seq in self.seqs):
+            raise SchemaError("bezout duals need integer-valued sequences")
+        polys = [LaurentPoly(seq.offset, [int(v.real) for v in seq.values]) for seq in self.seqs]
+        # cofactors of the reflected polynomials: their own coefficients
+        # are the reconstruction coefficient sequences
+        try:
+            q1, q2 = bezout(
+                polys[0].conj_reciprocal(), polys[1].conj_reciprocal()
+            )
+        except CoprimalityError as exc:
+            raise NotRecoverable(f"coprimality failure: {exc}") from exc
+        for j, cpoly in enumerate((q1, q2), start=1):
+            print(f"c{j}(z) = {cpoly}")
+            path = f"{prefix}.c{j}.csv"
+            exact = [(Fraction(c), Fraction(0)) for c in cpoly.coeffs]
+            write_vector_csv(path, None, indices=cpoly.exponents(), exact=exact)
+            print(f"wrote {path}")
+
+    def reconstruct(self, samples, tol):
+        raise SchemaError(
+            "reconstruct supports the cyclic and lca models; use pr-check for filter banks"
+        )
+
+
+class _Lca:
+    """One orbit of a finite abelian group: recoverable on ``sigma_min/sigma_max``."""
+
+    def __init__(self, doc):
+        ops, samplers, self.truth = _orbit_fields(doc, many=True)
+        group_doc = _require(doc, "group")
+        generators = _require(doc, "generators")
+        if not isinstance(generators, list) or len(generators) != 1:
+            raise SchemaError("generators: the lca model takes exactly one generator")
+        moduli = _int_list(_require(group_doc, "moduli", "group"), "group.moduli")
+        group = lca.FiniteAbelianGroup(tuple(moduli))
+        H, M = (
+            lca.Subgroup(group, _list(_require(group_doc, key, "group"), f"group.{key}", _int_list))
+            for key in ("H_gens", "M_gens")
+        )
+        if not M.is_subgroup_of(H):
+            raise SchemaError("group: M_gens must generate a subgroup of H")
+        rep = lca.GroupRepresentation(H, ops)
+        a = _vector(generators[0], "generators")
+        self.spectrum = lca.build_group_G_matrix(rep, a, samplers, H, M)
+
+    def verdict(self, tol):
+        spectrum = self.spectrum
+        print(
+            f"|H| = {spectrum.rep.H.order}, |M| = {spectrum.M.order}, "
+            f"r = {spectrum.r}, |Omega| = {len(spectrum.omega.representatives)}"
+        )
+        return self.sigma_verdict(tol)
+
+    def sigma_verdict(self, tol):
+        """Print the frame bounds and their ratio; whether the ratio exceeds ``tol``."""
+        spectrum = self.spectrum
+        print(f"alpha_G = {_fmt(spectrum.alpha_G)}")
+        print(f"beta_G = {_fmt(spectrum.beta_G)}")
+        print(f"sigma_min/sigma_max = {_fmt(spectrum.sigma_ratio)}")
+        return spectrum.sigma_ratio > tol
+
+    def _duals(self, U, tol):
+        try:
+            return lca.group_duals(self.spectrum, U=U, threshold=tol)
+        except lca.GroupFrameError as exc:
+            raise NotRecoverable(str(exc)) from exc
+
+    def dual(self, U, tol, prefix):
+        _write_duals(prefix, self._duals(U, tol).vectors)
+
+    def reconstruct(self, samples, tol):
+        spectrum = self.spectrum
+        expected = spectrum.s * len(spectrum.sample_points)
+        if samples.size != expected:
+            raise SchemaError(f"sample count {samples.size} does not match s*|M| = {expected}")
+        x = lca.group_reconstruct(self._duals(None, tol), samples)
+        alpha, *_ = np.linalg.lstsq(spectrum.orbit_matrix(), x, rcond=None)
+        return x, alpha
+
+
+_MODELS = {"cyclic": _Cyclic, "shift": _Shift, "lca": _Lca}
+
+
+def _load_model(doc, grid=None):
+    """The model of a loaded problem; ``--grid`` stands in for the ``grid`` field."""
+    if grid is not None:
+        doc = dict(doc, grid=grid)
+    return _loaded(_MODELS[doc["model"]], doc)
+
+
+# -- commands ----------------------------------------------------------------
+
+
+def _recoverable(ok):
+    print(f"recoverable: {'yes' if ok else 'no'}")
+    return 0 if ok else 1
+
+
+def cmd_analyze(args):
+    doc = load_problem(args.input)
+    model = _load_model(doc, args.grid)
+    print(f"model: {doc['model']}")
+    return _recoverable(model.verdict(args.tol))
+
+
+def cmd_dual(args):
+    doc = load_problem(args.input)
+    path = args.u_matrix
+    U = None if path is None else _matrix(_read_json(path, "U matrix"), "u-matrix")
+    _load_model(doc, args.grid).dual(U, args.tol, args.out or "dual")
     return 0
 
 
@@ -417,61 +460,22 @@ RESIDUAL_FLAG = 1e-6
 
 
 def cmd_reconstruct(args):
-    doc = load_problem(args.input)
-    model = doc["model"]
-    if model == "shift":
-        raise SchemaError(
-            "reconstruct supports the cyclic and lca models; use pr-check for filter banks"
-        )
-    truth = _vector(doc["truth"], "truth") if "truth" in doc else None
+    model = _load_model(load_problem(args.input))
     _, samples = read_vector_csv(args.samples)
+    x, alpha = model.reconstruct(samples, args.tol)
     prefix = args.out or "reconstruction"
-    if model == "cyclic":
-        spec, scheme, R = _load_cyclic(doc)
-        dim, expected, count = spec.operator.dim, scheme.s * scheme.ell, "s*ell"
-    else:
-        spectrum = _load_lca(doc)
-        dim, expected = spectrum.rep.dim, spectrum.s * len(spectrum.sample_points)
-        count = "s*|M|"
-    if samples.size != expected:
-        raise SchemaError(f"sample count {samples.size} does not match {count} = {expected}")
-    if truth is not None and truth.size != dim:
-        raise SchemaError(f"truth: expected {dim} entries, got {truth.size}")
-    if model == "cyclic":
-        hs = _structured_inverse(R, None, args.tol)
-        basis = cyclic.reconstruction_vectors(spec, hs)
-        x = cyclic.reconstruct(spec, scheme, basis, samples)
-        alpha = np.concatenate(cyclic.filter_bank_coefficients(hs, samples, spec))
-    else:
-        try:
-            gdual = lca.group_duals(spectrum, threshold=args.tol)
-        except lca.GroupFrameError as exc:
-            raise NotRecoverable(str(exc)) from exc
-        x = lca.group_reconstruct(gdual, samples)
-        orbit = spectrum.orbit_matrix()
-        alpha, *_ = np.linalg.lstsq(orbit, x, rcond=None)
     write_vector_csv(f"{prefix}.x.csv", x)
     write_vector_csv(f"{prefix}.alpha.csv", alpha)
     print(f"wrote {prefix}.x.csv and {prefix}.alpha.csv")
-    if truth is not None:
-        denom = max(float(np.linalg.norm(truth)), 1e-300)
-        resid = float(np.linalg.norm(x - truth)) / denom
+    if model.truth is not None:
+        denom = max(float(np.linalg.norm(model.truth)), 1e-300)
+        resid = float(np.linalg.norm(x - model.truth)) / denom
         print(f"relative residual vs truth: {_fmt(resid)}")
         if resid > RESIDUAL_FLAG:
             raise NotRecoverable(
                 f"residual exceeds {RESIDUAL_FLAG:.1e}: samples inconsistent with truth"
             )
     return 0
-
-
-def _pr_check(bank, grid):
-    """PR report on ``grid`` torus points (default 1024), or exit 2 before any output."""
-    try:
-        return spectral.perfect_reconstruction_check(
-            bank, torus_grid=1024 if grid is None else grid
-        )
-    except ValueError as exc:
-        raise SchemaError(f"torus {exc}") from exc
 
 
 def _print_pr_report(pr):
@@ -490,7 +494,7 @@ def cmd_spline_demo(args):
         sb = spectral.bspline_filter_bank(args.K, args.p)
     except CoprimalityError as exc:
         raise NotRecoverable(f"coprimality failure for K={args.K}, p={args.p}: {exc}") from exc
-    pr = _pr_check(sb.bank, args.grid)
+    pr = _loaded(spectral.perfect_reconstruction_check, sb.bank, args.grid or 1024)
     mp = sb.mp
     print(f"M_{args.p} values on |n| <= {mp.radius}: {' '.join(str(v) for v in mp.values)}")
     g1, g2 = sb.g_polys
@@ -520,14 +524,14 @@ def cmd_pr_check(args):
     r = _int(doc.get("r", 1), "r")
     hs, gs = [], []
     j = 1
-    while f"h{j}" in seqs_doc:
+    while isinstance(seqs_doc, dict) and f"h{j}" in seqs_doc:
         hs.append(_sequence(seqs_doc, f"h{j}"))
         gs.append(_sequence(seqs_doc, f"g{j}"))
         j += 1
     if not hs:
         raise SchemaError("sequences: need analysis/synthesis pairs h1/g1, h2/g2, ...")
-    bank = spectral.FilterBank(analysis=hs, synthesis=gs, r=r)
-    pr = _pr_check(bank, args.grid)
+    bank = _loaded(spectral.FilterBank, analysis=hs, synthesis=gs, r=r)
+    pr = _loaded(spectral.perfect_reconstruction_check, bank, args.grid or 1024)
     Hp, Gp = spectral.polyphase(bank)
     print("analysis polyphase matrix H(z):")
     for jrow, row in enumerate(Hp, start=1):
@@ -567,28 +571,23 @@ def cmd_lca_demo(args):
     else:
         doc = _DEFAULT_LCA_DEMO
         print("using the built-in Z_4 demo problem")
-    spectrum = _load_lca(doc)
+    model = _load_model(doc)
+    spectrum = model.spectrum
     print(
         f"|H| = {spectrum.rep.H.order}, |M| = {spectrum.M.order}, r = {spectrum.r}"
     )
     print(f"annihilator labels: {list(spectrum.perp)}")
     print(f"section labels: {list(spectrum.omega.representatives)}")
-    print(f"alpha_G = {_fmt(spectrum.alpha_G)}")
-    print(f"beta_G = {_fmt(spectrum.beta_G)}")
-    print(f"sigma_min/sigma_max = {_fmt(spectrum.sigma_ratio)}")
-    if spectrum.sigma_ratio <= args.tol:
-        raise NotRecoverable("recoverable: no")
-    gdual = lca.group_duals(spectrum, threshold=args.tol)
+    if not model.sigma_verdict(args.tol):
+        return _recoverable(False)
     rng = np.random.default_rng(0)
     n = spectrum.rep.H.order
     coeff = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     x = spectrum.orbit_matrix() @ coeff
-    x_hat = lca.group_reconstruct(gdual, lca.take_group_samples(spectrum, x))
+    x_hat, _ = model.reconstruct(lca.take_group_samples(spectrum, x), args.tol)
     resid = float(np.linalg.norm(x_hat - x) / np.linalg.norm(x))
     print(f"round-trip relative residual on a random subspace element: {_fmt(resid)}")
-    ok = resid <= 1e-8
-    print(f"recoverable: {'yes' if ok else 'no'}")
-    return 0 if ok else 1
+    return _recoverable(resid <= 1e-8)
 
 
 # -- entry point -------------------------------------------------------------

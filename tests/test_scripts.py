@@ -1,4 +1,5 @@
 import os
+import shutil
 import subprocess
 import sys
 
@@ -26,3 +27,33 @@ def test_script_runs(script, args):
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def run_parity(base_src, change_src):
+    return subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "cli_parity.py"), base_src, change_src],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+
+
+def test_cli_parity_same_tree():
+    src = os.path.join(ROOT, "src")
+    proc = run_parity(src, src)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.endswith(" differ\n") and proc.stdout.split()[-2] == "0"
+
+
+def test_cli_parity_reports_a_difference(tmp_path):
+    # a copy whose verdict line reads differently must fail the comparison
+    changed = tmp_path / "src"
+    shutil.copytree(os.path.join(ROOT, "src"), changed,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    cli = changed / "orbitsamp" / "cli.py"
+    text = cli.read_text()
+    assert text.count("recoverable: {") == 1
+    cli.write_text(text.replace("recoverable: {", "Recoverable: {"))
+    proc = run_parity(os.path.join(ROOT, "src"), str(changed))
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "DIFF analyze --input" in proc.stdout and "stdout line" in proc.stdout
