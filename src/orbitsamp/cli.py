@@ -23,6 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import cyclic, lca, spectral
+from .duals import FrameError
 from .hilbert import DimensionMismatch, LinearOperator
 from .laurent import CoprimalityError, LaurentPoly, bezout, positivity_certificate
 from .spectral import FiniteSequence
@@ -211,6 +212,15 @@ def _loaded(build, *args, **kwargs):
         raise SchemaError(str(exc)) from exc
 
 
+def _frame_verdict(fc, tol):
+    """Print the frame constants; whether their ``sigma_min/sigma_max`` exceeds ``tol``."""
+    print(f"alpha_G = {_fmt(fc.alpha_G)}")
+    print(f"beta_G = {_fmt(fc.beta_G)}")
+    print(f"det_min = {_fmt(fc.det_min)}")
+    print(f"sigma_min/sigma_max = {_fmt(fc.sigma_ratio)}")
+    return fc.sigma_ratio > tol
+
+
 def _write_duals(prefix, vectors):
     for j, c in enumerate(vectors, start=1):
         write_vector_csv(f"{prefix}.c{j}.csv", c)
@@ -292,7 +302,7 @@ class _Cyclic:
 
 
 class _Shift:
-    """Shift-invariant spaces: recoverable when ``alpha_G`` exceeds the tolerance."""
+    """Shift-invariant spaces: recoverable on ``sigma_min/sigma_max`` over the grid."""
 
     def __init__(self, doc):
         seqs_doc = _require(doc, "sequences")
@@ -312,19 +322,12 @@ class _Shift:
         self.field = spectral.build_spectral_field(self.seqs, r, Q)
 
     def verdict(self, tol):
-        fc = spectral.frame_constants(self.field)
-        print(f"alpha_G = {_fmt(fc.alpha_G)}")
-        print(f"beta_G = {_fmt(fc.beta_G)}")
-        print(f"det_min = {_fmt(fc.det_min)}")
-        return fc.alpha_G > tol
+        return _frame_verdict(spectral.frame_constants(self.field), tol)
 
     def dual(self, U, tol, prefix):
         if self.method == "bezout":
             return self._bezout_duals(prefix)
-        try:
-            dual = spectral.dual_field(self.field, U=U, threshold=tol)
-        except spectral.FrameError as exc:
-            raise NotRecoverable(str(exc)) from exc
+        dual = spectral.dual_field(self.field, U=U, threshold=tol)
         print(f"dual residual: {_fmt(dual.residual_max)}")
         try:
             coeffs = spectral.reconstruction_coefficients(dual, self.dual_length)
@@ -394,31 +397,17 @@ class _Lca:
             f"|H| = {spectrum.rep.H.order}, |M| = {spectrum.M.order}, "
             f"r = {spectrum.r}, |Omega| = {len(spectrum.omega.representatives)}"
         )
-        return self.sigma_verdict(tol)
-
-    def sigma_verdict(self, tol):
-        """Print the frame bounds and their ratio; whether the ratio exceeds ``tol``."""
-        spectrum = self.spectrum
-        print(f"alpha_G = {_fmt(spectrum.alpha_G)}")
-        print(f"beta_G = {_fmt(spectrum.beta_G)}")
-        print(f"sigma_min/sigma_max = {_fmt(spectrum.sigma_ratio)}")
-        return spectrum.sigma_ratio > tol
-
-    def _duals(self, U, tol):
-        try:
-            return lca.group_duals(self.spectrum, U=U, threshold=tol)
-        except lca.GroupFrameError as exc:
-            raise NotRecoverable(str(exc)) from exc
+        return _frame_verdict(spectrum.frame, tol)
 
     def dual(self, U, tol, prefix):
-        _write_duals(prefix, self._duals(U, tol).vectors)
+        _write_duals(prefix, lca.group_duals(self.spectrum, U, threshold=tol).vectors)
 
     def reconstruct(self, samples, tol):
         spectrum = self.spectrum
-        expected = spectrum.s * len(spectrum.sample_points)
+        expected = spectrum.s * spectrum.M.order
         if samples.size != expected:
             raise SchemaError(f"sample count {samples.size} does not match s*|M| = {expected}")
-        x = lca.group_reconstruct(self._duals(None, tol), samples)
+        x = lca.group_reconstruct(lca.group_duals(spectrum, threshold=tol), samples)
         alpha, *_ = np.linalg.lstsq(spectrum.orbit_matrix(), x, rcond=None)
         return x, alpha
 
@@ -461,7 +450,9 @@ RESIDUAL_FLAG = 1e-6
 
 def cmd_reconstruct(args):
     model = _load_model(load_problem(args.input))
-    _, samples = read_vector_csv(args.samples)
+    indices, samples = read_vector_csv(args.samples)
+    if indices != list(range(len(indices))):
+        raise SchemaError(f"{args.samples}: indices must run 0..{len(indices) - 1} in order")
     x, alpha = model.reconstruct(samples, args.tol)
     prefix = args.out or "reconstruction"
     write_vector_csv(f"{prefix}.x.csv", x)
@@ -522,14 +513,15 @@ def cmd_pr_check(args):
         raise SchemaError("pr-check needs a shift-model problem with filter sequences")
     seqs_doc = _require(doc, "sequences")
     r = _int(doc.get("r", 1), "r")
-    hs, gs = [], []
-    j = 1
-    while isinstance(seqs_doc, dict) and f"h{j}" in seqs_doc:
-        hs.append(_sequence(seqs_doc, f"h{j}"))
-        gs.append(_sequence(seqs_doc, f"g{j}"))
-        j += 1
-    if not hs:
-        raise SchemaError("sequences: need analysis/synthesis pairs h1/g1, h2/g2, ...")
+    if not isinstance(seqs_doc, dict):
+        raise SchemaError("sequences: expected an object of named sequences")
+    names = sorted(n for n in seqs_doc if n[:1] in ("h", "g") and n[1:].isdigit())
+    pairs = range(1, 1 + sum(n[0] == "h" for n in names))
+    if not pairs or names != sorted(f"{p}{j}" for j in pairs for p in "hg"):
+        got = f", got {', '.join(names)}" if pairs else ""
+        raise SchemaError(f"sequences: need analysis/synthesis pairs h1/g1, h2/g2, ...{got}")
+    hs = [_sequence(seqs_doc, f"h{j}") for j in pairs]
+    gs = [_sequence(seqs_doc, f"g{j}") for j in pairs]
     bank = _loaded(spectral.FilterBank, analysis=hs, synthesis=gs, r=r)
     pr = _loaded(spectral.perfect_reconstruction_check, bank, args.grid or 1024)
     Hp, Gp = spectral.polyphase(bank)
@@ -578,7 +570,7 @@ def cmd_lca_demo(args):
     )
     print(f"annihilator labels: {list(spectrum.perp)}")
     print(f"section labels: {list(spectrum.omega.representatives)}")
-    if not model.sigma_verdict(args.tol):
+    if not _frame_verdict(spectrum.frame, args.tol):
         return _recoverable(False)
     rng = np.random.default_rng(0)
     n = spectrum.rep.H.order
@@ -594,9 +586,8 @@ def cmd_lca_demo(args):
 
 
 _TOL_HELP = (
-    "recoverability tolerance on sigma_min/sigma_max (cyclic, lca) or on the absolute "
-    "alpha_G (shift analyze and dual); cyclic dual/reconstruct also bound the "
-    "left-inverse residual by it"
+    "recoverability tolerance on sigma_min/sigma_max in every model and command; "
+    "cyclic dual/reconstruct also bound the left-inverse residual by it"
 )
 _FLAGS = {
     "input": dict(help="problem file (JSON)"),
@@ -660,7 +651,7 @@ def main(argv=None):
     except (SchemaError, DimensionMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NotRecoverable as exc:
+    except (NotRecoverable, FrameError) as exc:
         print(exc)
         return 1
 

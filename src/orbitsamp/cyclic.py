@@ -22,6 +22,7 @@ from .hilbert import (
     DimensionMismatch,
     LinearOperator,
     as_cvector,
+    require_full_rank,
 )
 
 __all__ = [
@@ -250,12 +251,8 @@ def build_sample_matrix(spec, scheme):
         lcm_order=spec.lcm_order,
     )
     if _numerical_rank(R.blocks.singular_values, RANK_TOL) < R.cols:
-        sv = np.linalg.svd(orbit, compute_uv=False)
-        if sv[-1] <= RANK_TOL * sv[0]:
-            ratio = sv[-1] / sv[0] if sv[0] > 0 else 0.0
-            raise RankDeficiencyError(
-                f"orbit vectors are linearly dependent (sigma ratio {ratio:.3e})"
-            )
+        message = "orbit vectors are linearly dependent (sigma ratio {:.3e})"
+        require_full_rank(orbit, RankDeficiencyError, message)
     return R
 
 

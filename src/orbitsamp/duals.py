@@ -3,30 +3,51 @@
 Each model decides recoverability on matrices ``A``: the cyclic sample
 matrix ``R``, or one spectral matrix per grid point (shift) or section point
 (lca).  Its duals are the left-inverse family ``pinv(A) + U (I - A pinv(A))``.
-One thin SVD gives both the singular values behind the verdict and the
+One thin SVD gives both the singular values behind the verdict, which is
+``sigma_min / sigma_max`` over all the matrices in every model, and the
 pseudo-inverse.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import DimensionMismatch
+from .hilbert import RANK_TOL, DimensionMismatch
 
-__all__ = ["FrameConstants", "DualFamily", "family_member", "frame_bounds"]
+__all__ = [
+    "FrameConstants", "FrameError", "DualFamily", "family_member", "frame_bounds", "check_frame"
+]
 
 PINV_RCOND = 1e-15
 
 
 @dataclass(frozen=True)
 class FrameConstants:
-    """Grid extremes of the spectrum of ``G* G`` (lower/upper estimates)."""
+    """Grid extremes of the spectrum of ``G* G`` (lower/upper estimates) and
+    ``sigma_ratio = sigma_min / sigma_max``, which is 0 when ``beta_G`` is."""
 
     alpha_G: float
     beta_G: float
     det_min: float
+
+    @property
+    def sigma_ratio(self):
+        return math.sqrt(self.alpha_G / self.beta_G) if self.beta_G > 0 else 0.0
+
+
+class FrameError(ValueError):
+    """The matrices fail the frame test: they are not uniformly of full column rank."""
+
+
+def check_frame(fc, threshold=RANK_TOL):
+    """Raise ``FrameError`` unless ``fc.sigma_ratio`` exceeds ``threshold``."""
+    if not fc.sigma_ratio > threshold:
+        raise FrameError(
+            f"not recoverable: sigma_min/sigma_max = {fc.sigma_ratio:.3e} <= {threshold:.1e}"
+        )
 
 
 def frame_bounds(eigs, width=None):
@@ -62,6 +83,10 @@ class DualFamily:
         out = u if u.shape == self.matrices.shape else None
         self.pinv = np.conjugate(u @ vh, out=out).swapaxes(-1, -2)
         self.singular_values = sv
+
+    def frame(self):
+        """Frame constants from the singular values; a wide matrix has ``alpha_G = 0``."""
+        return frame_bounds(self.singular_values**2, self.matrices.shape[-1])
 
     def member(self, U=None):
         """``pinv + U (I - A pinv)``; without ``U`` the member is ``pinv`` itself."""

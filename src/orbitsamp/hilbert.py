@@ -29,6 +29,14 @@ class DimensionMismatch(ValueError):
     pass
 
 
+def require_full_rank(matrix, error, message):
+    """Raise ``error(message.format(ratio))`` when ``ratio = sigma_min/sigma_max``
+    of a values-only SVD of ``matrix`` is at most ``RANK_TOL``."""
+    sv = np.linalg.svd(matrix, compute_uv=False)
+    if sv[-1] <= RANK_TOL * sv[0]:
+        raise error(message.format(sv[-1] / sv[0] if sv[0] > 0 else 0.0))
+
+
 def as_cvector(v, dim=None):
     """Coerce to a 1-d complex array, optionally checking its dimension."""
     v = np.asarray(v, dtype=complex)
@@ -68,12 +76,8 @@ class LinearOperator:
         # does a values-only SVD decide, its singular test ahead of the residual's
         bound = (1 - dim * resid) / (np.linalg.norm(m) * np.linalg.norm(inv))
         if not (resid <= 1e-10 and bound > RANK_TOL):
-            sv = np.linalg.svd(m, compute_uv=False)
-            if sv[-1] <= RANK_TOL * sv[0]:
-                ratio = sv[-1] / sv[0] if sv[0] > 0 else 0.0
-                raise ValueError(
-                    f"matrix is numerically singular (sigma_min/sigma_max = {ratio:.3e})"
-                )
+            message = "matrix is numerically singular (sigma_min/sigma_max = {:.3e})"
+            require_full_rank(m, ValueError, message)
             if not resid <= 1e-10:
                 raise ValueError(f"inverse verification failed (residual {resid:.3e})")
         self.matrix = m

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duals import DualFamily, frame_bounds
-from .hilbert import RANK_TOL, LinearOperator, as_cvector
+from .duals import DualFamily, FrameConstants, check_frame
+from .hilbert import RANK_TOL, LinearOperator, as_cvector, require_full_rank
 
 __all__ = [
     "FiniteAbelianGroup",
@@ -34,7 +34,6 @@ __all__ = [
     "GroupSpectrum",
     "GroupDual",
     "RepresentationError",
-    "GroupFrameError",
     "annihilator",
     "section_omega",
     "build_group_G_matrix",
@@ -45,10 +44,6 @@ __all__ = [
 
 
 class RepresentationError(ValueError):
-    pass
-
-
-class GroupFrameError(ValueError):
     pass
 
 
@@ -378,10 +373,10 @@ class GroupRepresentation:
 class GroupSpectrum:
     """Spectral matrices of a group sampling problem over a section.
 
-    ``matrices[i][j, k]`` is sampler ``j``'s spectrum at ``xi_i + mu_k``;
-    with everything finite the frame constants are true extremes.  Row
-    ``(j, m)`` of ``analyzers`` is ``(Pi(-m)^H b_j)^H``, sampler-major over
-    ``sample_points``.
+    ``family`` holds one SVD of the matrices, whose entry ``[i][j, k]`` is
+    sampler ``j``'s spectrum at ``xi_i + mu_k``, and ``frame`` their frame
+    constants, true extremes since everything is finite.  Row ``(j, m)`` of
+    ``analyzers`` is ``(Pi(-m)^H b_j)^H``, sampler-major over sorted ``M``.
     """
 
     rep: GroupRepresentation
@@ -391,10 +386,8 @@ class GroupSpectrum:
     dual: DualGroup
     perp: CharacterSubgroup
     omega: SectionOmega
-    matrices: np.ndarray
-    alpha_G: float
-    beta_G: float
-    sample_points: tuple
+    family: DualFamily
+    frame: FrameConstants
     analyzers: np.ndarray
 
     @property
@@ -405,11 +398,6 @@ class GroupSpectrum:
     def s(self):
         return len(self.samplers)
 
-    @property
-    def sigma_ratio(self):
-        """``sigma_min / sigma_max = sqrt(alpha_G / beta_G)``, the recoverability margin."""
-        return math.sqrt(self.alpha_G / self.beta_G) if self.beta_G > 0 else 0.0
-
     def orbit_matrix(self):
         return self.rep.orbit(self.generator)
 
@@ -419,9 +407,11 @@ def build_group_G_matrix(rep, a, samplers, H, M):
 
     Requires the orbit of ``a`` under the representation to be linearly
     independent.  The annihilator of ``M`` fixes the matrix width ``r`` and
-    the section fixes the row of evaluation points.  ``alpha_G`` and
-    ``beta_G`` are the extreme squared singular values of the ``s x r``
-    matrices (``alpha_G = 0`` when ``s < r``).
+    the section fixes the row of evaluation points.  The ``s x r`` matrices
+    are the Fourier blocks of the map from orbit coefficients to samples,
+    so matrices that pass the frame test at ``RANK_TOL`` certify an
+    independent orbit; only otherwise is the orbit decomposed, and a
+    dependent one raises ``RepresentationError``.
     """
     if H is not rep.H:
         if not (H.is_subgroup_of(rep.H) and rep.H.is_subgroup_of(H)):
@@ -433,17 +423,9 @@ def build_group_G_matrix(rep, a, samplers, H, M):
     samplers = [as_cvector(b, rep.dim) for b in samplers]
 
     orbit = rep.orbit(a)
-    sv = np.linalg.svd(orbit, compute_uv=False)
-    if sv[-1] <= RANK_TOL * sv[0]:
-        ratio = sv[-1] / sv[0] if sv[0] > 0 else 0.0
-        raise RepresentationError(
-            f"orbit of the generator is linearly dependent (sigma ratio {ratio:.3e})"
-        )
-
     dual = DualGroup(H)
     perp = annihilator(H, M, dual=dual)
     omega = section_omega(dual, perp)
-    r = perp.order
     s = len(samplers)
     S = np.column_stack(samplers)
 
@@ -451,8 +433,11 @@ def build_group_G_matrix(rep, a, samplers, H, M):
     # identity <x, Pi*(-m) b_j> = <F, conj(G_j) chi_m> pins the character sign
     samples_of_a = (S.conj().T @ orbit)[:, H.index(-H.element_array)]
     spectra = samples_of_a @ dual.character_table().T
-    mats = np.moveaxis(spectra[:, omega.cells()], 0, 1)
-    fc = frame_bounds(np.linalg.svd(mats, compute_uv=False) ** 2, r)
+    family = DualFamily(np.moveaxis(spectra[:, omega.cells()], 0, 1))
+    frame = family.frame()
+    if frame.sigma_ratio <= RANK_TOL:  # the sections do not certify the orbit
+        message = "orbit of the generator is linearly dependent (sigma ratio {:.3e})"
+        require_full_rank(orbit, RepresentationError, message)
 
     # Pi(-m)^H b_j is the adjoint orbit of b_j read at -m
     steps = rep.orbit(S, M, adjoint=True)[:, M.index(-M.element_array), :]
@@ -465,10 +450,8 @@ def build_group_G_matrix(rep, a, samplers, H, M):
         dual=dual,
         perp=perp,
         omega=omega,
-        matrices=mats,
-        alpha_G=fc.alpha_G,
-        beta_G=fc.beta_G,
-        sample_points=tuple(M),
+        family=family,
+        frame=frame,
         analyzers=analyzers,
     )
 
@@ -480,30 +463,24 @@ def take_group_samples(spectrum, x):
 
 @dataclass(eq=False)
 class GroupDual:
-    """Reconstruction vectors, the dual matrices they came from, and the
-    synthesis matrix whose column ``(j, m)`` is ``Pi(m) c_j``."""
+    """Reconstruction vectors and the synthesis matrix whose column ``(j, m)``
+    is ``Pi(m) c_j``."""
 
-    spectrum: GroupSpectrum
-    h_matrices: np.ndarray
     vectors: list
     synthesis: np.ndarray
 
 
-def group_duals(spectrum, U=None, *, threshold=1e-8):
+def group_duals(spectrum, U=None, *, threshold=RANK_TOL):
     """Reconstruction vectors from per-point pseudo-inverse dual matrices.
 
-    Refuses problems whose ``sigma_min / sigma_max`` is at most
+    Raises ``FrameError`` when ``sigma_min / sigma_max`` is at most
     ``threshold``.  Row ``k`` of each ``r x s`` dual matrix carries the dual
     functions' values at ``xi + mu_k``; averaging against the characters
     gives their exact Fourier coefficients, which synthesize the vectors
     ``c_j`` in the orbit of the generator.
     """
-    ratio = spectrum.sigma_ratio
-    if ratio <= threshold:
-        raise GroupFrameError(
-            f"not recoverable: sigma_min/sigma_max = {ratio:.3e} <= {threshold:.1e}"
-        )
-    hmats = DualFamily(spectrum.matrices).member(U)
+    check_frame(spectrum.frame, threshold)
+    hmats = spectrum.family.member(U)
 
     dual = spectrum.dual
     r, s = spectrum.r, spectrum.s
@@ -515,8 +492,6 @@ def group_duals(spectrum, U=None, *, threshold=1e-8):
     C = spectrum.orbit_matrix() @ coeff
     synthesis = spectrum.rep.orbit(C, spectrum.M).transpose(0, 2, 1).reshape(spectrum.rep.dim, -1)
     return GroupDual(
-        spectrum=spectrum,
-        h_matrices=hmats,
         vectors=list(np.ascontiguousarray(C.T)),
         synthesis=synthesis,
     )

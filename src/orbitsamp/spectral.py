@@ -15,18 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duals import DualFamily, FrameConstants, frame_bounds
+from .duals import DualFamily, check_frame, frame_bounds
+from .hilbert import RANK_TOL
 from .laurent import LaurentPoly, bezout, bspline, polyphase_sample
 
 __all__ = [
     "FiniteSequence",
     "SpectralField",
-    "FrameConstants",
     "DualField",
     "FilterBank",
     "PRReport",
     "SplineBank",
-    "FrameError",
     "TailEnergyError",
     "build_spectral_field",
     "frame_constants",
@@ -45,10 +44,8 @@ MIN_GRID_FACTOR = 64
 # complex entries of one grid evaluation (sequences x grid points): 1 GiB
 MAX_GRID_ENTRIES = 1 << 26
 TAIL_TOL = 1e-6
-
-
-class FrameError(ValueError):
-    pass
+# Gram eigenvalues err by about eps times their point's largest (``frame_constants``)
+GRAM_DOUBT = 1e-4
 
 
 class TailEnergyError(ValueError):
@@ -241,8 +238,21 @@ def build_spectral_field(sequences, r, Q=None):
 
 
 def frame_constants(field):
-    A = np.conj(np.swapaxes(field.values, 1, 2)) @ field.values
-    return frame_bounds(np.linalg.eigvalsh(A))
+    """Frame constants from the eigenvalues of the Gram matrices ``G*G``.
+
+    Points whose smallest eigenvalue is at or below ``GRAM_DOUBT`` times
+    their largest (every point of a wide field) take a values-only SVD, so
+    ``sigma_ratio`` is within 1e-10 relative of the SVD's.
+    """
+    G = field.values
+    eigs = np.linalg.eigvalsh(np.conj(np.swapaxes(G, 1, 2)) @ G)
+    doubtful = eigs[:, 0] <= GRAM_DOUBT * eigs[:, -1]
+    if doubtful.any():
+        sv = np.linalg.svd(G[doubtful], compute_uv=False)
+        # ascending, a wide matrix's missing values at zero
+        eigs[doubtful] = 0.0
+        eigs[doubtful, -sv.shape[-1] :] = sv[:, ::-1] ** 2
+    return frame_bounds(eigs)
 
 
 @dataclass(eq=False)
@@ -267,22 +277,18 @@ def _dual_residual(field, h_values):
     return float(np.max(np.abs(prod - target)))
 
 
-def dual_field(field, U=None, *, threshold=1e-8):
+def dual_field(field, U=None, *, threshold=RANK_TOL):
     """Pseudo-inverse dual matrices, optionally perturbed inside the family.
 
     ``U`` (constant or per-grid-point ``(r*L) x s``) selects the member
     ``pinv(G) + U @ (I_s - G @ pinv(G))``; every member satisfies the dual
     row condition, and the verification residual is recorded.  One SVD per
     grid point gives the frame test and the pseudo-inverse.  Raises
-    ``FrameError`` when the smallest squared singular value is at or below
-    ``threshold`` (singular ``G* G``).
+    ``FrameError`` when ``sigma_min/sigma_max`` over the grid is at or below
+    ``threshold``.
     """
     family = DualFamily(field.values)
-    fc = frame_bounds(family.singular_values**2, field.values.shape[-1])
-    if fc.alpha_G <= threshold:
-        raise FrameError(
-            f"frame test failed: alpha_G = {fc.alpha_G:.3e} <= {threshold:.1e}; G*G is singular"
-        )
+    check_frame(family.frame(), threshold)
     h = family.member(U)
     return DualField(field=field, h_values=h, residual_max=_dual_residual(field, h))
 

@@ -291,7 +291,8 @@ def test_criterion_8_holds_on_random_specializations(case):
     scheme = o.SamplingScheme.for_spec(spec, samplers, r)
     R = o.build_sample_matrix(spec, scheme)
     sv = o.check_rank(R).singular_values
-    assert abs(sv[-1] / sv[0] - spectrum.sigma_ratio) <= 1e-12 * spectrum.sigma_ratio
+    ratio = spectrum.frame.sigma_ratio
+    assert abs(sv[-1] / sv[0] - ratio) <= 1e-12 * ratio
 
     x = spec.synthesize(rng.standard_normal(N) + 1j * rng.standard_normal(N))
     basis = o.reconstruction_vectors(spec, o.structurize_left_inverse(R))

@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import functools
+import glob
 import io
 import json
 import math
@@ -219,13 +220,14 @@ class TestDual:
         assert rc == 2
 
     def test_shift_dual_honours_tol(self, tmp_path, capsys):
-        # alpha_G = (1 - 0.99997)^2 = 9e-10, between 1e-10 and 1e-9
+        # sigma_min/sigma_max = (1 - c)/(1 + c) = 5e-10 for c = 1 - 1e-9, between
+        # 1e-10 and 1e-9; the minimum at w = 0 and the maximum at w = 1/2 are grid points
         doc = {
             "model": "shift",
             "r": 1,
             "grid": 64,
             "dual_length": 64,
-            "sequences": {"g1": {"offset": 0, "values": cpairs([-0.99997, 1])}},
+            "sequences": {"g1": {"offset": 0, "values": cpairs([-0.999999999, 1])}},
         }
         path = write_problem(tmp_path, doc)
         out = ["--out", str(tmp_path / "d")]
@@ -233,7 +235,8 @@ class TestDual:
         assert cli.main(["dual", "--input", path, *out]) == 0
         assert cli.main(["analyze", "--input", path, "--tol", "1e-9"]) == 1
         assert cli.main(["dual", "--input", path, "--tol", "1e-9", *out]) == 1
-        assert "frame test failed" in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        assert "not recoverable: sigma_min/sigma_max = 5.000e-10 <= 1.0e-09" in printed
 
     def test_lca_duals(self, tmp_path):
         path = write_problem(tmp_path, lca_problem())
@@ -332,6 +335,23 @@ class TestReconstruct:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert "structured inverse failed" in proc.stdout
+
+    @pytest.mark.parametrize(
+        "indices", [[100, 93, 86, 79], [3, 2, 1, 0], [0, 1, 3, 2], [0, 1, 2, 4], [1, 2, 3, 4]]
+    )
+    def test_indices_out_of_order_exit_two(self, tmp_path, indices):
+        x = np.array([0.5 - 1j, 2.25, -3.5 + 0.75j, 1.0])
+        samplers = [E4[0], E4[1]]
+        spath = self.make_samples(tmp_path, x, samplers)
+        _, samples = cli.read_vector_csv(spath)
+        cli.write_vector_csv(spath, samples, indices=indices)
+        ppath = write_problem(tmp_path, cyclic_problem(samplers, truth=x))
+        out_prefix = str(tmp_path / "rec")
+        argv = ["reconstruct", "--input", ppath, "--samples", spath, "--out", out_prefix]
+        rc, out, err = run_in_process(argv)
+        assert (rc, out) == (2, "")
+        assert err == f"error: {spath}: indices must run 0..3 in order\n"
+        assert not os.path.exists(out_prefix + ".x.csv")
 
     def test_length_mismatch_exit_two(self, tmp_path):
         samplers = [E4[0], E4[1]]
@@ -646,7 +666,7 @@ def not_recoverable_cases():
     return {
         "cyclic dual rank": ("dual", deficient, None, "not recoverable: rank 2/4", 1),
         "cyclic reconstruct rank": ("reconstruct", deficient, [1, 2], "not recoverable: rank", 1),
-        "shift frame": ("dual", common_zero, None, "frame test failed", 1),
+        "shift frame": ("dual", common_zero, None, "not recoverable: sigma_min/sigma_max", 1),
         # the dual residual is reported before the truncation is refused
         "shift truncation": ("dual", spline_shift_problem("pseudoinverse"), None,
                              "truncation refused", 2),
@@ -879,6 +899,24 @@ class TestMalformedNumbers:
         "bank-sequences-not-object": (
             bank_problem,
             lambda d: d.__setitem__("sequences", "h1"),
+            "pr-check",
+        ),
+        # one tap of 1e6 in a synthesis filter without an analysis partner
+        "bank-unpaired-g3": (
+            bank_problem,
+            lambda d: d["sequences"].__setitem__("g3", {"offset": 0, "values": [[1e6, 0]]}),
+            "pr-check",
+        ),
+        "bank-unpaired-h3": (
+            bank_problem,
+            lambda d: d["sequences"].__setitem__("h3", {"offset": 0, "values": [[1, 0]]}),
+            "pr-check",
+        ),
+        "bank-pair-numbering-gap": (
+            bank_problem,
+            lambda d: d.__setitem__(
+                "sequences", {k.replace("2", "3"): v for k, v in d["sequences"].items()}
+            ),
             "pr-check",
         ),
     }
@@ -1191,3 +1229,71 @@ def test_in_process_sequence_matches_fresh_processes(tmp_path, monkeypatch):
     for argv, expected in zip(sequence, in_process):
         proc = run_cli(*argv)
         assert written((proc.returncode, proc.stdout, proc.stderr)) == expected, argv
+
+
+
+class TestScaleInvariance:
+    """``--tol`` bounds sigma_min/sigma_max: scaling the shift samplers by 1e-6 or
+    1e3 changes no verdict or exit code, and scales the duals by its inverse."""
+
+    @staticmethod
+    def runs(doc, tmp):
+        """Per scale ``c``: the ``analyze`` and ``dual`` exit codes, the analyze
+        lines, and each dual CSV as ``{index: c * value}``."""
+        runs = []
+        for c in (1e-6, 1.0, 1e3):
+            scaled = copy.deepcopy(doc)
+            for seq in scaled["sequences"].values():
+                seq["values"] = [[c * re, c * im] for re, im in seq["values"]]
+            problem, prefix = os.path.join(tmp, f"p{c:g}.json"), os.path.join(tmp, f"d{c:g}")
+            with open(problem, "w") as fh:
+                json.dump(scaled, fh)
+            rc_a, out_a, _ = run_in_process(["analyze", "--input", problem])
+            rc_d, _, _ = run_in_process(["dual", "--input", problem, "--out", prefix])
+            lines = dict(line.split(" = ") for line in out_a.splitlines() if " = " in line)
+            duals = [{k: c * v for k, v in zip(*cli.read_vector_csv(path))}
+                     for path in sorted(glob.glob(glob.escape(prefix) + ".*.csv"))]
+            runs.append((rc_a, rc_d, lines, duals))
+        return runs
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        width=st.sampled_from([1, 2, 4]),
+        extra=st.integers(-1, 2),
+        seed=st.integers(0, 2**32 - 1),
+        common_zero=st.booleans(),
+    )
+    @example(width=1, extra=0, seed=0, common_zero=False)
+    @example(width=2, extra=1, seed=1, common_zero=True)
+    @example(width=4, extra=-1, seed=2, common_zero=False)
+    @example(width=4, extra=2, seed=3, common_zero=False)
+    def test_shift(self, width, extra, seed, common_zero):
+        rng = np.random.default_rng(seed)
+        seqs = [rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                for n in rng.integers(1, 6, size=max(1, width + extra))]
+        if common_zero:  # every spectrum vanishes at w = 0
+            seqs = [np.convolve(v, [-1, 1]) for v in seqs]
+        doc = {
+            "model": "shift",
+            "r": width,
+            "grid": 64,
+            "method": "pseudoinverse",
+            "dual_length": 64 * width,  # the whole grid: no truncation to refuse
+            "sequences": {f"g{j}": {"offset": -1, "values": cpairs(v)}
+                          for j, v in enumerate(seqs, start=1)},
+        }
+        with tempfile.TemporaryDirectory() as tmp:
+            (rc_a, rc_d, lines, duals), *others = self.runs(doc, tmp)
+        assert rc_a in (0, 1) and rc_d in (0, 1)
+        assert not (len(seqs) < width or common_zero) or (rc_a, rc_d) == (1, 1)
+        ratio = float(lines["sigma_min/sigma_max"])
+        for rc_a2, rc_d2, lines2, duals2 in others:
+            assert (rc_a2, rc_d2) == (rc_a, rc_d)
+            if ratio > 1e-6:
+                assert abs(float(lines2["sigma_min/sigma_max"]) - ratio) <= 1e-12 * ratio
+            assert len(duals2) == len(duals)
+            for got, want in zip(duals2, duals):
+                # a coefficient rounded to 0 at an end of the window is trimmed from the file
+                diff = [got.get(k, 0) - want.get(k, 0) for k in got.keys() | want.keys()]
+                scale = max(map(abs, want.values()))
+                assert max(map(abs, diff)) <= max(1e-10, 1e-13 / ratio) * scale

@@ -15,12 +15,12 @@ from orbitsamp.cyclic import (
     structurize_left_inverse,
     take_samples,
 )
-from orbitsamp.hilbert import LinearOperator
+from orbitsamp.duals import FrameError
+from orbitsamp.hilbert import RANK_TOL, LinearOperator
 from orbitsamp.instances import representation_from_characters
 from orbitsamp.lca import (
     DualGroup,
     FiniteAbelianGroup,
-    GroupFrameError,
     GroupRepresentation,
     RepresentationError,
     Subgroup,
@@ -199,8 +199,8 @@ class TestGroupSpectrum:
         e = np.eye(4)
         spectrum = build_group_G_matrix(rep, e[0], [e[0]], h, h)
         assert spectrum.r == 1
-        assert np.allclose(spectrum.matrices, 1.0)
-        assert abs(spectrum.alpha_G - 1.0) < 1e-12
+        assert np.allclose(spectrum.family.matrices, 1.0)
+        assert abs(spectrum.frame.alpha_G - 1.0) < 1e-12
 
     def test_singular_values_match_cyclic(self):
         g = FiniteAbelianGroup((4,))
@@ -215,7 +215,7 @@ class TestGroupSpectrum:
         R = build_sample_matrix(spec, scheme)
         sv_cyclic = np.sort(np.linalg.svd(R.matrix, compute_uv=False))
         eigs = np.linalg.eigvalsh(
-            np.conj(np.swapaxes(spectrum.matrices, 1, 2)) @ spectrum.matrices
+            np.conj(np.swapaxes(spectrum.family.matrices, 1, 2)) @ spectrum.family.matrices
         )
         sv_group = np.sort(np.sqrt(np.maximum(eigs, 0) / spectrum.r).ravel())
         assert np.max(np.abs(sv_cyclic - sv_group)) < 1e-10
@@ -282,7 +282,7 @@ class TestGroupReconstruction:
         orbit = spectrum.orbit_matrix()
         rows = []
         for b in spectrum.samplers:
-            for mm in spectrum.sample_points:
+            for mm in spectrum.M:
                 analyzer = rep.op(np.negative(mm)).conj().T @ b
                 rows.append(analyzer.conj() @ orbit)
         S = np.array(rows)
@@ -322,7 +322,7 @@ class TestGroupReconstruction:
         rep = GroupRepresentation(h, [shift_matrix(4)])
         e = np.eye(4)
         spectrum = build_group_G_matrix(rep, e[0], [e[0]], h, m)
-        with pytest.raises(GroupFrameError):
+        with pytest.raises(FrameError):
             group_duals(spectrum)
 
 
@@ -482,14 +482,96 @@ class TestScaleInvariance:
             spectrum = build_group_G_matrix(rep, a, [c * b for b in samplers], H, M)
             try:
                 duals = group_duals(spectrum)
-            except GroupFrameError:
-                verdicts.add((spectrum.sigma_ratio > 1e-10, False))
+            except FrameError:
+                verdicts.add((spectrum.frame.sigma_ratio > 1e-10, False))
                 continue
-            verdicts.add((spectrum.sigma_ratio > 1e-10, True))
+            verdicts.add((spectrum.frame.sigma_ratio > 1e-10, True))
             rebuilt.append(group_reconstruct(duals, take_group_samples(spectrum, x)))
         assert len(verdicts) == 1
         for xh in rebuilt:
             assert np.linalg.norm(xh - x) <= 1e-8 * np.linalg.norm(x)
+
+
+class TestOrbitCertificate:
+    """Section matrices that pass the frame test at ``RANK_TOL`` certify the orbit.
+
+    They are the Fourier blocks of the map from orbit coefficients to samples,
+    so only when they fail is the orbit decomposed.  The oracle is an up-front
+    SVD of the orbit matrix; outcomes match it except in one class: an orbit
+    at or below ``RANK_TOL`` whose section matrices still clear it is accepted.
+    """
+
+    CASES = [
+        ((6,), [(1,)], [(2,)]),
+        ((6,), [(1,)], [(3,)]),
+        ((2, 4), [(1, 0), (0, 1)], [(0, 2)]),
+    ]
+    DEFECTS = ("none", "dropped character", "faint character", "faint, amplified")
+
+    def instance(self, rng, case, defect, extra):
+        """``(rep, a, samplers, H, M)``; the representation is diagonal in a
+        random basis ``V``, eigen-index ``i`` carrying character ``i``."""
+        moduli, H_gens, M_gens = case
+        g = FiniteAbelianGroup(moduli)
+        H, M = Subgroup(g, H_gens), Subgroup(g, M_gens)
+        n = H.order
+        V = unitary(rng, n) + 0.2 * rng.standard_normal((n, n))
+        Vinv = np.linalg.inv(V)
+        chi = DualGroup(H).character_table()[:, H.index(np.array(H.generators))]
+        rep = GroupRepresentation(H, [V @ np.diag(col) @ Vinv for col in chi.T])
+        coeff = (0.5 + rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+        samplers = [rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                    for _ in range(max(1, n // M.order + extra))]
+        i = int(rng.integers(n))
+        if defect != "none":
+            coeff[i] = 0.0 if defect == "dropped character" else 1e-12 * coeff[i]
+        if defect == "faint, amplified":  # every sampler reads character i 1e12 times louder
+            samplers = [b + 1e12 * rng.standard_normal() * Vinv[i].conj() for b in samplers]
+        return rep, V @ coeff, samplers, H, M
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        case=st.sampled_from(CASES),
+        defect=st.sampled_from(DEFECTS),
+        extra=st.integers(-1, 1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(case=CASES[0], defect="faint, amplified", extra=0, seed=0)
+    @example(case=CASES[2], defect="dropped character", extra=1, seed=1)
+    def test_matches_orbit_svd_oracle(self, case, defect, extra, seed):
+        rep, a, samplers, H, M = self.instance(np.random.default_rng(seed), case, defect, extra)
+        sv = np.linalg.svd(rep.orbit(a), compute_uv=False)
+        dependent = sv[-1] <= RANK_TOL * sv[0]
+        try:
+            spectrum = build_group_G_matrix(rep, a, samplers, H, M)
+        except RepresentationError as exc:
+            assert dependent and "linearly dependent" in str(exc)
+            return
+        assert not dependent or spectrum.frame.sigma_ratio > RANK_TOL
+
+    def test_faint_amplified_character_accepted(self):
+        rep, a, samplers, H, M = self.instance(
+            np.random.default_rng(5), self.CASES[0], "faint, amplified", 0
+        )
+        sv = np.linalg.svd(rep.orbit(a), compute_uv=False)
+        assert sv[-1] <= RANK_TOL * sv[0]
+        assert build_group_G_matrix(rep, a, samplers, H, M).frame.sigma_ratio > RANK_TOL
+
+    def test_certified_orbit_takes_no_orbit_svd(self, monkeypatch):
+        rep, a, samplers, H, M = self.instance(
+            np.random.default_rng(6), self.CASES[2], "none", 1
+        )
+        shapes = []
+        svd = np.linalg.svd
+
+        def recording_svd(m, *args, **kwargs):
+            shapes.append(np.shape(m))
+            return svd(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        spectrum = build_group_G_matrix(rep, a, samplers, H, M)
+        # the one factorization is of the section matrices: |Omega| x s x r
+        assert spectrum.frame.sigma_ratio > RANK_TOL and shapes == [(2, 5, 4)]
 
 
 def test_z16_by_z16_round_trip():

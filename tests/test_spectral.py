@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orbitsamp.duals import FrameError
 from orbitsamp.laurent import LaurentPoly, eval_torus
 from orbitsamp.spectral import (
     MAX_GRID_ENTRIES,
     MIN_GRID_FACTOR,
     FilterBank,
     FiniteSequence,
-    FrameError,
+    SpectralField,
     TailEnergyError,
     analysis,
     bspline_filter_bank,
@@ -175,6 +176,61 @@ class TestFrameConstants:
         g = FiniteSequence(0, [-1, 1])
         fc = frame_constants(build_spectral_field([g], 1, 64))
         assert fc.alpha_G < 1e-12
+
+    @staticmethod
+    def stack_ratio(values):
+        """``sigma_min/sigma_max`` from one SVD of the whole stack; 0 when wide."""
+        sv = np.linalg.svd(values, compute_uv=False)
+        return sv[:, -1].min() / sv[:, 0].max() if values.shape[1] >= values.shape[2] else 0.0
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        width=st.sampled_from([1, 2, 4]),
+        extra=st.integers(-1, 3),
+        log_ratio=st.floats(-14, 0),
+        scale=st.sampled_from([1e-6, 1.0, 1e3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_ratio_matches_svd_of_stack(self, width, extra, log_ratio, scale, seed):
+        # one grid point with singular values from 1 down to 10**log_ratio
+        rng = np.random.default_rng(seed)
+        s = max(1, width + extra)
+        values = rng.standard_normal((32, s, width)) + 1j * rng.standard_normal((32, s, width))
+        u, _, vh = np.linalg.svd(values[7], full_matrices=False)
+        values[7] = (u * np.geomspace(1, 10**log_ratio, u.shape[1])) @ vh
+        values *= scale
+        got = frame_constants(SpectralField(r=1, L=width, Q=32, values=values)).sigma_ratio
+        want = self.stack_ratio(values)
+        assert abs(got - want) <= 1e-10 * want
+
+    @pytest.mark.parametrize("c", [0.5, 0.99, 1 - 1e-6, 1 - 2e-14])
+    def test_ratio_of_a_near_root(self, c):
+        # |exp(2 pi i w) - c| runs from 1 - c at w = 0 to 1 + c at w = 1/2
+        field = build_spectral_field([FiniteSequence(0, [-c, 1])], 1, 64)
+        got = frame_constants(field).sigma_ratio
+        for want in ((1 - c) / (1 + c), self.stack_ratio(field.values)):
+            assert abs(got - want) <= 1e-10 * want
+
+    def test_svd_only_where_gram_is_doubtful(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        u, _, vh = np.linalg.svd(rng.standard_normal((64, 3, 2)), full_matrices=False)
+        values = (u * [1.0, 0.1]) @ vh  # sigma ratio 0.1 at every point
+        shapes = []
+        svd = np.linalg.svd
+
+        def recording_svd(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        fc = frame_constants(SpectralField(r=1, L=2, Q=64, values=values))
+        assert shapes == [] and abs(fc.sigma_ratio - 0.1) <= 1e-12
+        values[[5, 9]] = (u[[5, 9]] * [1.0, 1e-9]) @ vh[[5, 9]]
+        fc = frame_constants(SpectralField(r=1, L=2, Q=64, values=values))
+        want = self.stack_ratio(values)
+        assert shapes[:2] == [(2, 3, 2), (64, 3, 2)] and abs(fc.sigma_ratio - want) <= 1e-19
+        frame_constants(SpectralField(r=1, L=2, Q=64, values=values[:, :1]))  # wide
+        assert shapes[2:] == [(64, 1, 2)]
 
     def test_refinement_monotone(self):
         rng = np.random.default_rng(1)
