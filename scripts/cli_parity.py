@@ -16,20 +16,26 @@ from that tree and sends one fixed corpus through ``cli.main`` in process:
 - ``lca-demo`` on its built-in problem and on every lca problem.
 
 Exit codes, stdout, stderr and the bytes of every file a command writes must
-match.  The script prints each difference and a summary, and exits 1 when
-there is a difference.
+match.  When a written CSV differs in bytes, both files are parsed and their
+largest relative difference is printed: ``max |a - b|`` over rows, relative
+to the largest ``|a|`` of the base file.  With ``--rtol`` above 0 (default
+0, a byte check), files with the same indices and a relative difference at
+most ``rtol`` count as matching; each is listed on a ``NEAR`` line.  The
+script prints each difference and a summary, and exits 1 when there is a
+difference.
 """
 
 import argparse
 import contextlib
 import glob
-import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 
 import numpy as np
 
@@ -135,7 +141,7 @@ def run_child(src, problems):
             for name in sorted(os.listdir(cwd)):
                 if name not in INPUTS:
                     with open(name, "rb") as fh:
-                        files[name] = hashlib.sha256(fh.read()).hexdigest()
+                        files[name] = fh.read().decode("latin-1")  # byte for byte
             records.append(
                 {"argv": argv, "rc": rc, "stdout": stdout, "stderr": err.getvalue(),
                  "files": files}
@@ -167,7 +173,48 @@ def _first_difference(a, b):
     return f"{len(a.splitlines())} != {len(b.splitlines())} lines"
 
 
-def compare(base, change):
+def _csv_rows(text):
+    """``{index: complex value}`` of a written CSV, or ``None`` when it is not one."""
+    lines = text.splitlines()
+    if not lines or lines[0] != "index,re,im":
+        return None
+    try:
+        rows = [line.split(",") for line in lines[1:]]
+        return {int(i): complex(float(Fraction(re)), float(Fraction(im))) for i, re, im in rows}
+    except ValueError:
+        return None
+
+
+def _relative_difference(a, b):
+    """``max |a - b|`` over the rows of two CSV texts, relative to the largest
+    ``|a|``; ``None`` when either is not a CSV or their indices differ."""
+    rows_a, rows_b = _csv_rows(a), _csv_rows(b)
+    if rows_a is None or rows_b is None or rows_a.keys() != rows_b.keys():
+        return None
+    diff = max((abs(v - rows_b[k]) for k, v in rows_a.items()), default=0.0)
+    scale = max(map(abs, rows_a.values()), default=0.0)
+    return diff / scale if scale > 0 else (0.0 if diff == 0 else math.inf)
+
+
+def _file_differences(a, b, rtol):
+    """``(differing, near)``: descriptions of the files that differ beyond
+    ``rtol`` and of those that differ in bytes only within it."""
+    differing, near = [], []
+    for name in sorted(a.keys() | b.keys()):
+        x, y = a.get(name), b.get(name)
+        if x == y:
+            continue
+        rel = None if x is None or y is None else _relative_difference(x, y)
+        if rel is None:
+            differing.append(f"{name} (not comparable as CSV)")
+        else:
+            (near if 0 < rtol and rel <= rtol else differing).append(
+                f"{name} (max relative difference {rel:.3e})"
+            )
+    return differing, near
+
+
+def compare(base, change, rtol=0.0):
     """Print every difference; return how many commands differ."""
     if [r["argv"] for r in base] != [r["argv"] for r in change]:
         print("the two trees ran different corpora")
@@ -180,10 +227,11 @@ def compare(base, change):
         for stream in ("stdout", "stderr"):
             if a[stream] != b[stream]:
                 reasons.append(f"{stream} {_first_difference(a[stream], b[stream])}")
-        if a["files"] != b["files"]:
-            names = sorted(n for n in a["files"].keys() | b["files"].keys()
-                           if a["files"].get(n) != b["files"].get(n))
-            reasons.append(f"files differ: {', '.join(names)}")
+        files, near = _file_differences(a["files"], b["files"], rtol)
+        if files:
+            reasons.append(f"files differ: {', '.join(files)}")
+        if near:
+            print(f"NEAR {' '.join(a['argv'])}: {', '.join(near)}")
         if reasons:
             differing += 1
             print(f"DIFF {' '.join(a['argv'])}")
@@ -197,13 +245,18 @@ def main(argv=None):
     parser.add_argument("base_src", help="src/ directory of the reference tree")
     parser.add_argument("change_src", help="src/ directory of the tree to compare")
     parser.add_argument("problems", nargs="*", help="problem files (default: problems/*.json)")
+    parser.add_argument("--rtol", type=float, default=0.0,
+                        help="largest relative CSV difference that counts as matching "
+                             "(default 0: files must match byte for byte)")
     args = parser.parse_args(argv)
+    if not (math.isfinite(args.rtol) and args.rtol >= 0):
+        parser.error(f"--rtol must be a finite nonnegative number, got {args.rtol}")
     problems = [os.path.abspath(p) for p in args.problems] or sorted(
         glob.glob(os.path.join(ROOT, "problems", "*.json"))
     )
     base = collect(os.path.abspath(args.base_src), problems)
     change = collect(os.path.abspath(args.change_src), problems)
-    differing = compare(base, change)
+    differing = compare(base, change, args.rtol)
     files = sum(len(r["files"]) for r in base)
     print(f"{len(base)} commands, {files} files compared on {len(problems)} problems: "
           f"{differing} differ")

@@ -269,7 +269,7 @@ class _Cyclic:
 
     def _inverse(self, U, tol):
         """Structured inverse and reconstruction vectors once ``R`` passes the rank
-        verdict at ``tol``; the inverse's own test at ``min(tol, RANK_TOL)`` then passes."""
+        verdict at ``tol``; the inverse's rank test at ``min(tol, RANK_TOL)`` then passes."""
         report = cyclic.check_rank(self.R, rank_tol=tol)
         if not report.full_rank:
             raise NotRecoverable(f"not recoverable: rank {report.rank}/{report.cols}")
@@ -585,10 +585,7 @@ def cmd_lca_demo(args):
 # -- entry point -------------------------------------------------------------
 
 
-_TOL_HELP = (
-    "recoverability tolerance on sigma_min/sigma_max in every model and command; "
-    "cyclic dual/reconstruct also bound the left-inverse residual by it"
-)
+_TOL_HELP = "recoverability tolerance on sigma_min/sigma_max in every model and command"
 _FLAGS = {
     "input": dict(help="problem file (JSON)"),
     "out": dict(help="output path prefix for CSV files"),

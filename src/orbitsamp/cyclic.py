@@ -46,6 +46,8 @@ __all__ = [
 
 
 PERIOD_TOL = 1e-8
+# bound on max |H R - I| for a structured left inverse; the rank tolerance is separate
+LEFT_INVERSE_TOL = 1e-10
 
 
 class RankDeficiencyError(ValueError):
@@ -358,7 +360,7 @@ def _shifted_columns(first, R):
     return first[:, _shift_index(R.orders, R.r, R.ell)].reshape(R.rows, R.cols).T
 
 
-def structurize_left_inverse(R, H=None, *, U=None, tol=1e-10):
+def structurize_left_inverse(R, H=None, *, U=None, tol=RANK_TOL):
     """Build a structured left inverse of ``R``.
 
     By default it is the Moore-Penrose pseudo-inverse, whose column
@@ -371,11 +373,11 @@ def structurize_left_inverse(R, H=None, *, U=None, tol=1e-10):
     ``(j, 0)``.
 
     Raises ``RankDeficiencyError`` when the block singular values fail the
-    rank test, and ``LeftInverseError`` when a seed is not a left inverse of
-    ``R`` within ``tol`` or the shifted columns fail to form one (possible for
-    multi-generator problems with seeds whose blocks lack the cyclic
-    structure).  An explicit ``H`` takes no SVD: passing the residual test at
-    a small ``tol`` proves full rank.
+    rank test at ``min(tol, RANK_TOL)``, and ``LeftInverseError`` when a seed
+    is not a left inverse of ``R`` within ``LEFT_INVERSE_TOL`` or the shifted
+    columns fail to form one (possible for multi-generator problems with
+    seeds whose blocks lack the cyclic structure).  An explicit ``H`` takes
+    no SVD: passing the residual test proves full rank.
     """
     if H is None and U is None:
         first = _pinv_first_columns(R, tol)
@@ -386,7 +388,7 @@ def structurize_left_inverse(R, H=None, *, U=None, tol=1e-10):
         if H.shape != (R.cols, R.rows):
             raise DimensionMismatch(f"H must have shape {(R.cols, R.rows)}, got {H.shape}")
         seed_resid = _left_inverse_residual(H, R)
-        if seed_resid > tol:
+        if seed_resid > LEFT_INVERSE_TOL:
             raise LeftInverseError(
                 f"seed is not a left inverse of R (residual {seed_resid:.3e})"
             )
@@ -394,7 +396,7 @@ def structurize_left_inverse(R, H=None, *, U=None, tol=1e-10):
 
     out = _shifted_columns(first, R)
     resid = _left_inverse_residual(out, R)
-    if resid > tol:
+    if resid > LEFT_INVERSE_TOL:
         raise LeftInverseError(
             f"structured columns are not a left inverse (residual {resid:.3e}); "
             "the seed's blocks lack the cyclic structure"

@@ -421,7 +421,9 @@ def build_group_G_matrix(rep, a, samplers, H, M):
         raise ValueError("M must be a subgroup of H")
     a = as_cvector(a, rep.dim)
     samplers = [as_cvector(b, rep.dim) for b in samplers]
-
+    if H.order > rep.dim:  # before the orbit is formed: an SVD of it cannot see the excess
+        raise RepresentationError(f"orbit of the generator is linearly dependent "
+                                  f"({H.order} of them in dimension {rep.dim})")
     orbit = rep.orbit(a)
     dual = DualGroup(H)
     perp = annihilator(H, M, dual=dual)

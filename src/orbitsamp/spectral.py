@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duals import DualFamily, check_frame, frame_bounds
+from .duals import DualFamily, check_frame, family_member, frame_bounds
 from .hilbert import RANK_TOL
 from .laurent import LaurentPoly, bezout, bspline, polyphase_sample
 
@@ -44,7 +44,7 @@ MIN_GRID_FACTOR = 64
 # complex entries of one grid evaluation (sequences x grid points): 1 GiB
 MAX_GRID_ENTRIES = 1 << 26
 TAIL_TOL = 1e-6
-# Gram eigenvalues err by about eps times their point's largest (``frame_constants``)
+# Gram eigenvalues err by about eps times their point's largest (``_gram_pass``)
 GRAM_DOUBT = 1e-4
 
 
@@ -237,22 +237,26 @@ def build_spectral_field(sequences, r, Q=None):
     return SpectralField(r=r, L=L, Q=Q, values=_translate_spectra(rows, r, Q))
 
 
-def frame_constants(field):
-    """Frame constants from the eigenvalues of the Gram matrices ``G*G``.
-
-    Points whose smallest eigenvalue is at or below ``GRAM_DOUBT`` times
-    their largest (every point of a wide field) take a values-only SVD, so
-    ``sigma_ratio`` is within 1e-10 relative of the SVD's.
-    """
-    G = field.values
-    eigs = np.linalg.eigvalsh(np.conj(np.swapaxes(G, 1, 2)) @ G)
+def _gram_pass(G):
+    """Gram matrices ``A = G*G``, their eigenvalues ascending per point, and the
+    doubtful points, whose smallest is at or below ``GRAM_DOUBT`` times their
+    largest (every point of a wide field).  Those take a values-only SVD, so
+    frame constants from the eigenvalues are within 1e-10 relative of the SVD's."""
+    A = np.conj(np.swapaxes(G, 1, 2)) @ G
+    eigs = np.linalg.eigvalsh(A)
     doubtful = eigs[:, 0] <= GRAM_DOUBT * eigs[:, -1]
     if doubtful.any():
         sv = np.linalg.svd(G[doubtful], compute_uv=False)
         # ascending, a wide matrix's missing values at zero
         eigs[doubtful] = 0.0
         eigs[doubtful, -sv.shape[-1] :] = sv[:, ::-1] ** 2
-    return frame_bounds(eigs)
+    return A, eigs, doubtful
+
+
+def frame_constants(field):
+    """Frame constants from the eigenvalues of the Gram matrices ``G*G``;
+    only doubtful points (``_gram_pass``) take an SVD."""
+    return frame_bounds(_gram_pass(field.values)[1])
 
 
 @dataclass(eq=False)
@@ -282,14 +286,24 @@ def dual_field(field, U=None, *, threshold=RANK_TOL):
 
     ``U`` (constant or per-grid-point ``(r*L) x s``) selects the member
     ``pinv(G) + U @ (I_s - G @ pinv(G))``; every member satisfies the dual
-    row condition, and the verification residual is recorded.  One SVD per
-    grid point gives the frame test and the pseudo-inverse.  Raises
-    ``FrameError`` when ``sigma_min/sigma_max`` over the grid is at or below
-    ``threshold``.
+    row condition, and the verification residual is recorded.  The frame test
+    is ``frame_constants``': ``FrameError`` when ``sigma_min/sigma_max`` is at
+    or below ``threshold``.  At sound points the pseudo-inverse solves
+    ``G*G X = G*``, and one Newton-Schulz step ``X += (I - X G) X`` squares the
+    solve's relative error; doubtful points (``_gram_pass``) take a thin SVD.
     """
-    family = DualFamily(field.values)
-    check_frame(family.frame(), threshold)
-    h = family.member(U)
+    G = field.values
+    A, eigs, doubtful = _gram_pass(G)
+    check_frame(frame_bounds(eigs), threshold)
+    A[doubtful] = np.eye(G.shape[-1])  # a placeholder, replaced by the SVD's below
+    pinv = np.linalg.solve(A, np.conj(np.swapaxes(G, 1, 2)))
+    del A  # before the step's temporaries
+    step = pinv @ G
+    np.subtract(np.eye(G.shape[-1]), step, out=step)
+    pinv += step @ pinv
+    if doubtful.any():
+        pinv[doubtful] = DualFamily(G[doubtful]).pinv
+    h = pinv if U is None else family_member(G, pinv, U)
     return DualField(field=field, h_values=h, residual_max=_dual_residual(field, h))
 
 

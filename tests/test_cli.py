@@ -308,14 +308,15 @@ class TestReconstruct:
         assert "residual exceeds" in capsys.readouterr().out
 
     @pytest.mark.parametrize("command", ["reconstruct", "dual"])
-    def test_unmet_residual_tolerance_exit_one(self, tmp_path, command):
-        # a 1e-17 tolerance is below the pseudo-inverse's rounding residual
+    def test_exit_code_follows_analyze(self, tmp_path, command):
+        # --tol bounds sigma_min/sigma_max alone; the left-inverse residual has a
+        # fixed bound, so a tolerance below the rounding residual refuses nothing
         rng = np.random.default_rng(0)
         inst = random_cyclic_instance(
             rng, CyclicInstanceConfig(max_dim=12, distortion=0.5)
         )
         spec, scheme = inst.spec, inst.scheme
-        doc = {
+        docs = [{
             "model": "cyclic",
             "dimension": spec.operator.dim,
             "operator": [cpairs(row) for row in spec.operator.matrix],
@@ -323,18 +324,28 @@ class TestReconstruct:
             "orders": spec.orders,
             "samplers": [cpairs(b) for b in scheme.samplers],
             "r": scheme.r,
-        }
-        x = spec.synthesize(rng.standard_normal(spec.total_order))
-        spath = str(tmp_path / "samples.csv")
-        cli.write_vector_csv(spath, o.take_samples(spec, scheme, x))
-        argv = [command, "--input", write_problem(tmp_path, doc), "--tol", "1e-17"]
-        argv += ["--out", str(tmp_path / "out")]
-        if command == "reconstruct":
-            argv += ["--samples", spath]
-        proc = run_cli(*argv)
-        assert proc.returncode == 1
-        assert "Traceback" not in proc.stderr
-        assert "structured inverse failed" in proc.stdout
+        }]
+        for path in sorted(glob.glob(os.path.join(ROOT, "problems", "cyclic_*.json"))):
+            with open(path) as fh:
+                docs.append(json.load(fh))
+        verdicts = set()
+        for k, doc in enumerate(docs):
+            op, gens, samplers = (np.array(doc[key], dtype=float) @ [1, 1j]
+                                  for key in ("operator", "generators", "samplers"))
+            spec = o.CyclicSubspaceSpec(o.LinearOperator(op), list(gens), doc["orders"])
+            scheme = o.SamplingScheme.for_spec(spec, list(samplers), doc["r"])
+            spath = str(tmp_path / f"s{k}.csv")
+            x = spec.synthesize(np.arange(1.0, spec.total_order + 1))
+            cli.write_vector_csv(spath, o.take_samples(spec, scheme, x))
+            path = write_problem(tmp_path, doc, f"p{k}.json")
+            for tol in ("0", "1e-17", "1e-10"):
+                rc, _, _ = run_in_process(["analyze", "--input", path, "--tol", tol])
+                argv = [command, "--input", path, "--tol", tol, "--out", str(tmp_path / "o")]
+                if command == "reconstruct":
+                    argv += ["--samples", spath]
+                assert run_in_process(argv)[0] == rc, (k, tol)
+                verdicts.add(rc)
+        assert verdicts == {0, 1}  # cyclic_rank2.json is not recoverable
 
     @pytest.mark.parametrize(
         "indices", [[100, 93, 86, 79], [3, 2, 1, 0], [0, 1, 3, 2], [0, 1, 2, 4], [1, 2, 3, 4]]
@@ -1256,6 +1267,26 @@ class TestScaleInvariance:
             runs.append((rc_a, rc_d, lines, duals))
         return runs
 
+    @staticmethod
+    def shift_doc(width, extra, seed, common_zero):
+        """A random shift problem and its sequences; every spectrum vanishes at
+        ``w = 0`` when ``common_zero``."""
+        rng = np.random.default_rng(seed)
+        seqs = [rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                for n in rng.integers(1, 6, size=max(1, width + extra))]
+        if common_zero:
+            seqs = [np.convolve(v, [-1, 1]) for v in seqs]
+        doc = {
+            "model": "shift",
+            "r": width,
+            "grid": 64,
+            "method": "pseudoinverse",
+            "dual_length": 64 * width,  # the whole grid: no truncation to refuse
+            "sequences": {f"g{j}": {"offset": -1, "values": cpairs(v)}
+                          for j, v in enumerate(seqs, start=1)},
+        }
+        return doc, seqs
+
     @settings(max_examples=25, deadline=None)
     @given(
         width=st.sampled_from([1, 2, 4]),
@@ -1268,20 +1299,7 @@ class TestScaleInvariance:
     @example(width=4, extra=-1, seed=2, common_zero=False)
     @example(width=4, extra=2, seed=3, common_zero=False)
     def test_shift(self, width, extra, seed, common_zero):
-        rng = np.random.default_rng(seed)
-        seqs = [rng.standard_normal(n) + 1j * rng.standard_normal(n)
-                for n in rng.integers(1, 6, size=max(1, width + extra))]
-        if common_zero:  # every spectrum vanishes at w = 0
-            seqs = [np.convolve(v, [-1, 1]) for v in seqs]
-        doc = {
-            "model": "shift",
-            "r": width,
-            "grid": 64,
-            "method": "pseudoinverse",
-            "dual_length": 64 * width,  # the whole grid: no truncation to refuse
-            "sequences": {f"g{j}": {"offset": -1, "values": cpairs(v)}
-                          for j, v in enumerate(seqs, start=1)},
-        }
+        doc, seqs = self.shift_doc(width, extra, seed, common_zero)
         with tempfile.TemporaryDirectory() as tmp:
             (rc_a, rc_d, lines, duals), *others = self.runs(doc, tmp)
         assert rc_a in (0, 1) and rc_d in (0, 1)
@@ -1297,3 +1315,31 @@ class TestScaleInvariance:
                 diff = [got.get(k, 0) - want.get(k, 0) for k in got.keys() | want.keys()]
                 scale = max(map(abs, want.values()))
                 assert max(map(abs, diff)) <= max(1e-10, 1e-13 / ratio) * scale
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        width=st.sampled_from([1, 2, 4]),
+        extra=st.integers(-1, 2),
+        seed=st.integers(0, 2**32 - 1),
+        common_zero=st.booleans(),
+    )
+    @example(width=1, extra=0, seed=0, common_zero=False)
+    @example(width=2, extra=1, seed=1, common_zero=True)
+    def test_shift_dual_refuses_iff_analyze_does(self, width, extra, seed, common_zero):
+        # at --tol just below and just above the field's own ratio
+        doc, _ = self.shift_doc(width, extra, seed, common_zero)
+        with tempfile.TemporaryDirectory() as tmp:
+            problem, prefix = os.path.join(tmp, "p.json"), os.path.join(tmp, "d")
+            with open(problem, "w") as fh:
+                json.dump(doc, fh)
+            _, out, _ = run_in_process(["analyze", "--input", problem])
+            ratio = float(out.split("sigma_min/sigma_max = ")[1].split()[0])
+            for tol in (ratio * (1 - 1e-9), ratio * (1 + 1e-9)):
+                tol_flag = ["--tol", repr(tol)]
+                rc_a, out_a, _ = run_in_process(["analyze", "--input", problem, *tol_flag])
+                rc_d, out_d, _ = run_in_process(
+                    ["dual", "--input", problem, "--out", prefix, *tol_flag]
+                )
+                assert (rc_a, rc_d) in ((0, 0), (1, 1))
+                assert ("recoverable: no" in out_a) == ("not recoverable" in out_d)
+                assert rc_a == (0 if 0 < tol < ratio else 1)

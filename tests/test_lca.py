@@ -1,11 +1,14 @@
 import itertools
+import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from orbitsamp import cli
 from orbitsamp.cyclic import (
     CyclicSubspaceSpec,
     SamplingScheme,
@@ -556,6 +559,28 @@ class TestOrbitCertificate:
         sv = np.linalg.svd(rep.orbit(a), compute_uv=False)
         assert sv[-1] <= RANK_TOL * sv[0]
         assert build_group_G_matrix(rep, a, samplers, H, M).frame.sigma_ratio > RANK_TOL
+
+    def test_orbit_wider_than_space_exits_two(self, tmp_path, monkeypatch, capsys):
+        # Z_4 acting on C^2 by diag(1, i): |H| = 4 orbit vectors in dimension 2
+        reason = "orbit of the generator is linearly dependent (4 of them in dimension 2)"
+        doc = {
+            "model": "lca",
+            "dimension": 2,
+            "operator": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]],
+            "generators": [[[1, 0], [1, 0]]],
+            "samplers": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+            "group": {"moduli": [4], "H_gens": [[1]], "M_gens": [[2]]},
+        }
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        monkeypatch.setattr(GroupRepresentation, "orbit", None)  # never formed
+        assert cli.main(["analyze", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {reason}\n"
+        g = FiniteAbelianGroup((4,))
+        H, M = Subgroup(g, [(1,)]), Subgroup(g, [(2,)])
+        rep = GroupRepresentation(H, [np.diag([1, 1j])])
+        with pytest.raises(RepresentationError, match=re.escape(reason)):
+            build_group_G_matrix(rep, [1, 1], list(np.eye(2)), H, M)
 
     def test_certified_orbit_takes_no_orbit_svd(self, monkeypatch):
         rep, a, samplers, H, M = self.instance(

@@ -29,9 +29,10 @@ def test_script_runs(script, args):
     assert "Traceback" not in proc.stderr
 
 
-def run_parity(base_src, change_src):
+def run_parity(base_src, change_src, *flags):
     return subprocess.run(
-        [sys.executable, os.path.join(ROOT, "scripts", "cli_parity.py"), base_src, change_src],
+        [sys.executable, os.path.join(ROOT, "scripts", "cli_parity.py"), *flags, base_src,
+         change_src],
         capture_output=True,
         text=True,
         timeout=300,
@@ -45,15 +46,33 @@ def test_cli_parity_same_tree():
     assert proc.stdout.endswith(" differ\n") and proc.stdout.split()[-2] == "0"
 
 
-def test_cli_parity_reports_a_difference(tmp_path):
-    # a copy whose verdict line reads differently must fail the comparison
+def changed_copy(tmp_path, old, new):
+    """A copy of ``src/`` whose ``cli.py`` has its one ``old`` replaced by ``new``."""
     changed = tmp_path / "src"
     shutil.copytree(os.path.join(ROOT, "src"), changed,
                     ignore=shutil.ignore_patterns("__pycache__"))
     cli = changed / "orbitsamp" / "cli.py"
     text = cli.read_text()
-    assert text.count("recoverable: {") == 1
-    cli.write_text(text.replace("recoverable: {", "Recoverable: {"))
+    assert text.count(old) == 1
+    cli.write_text(text.replace(old, new))
+    return changed
+
+
+def test_cli_parity_reports_a_difference(tmp_path):
+    # a copy whose verdict line reads differently must fail the comparison
+    changed = changed_copy(tmp_path, "recoverable: {", "Recoverable: {")
     proc = run_parity(os.path.join(ROOT, "src"), str(changed))
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "DIFF analyze --input" in proc.stdout and "stdout line" in proc.stdout
+
+
+def test_cli_parity_rtol(tmp_path):
+    # floats written with 16 significant digits, not 17: only CSV bytes change
+    changed = changed_copy(tmp_path, '"%d,%.17g,%.17g', '"%d,%.16g,%.16g')
+    proc = run_parity(os.path.join(ROOT, "src"), str(changed))
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "files differ: " in proc.stdout and "max relative difference" in proc.stdout
+    assert "stdout line" not in proc.stdout and "NEAR" not in proc.stdout
+    proc = run_parity(os.path.join(ROOT, "src"), str(changed), "--rtol", "1e-14")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "NEAR dual --input" in proc.stdout and proc.stdout.split()[-2] == "0"

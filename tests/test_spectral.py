@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from orbitsamp.duals import FrameError
 from orbitsamp.laurent import LaurentPoly, eval_torus
 from orbitsamp.spectral import (
+    GRAM_DOUBT,
     MAX_GRID_ENTRIES,
     MIN_GRID_FACTOR,
     FilterBank,
@@ -280,6 +281,64 @@ class TestDualField:
         U = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
         dual = dual_field(field, U=U)
         assert dual.residual_max <= 1e-9
+
+    @staticmethod
+    def conditioned_stack(rng, width, extra, ratios):
+        """Random ``(points, width + extra, width)`` stack whose point ``q`` has
+        singular values from ``ratios[q]`` up to 1 (just ``ratios[q]`` at width 1)."""
+        s, n = width + extra, len(ratios)
+        values = rng.standard_normal((n, s, width)) + 1j * rng.standard_normal((n, s, width))
+        u, _, vh = np.linalg.svd(values, full_matrices=False)
+        sv = np.asarray(ratios)[:, None] ** np.linspace(1, 0, width)
+        return (u * sv[:, None, :]) @ vh
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        width=st.sampled_from([1, 2, 4]),
+        extra=st.integers(0, 2),
+        scale=st.sampled_from([1e-6, 1.0, 1e3]),
+        per_point=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_gram_route_matches_numpy_pinv(self, width, extra, scale, per_point, seed):
+        # per-point sigma ratios log-uniform in [1e-6, 1]: sound and doubtful points
+        rng = np.random.default_rng(seed)
+        ratios = 10 ** rng.uniform(-6, 0, 48)
+        values = scale * self.conditioned_stack(rng, width, extra, ratios)
+        field = SpectralField(r=1, L=width, Q=48, values=values)
+        s = values.shape[1]
+        pinv = np.linalg.pinv(values)
+        bound = 1e-12 * np.max(np.abs(pinv))
+        U = 0.1 / scale * (rng.standard_normal((width, s)) + 1j * rng.standard_normal((width, s)))
+        if per_point:
+            U = U * rng.standard_normal((48, 1, 1))
+        assert np.max(np.abs(dual_field(field).h_values - pinv)) <= bound
+        want = pinv + U @ (np.eye(s) - values @ pinv)
+        assert np.max(np.abs(dual_field(field, U=U).h_values - want)) <= bound
+
+    def test_svd_only_at_doubtful_points(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        ratios = np.full(64, 0.1)  # sound: Gram eigenvalue ratio 1e-2 > GRAM_DOUBT
+        sound = self.conditioned_stack(rng, 2, 1, ratios)
+        ratios[[5, 9, 40]] = 1e-3
+        assert np.sum(ratios**2 <= GRAM_DOUBT) == 3
+        mixed = self.conditioned_stack(rng, 2, 1, ratios)
+        shapes = []
+        svd = np.linalg.svd
+
+        def recording_svd(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        for values, want in ((sound, []), (mixed, [(3, 3, 2), (3, 3, 2)])):
+            pinv = np.linalg.pinv(values)
+            with monkeypatch.context() as m:
+                m.setattr(np.linalg, "svd", recording_svd)
+                dual = dual_field(SpectralField(r=1, L=2, Q=64, values=values))
+            # the frame test's values-only SVD, then the thin SVD for the pseudo-inverse
+            assert shapes == want
+            assert np.max(np.abs(dual.h_values - pinv)) <= 1e-12 * np.max(np.abs(pinv))
+            shapes.clear()
 
 
 class TestReconstructionCoefficients:
