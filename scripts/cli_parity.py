@@ -16,9 +16,10 @@ from that tree and sends one fixed corpus through ``cli.main`` in process:
 - ``lca-demo`` on its built-in problem and on every lca problem.
 
 Exit codes, stdout, stderr and the bytes of every file a command writes must
-match.  When a written CSV differs in bytes, both files are parsed and their
-largest relative difference is printed: ``max |a - b|`` over rows, relative
-to the largest ``|a|`` of the base file.  With ``--rtol`` above 0 (default
+match; every differing line of stdout and stderr is printed.  When a
+written CSV differs in bytes, both files are parsed and their largest
+relative difference is printed: ``max |a - b|`` over rows, relative to the
+largest ``|a|`` of the base file.  With ``--rtol`` above 0 (default
 0, a byte check), files with the same indices and a relative difference at
 most ``rtol`` count as matching; each is listed on a ``NEAR`` line.  The
 script prints each difference and a summary, and exits 1 when there is a
@@ -29,6 +30,7 @@ import argparse
 import contextlib
 import glob
 import io
+import itertools
 import json
 import math
 import os
@@ -166,11 +168,11 @@ def collect(src, problems):
     return json.loads(proc.stdout)
 
 
-def _first_difference(a, b):
-    for n, (x, y) in enumerate(zip(a.splitlines(), b.splitlines()), start=1):
-        if x != y:
-            return f"line {n}: {x!r} != {y!r}"
-    return f"{len(a.splitlines())} != {len(b.splitlines())} lines"
+def _line_differences(a, b):
+    """``line n: x != y`` for every line, with its ending, that differs between
+    two texts; a line that one text lacks reads ``None``."""
+    pairs = itertools.zip_longest(a.splitlines(keepends=True), b.splitlines(keepends=True))
+    return [f"line {n}: {x!r} != {y!r}" for n, (x, y) in enumerate(pairs, start=1) if x != y]
 
 
 def _csv_rows(text):
@@ -225,8 +227,7 @@ def compare(base, change, rtol=0.0):
         if a["rc"] != b["rc"]:
             reasons.append(f"exit code {a['rc']} != {b['rc']}")
         for stream in ("stdout", "stderr"):
-            if a[stream] != b[stream]:
-                reasons.append(f"{stream} {_first_difference(a[stream], b[stream])}")
+            reasons += [f"{stream} {line}" for line in _line_differences(a[stream], b[stream])]
         files, near = _file_differences(a["files"], b["files"], rtol)
         if files:
             reasons.append(f"files differ: {', '.join(files)}")

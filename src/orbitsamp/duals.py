@@ -5,8 +5,8 @@ matrix ``R``, or one spectral matrix per grid point (shift) or section point
 (lca).  Its duals are the left-inverse family ``pinv(A) + U (I - A pinv(A))``.
 One thin SVD gives both the singular values behind the verdict, which is
 ``sigma_min / sigma_max`` over all the matrices in every model, and the
-pseudo-inverse; the shift grid takes it only where its Gram matrices are
-doubtful (``spectral.dual_field``).
+pseudo-inverse; the shift grid takes it only at doubtful points, none when
+its Gram solve certifies the grid (``spectral.dual_field``).
 """
 
 from __future__ import annotations

@@ -46,6 +46,7 @@ MAX_GRID_ENTRIES = 1 << 26
 TAIL_TOL = 1e-6
 # Gram eigenvalues err by about eps times their point's largest (``_gram_pass``)
 GRAM_DOUBT = 1e-4
+GRAM_SLACK = 1e-12
 
 
 class TailEnergyError(ValueError):
@@ -205,15 +206,16 @@ def _translate_spectra(rows, r, Q):
     """Spectra of an ``s x L`` nest of sequences at ``w + k/r`` for ``w = q/Q < 1/r``.
 
     Coefficient ``c(k)`` contributes ``c(k) exp(2 pi i k q / Q)``, so every
-    sequence aliases onto the indices ``k mod Q`` (any offset, any support
-    length) and one unscaled inverse FFT over the stacked sequences gives
-    them all on the grid.  The translate ``k/r`` of grid point ``q`` is grid
-    index ``q + k Q/r``.  Shape ``(Q/r, s, r*L)``, column ``k*L + l``.
+    sequence aliases onto the indices ``k mod Q`` (any support length, any
+    offset: a Python int, reduced before it meets int64) and one unscaled
+    inverse FFT over the stacked sequences gives them all on the grid.  The
+    translate ``k/r`` of grid point ``q`` is grid index ``q + k Q/r``.  Shape
+    ``(Q/r, s, r*L)``, column ``k*L + l``.
     """
     flat = [seq for row in rows for seq in row]
     coeffs = np.zeros((len(flat), Q), dtype=complex)
     for i, seq in enumerate(flat):
-        np.add.at(coeffs[i], np.arange(seq.offset, seq.end) % Q, seq.values)
+        np.add.at(coeffs[i], (seq.offset % Q + np.arange(seq.values.size)) % Q, seq.values)
     spectra = np.fft.ifft(coeffs, norm="forward").reshape(len(rows), -1, r, Q // r)
     return spectra.transpose(3, 0, 2, 1).reshape(Q // r, len(rows), -1)
 
@@ -237,26 +239,37 @@ def build_spectral_field(sequences, r, Q=None):
     return SpectralField(r=r, L=L, Q=Q, values=_translate_spectra(rows, r, Q))
 
 
-def _gram_pass(G):
-    """Gram matrices ``A = G*G``, their eigenvalues ascending per point, and the
-    doubtful points, whose smallest is at or below ``GRAM_DOUBT`` times their
-    largest (every point of a wide field).  Those take a values-only SVD, so
-    frame constants from the eigenvalues are within 1e-10 relative of the SVD's."""
-    A = np.conj(np.swapaxes(G, 1, 2)) @ G
+def _gram_pass(G, A=None, *, thin=False):
+    """Eigenvalues of the Gram matrices ``A = G*G`` (formed unless given),
+    ascending per point, and the doubtful points, whose smallest is at or below
+    ``GRAM_DOUBT`` times their largest (every point of a wide field).  Those take
+    an SVD (with ``thin``, the ``DualFamily`` returned last).  The sound points
+    whose smallest may be the grid's, within ``GRAM_SLACK`` times their largest,
+    take it as ``|G v|^2`` for its eigenvector ``v``, which errs by about eps
+    times ``cond(G)``, not its square: ``alpha_G`` and ``sigma_min/sigma_max``
+    are then within 1e-12 relative of the SVD's, and so is ``beta_G``."""
+    A = np.conj(np.swapaxes(G, 1, 2)) @ G if A is None else A
     eigs = np.linalg.eigvalsh(A)
     doubtful = eigs[:, 0] <= GRAM_DOUBT * eigs[:, -1]
+    family = DualFamily(G[doubtful]) if thin and doubtful.any() else None
     if doubtful.any():
-        sv = np.linalg.svd(G[doubtful], compute_uv=False)
+        sv = family.singular_values if family else np.linalg.svd(G[doubtful], compute_uv=False)
         # ascending, a wide matrix's missing values at zero
         eigs[doubtful] = 0.0
         eigs[doubtful, -sv.shape[-1] :] = sv[:, ::-1] ** 2
-    return A, eigs, doubtful
+    slack = np.where(doubtful, 0.0, GRAM_SLACK * eigs[:, -1])
+    near = ~doubtful & (eigs[:, 0] - slack <= np.min(eigs[:, 0] + slack))
+    if near.any():
+        v = np.linalg.eigh(A[near])[1][:, :, :1]
+        eigs[near, 0] = np.sum(np.abs(G[near] @ v) ** 2, axis=(1, 2))
+    return eigs, doubtful, family
 
 
 def frame_constants(field):
     """Frame constants from the eigenvalues of the Gram matrices ``G*G``;
-    only doubtful points (``_gram_pass``) take an SVD."""
-    return frame_bounds(_gram_pass(field.values)[1])
+    only doubtful points (``_gram_pass``) take an SVD, and the points that
+    may hold the smallest a Rayleigh quotient."""
+    return frame_bounds(_gram_pass(field.values)[0])
 
 
 @dataclass(eq=False)
@@ -281,6 +294,18 @@ def _dual_residual(field, h_values):
     return float(np.max(np.abs(prod - target)))
 
 
+def _certified(G, pinv, step, threshold):
+    """Whether ``X`` and ``E = I - X G`` show that ``_gram_pass`` finds no doubtful
+    point and the frame test passes: where ``e = |E|_F < 1``, ``sigma_min(G) >=
+    (1 - e) / |X|_F``, and ``sigma_max(G) <= |G|_F``; the squared bounds clear
+    ``GRAM_DOUBT`` at every point and ``threshold**2`` over the grid by a factor 2."""
+    flat = (np.ascontiguousarray(M, dtype=complex).reshape(len(M), -1).view(float)
+            for M in (step, pinv, G))
+    e2, x2, g2 = (np.einsum("ij,ij->i", v, v) for v in flat)  # squared Frobenius norms
+    low = np.where(e2 < 1, (1 - np.sqrt(e2)) ** 2, 0.0) / x2
+    return bool(np.all(low > 2 * GRAM_DOUBT * g2) and low.min() > 2 * threshold**2 * g2.max())
+
+
 def dual_field(field, U=None, *, threshold=RANK_TOL):
     """Pseudo-inverse dual matrices, optionally perturbed inside the family.
 
@@ -288,21 +313,30 @@ def dual_field(field, U=None, *, threshold=RANK_TOL):
     ``pinv(G) + U @ (I_s - G @ pinv(G))``; every member satisfies the dual
     row condition, and the verification residual is recorded.  The frame test
     is ``frame_constants``': ``FrameError`` when ``sigma_min/sigma_max`` is at
-    or below ``threshold``.  At sound points the pseudo-inverse solves
-    ``G*G X = G*``, and one Newton-Schulz step ``X += (I - X G) X`` squares the
-    solve's relative error; doubtful points (``_gram_pass``) take a thin SVD.
+    or below ``threshold``, taken by ``_gram_pass`` unless ``X = solve(G*G, G*)``
+    passes ``_certified``.  One Newton-Schulz step ``X += (I - X G) X`` squares
+    the solve's relative error; a thin SVD gives doubtful points values and pinv.
     """
     G = field.values
-    A, eigs, doubtful = _gram_pass(G)
-    check_frame(frame_bounds(eigs), threshold)
-    A[doubtful] = np.eye(G.shape[-1])  # a placeholder, replaced by the SVD's below
-    pinv = np.linalg.solve(A, np.conj(np.swapaxes(G, 1, 2)))
+    A = np.conj(np.swapaxes(G, 1, 2)) @ G
+    family = None
+    for exact in (False, True):  # the exact route only when X leaves the grid uncertified
+        if exact:
+            eigs, doubtful, family = _gram_pass(G, A, thin=True)
+            check_frame(frame_bounds(eigs), threshold)
+            A[doubtful] = np.eye(G.shape[-1])  # a placeholder, replaced by the SVD's below
+        try:
+            pinv = np.linalg.solve(A, np.conj(np.swapaxes(G, 1, 2)))
+        except np.linalg.LinAlgError:  # an exactly singular Gram matrix, never a sound one
+            continue
+        step = pinv @ G
+        np.subtract(np.eye(G.shape[-1]), step, out=step)
+        if exact or _certified(G, pinv, step, threshold):
+            break
     del A  # before the step's temporaries
-    step = pinv @ G
-    np.subtract(np.eye(G.shape[-1]), step, out=step)
     pinv += step @ pinv
-    if doubtful.any():
-        pinv[doubtful] = DualFamily(G[doubtful]).pinv
+    if family is not None:
+        pinv[doubtful] = family.pinv
     h = pinv if U is None else family_member(G, pinv, U)
     return DualField(field=field, h_values=h, residual_max=_dual_residual(field, h))
 
@@ -433,11 +467,16 @@ def perfect_reconstruction_check(fb, torus_grid=512, *, trials=16, max_support=6
     the rounding error of the product grows with that scale, which exact
     banks with large taps reach.  The report also carries the absolute
     residual and the worst relative round-trip error of ``trials`` random
-    finitely supported inputs through analysis and synthesis.  The grid has
+    finitely supported inputs through analysis and synthesis, which refuses a
+    branch moving them over ``MAX_GRID_ENTRIES / 2`` samples.  The grid has
     ``MIN_GRID_FACTOR`` points or more, ``MAX_GRID_ENTRIES / (s*r)`` or fewer.
     """
     r = fb.r
     _check_grid(torus_grid, MIN_GRID_FACTOR, fb.s * r)
+    for j, (h, g) in enumerate(zip(fb.analysis, fb.synthesis), start=1):
+        if max(abs(h.offset + g.offset), abs(h.end + g.end)) > MAX_GRID_ENTRIES // 2:
+            raise ValueError(f"h{j}/g{j}: offsets {h.offset} and {g.offset} move branch {j} "
+                             f"of the round trip more than {MAX_GRID_ENTRIES // 2} samples")
     # a polyphase entry at z = exp(-2 pi i w) is the spectrum of its component
     H = [[_phase(h, r, -k) for k in range(r)] for h in fb.analysis]
     G = [[_phase(g, r, k) for g in fb.synthesis] for k in range(r)]

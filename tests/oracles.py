@@ -3,8 +3,9 @@
 Each is the direct textbook form of a quantity the package computes by a
 faster or structured route: dense inner products and Gram matrices, the
 sample matrix entry by entry, an entrywise r-circulant check, a projection
-by the normal equations, an operator check that takes its SVD first, and
-CSV rows written by the ``csv`` module.
+by the normal equations, an operator check that takes its SVD first, the
+shift dual field by its exact route (Gram eigenvalues first), and CSV rows
+written by the ``csv`` module.
 """
 
 import csv
@@ -13,7 +14,9 @@ from fractions import Fraction
 import numpy as np
 
 from orbitsamp.cyclic import RankDeficiencyError
+from orbitsamp.duals import DualFamily, check_frame, family_member, frame_bounds
 from orbitsamp.hilbert import RANK_TOL, DimensionMismatch, as_cvector
+from orbitsamp.spectral import GRAM_DOUBT, GRAM_SLACK
 
 
 def inner(x, y):
@@ -110,6 +113,47 @@ def operator_inverse(matrix):
     if not resid <= 1e-10:
         raise ValueError(f"inverse verification failed (residual {resid:.3e})")
     return inv
+
+
+def exact_dual_field(field, U=None, threshold=RANK_TOL):
+    """``(h_values, residual_max)`` of the shift dual field, the eigenvalues first.
+
+    The Gram matrices ``A = G*G`` and their ``eigvalsh`` at every point; the
+    points whose smallest eigenvalue is at or below ``GRAM_DOUBT`` times their
+    largest take one thin SVD, whose squared singular values replace their
+    eigenvalues; the other points whose smallest is within ``GRAM_SLACK`` times
+    their largest of the grid's take ``|G v|^2`` for its eigenvector ``v``.
+    ``check_frame`` at ``threshold`` on all of them; then
+    ``solve(A, G*)`` and one Newton-Schulz step at the other points, the SVD's
+    pseudo-inverse at these, and the member ``U`` selects.
+    """
+    G = field.values
+    n = G.shape[-1]
+    A = np.conj(np.swapaxes(G, 1, 2)) @ G
+    eigs = np.linalg.eigvalsh(A)
+    doubtful = eigs[:, 0] <= GRAM_DOUBT * eigs[:, -1]
+    if doubtful.any():
+        family = DualFamily(G[doubtful])
+        sv = family.singular_values
+        eigs[doubtful] = 0.0
+        eigs[doubtful, n - sv.shape[-1] :] = sv[:, ::-1] ** 2
+    slack = np.where(doubtful, 0.0, GRAM_SLACK * eigs[:, -1])
+    near = ~doubtful & (eigs[:, 0] - slack <= np.min(eigs[:, 0] + slack))
+    if near.any():
+        v = np.linalg.eigh(A[near])[1][:, :, :1]
+        eigs[near, 0] = np.sum(np.abs(G[near] @ v) ** 2, axis=(1, 2))
+    check_frame(frame_bounds(eigs), threshold)
+    A[doubtful] = np.eye(n)
+    pinv = np.linalg.solve(A, np.conj(np.swapaxes(G, 1, 2)))
+    step = np.eye(n) - pinv @ G
+    pinv += step @ pinv
+    if doubtful.any():
+        pinv[doubtful] = family.pinv
+    h = pinv if U is None else family_member(G, pinv, U)
+    L = field.L
+    target = np.zeros((L, n))
+    target[:, :L] = np.eye(L)
+    return h, float(np.max(np.abs(h[:, :L, :] @ G - target)))
 
 
 def write_vector_csv(path, values, indices=None, exact=None):

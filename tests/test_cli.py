@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 import tempfile
@@ -1298,6 +1299,7 @@ class TestScaleInvariance:
     @example(width=2, extra=1, seed=1, common_zero=True)
     @example(width=4, extra=-1, seed=2, common_zero=False)
     @example(width=4, extra=2, seed=3, common_zero=False)
+    @example(width=4, extra=0, seed=109050, common_zero=False)
     def test_shift(self, width, extra, seed, common_zero):
         doc, seqs = self.shift_doc(width, extra, seed, common_zero)
         with tempfile.TemporaryDirectory() as tmp:
@@ -1343,3 +1345,56 @@ class TestScaleInvariance:
                 assert (rc_a, rc_d) in ((0, 0), (1, 1))
                 assert ("recoverable: no" in out_a) == ("not recoverable" in out_d)
                 assert rc_a == (0 if 0 < tol < ratio else 1)
+
+
+class TestOffsetsBeyondInt64:
+    """Sequence offsets are Python ints of any size: the spectra reduce them
+    modulo the grid, and ``pr-check`` refuses a round trip it cannot span."""
+
+    OFFSETS = [2**63, -(2**63) - 1, 10**30]
+    COMMANDS = {
+        "analyze": ["analyze"],
+        "dual-pseudoinverse": ["dual", "pseudoinverse"],
+        "dual-bezout": ["dual", "bezout"],
+        "pr-check": ["pr-check"],
+    }
+
+    @pytest.mark.parametrize("offset", OFFSETS)
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("problem, name", [("bank", "h1"), ("bank", "g1"), ("shift", "g1")])
+    def test_exit_code_and_one_line(self, tmp_path, problem, name, command, offset):
+        doc = bank_problem() if problem == "bank" else spline_shift_problem()
+        doc["sequences"][name]["offset"] = offset
+        command, *method = self.COMMANDS[command]
+        if method:
+            doc["method"] = method[0]
+        out = ["--out", str(tmp_path / "d")] if command == "dual" else []
+        path = write_problem(tmp_path, doc)
+        rc, stdout, stderr = run_in_process([command, "--input", path, *out])
+        assert rc in (0, 1, 2)
+        if rc == 2:
+            assert stderr.startswith("error: ") and stderr.count("\n") == 1
+        else:
+            assert stderr == "" and stdout.endswith("\n")
+        if problem == "bank" and command == "pr-check":  # the reason names the pair
+            h, g = (doc["sequences"][f"{p}1"]["offset"] for p in "hg")
+            assert rc == 2 and stderr.startswith(f"error: h1/g1: offsets {h} and {g} move ")
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_moving_an_offset_by_a_grid_multiple_changes_nothing(self, tmp_path, width):
+        doc, _ = TestScaleInvariance.shift_doc(width, 1, 7, False)
+        Q = doc["grid"] * doc["r"]
+        runs = []
+        for shift in (0, Q * 2**64, -Q * 2**64):
+            moved = copy.deepcopy(doc)
+            moved["sequences"]["g1"]["offset"] += shift
+            path, prefix = write_problem(tmp_path, moved, f"p{len(runs)}.json"), tmp_path / "d"
+            outputs = [run_in_process(["analyze", "--input", path])]
+            outputs.append(run_in_process(["dual", "--input", path, "--out", str(prefix)]))
+            files = sorted(glob.glob(glob.escape(str(prefix)) + ".*.csv"))
+            outputs.append([pathlib.Path(f).read_bytes() for f in files])
+            for f in files:
+                os.remove(f)
+            runs.append(outputs)
+        assert runs[0][0][0] == 0 and runs[0][1][0] == 0 and runs[0][2]
+        assert runs[1] == runs[0] and runs[2] == runs[0]

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import shutil
 import subprocess
@@ -29,10 +30,10 @@ def test_script_runs(script, args):
     assert "Traceback" not in proc.stderr
 
 
-def run_parity(base_src, change_src, *flags):
+def run_parity(base_src, change_src, *flags, problems=()):
     return subprocess.run(
         [sys.executable, os.path.join(ROOT, "scripts", "cli_parity.py"), *flags, base_src,
-         change_src],
+         change_src, *problems],
         capture_output=True,
         text=True,
         timeout=300,
@@ -76,3 +77,31 @@ def test_cli_parity_rtol(tmp_path):
     proc = run_parity(os.path.join(ROOT, "src"), str(changed), "--rtol", "1e-14")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "NEAR dual --input" in proc.stdout and proc.stdout.split()[-2] == "0"
+
+
+def test_cli_parity_reports_every_differing_line(tmp_path):
+    # the first two lines of the frame report renamed: both are reported
+    changed = changed_copy(
+        tmp_path,
+        'print(f"alpha_G = {_fmt(fc.alpha_G)}")\n    print(f"beta_G = ',
+        'print(f"alpha = {_fmt(fc.alpha_G)}")\n    print(f"beta = ',
+    )
+    problem = os.path.join(ROOT, "problems", "shift_spline.json")
+    proc = run_parity(os.path.join(ROOT, "src"), str(changed), problems=[problem])
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    report = proc.stdout.split("DIFF analyze --input")[1].split("DIFF")[0]
+    assert "stdout line 2: 'alpha_G = " in report and "stdout line 3: 'beta_G = " in report
+
+
+def test_line_differences_cover_endings_and_missing_lines():
+    spec = importlib.util.spec_from_file_location(
+        "cli_parity", os.path.join(ROOT, "scripts", "cli_parity.py")
+    )
+    parity = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(parity)
+    assert parity._line_differences("a\nb\n", "a\nb\n") == []
+    assert parity._line_differences("a\nb\n", "a\nc\nd") == [
+        "line 2: 'b\\n' != 'c\\n'",
+        "line 3: None != 'd'",
+    ]
+    assert parity._line_differences("a\n", "a") == ["line 1: 'a\\n' != 'a'"]

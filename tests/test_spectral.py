@@ -1,6 +1,7 @@
 import numpy as np
+import oracles
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from orbitsamp.duals import FrameError
 from orbitsamp.laurent import LaurentPoly, eval_torus
@@ -204,6 +205,28 @@ class TestFrameConstants:
         want = self.stack_ratio(values)
         assert abs(got - want) <= 1e-10 * want
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        width=st.sampled_from([1, 2, 4]),
+        extra=st.integers(0, 2),
+        tied=st.booleans(),
+        scale=st.sampled_from([1e-6, 1.0, 1e3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(width=4, extra=0, tied=False, scale=1.0, seed=0)
+    def test_sound_minimum_within_1e_12_of_svd(self, width, extra, tied, scale, seed):
+        # every point sound, sigma ratios log-uniform in [1e-2, 1] (or all alike):
+        # the point holding sigma_min is refined, not read off its Gram eigenvalue
+        rng = np.random.default_rng(seed)
+        s = width + extra
+        values = rng.standard_normal((32, s, width)) + 1j * rng.standard_normal((32, s, width))
+        u, _, vh = np.linalg.svd(values, full_matrices=False)
+        ratios = np.full(32, 0.0101) if tied else 10 ** rng.uniform(-2, 0, 32)
+        values = scale * (u * (ratios[:, None] ** np.linspace(0, 1, width))[:, None, :]) @ vh
+        got = frame_constants(SpectralField(r=1, L=width, Q=32, values=values)).sigma_ratio
+        want = self.stack_ratio(values)
+        assert abs(got - want) <= 1e-12 * want
+
     @pytest.mark.parametrize("c", [0.5, 0.99, 1 - 1e-6, 1 - 2e-14])
     def test_ratio_of_a_near_root(self, c):
         # |exp(2 pi i w) - c| runs from 1 - c at w = 0 to 1 + c at w = 1/2
@@ -316,6 +339,72 @@ class TestDualField:
         want = pinv + U @ (np.eye(s) - values @ pinv)
         assert np.max(np.abs(dual_field(field, U=U).h_values - want)) <= bound
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        width=st.sampled_from([1, 2, 4]),
+        extra=st.integers(-1, 2),
+        log_low=st.floats(-14, 0),
+        scale=st.sampled_from([1e-6, 1.0, 1e3]),
+        with_u=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(width=4, extra=0, log_low=-0.5, scale=1.0, with_u=False, seed=0)
+    @example(width=4, extra=-1, log_low=0.0, scale=1.0, with_u=True, seed=8)
+    def test_matches_exact_route(self, width, extra, log_low, scale, with_u, seed):
+        rng = np.random.default_rng(seed)
+        s = max(1, width + extra)
+        if s < width:  # sigma_min = 0, yet solve often returns a finite X
+            values = rng.standard_normal((32, s, width)) + 1j * rng.standard_normal((32, s, width))
+        else:  # per-point sigma ratios log-uniform in [10**log_low, 1]
+            ratios = 10 ** rng.uniform(log_low, 0, 32)
+            values = self.conditioned_stack(rng, width, s - width, ratios)
+        field = SpectralField(r=1, L=width, Q=32, values=scale * values)
+        U = None
+        if with_u:
+            U = rng.standard_normal((width, s)) + 1j * rng.standard_normal((width, s))
+            U *= 0.1 / scale
+        ratio = frame_constants(field).sigma_ratio
+        for threshold in (1e-10, ratio / 2, ratio * (1 - 1e-9), ratio * (1 + 1e-9)):
+            try:
+                h, residual = oracles.exact_dual_field(field, U, threshold)
+            except FrameError as exc:
+                with pytest.raises(FrameError) as got:
+                    dual_field(field, U=U, threshold=threshold)
+                assert str(got.value) == str(exc)
+                continue
+            dual = dual_field(field, U=U, threshold=threshold)
+            assert np.array_equal(dual.h_values, h) and dual.residual_max == residual
+
+    def test_eigenvalues_only_when_uncertified(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        ratios = np.full(64, 0.5)
+        sound = self.conditioned_stack(rng, 2, 1, ratios)
+        ratios[7] = 1e-3  # Gram eigenvalue ratio 1e-6, doubtful
+        doubtful = self.conditioned_stack(rng, 2, 1, ratios)
+        zero = sound.copy()
+        zero[9] = 0.0  # an exactly singular Gram matrix
+        calls = []
+
+        def recording(name, func):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return func(*args, **kwargs)
+
+            return call
+
+        for name in ("eigvalsh", "svd"):
+            monkeypatch.setattr(np.linalg, name, recording(name, getattr(np.linalg, name)))
+        cases = ((sound, False), (doubtful, False), (sound[:, :1], True), (zero, True))
+        for values, refused in cases:
+            field = SpectralField(r=1, L=2, Q=64, values=values)
+            if refused:
+                with pytest.raises(FrameError):
+                    dual_field(field)
+            else:
+                dual_field(field)
+            assert calls == ([] if values is sound else ["eigvalsh", "svd"])
+            calls.clear()
+
     def test_svd_only_at_doubtful_points(self, monkeypatch):
         rng = np.random.default_rng(3)
         ratios = np.full(64, 0.1)  # sound: Gram eigenvalue ratio 1e-2 > GRAM_DOUBT
@@ -330,12 +419,12 @@ class TestDualField:
             shapes.append(np.shape(a))
             return svd(a, *args, **kwargs)
 
-        for values, want in ((sound, []), (mixed, [(3, 3, 2), (3, 3, 2)])):
+        for values, want in ((sound, []), (mixed, [(3, 3, 2)])):
             pinv = np.linalg.pinv(values)
             with monkeypatch.context() as m:
                 m.setattr(np.linalg, "svd", recording_svd)
                 dual = dual_field(SpectralField(r=1, L=2, Q=64, values=values))
-            # the frame test's values-only SVD, then the thin SVD for the pseudo-inverse
+            # one thin SVD gives the frame test's values and the pseudo-inverse
             assert shapes == want
             assert np.max(np.abs(dual.h_values - pinv)) <= 1e-12 * np.max(np.abs(pinv))
             shapes.clear()
