@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
 """Compare the CLI of two source trees, command by command.
 
-    python3 scripts/cli_parity.py BASE_SRC CHANGE_SRC [problem.json ...]
+    python3 scripts/cli_parity.py [--seeds N ...] BASE_SRC CHANGE_SRC [problem.json ...]
 
 Each tree runs in a child interpreter of its own, which imports ``orbitsamp``
 from that tree and sends one fixed corpus through ``cli.main`` in process:
 
 - ``analyze`` and ``dual`` on every problem (the shipped ``problems/*.json``
-  when none are named);
+  when none are named), and with ``--seeds`` on the problem files of the
+  ``cyclic-design``, ``lca-design`` and ``shift-design`` benchmark workloads
+  at each seed, which ``perfbench/workloads.py`` writes to a temporary
+  directory;
 - ``reconstruct`` on the cyclic and lca problems, from the samples of a
   subspace element built through the library's public API, with that
   element as the problem's ``truth``;
@@ -44,6 +47,7 @@ import numpy as np
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 SPLINES = ((3, 4), (9, 6), (15, 10))
+DESIGNS = ("cyclic-design", "lca-design", "shift-design")
 INPUTS = ("p.json", "s.csv")
 
 
@@ -71,8 +75,9 @@ def _element_samples(o, doc):
         M = o.Subgroup(group, doc["group"]["M_gens"])
         ops = doc["operators"] if "operators" in doc else [doc["operator"]]
         rep = o.GroupRepresentation(H, [_pairs(m) for m in ops])
-        spectrum = o.build_group_G_matrix(rep, _pairs(doc["generators"][0]), samplers, H, M)
-        x = spectrum.orbit_matrix() @ np.arange(1.0, H.order + 1)
+        a = _pairs(doc["generators"][0])
+        spectrum = o.build_group_G_matrix(rep, a, samplers, H, M)
+        x = rep.orbit(a) @ np.arange(1.0, H.order + 1)
         return x, o.take_group_samples(spectrum, x)
     except (ValueError, KeyError, TypeError, IndexError):
         return None
@@ -150,6 +155,21 @@ def run_child(src, problems):
             )
         os.chdir(home)
     json.dump(records, sys.stdout)
+
+
+def design_problems(seeds, workdir):
+    """Problem files of the design workloads at each seed, written under ``workdir``."""
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    import workloads
+
+    paths = []
+    for seed in seeds:
+        for name in DESIGNS:
+            out = os.path.join(workdir, f"{name}-{seed}")
+            os.mkdir(out)
+            workloads.WORKLOADS[name](np.random.default_rng(seed), out)
+            paths += sorted(glob.glob(os.path.join(out, "*.json")))
+    return paths
 
 
 def collect(src, problems):
@@ -246,17 +266,28 @@ def main(argv=None):
     parser.add_argument("base_src", help="src/ directory of the reference tree")
     parser.add_argument("change_src", help="src/ directory of the tree to compare")
     parser.add_argument("problems", nargs="*", help="problem files (default: problems/*.json)")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[],
+                        help="add the design workloads' problem files at these seeds")
     parser.add_argument("--rtol", type=float, default=0.0,
                         help="largest relative CSV difference that counts as matching "
                              "(default 0: files must match byte for byte)")
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "--seeds" in argv:  # the seeds end at the first argument that is not one
+        end = argv.index("--seeds") + 1
+        while end < len(argv) and argv[end].isdigit():
+            end += 1
+        if end < len(argv) and not argv[end].startswith("-"):
+            argv.insert(end, "--")
     args = parser.parse_args(argv)
     if not (math.isfinite(args.rtol) and args.rtol >= 0):
         parser.error(f"--rtol must be a finite nonnegative number, got {args.rtol}")
     problems = [os.path.abspath(p) for p in args.problems] or sorted(
         glob.glob(os.path.join(ROOT, "problems", "*.json"))
     )
-    base = collect(os.path.abspath(args.base_src), problems)
-    change = collect(os.path.abspath(args.change_src), problems)
+    with tempfile.TemporaryDirectory() as workdir:
+        problems += design_problems(args.seeds, workdir)
+        base = collect(os.path.abspath(args.base_src), problems)
+        change = collect(os.path.abspath(args.change_src), problems)
     differing = compare(base, change, args.rtol)
     files = sum(len(r["files"]) for r in base)
     print(f"{len(base)} commands, {files} files compared on {len(problems)} problems: "

@@ -393,10 +393,8 @@ class _Lca:
 
     def verdict(self, tol):
         spectrum = self.spectrum
-        print(
-            f"|H| = {spectrum.rep.H.order}, |M| = {spectrum.M.order}, "
-            f"r = {spectrum.r}, |Omega| = {len(spectrum.omega.representatives)}"
-        )
+        print(f"|H| = {spectrum.rep.H.order}, |M| = {spectrum.M.order}, r = {spectrum.r}, "
+              f"|Omega| = {len(spectrum.cells)}")
         return _frame_verdict(spectrum.frame, tol)
 
     def dual(self, U, tol, prefix):
@@ -408,7 +406,7 @@ class _Lca:
         if samples.size != expected:
             raise SchemaError(f"sample count {samples.size} does not match s*|M| = {expected}")
         x = lca.group_reconstruct(lca.group_duals(spectrum, threshold=tol), samples)
-        alpha, *_ = np.linalg.lstsq(spectrum.orbit_matrix(), x, rcond=None)
+        alpha, *_ = np.linalg.lstsq(spectrum.orbit, x, rcond=None)
         return x, alpha
 
 
@@ -565,17 +563,16 @@ def cmd_lca_demo(args):
         print("using the built-in Z_4 demo problem")
     model = _load_model(doc)
     spectrum = model.spectrum
-    print(
-        f"|H| = {spectrum.rep.H.order}, |M| = {spectrum.M.order}, r = {spectrum.r}"
-    )
-    print(f"annihilator labels: {list(spectrum.perp)}")
-    print(f"section labels: {list(spectrum.omega.representatives)}")
+    print(f"|H| = {spectrum.rep.H.order}, |M| = {spectrum.M.order}, r = {spectrum.r}")
+    print(f"annihilator labels: {list(map(tuple, spectrum.perp.tolist()))}")
+    section = spectrum.dual.labels[spectrum.cells[:, 0]]
+    print(f"section labels: {list(map(tuple, section.tolist()))}")
     if not _frame_verdict(spectrum.frame, args.tol):
         return _recoverable(False)
     rng = np.random.default_rng(0)
     n = spectrum.rep.H.order
     coeff = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    x = spectrum.orbit_matrix() @ coeff
+    x = spectrum.orbit @ coeff
     x_hat, _ = model.reconstruct(lca.take_group_samples(spectrum, x), args.tol)
     resid = float(np.linalg.norm(x_hat - x) / np.linalg.norm(x))
     print(f"round-trip relative residual on a random subspace element: {_fmt(resid)}")

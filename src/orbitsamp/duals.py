@@ -6,7 +6,9 @@ matrix ``R``, or one spectral matrix per grid point (shift) or section point
 One thin SVD gives both the singular values behind the verdict, which is
 ``sigma_min / sigma_max`` over all the matrices in every model, and the
 pseudo-inverse; the shift grid takes it only at doubtful points, none when
-its Gram solve certifies the grid (``spectral.dual_field``).
+its Gram solve certifies the grid (``spectral.dual_field``).  The shift grid
+and the lca section are first scaled exactly by ``2**scale_exponent``: their
+Gram matrices neither overflow nor underflow at any finite scale.
 """
 
 from __future__ import annotations
@@ -23,20 +25,27 @@ __all__ = [
 ]
 
 PINV_RCOND = 1e-15
+SAFE_EXPONENT = 200  # Gram matrices of entries up to 2**±200 stay normal floats
+
+
+def scale_exponent(A):
+    """``k`` with ``2**k max|A|`` in ``[0.5, 1)``, or 0 when ``max|A|`` is 0 or
+    within ``2**±SAFE_EXPONENT``; clamped to ``±1022`` so that scaling by the
+    normal float ``2.0**k`` is exact."""
+    k = -math.frexp(np.abs(A).max())[1]
+    return 0 if abs(k) <= SAFE_EXPONENT else min(max(k, -1022), 1022)
 
 
 @dataclass(frozen=True)
 class FrameConstants:
     """Grid extremes of the spectrum of ``G* G`` (lower/upper estimates) and
-    ``sigma_ratio = sigma_min / sigma_max``, which is 0 when ``beta_G`` is."""
+    ``sigma_ratio = sigma_min / sigma_max``, 0 when ``beta_G`` is; the ratio
+    holds also where the extremes round to 0 or ``inf``."""
 
     alpha_G: float
     beta_G: float
     det_min: float
-
-    @property
-    def sigma_ratio(self):
-        return math.sqrt(self.alpha_G / self.beta_G) if self.beta_G > 0 else 0.0
+    sigma_ratio: float
 
 
 class FrameError(ValueError):
@@ -51,35 +60,40 @@ def check_frame(fc, threshold=RANK_TOL):
         )
 
 
-def frame_bounds(eigs, width=None):
+def frame_bounds(eigs, width=None, exponent=0):
     """Frame constants from the eigenvalues of ``G* G`` at each point (last axis).
 
     The squared singular values of ``G`` serve as well; ``width`` is then the
     column count of ``G``, and a point with fewer values than columns (a
-    wide ``G``) has its missing eigenvalues at zero.
+    wide ``G``) has its missing eigenvalues at zero.  The eigenvalues may be
+    those of ``G 2**exponent``; the constants are then scaled back.
     """
     eigs = np.asarray(eigs, dtype=float)
     wide = width is not None and eigs.shape[-1] < width
-    return FrameConstants(
-        alpha_G=0.0 if wide else float(eigs.min()),
-        beta_G=float(eigs.max()),
-        det_min=0.0 if wide else float(np.prod(eigs, axis=-1).min()),
-    )
+    low, high = 0.0 if wide else float(eigs.min()), float(eigs.max())
+    with np.errstate(over="ignore", under="ignore"):
+        det = 0.0 if wide else float(np.prod(eigs, axis=-1).min())
+        alpha_G, beta_G, det_min = (float(np.ldexp(v, -2 * exponent * n)) for v, n in
+                                    ((low, 1), (high, 1), (det, eigs.shape[-1])))
+    ratio = math.sqrt(low / high) if high > 0 else 0.0
+    return FrameConstants(alpha_G, beta_G, det_min, ratio)
 
 
 class DualFamily:
     """One thin SVD of a matrix, or of a stack of matrices, and its dual family.
 
-    ``singular_values`` are descending per matrix.  ``pinv`` drops those at
-    or below ``1e-15`` times the largest, as ``np.linalg.pinv`` does, and is
-    formed in the storage of the SVD's left factor when the shapes allow.
+    The SVD is of ``A 2**exponent``, whose ``singular_values`` are descending
+    per matrix.  ``pinv`` (of ``A``) drops those at or below ``1e-15`` times
+    the largest, as ``np.linalg.pinv`` does, and is formed in the storage of
+    the SVD's left factor when the shapes allow.
     """
 
-    def __init__(self, A):
+    def __init__(self, A, exponent=0):
         self.matrices = np.asarray(A, dtype=complex)
-        u, sv, vh = np.linalg.svd(self.matrices, full_matrices=False)
+        self.exponent = exponent
+        u, sv, vh = np.linalg.svd(self.matrices * 2.0**exponent, full_matrices=False)
         kept = sv > PINV_RCOND * sv[..., :1]
-        u *= np.divide(1.0, sv, out=np.zeros_like(sv), where=kept)[..., None, :]
+        u *= np.divide(2.0**exponent, sv, out=np.zeros_like(sv), where=kept)[..., None, :]
         # pinv = V S^+ U^H, the adjoint of U S^+ V^H
         out = u if u.shape == self.matrices.shape else None
         self.pinv = np.conjugate(u @ vh, out=out).swapaxes(-1, -2)
@@ -87,7 +101,7 @@ class DualFamily:
 
     def frame(self):
         """Frame constants from the singular values; a wide matrix has ``alpha_G = 0``."""
-        return frame_bounds(self.singular_values**2, self.matrices.shape[-1])
+        return frame_bounds(self.singular_values**2, self.matrices.shape[-1], self.exponent)
 
     def member(self, U=None):
         """``pinv + U (I - A pinv)``; without ``U`` the member is ``pinv`` itself."""

@@ -163,7 +163,7 @@ def representation_from_characters(rng, H, *, distortion=0.0, dim=None):
     ``i`` carries character ``i``, so the orbit of a generator with full
     eigen-support is linearly independent.  Returns ``(rep, a)``.
     """
-    n, rank = H.order, len(H.group.moduli)
+    n = H.order
     if dim is None:
         dim = n
     if dim < n:
@@ -171,7 +171,7 @@ def representation_from_characters(rng, H, *, distortion=0.0, dim=None):
     V = _random_similarity(rng, dim, distortion)
     Vinv = np.linalg.inv(V)
     # column i: every character at generator i
-    chi = DualGroup(H).character_table()[:, H.index(np.reshape(H.generators, (-1, rank)))]
+    chi = DualGroup(H).character_table()[:, H.index(H.generators)]
     ops = []
     for values in chi.T:
         eigs = np.ones(dim, dtype=complex)

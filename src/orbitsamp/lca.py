@@ -1,13 +1,18 @@
 """Sampling in orbit subspaces of finite abelian group representations.
 
-Groups are products of cyclic groups; a subgroup ``H`` acts on the ambient
-space through a representation by invertible operators, samples of an orbit
-element are read on a subgroup ``M < H``, and recoverability is decided by
-the spectral matrices indexed over a transversal of the dual of ``H`` modulo
-the annihilator of ``M``.  Everything is finite: subgroups are enumerated in
-the normal form of their generators' relations, characters are read from one
-integer phase table, and Haar measure on the dual is normalized to total
-mass one (averages over the dual).
+Groups are products of cyclic groups, of at most ``MAX_GROUP_ORDER``
+elements; a subgroup ``H`` acts on the ambient space through a
+representation by invertible operators, samples of an orbit element are
+read on a subgroup ``M < H``, and recoverability is decided by the spectral
+matrices indexed over a transversal of the dual of ``H`` modulo the
+annihilator of ``M``.  Everything is finite and held in integer arrays, one
+row per element or label: subgroups are enumerated in the normal form of
+their generators' relations, characters are labeled by ambient frequency
+rows and read from one integer phase table, and Haar measure on the dual is
+normalized to total mass one (averages over the dual).
+``build_group_G_matrix`` forms the generator's orbit, the character table
+and the section cells once; the duals and the reconstruction read them from
+the ``GroupSpectrum``.
 
 The single-generator cyclic pipeline is the special case ``H = Z_N`` with
 ``M`` the multiples of the sampling period.
@@ -21,15 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duals import DualFamily, FrameConstants, check_frame
+from .duals import DualFamily, FrameConstants, check_frame, scale_exponent
 from .hilbert import RANK_TOL, LinearOperator, as_cvector, require_full_rank
 
 __all__ = [
     "FiniteAbelianGroup",
     "Subgroup",
     "DualGroup",
-    "CharacterSubgroup",
-    "SectionOmega",
     "GroupRepresentation",
     "GroupSpectrum",
     "GroupDual",
@@ -41,6 +44,9 @@ __all__ = [
     "group_duals",
     "group_reconstruct",
 ]
+
+# the dual is enumerated over the whole ambient group (``DualGroup``)
+MAX_GROUP_ORDER = 1 << 22
 
 
 class RepresentationError(ValueError):
@@ -57,25 +63,27 @@ class FiniteAbelianGroup:
         mods = tuple(int(d) for d in self.moduli)
         if not mods or any(d < 1 for d in mods):
             raise ValueError("moduli must be positive integers")
+        if math.prod(mods) > MAX_GROUP_ORDER:
+            raise ValueError(f"group order {math.prod(mods)} exceeds the budget {MAX_GROUP_ORDER}")
         object.__setattr__(self, "moduli", mods)
 
     @property
     def order(self):
-        n = 1
-        for d in self.moduli:
-            n *= d
-        return n
+        return math.prod(self.moduli)
 
     @property
     def exponent(self):
         """Least common multiple ``L`` of the moduli: every phase is a multiple of ``1/L``."""
         return math.lcm(*self.moduli)
 
-    def reduce(self, x):
-        x = tuple(int(v) for v in x)
-        if len(x) != len(self.moduli):
-            raise ValueError(f"element rank {len(x)} does not match the group")
-        return tuple(v % d for v, d in zip(x, self.moduli))
+    def reduce(self, elements):
+        """Rows of integers of any size, reduced modulo the moduli: an int64 array."""
+        rows = []
+        for x in elements:
+            if len(x) != len(self.moduli):
+                raise ValueError(f"element rank {len(x)} does not match the group")
+            rows.append([int(v) % d for v, d in zip(x, self.moduli)])
+        return np.array(rows, dtype=np.int64).reshape(-1, len(self.moduli))
 
     def flat(self, elements):
         """Lexicographic rank of each element in the last axis of an integer array."""
@@ -83,32 +91,27 @@ class FiniteAbelianGroup:
         return np.mod(elements, self.moduli) @ strides
 
 
-def _rows(elements, rank):
-    return np.array(elements, dtype=np.int64).reshape(-1, rank)
-
-
 class Subgroup:
     """Subgroup generated by the given elements, in normal-form coordinates.
 
     With ``H_i = <g_i, ..., g_k>``, ``d_i`` is the least positive multiple of
     ``g_i`` that lies in ``H_{i+1}``; every element is ``sum n_i g_i`` for
-    exactly one coordinate tuple with ``0 <= n_i < d_i`` (``coords``, one row
-    per element in sorted order).  Row ``i`` of ``relations`` is
-    ``d_i e_i - coords(d_i g_i)``: the rows are an upper triangular (Hermite)
-    basis of the relation lattice ``{n : sum n_i g_i = 0}``.
+    exactly one coordinate row with ``0 <= n_i < d_i`` (``coords``, one row
+    per element of ``elements``, which are sorted).  Row ``i`` of
+    ``relations`` is ``d_i e_i - coords(d_i g_i)``: the rows are an upper
+    triangular (Hermite) basis of the relation lattice ``{n : sum n_i g_i = 0}``.
     """
 
     def __init__(self, group, generators):
         self.group = group
-        self.generators = [group.reduce(g) for g in generators]
-        rank, k = len(group.moduli), len(self.generators)
-        mods = np.array(group.moduli, dtype=np.int64)
+        self.generators = group.reduce(generators)
+        rank, k = self.generators.shape[1], len(self.generators)
         # H_{k+1} = {0}; each pass prepends one generator, n_i-major
         elems = np.zeros((1, rank), dtype=np.int64)
         coords = np.zeros((1, 0), dtype=np.int64)
         self.relations = np.zeros((k, k), dtype=np.int64)
         for i in reversed(range(k)):
-            g = np.array(self.generators[i], dtype=np.int64)
+            g = self.generators[i]
             position = {x: p for p, x in enumerate(group.flat(elems).tolist())}
             # L g = 0 lies in H_{i+1}, so the first hit is at most L
             multiples = group.flat(np.arange(1, group.exponent + 1)[:, None] * g).tolist()
@@ -116,7 +119,7 @@ class Subgroup:
             tail = coords[position[multiples[d - 1]]]
             self.relations[i, i] = d
             self.relations[i, i + 1 :] = -tail
-            elems = ((np.arange(d)[:, None, None] * g + elems) % mods).reshape(-1, rank)
+            elems = ((np.arange(d)[:, None, None] * g + elems) % group.moduli).reshape(-1, rank)
             coords = np.hstack(
                 [np.repeat(np.arange(d), len(coords))[:, None], np.tile(coords, (d, 1))]
             )
@@ -125,23 +128,12 @@ class Subgroup:
         # closure order and read out in sorted order
         self._closure_order = np.argsort(flat)
         self._flat = flat[self._closure_order]
-        self.element_array = elems[self._closure_order]
+        self.elements = elems[self._closure_order]
         self.coords = coords[self._closure_order]
-        self._sorted = tuple(map(tuple, self.element_array.tolist()))
-        self._set = frozenset(self._sorted)
 
     @property
     def order(self):
-        return len(self._set)
-
-    def __iter__(self):
-        return iter(self._sorted)
-
-    def __contains__(self, x):
-        return self.group.reduce(x) in self._set
-
-    def __len__(self):
-        return len(self._set)
+        return len(self.elements)
 
     def index(self, elements):
         """Sorted position of each row of an integer array of elements."""
@@ -152,14 +144,11 @@ class Subgroup:
         return pos
 
     def coordinates(self, h):
-        """Normal-form coordinates of ``h`` over the generators."""
-        return self.coords[self.index(_rows(self.group.reduce(h), len(self.group.moduli)))[0]]
+        """Normal-form coordinates of the element ``h`` over the generators."""
+        return self.coords[self.index(self.group.reduce([h]))[0]]
 
     def is_subgroup_of(self, other):
-        return self.group is other.group and self._set <= other._set
-
-    def __repr__(self):
-        return f"Subgroup(order={self.order}, generators={self.generators})"
+        return self.group is other.group and bool(np.isin(self._flat, other._flat).all())
 
 
 def _phases(group, labels, elements):
@@ -176,20 +165,20 @@ def _phases(group, labels, elements):
 
 
 class DualGroup:
-    """Characters of a subgroup, labeled by ambient frequency tuples.
+    """Characters of a subgroup, labeled by ambient frequency rows.
 
     Two ambient labels induce the same character when they agree on the
     subgroup's generators; each class is represented by its lexicographically
-    smallest member, and ``indices`` maps any ambient label to its class.
-    The classes are found once for the whole ambient group, from the phases
-    of every ambient label on the generators.
+    smallest member (``labels``, sorted), and ``indices`` maps any ambient
+    label to its class.  The classes are found once for the whole ambient
+    group, from the phases of every ambient label on the generators.
     """
 
     def __init__(self, H):
         self.H = H
         group = H.group
         ambient = np.indices(group.moduli).reshape(len(group.moduli), -1).T  # lexicographic
-        keys = _phases(group, ambient, _rows(H.generators, len(group.moduli)))
+        keys = _phases(group, ambient, H.generators)
         _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
         if first.size != H.order:
             raise RuntimeError("character count does not match the subgroup order")
@@ -197,15 +186,11 @@ class DualGroup:
         number = np.empty_like(first)
         number[np.argsort(first)] = np.arange(first.size)
         self._class = number[inverse.ravel()]
-        self.label_array = ambient[np.sort(first)]
-        self.labels = tuple(map(tuple, self.label_array.tolist()))
+        self.labels = ambient[np.sort(first)]
 
     @property
     def order(self):
         return len(self.labels)
-
-    def __iter__(self):
-        return iter(self.labels)
 
     def indices(self, labels):
         """Dual index of each ambient label in the last axis of an integer array."""
@@ -214,75 +199,37 @@ class DualGroup:
     def character_table(self):
         """``chi[gamma, h] = (h, gamma)`` over the sorted labels and sorted ``H``."""
         group = self.H.group
-        P = _phases(group, self.label_array, self.H.element_array)
+        P = _phases(group, self.labels, self.H.elements)
         return np.exp(2j * np.pi * (P / group.exponent))
 
 
-@dataclass(frozen=True)
-class CharacterSubgroup:
-    """Subgroup of a dual group given by a closed set of canonical labels."""
-
-    dual: DualGroup
-    labels: tuple
-
-    @property
-    def order(self):
-        return len(self.labels)
-
-    def __iter__(self):
-        return iter(self.labels)
-
-
 def annihilator(H, M, *, dual=None):
-    """Characters of ``H`` trivial on ``M``; its order is the index of ``M``."""
+    """Labels of the characters of ``H`` trivial on ``M``, sorted; their count
+    is the index of ``M``."""
     if not M.is_subgroup_of(H):
         raise ValueError("M must be a subgroup of H")
     if dual is None:
         dual = DualGroup(H)
-    group = H.group
-    phases = _phases(group, dual.label_array, _rows(M.generators, len(group.moduli)))
-    trivial = ~np.any(phases, axis=1)
-    perp = CharacterSubgroup(
-        dual=dual, labels=tuple(g for g, t in zip(dual.labels, trivial) if t)
-    )
-    if perp.order * M.order != H.order:
+    perp = dual.labels[~np.any(_phases(H.group, dual.labels, M.generators), axis=1)]
+    if len(perp) * M.order != H.order:
         raise RuntimeError("annihilator order check failed")
     return perp
 
 
-def _coset_indices(dual, labels, perp):
-    """Dual index of ``labels[i] + mu_k`` for every label row and ``mu_k`` in ``perp``."""
-    rank = len(dual.H.group.moduli)
-    mu = _rows(perp.labels, rank)
-    return dual.indices(_rows(labels, rank)[:, None, :] + mu[None, :, :])
-
-
-@dataclass(frozen=True)
-class SectionOmega:
-    """Transversal of the dual modulo an annihilator; translates tile the dual."""
-
-    dual: DualGroup
-    perp: CharacterSubgroup
-    representatives: tuple
-
-    def cells(self):
-        """Dual index of ``xi_i + mu_k``: row ``i`` is the coset of ``xi_i``."""
-        return _coset_indices(self.dual, self.representatives, self.perp)
-
-    def verify_tiling(self):
-        cells = self.cells()
-        return cells.size == self.dual.order and np.unique(cells).size == cells.size
-
-
 def section_omega(dual, perp):
-    """Deterministic section: lexicographically smallest label per coset."""
-    smallest = np.unique(_coset_indices(dual, dual.labels, perp).min(axis=1))
-    omega = SectionOmega(
-        dual=dual, perp=perp, representatives=tuple(dual.labels[i] for i in smallest)
-    )
-    if not omega.verify_tiling():
+    """Deterministic section of the dual modulo an annihilator: the
+    lexicographically smallest label ``xi_i`` of each coset, sorted, and the
+    cells its translates tile the dual with.
+
+    Row ``i`` holds the dual indices of ``xi_i + mu_k`` over the annihilator
+    labels ``mu_k``; the first, ``mu_0 = 0``, makes ``row[0]`` the index of ``xi_i``.
+    """
+    # row g: the dual indices of the coset of label g
+    cells = dual.indices(dual.labels[:, None, :] + perp[None, :, :])
+    cells = cells[np.unique(cells.min(axis=1))]
+    if cells.size != dual.order or np.unique(cells).size != cells.size:
         raise RuntimeError("section translates fail to tile the dual")
-    return omega
+    return cells
 
 
 HOMOMORPHISM_TOL = 1e-8
@@ -373,33 +320,34 @@ class GroupRepresentation:
 class GroupSpectrum:
     """Spectral matrices of a group sampling problem over a section.
 
-    ``family`` holds one SVD of the matrices, whose entry ``[i][j, k]`` is
-    sampler ``j``'s spectrum at ``xi_i + mu_k``, and ``frame`` their frame
-    constants, true extremes since everything is finite.  Row ``(j, m)`` of
-    ``analyzers`` is ``(Pi(-m)^H b_j)^H``, sampler-major over sorted ``M``.
+    ``orbit`` holds ``Pi(h) a`` over sorted ``H``, ``characters`` the
+    character table (``DualGroup.character_table``) and ``cells`` the section
+    cells (``section_omega``).  ``family`` holds one
+    SVD of the matrices, whose entry ``[i][j, k]`` is sampler ``j``'s
+    spectrum at ``xi_i + mu_k``, and ``frame`` their frame constants, true
+    extremes since everything is finite.  Row ``(j, m)`` of ``analyzers`` is
+    ``(Pi(-m)^H b_j)^H``, sampler-major over sorted ``M``.
     """
 
     rep: GroupRepresentation
-    generator: np.ndarray
     samplers: list
     M: Subgroup
     dual: DualGroup
-    perp: CharacterSubgroup
-    omega: SectionOmega
+    perp: np.ndarray
+    cells: np.ndarray
+    orbit: np.ndarray
+    characters: np.ndarray
     family: DualFamily
     frame: FrameConstants
     analyzers: np.ndarray
 
     @property
     def r(self):
-        return self.perp.order
+        return len(self.perp)
 
     @property
     def s(self):
         return len(self.samplers)
-
-    def orbit_matrix(self):
-        return self.rep.orbit(self.generator)
 
 
 def build_group_G_matrix(rep, a, samplers, H, M):
@@ -411,7 +359,8 @@ def build_group_G_matrix(rep, a, samplers, H, M):
     are the Fourier blocks of the map from orbit coefficients to samples,
     so matrices that pass the frame test at ``RANK_TOL`` certify an
     independent orbit; only otherwise is the orbit decomposed, and a
-    dependent one raises ``RepresentationError``.
+    dependent one raises ``RepresentationError``.  The matrices are
+    factored at the exact scale ``2**scale_exponent``.
     """
     if H is not rep.H:
         if not (H.is_subgroup_of(rep.H) and rep.H.is_subgroup_of(H)):
@@ -427,35 +376,27 @@ def build_group_G_matrix(rep, a, samplers, H, M):
     orbit = rep.orbit(a)
     dual = DualGroup(H)
     perp = annihilator(H, M, dual=dual)
-    omega = section_omega(dual, perp)
+    cells = section_omega(dual, perp)
+    characters = dual.character_table()
     s = len(samplers)
     S = np.column_stack(samplers)
 
     # spectra G_j(gamma) = sum_h <Pi(-h) a, b_j> (h, gamma); the sample
     # identity <x, Pi*(-m) b_j> = <F, conj(G_j) chi_m> pins the character sign
-    samples_of_a = (S.conj().T @ orbit)[:, H.index(-H.element_array)]
-    spectra = samples_of_a @ dual.character_table().T
-    family = DualFamily(np.moveaxis(spectra[:, omega.cells()], 0, 1))
+    samples_of_a = (S.conj().T @ orbit)[:, H.index(-H.elements)]
+    stack = np.moveaxis((samples_of_a @ characters.T)[:, cells], 0, 1)
+    family = DualFamily(stack, scale_exponent(stack))
     frame = family.frame()
     if frame.sigma_ratio <= RANK_TOL:  # the sections do not certify the orbit
         message = "orbit of the generator is linearly dependent (sigma ratio {:.3e})"
         require_full_rank(orbit, RepresentationError, message)
 
     # Pi(-m)^H b_j is the adjoint orbit of b_j read at -m
-    steps = rep.orbit(S, M, adjoint=True)[:, M.index(-M.element_array), :]
+    steps = rep.orbit(S, M, adjoint=True)[:, M.index(-M.elements), :]
     analyzers = steps.transpose(2, 1, 0).reshape(s * M.order, rep.dim).conj()
-    return GroupSpectrum(
-        rep=rep,
-        generator=a,
-        samplers=samplers,
-        M=M,
-        dual=dual,
-        perp=perp,
-        omega=omega,
-        family=family,
-        frame=frame,
-        analyzers=analyzers,
-    )
+    return GroupSpectrum(rep=rep, samplers=samplers, M=M, dual=dual, perp=perp, cells=cells,
+                         orbit=orbit, characters=characters, family=family, frame=frame,
+                         analyzers=analyzers)
 
 
 def take_group_samples(spectrum, x):
@@ -488,10 +429,10 @@ def group_duals(spectrum, U=None, *, threshold=RANK_TOL):
     r, s = spectrum.r, spectrum.s
     # dual function values on the whole dual group
     h_full = np.empty((dual.order, s), dtype=complex)
-    h_full[spectrum.omega.cells().ravel()] = hmats.reshape(-1, s)
+    h_full[spectrum.cells.ravel()] = hmats.reshape(-1, s)
     # coefficients alpha[h, j] = (r / |dual|) sum_gamma h_j(gamma) conj((h, gamma))
-    coeff = (r / dual.order) * (dual.character_table().conj().T @ h_full)
-    C = spectrum.orbit_matrix() @ coeff
+    coeff = (r / dual.order) * (spectrum.characters.conj().T @ h_full)
+    C = spectrum.orbit @ coeff
     synthesis = spectrum.rep.orbit(C, spectrum.M).transpose(0, 2, 1).reshape(spectrum.rep.dim, -1)
     return GroupDual(
         vectors=list(np.ascontiguousarray(C.T)),

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duals import DualFamily, check_frame, family_member, frame_bounds
+from .duals import DualFamily, check_frame, family_member, frame_bounds, scale_exponent
 from .hilbert import RANK_TOL
 from .laurent import LaurentPoly, bezout, bspline, polyphase_sample
 
@@ -268,8 +268,10 @@ def _gram_pass(G, A=None, *, thin=False):
 def frame_constants(field):
     """Frame constants from the eigenvalues of the Gram matrices ``G*G``;
     only doubtful points (``_gram_pass``) take an SVD, and the points that
-    may hold the smallest a Rayleigh quotient."""
-    return frame_bounds(_gram_pass(field.values)[0])
+    may hold the smallest a Rayleigh quotient, all on ``G`` scaled exactly by
+    ``2**scale_exponent(G)`` so that ``G*G`` stays inside the float range."""
+    k = scale_exponent(field.values)
+    return frame_bounds(_gram_pass(field.values * 2.0**k if k else field.values)[0], exponent=k)
 
 
 @dataclass(eq=False)
@@ -316,8 +318,11 @@ def dual_field(field, U=None, *, threshold=RANK_TOL):
     or below ``threshold``, taken by ``_gram_pass`` unless ``X = solve(G*G, G*)``
     passes ``_certified``.  One Newton-Schulz step ``X += (I - X G) X`` squares
     the solve's relative error; a thin SVD gives doubtful points values and pinv.
+    All of it runs on ``G 2**k``, ``k = scale_exponent(G)``, and ``pinv`` is
+    scaled back by the same power of two.
     """
-    G = field.values
+    k = scale_exponent(field.values)
+    G = field.values * 2.0**k if k else field.values
     A = np.conj(np.swapaxes(G, 1, 2)) @ G
     family = None
     for exact in (False, True):  # the exact route only when X leaves the grid uncertified
@@ -337,7 +342,9 @@ def dual_field(field, U=None, *, threshold=RANK_TOL):
     pinv += step @ pinv
     if family is not None:
         pinv[doubtful] = family.pinv
-    h = pinv if U is None else family_member(G, pinv, U)
+    if k:
+        pinv *= 2.0**k
+    h = pinv if U is None else family_member(field.values, pinv, U)
     return DualField(field=field, h_values=h, residual_max=_dual_residual(field, h))
 
 
@@ -379,9 +386,12 @@ def reconstruction_coefficients(dual, length=None):
     # f[j, l] on the full circle: translate block k of row l holds w + k/r
     f = r * np.conj(dual.h_values).reshape(-1, r, L, s).transpose(3, 2, 1, 0).reshape(s, L, Q)
     coeffs = np.fft.fft(f, axis=-1) / Q
-    total = np.sum(np.abs(coeffs) ** 2, axis=-1)
     kept = coeffs[..., window % Q]
-    tail = total - np.sum(np.abs(kept) ** 2, axis=-1)
+    # energies of magnitudes scaled exactly out of reach of overflow and underflow
+    mag = np.abs(coeffs)
+    mag *= 2.0 ** scale_exponent(mag)
+    total = np.sum(mag**2, axis=-1)
+    tail = total - np.sum(mag[..., window % Q] ** 2, axis=-1)
     refused = np.argwhere((total > 0) & (tail > TAIL_TOL * total))
     if refused.size:
         j, l = refused[0]

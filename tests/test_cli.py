@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -71,6 +72,18 @@ def lca_problem():
         "generators": [cpairs(E4[0])],
         "samplers": [cpairs(E4[0]), cpairs(E4[1])],
         "group": {"moduli": [4], "H_gens": [[1]], "M_gens": [[2]]},
+    }
+
+
+def large_group_problem(m):
+    """``Z_m`` acting on ``C^2`` through ``H = <m/2>``, which ``diag(1, -1)`` represents."""
+    return {
+        "model": "lca",
+        "dimension": 2,
+        "operator": [cpairs(row) for row in np.diag([1.0, -1.0])],
+        "generators": [cpairs([1.0, 1.0])],
+        "samplers": [cpairs(row) for row in np.eye(2)],
+        "group": {"moduli": [m], "H_gens": [[m // 2]], "M_gens": [[0]]},
     }
 
 
@@ -549,7 +562,7 @@ def fuzz_bases():
             samples = o.take_samples(spec, scheme, x)
         elif doc["model"] == "lca":
             spectrum = cli._Lca(doc).spectrum
-            x = spectrum.orbit_matrix() @ np.arange(1.0, spectrum.rep.H.order + 1)
+            x = spectrum.orbit @ np.arange(1.0, spectrum.rep.H.order + 1)
             samples = o.lca.take_group_samples(spectrum, x)
         if doc["model"] != "shift":
             doc["truth"] = cpairs(x)
@@ -906,6 +919,10 @@ class TestMalformedNumbers:
             spline_shift_problem,
             lambda d: d.__setitem__("dual_length", "long"),
         ),
+        # refused before the group is enumerated: memory, int64 and time
+        "lca-group-order-2**40": (lambda: large_group_problem(2**40), lambda d: None),
+        "lca-group-order-10**30": (lambda: large_group_problem(10**30), lambda d: None),
+        "lca-group-order-2**23": (lambda: large_group_problem(2**23), lambda d: None),
         "bank-r-zero": (bank_problem, lambda d: d.__setitem__("r", 0), "pr-check"),
         "bank-r-negative": (bank_problem, lambda d: d.__setitem__("r", -2), "pr-check"),
         "bank-sequences-not-object": (
@@ -1132,14 +1149,18 @@ def sigma_ratio(m):
 
 
 def run_in_process(argv):
-    """``(exit code, stdout, stderr)`` of ``cli.main`` in this process."""
+    """``(exit code, stdout, stderr)`` of ``cli.main`` in this process; each
+    warning adds a line to stderr, as it would from a shell."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         try:
             rc = cli.main(argv)
         except SystemExit as exc:
             rc = exc.code
-    return rc, out.getvalue(), err.getvalue()
+    lines = [f"{w.category.__name__}: {w.message}\n" for w in caught]
+    return rc, out.getvalue(), err.getvalue() + "".join(lines)
 
 
 class TestOrbitCertificate:
@@ -1245,24 +1266,30 @@ def test_in_process_sequence_matches_fresh_processes(tmp_path, monkeypatch):
 
 
 class TestScaleInvariance:
-    """``--tol`` bounds sigma_min/sigma_max: scaling the shift samplers by 1e-6 or
-    1e3 changes no verdict or exit code, and scales the duals by its inverse."""
+    """``--tol`` bounds sigma_min/sigma_max: scaling the shift or lca samplers by
+    any of ``SCALES`` changes no verdict or exit code, scales the duals by its
+    inverse and writes nothing to stderr, also where ``G*G`` leaves the float range."""
 
-    @staticmethod
-    def runs(doc, tmp):
+    SCALES = (1e-6, 1.0, 1e3, 1e-200, 1e160, 1e200)
+
+    @classmethod
+    def runs(cls, doc, tmp):
         """Per scale ``c``: the ``analyze`` and ``dual`` exit codes, the analyze
         lines, and each dual CSV as ``{index: c * value}``."""
         runs = []
-        for c in (1e-6, 1.0, 1e3):
+        for c in cls.SCALES:
             scaled = copy.deepcopy(doc)
-            for seq in scaled["sequences"].values():
+            if doc["model"] == "lca":
+                scaled["samplers"] = [[[c * re, c * im] for re, im in b] for b in doc["samplers"]]
+            for seq in scaled.get("sequences", {}).values():
                 seq["values"] = [[c * re, c * im] for re, im in seq["values"]]
             problem, prefix = os.path.join(tmp, f"p{c:g}.json"), os.path.join(tmp, f"d{c:g}")
             with open(problem, "w") as fh:
                 json.dump(scaled, fh)
-            rc_a, out_a, _ = run_in_process(["analyze", "--input", problem])
-            rc_d, _, _ = run_in_process(["dual", "--input", problem, "--out", prefix])
-            lines = dict(line.split(" = ") for line in out_a.splitlines() if " = " in line)
+            rc_a, out_a, err_a = run_in_process(["analyze", "--input", problem])
+            rc_d, _, err_d = run_in_process(["dual", "--input", problem, "--out", prefix])
+            assert err_a == err_d == "", (c, err_a, err_d)
+            lines = dict(line.split(" = ", 1) for line in out_a.splitlines() if " = " in line)
             duals = [{k: c * v for k, v in zip(*cli.read_vector_csv(path))}
                      for path in sorted(glob.glob(glob.escape(prefix) + ".*.csv"))]
             runs.append((rc_a, rc_d, lines, duals))
@@ -1345,6 +1372,23 @@ class TestScaleInvariance:
                 assert (rc_a, rc_d) in ((0, 0), (1, 1))
                 assert ("recoverable: no" in out_a) == ("not recoverable" in out_d)
                 assert rc_a == (0 if 0 < tol < ratio else 1)
+
+    @pytest.mark.parametrize("name", ["lca_z4.json", "lca_z4.json, one sampler"])
+    def test_lca(self, tmp_path, name):
+        # one sampler for r = 2: not recoverable at every scale
+        with open(os.path.join(ROOT, "problems", "lca_z4.json")) as fh:
+            doc = json.load(fh)
+        if name.endswith("one sampler"):
+            doc["samplers"] = doc["samplers"][:1]
+        (rc_a, rc_d, lines, duals), *others = self.runs(doc, str(tmp_path))
+        assert (rc_a, rc_d) == ((1, 1) if len(doc["samplers"]) == 1 else (0, 0))
+        ratio = float(lines["sigma_min/sigma_max"])
+        for rc_a2, rc_d2, lines2, duals2 in others:
+            assert (rc_a2, rc_d2) == (rc_a, rc_d)
+            assert abs(float(lines2["sigma_min/sigma_max"]) - ratio) <= 1e-12 * max(ratio, 1e-300)
+            for got, want in zip(duals2, duals, strict=True):
+                scale = max(map(abs, want.values()))
+                assert max(abs(got[k] - want[k]) for k in want) <= 1e-12 * scale
 
 
 class TestOffsetsBeyondInt64:

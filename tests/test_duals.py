@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from orbitsamp.duals import DualFamily, frame_bounds
+from orbitsamp.duals import DualFamily, frame_bounds, scale_exponent
 from orbitsamp.hilbert import DimensionMismatch
 from orbitsamp.spectral import FiniteSequence, build_spectral_field, dual_field, frame_constants
 
@@ -42,6 +42,16 @@ class TestDualFamily:
         family = DualFamily(np.eye(3, 2))
         with pytest.raises(DimensionMismatch):
             family.member(np.zeros((3, 2)))
+
+
+def test_scale_exponent():
+    assert scale_exponent(np.zeros((2, 3), dtype=complex)) == 0
+    assert scale_exponent([1e60, -1j]) == scale_exponent([[1e-60j]]) == 0  # within 2**±200
+    for peak in (1e-200, 1e160, 5e-324, 1.7e308):
+        # the largest |entry| is imaginary and in a strided view
+        A = np.array([[peak / 3, 0], [-1j * peak, 7]])[:, 0]
+        k = scale_exponent(A)
+        assert 0.5 <= peak * 2.0**k < 1 or abs(k) == 1022  # clamped: 2.0**k stays normal
 
 
 class TestSpectralDuals:

@@ -1,7 +1,10 @@
+import collections
 import itertools
 import json
 import math
+import os
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -44,11 +47,16 @@ def shift_matrix(n):
 
 
 def add(group, x, y):
-    return group.reduce(np.add(x, y))
+    return tuple(group.reduce([np.add(x, y)])[0].tolist())
 
 
 def identity(group):
     return (0,) * len(group.moduli)
+
+
+def rows(array):
+    """The rows of an element or label array as tuples."""
+    return list(map(tuple, array.tolist()))
 
 
 def characters_at(dual, h):
@@ -60,13 +68,15 @@ class TestGroups:
     def test_order_and_reduce(self):
         g = FiniteAbelianGroup((4, 6))
         assert g.order == 24
-        assert g.reduce((5, -1)) == (1, 5)
+        assert g.reduce([(5, -1)]).tolist() == [[1, 5]]
 
     def test_subgroup_closure(self):
         g = FiniteAbelianGroup((4,))
         m = Subgroup(g, [(2,)])
-        assert sorted(m) == [(0,), (2,)]
-        assert (2,) in m and (1,) not in m
+        assert m.elements.tolist() == [[0], [2]]
+        assert m.index(np.array([[2]])).tolist() == [1]
+        with pytest.raises(ValueError, match="not in the subgroup"):
+            m.index(np.array([[1]]))
 
     def test_subgroup_of(self):
         g = FiniteAbelianGroup((12,))
@@ -80,7 +90,7 @@ class TestDualGroup:
     def test_full_group_dual(self):
         g = FiniteAbelianGroup((4,))
         dual = DualGroup(Subgroup(g, [(1,)]))
-        assert dual.labels == ((0,), (1,), (2,), (3,))
+        assert dual.labels.tolist() == [[0], [1], [2], [3]]
 
     def test_proper_subgroup_dual_size(self):
         g = FiniteAbelianGroup((4,))
@@ -95,8 +105,8 @@ class TestDualGroup:
         h = Subgroup(g, [tuple(np.eye(len(mods), dtype=int)[i]) for i in range(len(mods))])
         dual = DualGroup(h)
         n = dual.order
-        for i, hi in enumerate(h):
-            for j, hj in enumerate(h):
+        for i, hi in enumerate(h.elements):
+            for j, hj in enumerate(h.elements):
                 acc = np.sum(characters_at(dual, hi) * np.conj(characters_at(dual, hj))) / n
                 expected = 1.0 if i == j else 0.0
                 assert abs(acc - expected) < 1e-12
@@ -117,15 +127,15 @@ class TestAnnihilator:
         h = Subgroup(g, [(1,)])
         m = Subgroup(g, [(2,)])
         perp = annihilator(h, m)
-        assert perp.labels == ((0,), (2,))
-        assert perp.order == 2
+        assert perp.tolist() == [[0], [2]]
+        assert len(perp) == 2
 
     def test_trivial_cases(self):
         g = FiniteAbelianGroup((6,))
         h = Subgroup(g, [(1,)])
-        assert annihilator(h, h).order == 1
+        assert len(annihilator(h, h)) == 1
         zero = Subgroup(g, [(0,)])
-        assert annihilator(h, zero).order == h.order
+        assert len(annihilator(h, zero)) == h.order
 
     @settings(max_examples=20, deadline=None)
     @given(n=st.integers(2, 12), d=st.integers(1, 12))
@@ -136,7 +146,7 @@ class TestAnnihilator:
         h = Subgroup(g, [(1,)])
         m = Subgroup(g, [(d,)])
         perp = annihilator(h, m)
-        assert perp.order * m.order == h.order
+        assert len(perp) * m.order == h.order
 
     def test_not_subgroup_rejected(self):
         g = FiniteAbelianGroup((4,))
@@ -153,17 +163,18 @@ class TestSection:
         m = Subgroup(g, [(3,)])
         dual = DualGroup(h)
         perp = annihilator(h, m, dual=dual)
-        omega = section_omega(dual, perp)
-        assert len(omega.representatives) * perp.order == dual.order
-        assert omega.verify_tiling()
+        cells = section_omega(dual, perp)
+        assert len(cells) * len(perp) == dual.order
+        # the cells hold every dual index once
+        assert np.array_equal(np.sort(cells, axis=None), np.arange(dual.order))
 
     def test_deterministic_lexicographic(self):
         g = FiniteAbelianGroup((4,))
         h = Subgroup(g, [(1,)])
         m = Subgroup(g, [(2,)])
         dual = DualGroup(h)
-        omega = section_omega(dual, annihilator(h, m, dual=dual))
-        assert omega.representatives == ((0,), (1,))
+        cells = section_omega(dual, annihilator(h, m, dual=dual))
+        assert dual.labels[cells[:, 0]].tolist() == [[0], [1]]
 
 
 class TestRepresentation:
@@ -254,7 +265,7 @@ class TestGroupReconstruction:
         spectrum = build_group_G_matrix(rep, a, samplers, h, m)
         assert spectrum.r == 2
         coeff = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        x = spectrum.orbit_matrix() @ coeff
+        x = spectrum.orbit @ coeff
         xh = group_reconstruct(group_duals(spectrum), take_group_samples(spectrum, x))
         # oracle: dense solve of the sample system
         assert np.linalg.norm(xh - x) <= 1e-8 * np.linalg.norm(x)
@@ -265,7 +276,7 @@ class TestGroupReconstruction:
         g = FiniteAbelianGroup((2, 2))
         h = Subgroup(g, [(1, 0), (0, 1)])
         m = Subgroup(g, [(1, 0)])
-        idx = {e: i for i, e in enumerate(sorted(h))}
+        idx = {e: i for i, e in enumerate(rows(h.elements))}
         ops = []
         for gen in h.generators:
             op = np.zeros((4, 4))
@@ -277,18 +288,17 @@ class TestGroupReconstruction:
         samplers = [rng.standard_normal(4) + 1j * rng.standard_normal(4) for _ in range(2)]
         spectrum = build_group_G_matrix(rep, a, samplers, h, m)
         assert spectrum.r == 2
-        assert len(spectrum.omega.representatives) == 2
+        assert len(spectrum.cells) == 2
         x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         samples = take_group_samples(spectrum, x)
         xh = group_reconstruct(group_duals(spectrum), samples)
         # dense oracle: solve the full sampling system for the coefficients
-        orbit = spectrum.orbit_matrix()
-        rows = []
-        for b in spectrum.samplers:
-            for mm in spectrum.M:
-                analyzer = rep.op(np.negative(mm)).conj().T @ b
-                rows.append(analyzer.conj() @ orbit)
-        S = np.array(rows)
+        orbit = spectrum.orbit
+        S = np.array([
+            (rep.op(np.negative(mm)).conj().T @ b).conj() @ orbit
+            for b in spectrum.samplers
+            for mm in spectrum.M.elements
+        ])
         alpha_hat, *_ = np.linalg.lstsq(S, samples, rcond=None)
         x_oracle = orbit @ alpha_hat
         assert np.linalg.norm(xh - x_oracle) <= 1e-8 * np.linalg.norm(x_oracle)
@@ -347,16 +357,18 @@ def all_pairs_homomorphism(H, mats, tol=1e-8):
     while frontier:
         nxt = []
         for h in frontier:
-            for g, m in zip(H.generators, mats):
+            for g, m in zip(rows(H.generators), mats):
                 e = add(group, h, g)
                 if e not in table:
                     table[e] = m @ table[h]
                     nxt.append(e)
         frontier = nxt
-    assert set(table) == set(H)
+    elements = rows(H.elements)
+    assert set(table) == set(elements)
     scale = max(max(np.max(np.abs(m)) for m in table.values()), 1.0)
-    pairs = [(table[add(group, h1, h2)], table[h1] @ table[h2]) for h1 in H for h2 in H]
-    pairs += [(table[g], m) for g, m in zip(H.generators, mats)]
+    pairs = [(table[add(group, h1, h2)], table[h1] @ table[h2])
+             for h1 in elements for h2 in elements]
+    pairs += [(table[g], m) for g, m in zip(rows(H.generators), mats)]
     return all(np.max(np.abs(lhs - rhs)) <= tol * scale for lhs, rhs in pairs)
 
 
@@ -374,7 +386,7 @@ class TestRelationCheck:
     def test_non_diagonal_relation_basis(self):
         g = FiniteAbelianGroup((4, 6))
         h = Subgroup(g, [(2, 0), (1, 3)])
-        assert sorted(h) == [(0, 0), (1, 3), (2, 0), (3, 3)]
+        assert h.elements.tolist() == [[0, 0], [1, 3], [2, 0], [3, 3]]
         # (2, 0) = 2 (1, 3) in Z4 x Z6, and (1, 3) has order 4
         assert h.relations.tolist() == [[1, -2], [0, 4]]
 
@@ -389,7 +401,7 @@ class TestRelationCheck:
         H = Subgroup(g, gens)
         for row in H.relations:
             total = [int(n) * np.array(e) for n, e in zip(row, H.generators)]
-            assert g.reduce(sum(total)) == identity(g)
+            assert not g.reduce([sum(total)]).any()
         assert int(np.prod(np.diag(H.relations))) == H.order
         # characters of H in a random unitary basis: a representation; a
         # root-of-unity factor may break a relation (a wrong order), a
@@ -429,7 +441,7 @@ class TestDualEnumeration:
         M = Subgroup(g, [add(g, x, x) for x in gens[:m_count]])
         dual = DualGroup(H)
         perp = annihilator(H, M, dual=dual)
-        omega = section_omega(dual, perp)
+        cells = section_omega(dual, perp)
 
         def key(label, elems):
             return tuple(
@@ -439,20 +451,21 @@ class TestDualEnumeration:
 
         classes = {}
         for label in itertools.product(*(range(m) for m in moduli)):
-            classes.setdefault(key(label, H.generators), label)
-        assert dual.labels == tuple(sorted(classes.values()))
-        assert perp.labels == tuple(
-            gam for gam in dual.labels if all(v == 0 for v in key(gam, M.generators))
-        )
+            classes.setdefault(key(label, rows(H.generators)), label)
+        labels = rows(dual.labels)
+        assert labels == sorted(classes.values())
+        assert rows(perp) == [
+            gam for gam in labels if all(v == 0 for v in key(gam, rows(M.generators)))
+        ]
         reps, assigned = [], set()
-        for gam in dual:
+        for gam in labels:
             if gam not in assigned:
                 reps.append(gam)
-                assigned.update(dual.labels[dual.indices(np.add(gam, mu))] for mu in perp)
-        assert omega.representatives == tuple(reps)
+                assigned.update(labels[dual.indices(np.add(gam, mu))] for mu in perp)
+        assert rows(dual.labels[cells[:, 0]]) == reps
         chi = dual.character_table()
-        for i, gam in enumerate(dual):
-            for j, h in enumerate(H):
+        for i, gam in enumerate(labels):
+            for j, h in enumerate(rows(H.elements)):
                 assert abs(chi[i, j] - np.exp(2j * math.pi * key(gam, [h])[0])) < 1e-12
 
 
@@ -481,15 +494,18 @@ class TestScaleInvariance:
         samplers = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(count)]
         x = rep.orbit(a) @ (rng.standard_normal(n) + 1j * rng.standard_normal(n))
         verdicts, rebuilt = set(), []
-        for c in (1e-6, 1.0, 1e3):
-            spectrum = build_group_G_matrix(rep, a, [c * b for b in samplers], H, M)
-            try:
-                duals = group_duals(spectrum)
-            except FrameError:
-                verdicts.add((spectrum.frame.sigma_ratio > 1e-10, False))
-                continue
-            verdicts.add((spectrum.frame.sigma_ratio > 1e-10, True))
-            rebuilt.append(group_reconstruct(duals, take_group_samples(spectrum, x)))
+        # a warning (an overflow in G*G, say) fails the test
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for c in (1e-6, 1.0, 1e3, 1e-200, 1e160, 1e200):
+                spectrum = build_group_G_matrix(rep, a, [c * b for b in samplers], H, M)
+                try:
+                    duals = group_duals(spectrum)
+                except FrameError:
+                    verdicts.add((spectrum.frame.sigma_ratio > 1e-10, False))
+                    continue
+                verdicts.add((spectrum.frame.sigma_ratio > 1e-10, True))
+                rebuilt.append(group_reconstruct(duals, take_group_samples(spectrum, x)))
         assert len(verdicts) == 1
         for xh in rebuilt:
             assert np.linalg.norm(xh - x) <= 1e-8 * np.linalg.norm(x)
@@ -520,7 +536,7 @@ class TestOrbitCertificate:
         n = H.order
         V = unitary(rng, n) + 0.2 * rng.standard_normal((n, n))
         Vinv = np.linalg.inv(V)
-        chi = DualGroup(H).character_table()[:, H.index(np.array(H.generators))]
+        chi = DualGroup(H).character_table()[:, H.index(H.generators)]
         rep = GroupRepresentation(H, [V @ np.diag(col) @ Vinv for col in chi.T])
         coeff = (0.5 + rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
         samplers = [rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -608,6 +624,45 @@ def test_z16_by_z16_round_trip():
     samplers = [rng.standard_normal(256) + 1j * rng.standard_normal(256) for _ in range(6)]
     spectrum = build_group_G_matrix(rep, a, samplers, h, m)
     assert rep.dim == 256 and spectrum.r == 4
-    x = spectrum.orbit_matrix() @ (rng.standard_normal(256) + 1j * rng.standard_normal(256))
+    x = spectrum.orbit @ (rng.standard_normal(256) + 1j * rng.standard_normal(256))
     xh = group_reconstruct(group_duals(spectrum), take_group_samples(spectrum, x))
     assert np.linalg.norm(xh - x) <= 1e-9 * np.linalg.norm(x)
+
+
+class TestEachQuantityOnce:
+    """One CLI command steps the generator's orbit, forms the character table
+    and forms the coset table behind the section cells once each:
+    ``build_group_G_matrix`` keeps them on the ``GroupSpectrum`` for the
+    duals and the reconstruction."""
+
+    @pytest.mark.parametrize("command", ["analyze", "dual", "reconstruct", "lca-demo"])
+    def test_one_command(self, tmp_path, monkeypatch, capsys, command):
+        problem = os.path.join(os.path.dirname(__file__), "..", "problems", "lca_z4.json")
+        with open(problem) as fh:
+            spectrum = cli._Lca(json.load(fh)).spectrum
+        samples = str(tmp_path / "s.csv")
+        cli.write_vector_csv(samples, take_group_samples(spectrum, spectrum.orbit[:, 0]))
+        counts = collections.Counter()
+
+        def counted(name, func, counts_call=lambda *args: True):
+            def wrapper(*args, **kwargs):
+                counts[name] += counts_call(*args)
+                return func(*args, **kwargs)
+            return wrapper
+
+        # the generator's orbit is the one orbit of a single vector
+        monkeypatch.setattr(GroupRepresentation, "orbit", counted(
+            "orbit", GroupRepresentation.orbit, lambda rep, vectors, *rest: np.ndim(vectors) == 1
+        ))
+        monkeypatch.setattr(DualGroup, "character_table",
+                            counted("character table", DualGroup.character_table))
+        monkeypatch.setattr(DualGroup, "indices", counted("coset table", DualGroup.indices))
+        argv = {
+            "analyze": ["analyze", "--input", problem],
+            "dual": ["dual", "--input", problem, "--out", str(tmp_path / "d")],
+            "reconstruct": ["reconstruct", "--input", problem, "--samples", samples,
+                            "--out", str(tmp_path / "r")],
+            "lca-demo": ["lca-demo", "--input", problem],
+        }[command]
+        assert cli.main(argv) == 0, capsys.readouterr()
+        assert counts == {"orbit": 1, "character table": 1, "coset table": 1}

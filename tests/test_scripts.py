@@ -1,5 +1,6 @@
 import importlib.util
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -45,6 +46,15 @@ def test_cli_parity_same_tree():
     proc = run_parity(src, src)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.endswith(" differ\n") and proc.stdout.split()[-2] == "0"
+
+
+def test_cli_parity_design_seeds():
+    # the design workloads' problem files at seed 1 join the shipped ones
+    src = os.path.join(ROOT, "src")
+    proc = run_parity(src, src, "--seeds", "1")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    problems = re.search(r" on (\d+) problems: 0 differ\n$", proc.stdout)
+    assert problems and int(problems[1]) > len(os.listdir(os.path.join(ROOT, "problems")))
 
 
 def changed_copy(tmp_path, old, new):
