@@ -24,9 +24,13 @@ written CSV differs in bytes, both files are parsed and their largest
 relative difference is printed: ``max |a - b|`` over rows, relative to the
 largest ``|a|`` of the base file.  With ``--rtol`` above 0 (default
 0, a byte check), files with the same indices and a relative difference at
-most ``rtol`` count as matching; each is listed on a ``NEAR`` line.  The
-script prints each difference and a summary, and exits 1 when there is a
-difference.
+most ``rtol`` count as matching, and so do two lines of stdout or stderr
+whose text is the same once every number is masked and whose numbers
+differ pairwise by at most ``rtol * max(|a|, |b|, 1)``; each such file and
+line is listed on a ``NEAR`` line.  An exception that escapes ``cli.main``,
+or the library calls that build a ``reconstruct`` input, is that command's
+outcome (its type and message), and the run goes on.  The script prints
+each difference and a summary, and exits 1 when there is a difference.
 """
 
 import argparse
@@ -37,6 +41,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -49,6 +54,7 @@ ROOT = os.path.dirname(HERE)
 SPLINES = ((3, 4), (9, 6), (15, 10))
 DESIGNS = ("cyclic-design", "lca-design", "shift-design")
 INPUTS = ("p.json", "s.csv")
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
 def _pairs(data):
@@ -58,7 +64,8 @@ def _pairs(data):
 
 def _element_samples(o, doc):
     """A subspace element and its samples, or ``None`` when the library
-    refuses the problem (its ``reconstruct`` then fails in the CLI too)."""
+    refuses the problem (its ``reconstruct`` then fails in the CLI too);
+    any other exception propagates."""
     try:
         samplers = [_pairs(b) for b in doc["samplers"]]
         if doc["model"] == "cyclic":
@@ -107,8 +114,8 @@ def corpus(o, problems):
         commands.append((["dual", "--input", path, "--out", "o"], None))
         if model in ("cyclic", "lca"):
             argv = ["reconstruct", "--input", "p.json", "--samples", "s.csv", "--out", "o"]
-            element = _element_samples(o, doc)
-            commands.append((argv, lambda doc=doc, element=element: _write_inputs(doc, element)))
+            # built when the command runs, so that an exception is its outcome
+            commands.append((argv, lambda doc=doc: _write_inputs(doc, _element_samples(o, doc))))
         if model == "shift":  # a problem without filter pairs checks the refusal
             commands.append((["pr-check", "--input", path], None))
         if model == "lca":
@@ -132,14 +139,17 @@ def run_child(src, problems):
             cwd = os.path.join(tmp, str(k))
             os.mkdir(cwd)
             os.chdir(cwd)
-            if prepare is not None:
-                prepare()
             out, err = io.StringIO(), io.StringIO()
+            rc, raised = None, None
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 try:
+                    if prepare is not None:
+                        prepare()
                     rc = cli.main(argv)
                 except SystemExit as exc:  # argparse usage errors
                     rc = exc.code
+                except Exception as exc:
+                    raised = f"{type(exc).__name__}: {exc}"
             stdout = "".join(
                 "runtime: <masked>\n" if line.startswith("runtime: ") else line
                 for line in out.getvalue().splitlines(keepends=True)
@@ -150,8 +160,8 @@ def run_child(src, problems):
                     with open(name, "rb") as fh:
                         files[name] = fh.read().decode("latin-1")  # byte for byte
             records.append(
-                {"argv": argv, "rc": rc, "stdout": stdout, "stderr": err.getvalue(),
-                 "files": files}
+                {"argv": argv, "rc": rc, "raised": raised, "stdout": stdout,
+                 "stderr": err.getvalue(), "files": files}
             )
         os.chdir(home)
     json.dump(records, sys.stdout)
@@ -188,11 +198,30 @@ def collect(src, problems):
     return json.loads(proc.stdout)
 
 
-def _line_differences(a, b):
-    """``line n: x != y`` for every line, with its ending, that differs between
-    two texts; a line that one text lacks reads ``None``."""
+def _number_difference(x, y):
+    """``max |a - b| / max(|a|, |b|, 1)`` over the numbers of two lines whose
+    text is the same once every number is masked; ``None`` when it is not."""
+    if x is None or y is None or NUMBER.sub("#", x) != NUMBER.sub("#", y):
+        return None
+    pairs = zip(map(float, NUMBER.findall(x)), map(float, NUMBER.findall(y)))
+    return max((abs(a - b) / max(abs(a), abs(b), 1.0) for a, b in pairs), default=0.0)
+
+
+def _line_differences(a, b, rtol=0.0):
+    """``(differing, near)``: ``line n: x != y`` for every line, with its
+    ending, that differs between two texts beyond ``rtol`` (a line that one
+    text lacks reads ``None``), and ``line n (...)`` for those within it."""
+    differing, near = [], []
     pairs = itertools.zip_longest(a.splitlines(keepends=True), b.splitlines(keepends=True))
-    return [f"line {n}: {x!r} != {y!r}" for n, (x, y) in enumerate(pairs, start=1) if x != y]
+    for n, (x, y) in enumerate(pairs, start=1):
+        if x == y:
+            continue
+        rel = _number_difference(x, y) if rtol > 0 else None
+        if rel is not None and rel <= rtol:
+            near.append(f"line {n} (max relative difference {rel:.3e})")
+        else:
+            differing.append(f"line {n}: {x!r} != {y!r}")
+    return differing, near
 
 
 def _csv_rows(text):
@@ -246,9 +275,15 @@ def compare(base, change, rtol=0.0):
         reasons = []
         if a["rc"] != b["rc"]:
             reasons.append(f"exit code {a['rc']} != {b['rc']}")
+        if a["raised"] != b["raised"]:
+            reasons.append(f"raised {a['raised']!r} != {b['raised']!r}")
+        near = []
         for stream in ("stdout", "stderr"):
-            reasons += [f"{stream} {line}" for line in _line_differences(a[stream], b[stream])]
-        files, near = _file_differences(a["files"], b["files"], rtol)
+            lines, close = _line_differences(a[stream], b[stream], rtol)
+            reasons += [f"{stream} {line}" for line in lines]
+            near += [f"{stream} {line}" for line in close]
+        files, close = _file_differences(a["files"], b["files"], rtol)
+        near += close
         if files:
             reasons.append(f"files differ: {', '.join(files)}")
         if near:
@@ -269,8 +304,9 @@ def main(argv=None):
     parser.add_argument("--seeds", type=int, nargs="+", default=[],
                         help="add the design workloads' problem files at these seeds")
     parser.add_argument("--rtol", type=float, default=0.0,
-                        help="largest relative CSV difference that counts as matching "
-                             "(default 0: files must match byte for byte)")
+                        help="largest relative difference of CSV values and of the numbers "
+                             "in output lines that counts as matching (default 0: files "
+                             "and lines must match byte for byte)")
     argv = sys.argv[1:] if argv is None else list(argv)
     if "--seeds" in argv:  # the seeds end at the first argument that is not one
         end = argv.index("--seeds") + 1

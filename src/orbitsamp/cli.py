@@ -268,37 +268,35 @@ class _Cyclic:
         return report.full_rank
 
     def _inverse(self, U, tol):
-        """Structured inverse and reconstruction vectors once ``R`` passes the rank
-        verdict at ``tol``; the inverse's rank test at ``min(tol, RANK_TOL)`` then passes."""
+        """Structured inverse once ``R`` passes the rank verdict at ``tol``; the
+        inverse's rank test at ``min(tol, RANK_TOL)`` then passes."""
         report = cyclic.check_rank(self.R, rank_tol=tol)
         if not report.full_rank:
             raise NotRecoverable(f"not recoverable: rank {report.rank}/{report.cols}")
         try:
-            hs = cyclic.structurize_left_inverse(self.R, U=U, tol=tol)
+            return cyclic.structurize_left_inverse(self.R, U=U, tol=tol)
         except cyclic.LeftInverseError as exc:
             raise NotRecoverable(f"structured inverse failed: {exc}") from exc
-        return hs, cyclic.reconstruction_vectors(self.spec, hs)
 
     def dual(self, U, tol, prefix):
-        hs, basis = self._inverse(U, tol)
-        spec, scheme = self.spec, self.scheme
+        hs = self._inverse(U, tol)
         print(f"left-inverse residual: {_fmt(hs.certified_residual)}")
-        _write_duals(prefix, basis.vectors)
+        _write_duals(prefix, cyclic.reconstruction_vectors(self.spec, hs).vectors)
         if self.R.rows == self.R.cols:
             print("interpolation table L_j' c_j(r n) (rows: j', n; columns: j):")
-            table = np.column_stack([cyclic.take_samples(spec, scheme, c) for c in basis.vectors])
-            for jp in range(scheme.s):
-                for n in range(scheme.ell):
-                    cells = " ".join(_fmt(abs(v)) for v in table[jp * scheme.ell + n])
+            ell = self.scheme.ell
+            table = cyclic.interpolation_table(self.R, hs)
+            for jp in range(self.scheme.s):
+                for n in range(ell):
+                    cells = " ".join(_fmt(abs(v)) for v in table[jp * ell + n])
                     print(f"  j'={jp + 1} n={n}: {cells}")
 
     def reconstruct(self, samples, tol):
         expected = self.scheme.s * self.scheme.ell
         if samples.size != expected:
             raise SchemaError(f"sample count {samples.size} does not match s*ell = {expected}")
-        hs, basis = self._inverse(None, tol)
-        x = cyclic.reconstruct(self.spec, self.scheme, basis, samples)
-        return x, np.concatenate(cyclic.filter_bank_coefficients(hs, samples, self.spec))
+        alpha = self._inverse(None, tol).entries @ samples
+        return self.spec.synthesize(alpha), alpha
 
 
 class _Shift:

@@ -5,7 +5,9 @@ subspace, samplers ``b_1..b_s`` are read every ``r`` steps, and the
 cross-correlation matrix ``R`` they induce decides recoverability by its
 rank.  A left inverse of ``R`` whose columns are blockwise cyclic shifts of
 each sampler's first column yields reconstruction vectors ``c_j`` such that
-``x = sum_{j,n} sample(j, n) T^{r n} c_j``.
+``x = sum_{j,n} sample(j, n) T^{r n} c_j``.  Since ``c_j = O h_{j,0}`` for the
+orbit matrix ``O`` and column ``(j, 0)`` of that inverse ``H``, the sum is the
+orbit synthesis ``O (H samples)``; only ``take_samples`` forms a power of ``T``.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ __all__ = [
     "structurize_left_inverse",
     "reconstruction_vectors",
     "reconstruct",
+    "interpolation_table",
     "filter_bank_coefficients",
 ]
 
@@ -408,28 +411,35 @@ def structurize_left_inverse(R, H=None, *, U=None, tol=RANK_TOL):
 
 @dataclass
 class ReconstructionBasis:
-    """Ambient vectors ``c_j`` whose shifted orbit reproduces the subspace."""
+    """Ambient vectors ``c_j`` whose shifted orbit reproduces the subspace, and
+    the structured inverse ``inverse`` they come from: ``c_j = O h_{j,0}``."""
 
     vectors: list
+    inverse: StructuredLeftInverse
 
 
 def reconstruction_vectors(spec, hs):
     """Synthesize ``c_j`` from column ``(j, 0)`` of the structured inverse."""
     orbit = spec.orbit_matrix()
     vectors = [orbit @ hs.first_column(j) for j in range(hs.s)]
-    return ReconstructionBasis(vectors=vectors)
+    return ReconstructionBasis(vectors=vectors, inverse=hs)
 
 
 def reconstruct(spec, scheme, basis, samples):
-    """Evaluate ``sum_{j,n} samples(j, n) T^{r n} c_j`` by a Horner walk."""
+    """Evaluate ``sum_{j,n} samples(j, n) T^{r n} c_j`` as ``O (H samples)``.
+
+    Column ``(j, n)`` of the structured inverse ``H`` is column ``(j, 0)``
+    shifted by ``r n`` within each generator block, and ``T^{N_l} a_l = a_l``,
+    so ``T^{r n} c_j = O H[:, (j, n)]``: no power of ``T`` is formed.
+    """
     samples = as_cvector(samples, scheme.s * scheme.ell)
-    op = spec.operator
-    Tr = op.power(scheme.r)
-    W = np.column_stack(basis.vectors) @ samples.reshape(scheme.s, scheme.ell)
-    x = np.zeros(op.dim, dtype=complex)
-    for n in reversed(range(scheme.ell)):
-        x = Tr @ x + W[:, n]
-    return x
+    return spec.orbit_matrix() @ (basis.inverse.entries @ samples)
+
+
+def interpolation_table(R, hs):
+    """Samples ``L_j' c_j(r n)`` of each reconstruction vector, one column per ``j``:
+    those of ``c_j = O h_{j,0}`` are ``R h_{j,0}``, so no power of ``T`` is formed."""
+    return R.matrix @ hs.entries[:, :: hs.ell]
 
 
 def filter_bank_coefficients(hs, samples, spec):

@@ -55,8 +55,8 @@ class LinearOperator:
     The inverse is computed once at construction; negative powers are powers
     of it rather than solves per call; its residual, within ``1e-10``, also
     certifies ``sigma_min/sigma_max > RANK_TOL``.  Only the exponents callers
-    ask for are kept (the sampling code asks for ``T^{+-r}``), each built by
-    repeated squaring.
+    ask for are kept (only ``cyclic.take_samples`` asks, for ``T^{-r}``), each
+    built by repeated squaring.
     """
 
     def __init__(self, matrix):

@@ -171,7 +171,9 @@ class DualGroup:
     subgroup's generators; each class is represented by its lexicographically
     smallest member (``labels``, sorted), and ``indices`` maps any ambient
     label to its class.  The classes are found once for the whole ambient
-    group, from the phases of every ambient label on the generators.
+    group, from the phases of every ambient label on the generators: a
+    stable sort of those phase rows makes each class a run that starts at
+    its smallest member.
     """
 
     def __init__(self, H):
@@ -179,13 +181,18 @@ class DualGroup:
         group = H.group
         ambient = np.indices(group.moduli).reshape(len(group.moduli), -1).T  # lexicographic
         keys = _phases(group, ambient, H.generators)
-        _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+        order = np.lexsort(keys.T) if keys.shape[1] else np.arange(len(keys))
+        keys = keys[order]
+        starts = np.ones(len(keys), dtype=bool)
+        starts[1:] = np.any(keys[1:] != keys[:-1], axis=1)
+        first = order[starts]
         if first.size != H.order:
             raise RuntimeError("character count does not match the subgroup order")
         # classes numbered by their smallest member, which is the sorted order
         number = np.empty_like(first)
         number[np.argsort(first)] = np.arange(first.size)
-        self._class = number[inverse.ravel()]
+        self._class = np.empty_like(order)
+        self._class[order] = number[np.cumsum(starts) - 1]
         self.labels = ambient[np.sort(first)]
 
     @property

@@ -3,7 +3,9 @@
 Each is the direct textbook form of a quantity the package computes by a
 faster or structured route: dense inner products and Gram matrices, the
 sample matrix entry by entry, an entrywise r-circulant check, a projection
-by the normal equations, an operator check that takes its SVD first, the
+by the normal equations, the cyclic reconstruction sum by a Horner walk in
+``T^r``, the characters of a subgroup by ``np.unique`` over phase rows, an
+operator check that takes its SVD first, the
 shift dual field by its exact route (Gram eigenvalues first), and CSV rows
 written by the ``csv`` module.
 """
@@ -92,6 +94,33 @@ def sample_matrix(spec, scheme):
                     v = op.matrix @ v
             rows.append(row)
     return np.array(rows)
+
+
+def horner_reconstruct(spec, scheme, basis, samples):
+    """``sum_{j,n} samples(j, n) T^{r n} c_j`` by a Horner walk in ``T^r``."""
+    samples = as_cvector(samples, scheme.s * scheme.ell)
+    Tr = np.linalg.matrix_power(spec.operator.matrix, scheme.r)
+    W = np.column_stack(basis.vectors) @ samples.reshape(scheme.s, scheme.ell)
+    x = np.zeros(spec.operator.dim, dtype=complex)
+    for n in reversed(range(scheme.ell)):
+        x = Tr @ x + W[:, n]
+    return x
+
+
+def unique_dual_classes(H):
+    """``(labels, class of each ambient label)`` for the characters of ``H``:
+    ``np.unique`` over the phase rows of every ambient label on the generators,
+    classes numbered by their smallest member, which is the label kept."""
+    group = H.group
+    L = group.exponent
+    ambient = np.indices(group.moduli).reshape(len(group.moduli), -1).T
+    keys = np.zeros((len(ambient), len(H.generators)), dtype=np.int64)
+    for t, m in enumerate(group.moduli):
+        keys += (np.multiply.outer(ambient[:, t], H.generators[:, t]) % m) * (L // m)
+    _, first, inverse = np.unique(keys % L, axis=0, return_index=True, return_inverse=True)
+    number = np.empty_like(first)
+    number[np.argsort(first)] = np.arange(first.size)
+    return ambient[np.sort(first)], number[inverse.ravel()]
 
 
 def operator_inverse(matrix):

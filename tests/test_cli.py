@@ -260,6 +260,69 @@ class TestDual:
         assert c1.size == 4
 
 
+def unequal_periods_problem(seed=0):
+    """Periods 3 and 6 read every 2 steps by 3 samplers: a square 9 x 9 ``R``, in
+    ``C^11`` so that an ambient vector can leave the orbit span; with its library objects."""
+    rng = np.random.default_rng(seed)
+    op, gens = operator_with_orders(rng, 11, [3, 6], distortion=0.2)
+    samplers = [rng.standard_normal(11) + 1j * rng.standard_normal(11) for _ in range(3)]
+    doc = {
+        "model": "cyclic",
+        "dimension": 11,
+        "operator": [cpairs(row) for row in op.matrix],
+        "generators": [cpairs(a) for a in gens],
+        "orders": [3, 6],
+        "samplers": [cpairs(b) for b in samplers],
+        "r": 2,
+    }
+    spec = o.CyclicSubspaceSpec(operator=op, generators=gens, orders=[3, 6])
+    return doc, spec, o.SamplingScheme.for_spec(spec, samplers, 2)
+
+
+class TestOrbitSynthesis:
+    """Cyclic commands form no power of ``T`` beyond the samples that ``take_samples`` reads."""
+
+    def test_interpolation_table_is_the_samples_of_the_duals(self, tmp_path, capsys):
+        doc, spec, scheme = unequal_periods_problem()
+        path = write_problem(tmp_path, doc)
+        out = str(tmp_path / "dual")
+        assert cli.main(["dual", "--input", path, "--out", out]) == 0
+        lines = capsys.readouterr().out.split("interpolation table")[1].splitlines()[1:]
+        printed = np.array([[float(v) for v in line.split(": ")[1].split()] for line in lines])
+        duals = [cli.read_vector_csv(f"{out}.c{j}.csv")[1] for j in (1, 2, 3)]
+        table = np.column_stack([o.take_samples(spec, scheme, c) for c in duals])
+        assert printed.shape == (9, 3)
+        assert np.max(np.abs(printed - np.abs(table))) <= 1e-12
+
+    def test_x_is_the_orbit_synthesis_of_alpha(self, tmp_path):
+        doc, spec, scheme = unequal_periods_problem(1)
+        x = np.random.default_rng(2).standard_normal(11) + 0j  # outside the orbit span
+        spath = str(tmp_path / "s.csv")
+        cli.write_vector_csv(spath, o.take_samples(spec, scheme, x))
+        out = str(tmp_path / "rec")
+        argv = ["reconstruct", "--input", write_problem(tmp_path, doc), "--samples", spath]
+        assert cli.main([*argv, "--out", out]) == 0
+        _, xr = cli.read_vector_csv(out + ".x.csv")
+        _, alpha = cli.read_vector_csv(out + ".alpha.csv")
+        assert np.array_equal(xr, spec.orbit_matrix() @ alpha)
+
+    def test_no_command_forms_a_power(self, tmp_path, monkeypatch):
+        doc, spec, scheme = unequal_periods_problem(3)
+        spath = str(tmp_path / "s.csv")
+        cli.write_vector_csv(spath, o.take_samples(spec, scheme, spec.synthesize(np.ones(9))))
+        path = write_problem(tmp_path, doc)
+
+        def no_power(self, k):
+            raise AssertionError(f"T^{k} formed")
+
+        monkeypatch.setattr(o.LinearOperator, "power", no_power)
+        out = str(tmp_path / "o")
+        assert cli.main(["analyze", "--input", path]) == 0
+        assert cli.main(["dual", "--input", path, "--out", out]) == 0
+        argv = ["reconstruct", "--input", path, "--samples", spath, "--out", out]
+        assert cli.main(argv) == 0
+
+
 class TestReconstruct:
     def make_samples(self, tmp_path, x, samplers):
         op = o.LinearOperator(SHIFT4)

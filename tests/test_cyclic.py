@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from orbitsamp.cyclic import (
     CyclicSubspaceSpec,
@@ -12,6 +12,7 @@ from orbitsamp.cyclic import (
     build_sample_matrix,
     check_rank,
     filter_bank_coefficients,
+    interpolation_table,
     reconstruct,
     reconstruction_vectors,
     structurize_left_inverse,
@@ -23,7 +24,13 @@ from orbitsamp.instances import (
     operator_with_orders,
     random_cyclic_instance,
 )
-from oracles import inner, is_r_circulant, project_onto_subspace, sample_matrix
+from oracles import (
+    horner_reconstruct,
+    inner,
+    is_r_circulant,
+    project_onto_subspace,
+    sample_matrix,
+)
 
 
 def shift_spec(n):
@@ -397,6 +404,57 @@ class TestReconstruction:
         basis = reconstruction_vectors(spec, structurize_left_inverse(R))
         with pytest.raises(ValueError):
             reconstruct(spec, scheme, basis, np.zeros(3))
+
+
+@st.composite
+def orbit_problems(draw):
+    """1 to 3 generators of unequal periods (lcm at most 24), any divisor ``r``
+    of the lcm, at least as many samplers as the widest DFT block of ``R``
+    and up to 3 ambient dimensions outside the orbit span."""
+    orders = draw(
+        st.lists(st.integers(1, 12), min_size=1, max_size=3, unique=True).filter(
+            lambda o: math.lcm(*o) <= 24
+        )
+    )
+    lcm = math.lcm(*orders)
+    r = draw(st.sampled_from(divisors(lcm)))
+    freq = np.concatenate([np.arange(N) * (lcm // N) % (lcm // r) for N in orders])
+    s = int(np.bincount(freq).max()) + draw(st.integers(0, 1))
+    return orders, r, s, draw(st.integers(0, 3)), draw(st.integers(0, 2**32 - 1))
+
+
+class TestOrbitSynthesis:
+    """``reconstruct`` is ``O (H y)``: the Horner walk's sum, in the orbit span."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=orbit_problems())
+    @example(case=([3, 6], 2, 3, 2, 0))  # square R, 9 x 9
+    @example(case=([4, 2], 2, 4, 2, 1))  # the short block wraps around
+    @example(case=([12, 8], 4, 4, 0, 2))  # ell = 6, R 24 x 20, no room outside the orbit
+    @example(case=([6, 4, 3], 2, 4, 3, 3))  # three generators, r dividing only two
+    @example(case=([5], 5, 5, 1, 4))  # ell = 1
+    def test_matches_horner_walk(self, case):
+        orders, r, s, extra, seed = case
+        rng = np.random.default_rng(seed)
+        dim = sum(orders) + extra
+        op, gens = operator_with_orders(rng, dim, orders, distortion=0.2)
+        spec = CyclicSubspaceSpec(operator=op, generators=gens, orders=orders)
+        samplers = [rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for _ in range(s)]
+        scheme = SamplingScheme.for_spec(spec, samplers, r)
+        R = build_sample_matrix(spec, scheme)
+        assume(check_rank(R).full_rank)
+        hs = structurize_left_inverse(R)
+        basis = reconstruction_vectors(spec, hs)
+        # an arbitrary ambient vector, not only a subspace element
+        x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        y = take_samples(spec, scheme, x)
+        got = reconstruct(spec, scheme, basis, y)
+        want = horner_reconstruct(spec, scheme, basis, y)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+        assert np.linalg.norm(project_onto_subspace(spec, got) - got) <= 1e-10 * np.linalg.norm(got)
+        table = np.column_stack([take_samples(spec, scheme, c) for c in basis.vectors])
+        got_table = interpolation_table(R, hs)
+        assert np.max(np.abs(got_table - table)) <= 1e-12 * max(1.0, np.max(np.abs(table)))
 
 
 class TestFilterBankCoefficients:

@@ -24,6 +24,7 @@ from orbitsamp.cyclic import (
 from orbitsamp.duals import FrameError
 from orbitsamp.hilbert import RANK_TOL, LinearOperator
 from orbitsamp.instances import representation_from_characters
+from oracles import unique_dual_classes
 from orbitsamp.lca import (
     DualGroup,
     FiniteAbelianGroup,
@@ -110,6 +111,27 @@ class TestDualGroup:
                 acc = np.sum(characters_at(dual, hi) * np.conj(characters_at(dual, hj))) / n
                 expected = 1.0 if i == j else 0.0
                 assert abs(acc - expected) < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        case=st.lists(st.integers(1, 8), min_size=1, max_size=3).flatmap(
+            lambda mods: st.tuples(
+                st.just(tuple(mods)),
+                st.lists(st.tuples(*(st.integers(0, m - 1) for m in mods)), max_size=3),
+            )
+        )
+    )
+    @example(case=((4, 6), [(2, 0), (1, 3)]))
+    @example(case=((8,), []))  # the trivial subgroup: one class
+    def test_classes_match_unique_rows(self, case):
+        moduli, gens = case
+        g = FiniteAbelianGroup(moduli)
+        H = Subgroup(g, gens)
+        dual = DualGroup(H)
+        labels, classes = unique_dual_classes(H)
+        ambient = np.indices(moduli).reshape(len(moduli), -1).T
+        assert np.array_equal(dual.labels, labels)
+        assert np.array_equal(dual.indices(ambient), classes)
 
     def test_character_multiplicativity(self):
         g = FiniteAbelianGroup((6,))

@@ -57,15 +57,18 @@ def test_cli_parity_design_seeds():
     assert problems and int(problems[1]) > len(os.listdir(os.path.join(ROOT, "problems")))
 
 
+def replace_once(path, old, new):
+    text = path.read_text()
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new))
+
+
 def changed_copy(tmp_path, old, new):
     """A copy of ``src/`` whose ``cli.py`` has its one ``old`` replaced by ``new``."""
     changed = tmp_path / "src"
     shutil.copytree(os.path.join(ROOT, "src"), changed,
                     ignore=shutil.ignore_patterns("__pycache__"))
-    cli = changed / "orbitsamp" / "cli.py"
-    text = cli.read_text()
-    assert text.count(old) == 1
-    cli.write_text(text.replace(old, new))
+    replace_once(changed / "orbitsamp" / "cli.py", old, new)
     return changed
 
 
@@ -89,6 +92,39 @@ def test_cli_parity_rtol(tmp_path):
     assert "NEAR dual --input" in proc.stdout and proc.stdout.split()[-2] == "0"
 
 
+def test_cli_parity_rtol_covers_output_lines(tmp_path):
+    # printed floats with 16 significant digits, not 17: only stdout numbers change
+    changed = changed_copy(tmp_path, 'format(float(x), ".17g")', 'format(float(x), ".16g")')
+    problem = os.path.join(ROOT, "problems", "shift_spline.json")
+    proc = run_parity(os.path.join(ROOT, "src"), str(changed), problems=[problem])
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "stdout line" in proc.stdout and "NEAR" not in proc.stdout
+    proc = run_parity(os.path.join(ROOT, "src"), str(changed), "--rtol", "1e-14",
+                      problems=[problem])
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert re.search(r"NEAR analyze --input \S+: stdout line \d+ \(max relative", proc.stdout)
+    assert proc.stdout.split()[-2] == "0"
+
+
+def test_cli_parity_records_a_crash(tmp_path):
+    # analyze raises past cli.main, and so does take_samples, which builds the
+    # inputs of cyclic reconstruct: each is its command's outcome, and the run goes on
+    changed = changed_copy(tmp_path, """print(f"model: {doc['model']}")""",
+                           'raise OverflowError("too large")')
+    replace_once(changed / "orbitsamp" / "cyclic.py", "    step = op.power(-scheme.r)\n",
+                 '    raise OverflowError("no samples")\n')
+    proc = run_parity(os.path.join(ROOT, "src"), str(changed))
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "corpus run" not in proc.stdout + proc.stderr
+    report = proc.stdout.split("DIFF analyze --input")[1].split("DIFF")[0]
+    assert re.search(r"exit code \d != None", report)
+    assert "raised None != 'OverflowError: too large'" in report
+    report = proc.stdout.split("DIFF reconstruct --input")[1].split("DIFF")[0]
+    assert "raised None != 'OverflowError: no samples'" in report
+    assert re.search(r"\d+ commands, \d+ files compared on \d+ problems: \d+ differ\n$",
+                     proc.stdout)
+
+
 def test_cli_parity_reports_every_differing_line(tmp_path):
     # the first two lines of the frame report renamed: both are reported
     changed = changed_copy(
@@ -103,15 +139,34 @@ def test_cli_parity_reports_every_differing_line(tmp_path):
     assert "stdout line 2: 'alpha_G = " in report and "stdout line 3: 'beta_G = " in report
 
 
-def test_line_differences_cover_endings_and_missing_lines():
+def load_parity():
     spec = importlib.util.spec_from_file_location(
         "cli_parity", os.path.join(ROOT, "scripts", "cli_parity.py")
     )
     parity = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(parity)
-    assert parity._line_differences("a\nb\n", "a\nb\n") == []
-    assert parity._line_differences("a\nb\n", "a\nc\nd") == [
+    return parity
+
+
+def test_line_differences_cover_endings_and_missing_lines():
+    parity = load_parity()
+    assert parity._line_differences("a\nb\n", "a\nb\n") == ([], [])
+    assert parity._line_differences("a\nb\n", "a\nc\nd") == ([
         "line 2: 'b\\n' != 'c\\n'",
         "line 3: None != 'd'",
-    ]
-    assert parity._line_differences("a\n", "a") == ["line 1: 'a\\n' != 'a'"]
+    ], [])
+    assert parity._line_differences("a\n", "a") == (["line 1: 'a\\n' != 'a'"], [])
+
+
+def test_line_differences_within_rtol():
+    parity = load_parity()
+    a = "rank 9/9\nx = 2.0000000000001e3\ntiny 3e-16 -1\nr = 1.5\n"
+    b = "rank 9/9\nx = 2000.0\ntiny 1.2e-15 -1\nr: 1.5\n"
+    differing, near = parity._line_differences(a, b, 1e-12)
+    assert differing == ["line 4: 'r = 1.5\\n' != 'r: 1.5\\n'"]
+    # line 2 relative to the larger value, line 3 below 1 and so absolute
+    assert near[0].startswith("line 2 (max relative difference 5.00") and len(near) == 2
+    assert near[1] == "line 3 (max relative difference 9.000e-16)"
+    differing, near = parity._line_differences(a, b, 1e-16)
+    assert len(differing) == 3 and near == []
+    assert parity._line_differences(a, b)[1] == []  # rtol 0: text only
