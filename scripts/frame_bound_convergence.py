@@ -4,16 +4,20 @@
 Draws a random full-rank cyclic sampling instance, computes the optimal
 frame bounds as extreme squared singular values of the sampling matrix, and
 tracks how close the empirical min/max of ||R a||^2 / ||a||^2 get as the
-number of random draws grows.
+number of random draws grows.  The instance generator is the one the tests
+use, ``tests/instances.py``.
 """
 
 import argparse
+import os
 import sys
 
 import numpy as np
 
 from orbitsamp.cyclic import check_rank
-from orbitsamp.instances import CyclicInstanceConfig, random_cyclic_instance
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests"))
+from instances import CyclicInstanceConfig, random_cyclic_instance  # noqa: E402
 
 
 def run(seed, max_draws):

@@ -1,6 +1,6 @@
 """Generalized sampling and stable reconstruction in operator-orbit subspaces.
 
-Subpackages by setting: ``hilbert`` for the ambient finite-dimensional
+Modules by setting: ``hilbert`` for the ambient finite-dimensional
 model, ``cyclic`` for finite orbit periods, ``spectral`` for the
 shift-invariant desk model with filter banks, ``laurent`` for exact
 polynomial arithmetic, ``lca`` for finite abelian group representations,
@@ -8,17 +8,10 @@ polynomial arithmetic, ``lca`` for finite abelian group representations,
 and ``cli`` for the batch front end.
 """
 
-from .hilbert import (
-    CrossCorrelation,
-    LinearOperator,
-    cross_correlation,
-)
+from .hilbert import LinearOperator
 from .cyclic import (
     CyclicSubspaceSpec,
-    ReconstructionBasis,
-    SampleMatrix,
     SamplingScheme,
-    StructuredLeftInverse,
     build_sample_matrix,
     check_rank,
     filter_bank_coefficients,
@@ -28,7 +21,6 @@ from .cyclic import (
     take_samples,
 )
 from .laurent import (
-    DiscreteBSpline,
     LaurentPoly,
     bezout,
     bspline,
@@ -37,15 +29,12 @@ from .laurent import (
     positivity_certificate,
 )
 from .spectral import (
-    DualField,
     FilterBank,
     FiniteSequence,
-    SpectralField,
     analysis,
     bspline_filter_bank,
     build_spectral_field,
     dual_field,
-    dual_field_from_sequences,
     frame_constants,
     perfect_reconstruction_check,
     polyphase,
@@ -53,15 +42,12 @@ from .spectral import (
     synthesis,
 )
 from .lca import (
-    DualGroup,
     FiniteAbelianGroup,
     GroupRepresentation,
     Subgroup,
-    annihilator,
     build_group_G_matrix,
     group_duals,
     group_reconstruct,
-    section_omega,
     take_group_samples,
 )
 

@@ -249,6 +249,8 @@ def _orbit_fields(doc, many=False):
 class _Cyclic:
     """Orbits of one operator: recoverable when the sample matrix ``R`` has full rank."""
 
+    FIELDS = ("model", "dimension", "operator", "generators", "orders", "samplers", "r", "truth")
+
     def __init__(self, doc):
         (op,), samplers, self.truth = _orbit_fields(doc)
         self.spec = cyclic.CyclicSubspaceSpec(
@@ -301,6 +303,8 @@ class _Cyclic:
 
 class _Shift:
     """Shift-invariant spaces: recoverable on ``sigma_min/sigma_max`` over the grid."""
+
+    FIELDS = ("model", "sequences", "method", "dual_length", "r", "grid")
 
     def __init__(self, doc):
         seqs_doc = _require(doc, "sequences")
@@ -371,6 +375,10 @@ class _Shift:
 class _Lca:
     """One orbit of a finite abelian group: recoverable on ``sigma_min/sigma_max``."""
 
+    FIELDS = ("model", "dimension", "operator", "operators", "generators", "samplers", "group",
+              "truth")
+    GROUP_FIELDS = ("moduli", "H_gens", "M_gens")
+
     def __init__(self, doc):
         ops, samplers, self.truth = _orbit_fields(doc, many=True)
         group_doc = _require(doc, "group")
@@ -378,6 +386,7 @@ class _Lca:
         if not isinstance(generators, list) or len(generators) != 1:
             raise SchemaError("generators: the lca model takes exactly one generator")
         moduli = _int_list(_require(group_doc, "moduli", "group"), "group.moduli")
+        _known_fields(group_doc, self.GROUP_FIELDS, "group")
         group = lca.FiniteAbelianGroup(tuple(moduli))
         H, M = (
             lca.Subgroup(group, _list(_require(group_doc, key, "group"), f"group.{key}", _int_list))
@@ -411,11 +420,22 @@ class _Lca:
 _MODELS = {"cyclic": _Cyclic, "shift": _Shift, "lca": _Lca}
 
 
+def _known_fields(doc, fields, where):
+    """Refuse a key of the object ``doc`` that is not in ``fields``."""
+    for key in doc:
+        if key not in fields:
+            raise SchemaError(f"{where}: unknown field {key!r}")
+
+
 def _load_model(doc, grid=None):
     """The model of a loaded problem; ``--grid`` stands in for the ``grid`` field."""
+    model = _MODELS[doc["model"]]
+    _known_fields(doc, model.FIELDS, f"{doc['model']} problem")
     if grid is not None:
+        if "grid" not in model.FIELDS:
+            raise SchemaError(f"--grid applies to shift problems, not {doc['model']}")
         doc = dict(doc, grid=grid)
-    return _loaded(_MODELS[doc["model"]], doc)
+    return _loaded(model, doc)
 
 
 # -- commands ----------------------------------------------------------------
@@ -483,7 +503,7 @@ def cmd_spline_demo(args):
         raise NotRecoverable(f"coprimality failure for K={args.K}, p={args.p}: {exc}") from exc
     pr = _loaded(spectral.perfect_reconstruction_check, sb.bank, args.grid or 1024)
     mp = sb.mp
-    print(f"M_{args.p} values on |n| <= {mp.radius}: {' '.join(str(v) for v in mp.values)}")
+    print(f"M_{args.p} values on |n| <= {-mp.min_deg}: {' '.join(str(v) for v in mp.coeffs)}")
     g1, g2 = sb.g_polys
     h1, h2 = sb.h_polys
     print(f"G1(z) = {g1}")

@@ -19,13 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .duals import DualFamily, family_member
-from .hilbert import (
-    RANK_TOL,
-    DimensionMismatch,
-    LinearOperator,
-    as_cvector,
-    require_full_rank,
-)
+from .hilbert import RANK_TOL, LinearOperator, as_cvector, require_full_rank
 
 __all__ = [
     "CyclicSubspaceSpec",
@@ -328,9 +322,6 @@ class StructuredLeftInverse:
     def first_column(self, j):
         return self.entries[:, j * self.ell]
 
-    def residual(self, R):
-        return _left_inverse_residual(self.entries, R)
-
 
 def _left_inverse_residual(H, R):
     return float(np.max(np.abs(H @ R.matrix - np.eye(R.cols))))
@@ -363,33 +354,27 @@ def _shifted_columns(first, R):
     return first[:, _shift_index(R.orders, R.r, R.ell)].reshape(R.rows, R.cols).T
 
 
-def structurize_left_inverse(R, H=None, *, U=None, tol=RANK_TOL):
+def structurize_left_inverse(R, *, U=None, tol=RANK_TOL):
     """Build a structured left inverse of ``R``.
 
     By default it is the Moore-Penrose pseudo-inverse, whose column
     ``(j, 0)`` comes from the DFT blocks of ``R`` (``R.blocks``) and whose
     other columns are its exact blockwise down-shifts.  Passing ``U`` seeds
     the construction with the member ``pinv + U @ (I - R @ pinv)`` of the
-    left-inverse family instead, and an explicit ``H`` seeds it with ``H``.
-    From a seed, the first ``min(N_l, r)`` rows of each generator block of
-    its columns ``(j, 0), (j, -1), ...`` are concatenated into column
-    ``(j, 0)``.
+    left-inverse family instead; any left inverse ``H`` is the member with
+    ``U = H``.  From a seed, the first ``min(N_l, r)`` rows of each generator
+    block of its columns ``(j, 0), (j, -1), ...`` are concatenated into
+    column ``(j, 0)``.
 
     Raises ``RankDeficiencyError`` when the block singular values fail the
     rank test at ``min(tol, RANK_TOL)``, and ``LeftInverseError`` when a seed
-    is not a left inverse of ``R`` within ``LEFT_INVERSE_TOL`` or the shifted
-    columns fail to form one (possible for multi-generator problems with
-    seeds whose blocks lack the cyclic structure).  An explicit ``H`` takes
-    no SVD: passing the residual test proves full rank.
+    is not a left inverse of ``R`` within ``LEFT_INVERSE_TOL`` (rounding of a
+    large ``U``) or the shifted columns fail to form one (possible for
+    multi-generator problems with seeds whose blocks lack the cyclic structure).
     """
-    if H is None and U is None:
-        first = _pinv_first_columns(R, tol)
-    else:
-        if H is None:
-            H = family_member(R.matrix, _shifted_columns(_pinv_first_columns(R, tol), R), U)
-        H = np.asarray(H, dtype=complex)
-        if H.shape != (R.cols, R.rows):
-            raise DimensionMismatch(f"H must have shape {(R.cols, R.rows)}, got {H.shape}")
+    first = _pinv_first_columns(R, tol)
+    if U is not None:
+        H = family_member(R.matrix, _shifted_columns(first, R), U)
         seed_resid = _left_inverse_residual(H, R)
         if seed_resid > LEFT_INVERSE_TOL:
             raise LeftInverseError(
@@ -443,11 +428,11 @@ def interpolation_table(R, hs):
 
 
 def filter_bank_coefficients(hs, samples, spec):
-    """Per-generator coefficients via periodic convolution with ``h_{j,0}``.
+    """Per-generator orbit coefficients ``H samples``, split by generator block.
 
-    ``alpha_l(m) = sum_{j,n} samples(j, n) beta_j^l(m - r*n)`` with each
-    ``beta_j^l`` extended ``N_l``-periodically; identical (up to summation
-    order) to the matrix product of the structured inverse with the samples.
+    The product is the filter bank ``alpha_l(m) = sum_{j,n} samples(j, n)
+    beta_j^l(m - r*n)``, with ``beta_j^l`` block ``l`` of ``h_{j,0}`` extended
+    ``N_l``-periodically: column ``(j, n)`` of ``H`` is that block shifted by ``r*n``.
     """
     samples = as_cvector(samples, hs.s * hs.ell)
     return np.split(hs.entries @ samples, hs.column_offsets()[1:-1])

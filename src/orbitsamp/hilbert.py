@@ -1,16 +1,13 @@
 """Finite-dimensional model of the ambient space.
 
-Complex vectors, invertible operators with a stored inverse and the integer
-powers their callers ask for, and the cross-correlation sequences
-``r(k) = <T^k a, b>`` that drive the sampling constructions.
-
-Everything here is side-effect free; an operator only memoizes the powers it
-is asked for, so callers may evaluate powers and correlations in parallel.
+Complex vectors, the full-rank test the models share, invertible operators
+with a stored inverse and the powers their callers ask for, and the
+cross-correlation sequence ``r(k) = <T^k a, b>`` over a range of powers.
+The models form these correlations as matrix products instead (the cyclic
+sample matrix is ``S^H O`` for the orbit matrix ``O``).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +15,6 @@ __all__ = [
     "RANK_TOL",
     "DimensionMismatch",
     "LinearOperator",
-    "CrossCorrelation",
     "cross_correlation",
 ]
 
@@ -50,13 +46,12 @@ def as_cvector(v, dim=None):
 
 
 class LinearOperator:
-    """Invertible operator on C^dim with a stored inverse and power table.
+    """Invertible operator on C^dim: its matrix, its inverse and the powers asked for.
 
-    The inverse is computed once at construction; negative powers are powers
-    of it rather than solves per call; its residual, within ``1e-10``, also
-    certifies ``sigma_min/sigma_max > RANK_TOL``.  Only the exponents callers
-    ask for are kept (only ``cyclic.take_samples`` asks, for ``T^{-r}``), each
-    built by repeated squaring.
+    The inverse is computed once at construction; its residual, within
+    ``1e-10``, also certifies ``sigma_min/sigma_max > RANK_TOL``, and a
+    values-only SVD decides only when that bound is inconclusive.  ``power``
+    keeps each ``T^k`` it forms; only ``cyclic.take_samples`` asks, for ``T^{-r}``.
     """
 
     def __init__(self, matrix):
@@ -85,10 +80,6 @@ class LinearOperator:
         self.dim = dim
         self._powers = {1: m, -1: inv}
 
-    @property
-    def adjoint(self):
-        return self.matrix.conj().T
-
     def power(self, k):
         """Matrix of T^k by repeated squaring, kept for the next call."""
         k = int(k)
@@ -97,56 +88,12 @@ class LinearOperator:
             self._powers[k] = np.linalg.matrix_power(base, abs(k))
         return self._powers[k]
 
-    def apply_power(self, k, v):
-        v = as_cvector(v, self.dim)
-        if k == 0:
-            return v
-        return self.power(k) @ v
-
     def __repr__(self):
         return f"LinearOperator(dim={self.dim})"
 
 
-@dataclass(frozen=True, eq=False)
-class CrossCorrelation:
-    """Values of ``<T^k a, b>`` on a contiguous window of integers ``k``.
-
-    When ``period`` is set, lookups reduce the index modulo the period into
-    the stored window, which must then cover at least one full period.
-    """
-
-    k_start: int
-    values: np.ndarray
-    period: int | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=complex))
-        if self.values.ndim != 1 or self.values.size == 0:
-            raise ValueError("window must be a nonempty vector")
-        if self.period is not None:
-            if self.period < 1:
-                raise ValueError("period must be positive")
-            if self.values.size < self.period:
-                raise ValueError("window must cover at least one full period")
-            scale = max(np.max(np.abs(self.values)), 1.0)
-            for i in range(self.values.size - self.period):
-                if abs(self.values[i] - self.values[i + self.period]) > 1e-8 * scale:
-                    raise ValueError("stored window is not consistent with the declared period")
-
-    def window(self):
-        return range(self.k_start, self.k_start + self.values.size)
-
-    def at(self, k):
-        i = k - self.k_start
-        if self.period is not None:
-            i %= self.period
-        if not 0 <= i < self.values.size:
-            raise IndexError(f"index {k} outside the stored window")
-        return complex(self.values[i])
-
-
-def cross_correlation(op, a, b, k_range, *, period=None):
-    """Sequence ``r(k) = <T^k a, b>`` over a contiguous range of powers.
+def cross_correlation(op, a, b, k_range):
+    """Values of ``r(k) = <T^k a, b>`` for ``k`` over a contiguous range, in order.
 
     One vector steps from ``a`` to ``T^{k_start} a`` and then through the
     range, so no power matrix is formed.
@@ -165,4 +112,4 @@ def cross_correlation(op, a, b, k_range, *, period=None):
     for i in range(len(ks)):
         vals[i] = np.vdot(b, v)
         v = op.matrix @ v
-    return CrossCorrelation(k_start=ks[0], values=vals, period=period)
+    return vals

@@ -17,7 +17,6 @@ import numpy as np
 
 __all__ = [
     "LaurentPoly",
-    "DiscreteBSpline",
     "CoprimalityError",
     "SymmetryError",
     "PositivityReport",
@@ -370,40 +369,20 @@ def positivity_certificate(p, grid):
 # -- discrete B-splines ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DiscreteBSpline:
-    """Central discrete B-spline: p-fold self-convolution of ones over ``|n| <= (K-1)/2``."""
-
-    K: int
-    p: int
-    values: tuple
-
-    @property
-    def radius(self):
-        return self.p * (self.K - 1) // 2
-
-    def value(self, n):
-        i = n + self.radius
-        if 0 <= i < len(self.values):
-            return self.values[i]
-        return 0
-
-    def support(self):
-        return range(-self.radius, self.radius + 1)
-
-
 def bspline(K, p):
-    """Exact integer values of the order-``p`` central discrete B-spline."""
+    """Central discrete B-spline of order ``p``: the ``p``-fold self-convolution
+    of ones over ``|n| <= (K-1)/2``, as a Laurent polynomial with exact integer
+    coefficients on ``|n| <= p (K-1)/2``."""
     K, p = int(K), int(p)
     if K % 2 == 0:
         raise ValueError("node spacing K must be odd")
     if K < 1 or p < 1:
         raise ValueError("K and p must be positive")
-    base = LaurentPoly(0, [1] * K)
-    vals = base
+    base = LaurentPoly(-(K // 2), [1] * K)
+    out = base
     for _ in range(p - 1):
-        vals = vals * base
-    return DiscreteBSpline(K=K, p=p, values=vals.coeffs)
+        out = out * base
+    return out
 
 
 def polyphase_sample(m, K, i):
@@ -413,8 +392,7 @@ def polyphase_sample(m, K, i):
         raise ValueError("stride must be positive")
     if not 0 <= i < K:
         raise ValueError("component index must satisfy 0 <= i < K")
-    R = m.radius
-    n_lo = -((R + i) // K)
-    n_hi = (R - i) // K
-    terms = {n: m.value(n * K + i) for n in range(n_lo, n_hi + 1)}
+    n_lo = -((i - m.min_deg) // K)
+    n_hi = (m.max_deg - i) // K
+    terms = {n: m.coeff(n * K + i) for n in range(n_lo, n_hi + 1)}
     return LaurentPoly.from_terms(terms)

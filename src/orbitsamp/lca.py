@@ -66,6 +66,8 @@ class FiniteAbelianGroup:
         if math.prod(mods) > MAX_GROUP_ORDER:
             raise ValueError(f"group order {math.prod(mods)} exceeds the budget {MAX_GROUP_ORDER}")
         object.__setattr__(self, "moduli", mods)
+        # strides of the lexicographic rank (``flat``), formed once per group
+        object.__setattr__(self, "_strides", np.cumprod((mods[1:] + (1,))[::-1])[::-1])
 
     @property
     def order(self):
@@ -87,8 +89,13 @@ class FiniteAbelianGroup:
 
     def flat(self, elements):
         """Lexicographic rank of each element in the last axis of an integer array."""
-        strides = np.cumprod((self.moduli[1:] + (1,))[::-1])[::-1]
-        return np.mod(elements, self.moduli) @ strides
+        return np.mod(elements, self.moduli) @ self._strides
+
+
+def _divisors(n):
+    """Positive divisors of ``n``, ascending, as an int64 array."""
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return np.array(sorted(set(small + [n // d for d in small])), dtype=np.int64)
 
 
 class Subgroup:
@@ -112,11 +119,16 @@ class Subgroup:
         self.relations = np.zeros((k, k), dtype=np.int64)
         for i in reversed(range(k)):
             g = self.generators[i]
-            position = {x: p for p, x in enumerate(group.flat(elems).tolist())}
-            # L g = 0 lies in H_{i+1}, so the first hit is at most L
-            multiples = group.flat(np.arange(1, group.exponent + 1)[:, None] * g).tolist()
-            d = next(n for n, x in enumerate(multiples, start=1) if x in position)
-            tail = coords[position[multiples[d - 1]]]
+            flat = group.flat(elems)
+            closure = np.argsort(flat)
+            flat = flat[closure]
+            # the n with n g in H_{i+1} are the multiples of d, ord(g) among them
+            order = math.lcm(*(m // math.gcd(int(x), m) for x, m in zip(g, group.moduli)))
+            divs = _divisors(order)
+            q = group.flat(divs[:, None] * g)
+            pos = np.minimum(np.searchsorted(flat, q), flat.size - 1)
+            first = np.flatnonzero(flat[pos] == q)[0]
+            d, tail = int(divs[first]), coords[closure[pos[first]]]
             self.relations[i, i] = d
             self.relations[i, i + 1 :] = -tail
             elems = ((np.arange(d)[:, None, None] * g + elems) % group.moduli).reshape(-1, rank)

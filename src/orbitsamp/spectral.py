@@ -50,10 +50,7 @@ GRAM_SLACK = 1e-12
 
 
 class TailEnergyError(ValueError):
-    def __init__(self, message, tail_fraction, length):
-        super().__init__(message)
-        self.tail_fraction = tail_fraction
-        self.length = length
+    """Truncating the dual coefficients would drop more than ``TAIL_TOL`` of their energy."""
 
 
 @dataclass(eq=False)
@@ -164,13 +161,6 @@ class SpectralField:
     @property
     def s(self):
         return self.values.shape[1]
-
-    @property
-    def num_points(self):
-        return self.values.shape[0]
-
-    def grid(self):
-        return np.arange(self.num_points) / self.Q
 
 
 def _nested_sequences(sequences):
@@ -397,9 +387,7 @@ def reconstruction_coefficients(dual, length=None):
         j, l = refused[0]
         raise TailEnergyError(
             f"truncation to {length} coefficients drops {tail[j, l] / total[j, l]:.3e} "
-            f"of the dual energy (sampler {j + 1}); increase the length",
-            tail_fraction=float(tail[j, l] / total[j, l]),
-            length=length,
+            f"of the dual energy (sampler {j + 1}); increase the length"
         )
     return [[FiniteSequence(offset=lo, values=kept[j, l]) for l in range(L)] for j in range(s)]
 
@@ -519,7 +507,7 @@ class SplineBank:
     """Oversampled compact-support bank built from a discrete B-spline."""
 
     bank: FilterBank
-    mp: object
+    mp: LaurentPoly
     g_polys: tuple
     h_polys: tuple
 

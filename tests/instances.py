@@ -14,14 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclic import (
+from orbitsamp.cyclic import (
     CyclicSubspaceSpec,
     SamplingScheme,
     build_sample_matrix,
     check_rank,
 )
-from .hilbert import LinearOperator
-from .lca import DualGroup, GroupRepresentation
+from orbitsamp.hilbert import LinearOperator
+from orbitsamp.lca import DualGroup, GroupRepresentation
 
 __all__ = [
     "CyclicInstanceConfig",

@@ -20,7 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 import orbitsamp as o
 from orbitsamp import cli
 from orbitsamp.hilbert import RANK_TOL
-from orbitsamp.instances import CyclicInstanceConfig, operator_with_orders, random_cyclic_instance
+from instances import CyclicInstanceConfig, operator_with_orders, random_cyclic_instance
 import oracles
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -888,6 +888,57 @@ class TestShippedProblems:
         assert cli.main(["lca-demo", "--input", f"{self.ROOT}/problems/lca_z4.json"]) == 0
 
 
+class TestUndeclaredInput:
+    """Problem fields and flags that a model does not read exit 2 with one line."""
+
+    @pytest.mark.parametrize(
+        "model, key",
+        [
+            ("cyclic", "dual_lenght"),
+            ("cyclic", "operators"),
+            ("cyclic", "grid"),
+            ("shift", "truht"),
+            ("shift", "samplers"),
+            ("lca", "orders"),
+            ("lca", "r"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["analyze", "dual"])
+    def test_unknown_field_named(self, tmp_path, capsys, model, key, command):
+        doc = {"cyclic": cyclic_problem([E4[0], E4[1]]), "shift": spline_shift_problem(),
+               "lca": lca_problem()}[model]
+        doc[key] = 1
+        argv = [command, "--input", write_problem(tmp_path, doc), "--out", str(tmp_path / "o")]
+        assert cli.main(argv[: 3 if command == "analyze" else 5]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {model} problem: unknown field {key!r}\n"
+
+    @pytest.mark.parametrize("key", ["H_gen", "truth"])
+    def test_unknown_group_field_named(self, tmp_path, capsys, key):
+        doc = lca_problem()
+        doc["group"][key] = [[1]]
+        assert cli.main(["analyze", "--input", write_problem(tmp_path, doc)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: group: unknown field {key!r}\n"
+
+    def test_sequences_not_checked(self, capsys):
+        # only top-level keys are declared: analyze reads the g's of a bank file
+        path = os.path.join(ROOT, "problems", "bank_spline.json")
+        assert cli.main(["analyze", "--input", path]) == 0
+        assert "recoverable: yes" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["analyze", "dual"])
+    @pytest.mark.parametrize("name", ["cyclic_perm.json", "cyclic_rank2.json", "lca_z4.json"])
+    def test_grid_on_orbit_model_exit_two(self, tmp_path, command, name):
+        out = ["--out", str(tmp_path / "o")] if command == "dual" else []
+        proc = run_cli(command, "--input", os.path.join(ROOT, "problems", name), *out,
+                       "--grid", "128")
+        model = name.split("_")[0]
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == f"error: --grid applies to shift problems, not {model}\n"
+        assert os.listdir(tmp_path) == []
+
+
 class TestCsvRoundTrip:
     def test_floats_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -1177,7 +1228,7 @@ def orbit_instance(orders, defect, seed, s, extra, r_pick):
     elif defect == "scaled direction":
         n0 = orders[0]
         phase = np.exp(-2j * np.pi * int(rng.integers(n0)) * np.arange(n0) / n0)
-        component = sum(w * op.apply_power(n, gens[0]) for n, w in enumerate(phase)) / n0
+        component = sum(w * op.power(n) @ gens[0] for n, w in enumerate(phase)) / n0
         gens[0] = gens[0] - (1 - 1e-12) * component
     lcm = math.lcm(*orders)
     divisors = [d for d in range(1, lcm + 1) if lcm % d == 0]

@@ -19,7 +19,7 @@ from orbitsamp.cyclic import (
     take_samples,
 )
 from orbitsamp.hilbert import LinearOperator
-from orbitsamp.instances import (
+from instances import (
     CyclicInstanceConfig,
     operator_with_orders,
     random_cyclic_instance,
@@ -245,7 +245,8 @@ class TestStructurizeLeftInverse:
         scheme = SamplingScheme.for_spec(spec, samplers, 3)
         R = build_sample_matrix(spec, scheme)
         hs = structurize_left_inverse(R)
-        assert hs.residual(R) <= 1e-10
+        assert hs.certified_residual <= 1e-10
+        assert np.max(np.abs(hs.entries @ R.matrix - np.eye(R.cols))) <= 1e-10
         offs = hs.column_offsets()
         for j in range(hs.s):
             base = hs.first_column(j)
@@ -264,12 +265,14 @@ class TestStructurizeLeftInverse:
         assert np.max(np.abs(pinv @ Rm @ pinv - pinv)) < 1e-10
 
     def test_bad_seed_rejected(self):
-        spec = shift_spec(4)
-        e = np.eye(4)
-        scheme = SamplingScheme.for_spec(spec, [e[0], e[1]], 2)
-        R = build_sample_matrix(spec, scheme)
-        with pytest.raises(LeftInverseError):
-            structurize_left_inverse(R, H=np.zeros((4, 4)))
+        # U (I - R pinv) is rounding; times 1e20 it is no longer a left inverse
+        rng = np.random.default_rng(11)
+        op, gens = operator_with_orders(rng, 12, [12])
+        spec = CyclicSubspaceSpec(operator=op, generators=gens, orders=[12])
+        samplers = [rng.standard_normal(12) + 1j * rng.standard_normal(12) for _ in range(5)]
+        R = build_sample_matrix(spec, SamplingScheme.for_spec(spec, samplers, 3))
+        with pytest.raises(LeftInverseError, match="seed is not a left inverse"):
+            structurize_left_inverse(R, U=1e20 * np.ones((12, 20)))
 
     def test_rank_deficient_rejected(self):
         spec = shift_spec(4)
@@ -289,11 +292,13 @@ class TestStructurizeLeftInverse:
         R = build_sample_matrix(spec, scheme)
         U = 0.1 * (rng.standard_normal((12, 20)) + 1j * rng.standard_normal((12, 20)))
         hs = structurize_left_inverse(R, U=U)
-        assert hs.residual(R) <= 1e-10
+        assert np.max(np.abs(hs.entries @ R.matrix - np.eye(R.cols))) <= 1e-10
 
 
     def test_default_seed_matches_numpy_pinv(self):
-        # the seed comes from the rank test's own SVD; numpy's pinv is the reference
+        # the seed comes from the rank test's own SVD; numpy's pinv is the reference.
+        # Any left inverse H is the family member with U = H, so the member
+        # formed from numpy's pinv is restructured alike as U = that member
         rng = np.random.default_rng(10)
         op, gens = operator_with_orders(rng, 12, [12])
         spec = CyclicSubspaceSpec(operator=op, generators=gens, orders=[12])
@@ -303,10 +308,12 @@ class TestStructurizeLeftInverse:
         R = build_sample_matrix(spec, SamplingScheme.for_spec(spec, samplers, 3))
         U = 0.1 * (rng.standard_normal((12, 20)) + 1j * rng.standard_normal((12, 20)))
         pinv = np.linalg.pinv(R.matrix)
-        for u, seed in ((None, pinv), (U, pinv + U @ (np.eye(20) - R.matrix @ pinv))):
-            got = structurize_left_inverse(R, U=u).entries
-            want = structurize_left_inverse(R, H=seed).entries
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        got = structurize_left_inverse(R).entries
+        assert np.max(np.abs(got - pinv)) <= 1e-12 * np.max(np.abs(pinv))
+        seed = pinv + U @ (np.eye(20) - R.matrix @ pinv)
+        got = structurize_left_inverse(R, U=U).entries
+        want = structurize_left_inverse(R, U=seed).entries
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def divisors(n):

@@ -70,7 +70,7 @@ class TestSpectralDuals:
         sv = np.linalg.svd(field.values, compute_uv=False)
         assume(sv[:, -1].min() > 1e-3 * sv[:, 0].max())
         pinv = np.linalg.pinv(field.values)
-        shape = (field.num_points, r * L, s) if per_point else (r * L, s)
+        shape = (len(field.values), r * L, s) if per_point else (r * L, s)
         U = 0.1 * crandn(rng, *shape)
         assert np.max(np.abs(dual_field(field).h_values - pinv)) <= 1e-12
         want = pinv + U @ (np.eye(s) - field.values @ pinv)

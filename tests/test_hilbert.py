@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from orbitsamp.hilbert import (
-    CrossCorrelation,
-    DimensionMismatch,
-    LinearOperator,
-    cross_correlation,
-)
+from orbitsamp.hilbert import DimensionMismatch, LinearOperator, cross_correlation
 from oracles import gram_matrix, inner, operator_inverse
 
 
@@ -109,22 +104,25 @@ class TestOperatorCertificate:
 
 
 class TestApplyPower:
+    """``power(k) @ v`` applies ``T^k``; negative ``k`` applies powers of the inverse."""
+
     def test_identity_any_power(self):
         op = LinearOperator(np.eye(4))
         v = np.arange(4) + 1j
-        assert np.allclose(op.apply_power(5, v), v)
+        assert np.allclose(op.power(5) @ v, v)
+        assert np.array_equal(op.power(0), np.eye(4))
 
     def test_shift_full_cycle(self):
         op = cyclic_shift(3)
         d0 = np.eye(3)[0]
-        assert np.allclose(op.apply_power(3, d0), d0)
-        assert np.allclose(op.apply_power(1, d0), np.eye(3)[1])
+        assert np.allclose(op.power(3) @ d0, d0)
+        assert np.allclose(op.power(1) @ d0, np.eye(3)[1])
 
     def test_negative_power_matches_solve(self):
         rng = np.random.default_rng(1)
         op = random_well_conditioned(rng, 4)
         v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        got = op.apply_power(-2, v)
+        got = op.power(-2) @ v
         # oracle: solve T^2 w = v directly
         w = np.linalg.solve(op.matrix @ op.matrix, v)
         assert np.max(np.abs(got - w)) < 1e-10
@@ -132,24 +130,29 @@ class TestApplyPower:
     def test_dimension_mismatch(self):
         op = cyclic_shift(3)
         with pytest.raises(DimensionMismatch):
-            op.apply_power(1, np.ones(4))
+            cross_correlation(op, np.ones(4), np.ones(3), range(2))
+        with pytest.raises(DimensionMismatch):
+            cross_correlation(op, np.ones(3), np.ones(4), range(2))
 
 
 class TestCrossCorrelation:
+    """``cross_correlation`` returns ``<T^k a, b>`` for each ``k`` of the range, in order."""
+
     def test_orthonormal_shift_orbit(self):
         op = cyclic_shift(3)
         d0 = np.eye(3)[0]
         cc = cross_correlation(op, d0, d0, range(-3, 7))
+        assert cc.shape == (10,)
         for k in range(-3, 7):
             expected = 1.0 if k % 3 == 0 else 0.0
-            assert abs(cc.at(k) - expected) < 1e-12
+            assert abs(cc[k + 3] - expected) < 1e-12
 
     def test_shifted_sampler(self):
         op = cyclic_shift(4)
         e = np.eye(4)
         cc = cross_correlation(op, e[0], e[1], range(0, 8))
         for k in range(8):
-            assert abs(cc.at(k) - (1.0 if k % 4 == 1 else 0.0)) < 1e-12
+            assert abs(cc[k] - (1.0 if k % 4 == 1 else 0.0)) < 1e-12
 
     def test_matches_double_application(self):
         rng = np.random.default_rng(2)
@@ -158,18 +161,7 @@ class TestCrossCorrelation:
         b = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         cc = cross_correlation(op, a, b, range(0, 3))
         oracle = inner(op.matrix @ (op.matrix @ a), b)
-        assert abs(cc.at(2) - oracle) < 1e-12
-
-    def test_periodic_lookup(self):
-        op = cyclic_shift(3)
-        d0 = np.eye(3)[0]
-        cc = cross_correlation(op, d0, d0, range(0, 3), period=3)
-        assert cc.at(300) == cc.at(0)
-        assert cc.at(-1) == cc.at(2)
-
-    def test_inconsistent_period_rejected(self):
-        with pytest.raises(ValueError):
-            CrossCorrelation(k_start=0, values=np.array([1.0, 2.0, 3.0]), period=2)
+        assert abs(cc[2] - oracle) < 1e-12
 
 
 class TestGramMatrix:
@@ -186,7 +178,7 @@ class TestGramMatrix:
         rng = np.random.default_rng(3)
         op = random_well_conditioned(rng, 4)
         a = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        orbit = [op.apply_power(k, a) for k in range(4)]
+        orbit = [op.power(k) @ a for k in range(4)]
         g = gram_matrix(orbit)
         sv = np.linalg.svd(np.column_stack(orbit), compute_uv=False)
         rank = int(np.sum(sv > 1e-10 * sv[0]))
@@ -205,14 +197,18 @@ class TestGramMatrix:
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10_000), dim=st.integers(2, 5))
 def test_adjoint_consistency(seed, dim):
+    # <T^k v, w> = <v, (T^H)^k w>: the correlations of T and of its adjoint agree
     rng = np.random.default_rng(seed)
     op = random_well_conditioned(rng, dim)
+    adjoint = LinearOperator(op.matrix.conj().T)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     w = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    lhs = inner(op.matrix @ v, w)
-    rhs = inner(v, op.adjoint @ w)
-    scale = np.linalg.norm(v) * np.linalg.norm(w) * np.linalg.norm(op.matrix, 2)
-    assert abs(lhs - rhs) <= 1e-12 * scale
+    lhs = cross_correlation(op, v, w, range(-1, 3))
+    rhs = np.conj(cross_correlation(adjoint, w, v, range(-1, 3)))
+    scale = np.linalg.norm(v) * np.linalg.norm(w) * max(
+        np.linalg.norm(op.matrix, 2), np.linalg.norm(op.inv_matrix, 2)
+    ) ** 2
+    assert np.max(np.abs(lhs - rhs)) <= 1e-12 * scale
 
 
 @settings(max_examples=40, deadline=None)
@@ -225,8 +221,8 @@ def test_power_group_law(seed, k1, k2):
     rng = np.random.default_rng(seed)
     op = random_well_conditioned(rng, 3, scale=0.2)
     v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    lhs = op.apply_power(k1, op.apply_power(k2, v))
-    rhs = op.apply_power(k1 + k2, v)
+    lhs = op.power(k1) @ (op.power(k2) @ v)
+    rhs = op.power(k1 + k2) @ v
     assert np.max(np.abs(lhs - rhs)) < 1e-10 * max(1.0, np.linalg.norm(rhs))
 
 
@@ -239,5 +235,4 @@ def test_periodicity_detection(seed, n):
     a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     cc = cross_correlation(op, a, b, range(0, 2 * n))
-    for k in range(n):
-        assert abs(cc.at(k) - cc.at(k + n)) < 1e-10
+    assert np.max(np.abs(cc[:n] - cc[n:])) < 1e-10

@@ -58,18 +58,17 @@ class TestLaurentPoly:
 class TestBSpline:
     def test_order_one(self):
         m = bspline(3, 1)
-        assert m.values == (1, 1, 1)
-        assert m.radius == 1
+        assert m == LaurentPoly(-1, [1, 1, 1])
 
     def test_order_two_by_convolution_oracle(self):
         m = bspline(3, 2)
         oracle = np.convolve([1, 1, 1], [1, 1, 1])
-        assert m.values == tuple(oracle)
-        assert m.values == (1, 2, 3, 2, 1)
+        assert m.coeffs == tuple(oracle)
+        assert m == LaurentPoly(-2, [1, 2, 3, 2, 1])
 
     def test_cubic(self):
         m = bspline(3, 4)
-        assert m.values == (1, 4, 10, 16, 19, 16, 10, 4, 1)
+        assert m == LaurentPoly(-4, [1, 4, 10, 16, 19, 16, 10, 4, 1])
 
     def test_even_k_rejected(self):
         with pytest.raises(ValueError):
@@ -79,12 +78,14 @@ class TestBSpline:
     @given(K=st.sampled_from([1, 3, 5, 7]), p=st.integers(1, 4))
     def test_symmetry_and_support(self, K, p):
         m = bspline(K, p)
-        assert m.radius == p * (K - 1) // 2
-        for n in m.support():
-            assert m.value(n) == m.value(-n)
-            assert m.value(n) > 0
-        assert m.value(m.radius + 1) == 0
-        assert m.value(-m.radius - 1) == 0
+        radius = p * (K - 1) // 2
+        assert (m.min_deg, m.max_deg) == (-radius, radius)
+        assert m.has_exact_coeffs()
+        for n in m.exponents():
+            assert m.coeff(n) == m.coeff(-n)
+            assert m.coeff(n) > 0
+        assert m.coeff(radius + 1) == 0
+        assert m.coeff(-radius - 1) == 0
 
 
 class TestPolyphaseSample:
@@ -108,7 +109,17 @@ class TestPolyphaseSample:
         total = sum(
             sum(polyphase_sample(m, 5, i).coeffs) for i in range(5)
         )
-        assert total == sum(m.values)
+        assert total == sum(m.coeffs)
+
+    def test_uncentred_polynomial_reassembles(self):
+        # m(z) = sum_i z^i c_i(z^K) for any window of exponents
+        m = LaurentPoly(-7, [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5])
+        for K in (1, 2, 3, 4, 13):
+            parts = [polyphase_sample(m, K, i) for i in range(K)]
+            back = LaurentPoly.from_terms(
+                {n * K + i: c.coeff(n) for i, c in enumerate(parts) for n in c.exponents()}
+            )
+            assert back == m
 
 
 class TestBezout:

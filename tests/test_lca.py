@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import time
 import warnings
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ from orbitsamp.cyclic import (
 )
 from orbitsamp.duals import FrameError
 from orbitsamp.hilbert import RANK_TOL, LinearOperator
-from orbitsamp.instances import representation_from_characters
+from instances import representation_from_characters
 from oracles import unique_dual_classes
 from orbitsamp.lca import (
     DualGroup,
@@ -404,6 +405,32 @@ def assignments(draw):
     return moduli, gens, mode, which, draw(st.integers(1, 11)), draw(st.integers(0, 2**16))
 
 
+def closure(group, generators):
+    """Brute-force subgroup: sums of generators from ``0`` until nothing new appears."""
+    seen, frontier = {identity(group)}, [identity(group)]
+    while frontier:
+        frontier = {add(group, h, g) for h in frontier for g in generators} - seen
+        seen |= frontier
+    return sorted(seen)
+
+
+class TestSubgroupEnumeration:
+    """Each ``d_i`` is found among the divisors of ``ord(g_i)``: the cost of a
+    subgroup follows its own order, not the group's exponent."""
+
+    @pytest.mark.parametrize("gen", [1 << 21, 0, 1 << 20])
+    def test_small_subgroup_of_large_group_is_fast(self, gen):
+        group = FiniteAbelianGroup((1 << 22,))
+        best = math.inf
+        for _ in range(3):
+            start = time.perf_counter()
+            H = Subgroup(group, [(gen,)])
+            best = min(best, time.perf_counter() - start)
+        assert best < 0.05
+        assert rows(H.elements) == closure(group, [(gen,)])
+        assert H.relations.tolist() == [[H.order]]
+
+
 class TestRelationCheck:
     def test_non_diagonal_relation_basis(self):
         g = FiniteAbelianGroup((4, 6))
@@ -417,6 +444,7 @@ class TestRelationCheck:
     @example(case=((4, 6), [(2, 0), (1, 3)], "consistent", 0, 1, 0))
     @example(case=((4, 6), [(2, 0), (1, 3)], "phase", 1, 6, 0))
     @example(case=((4, 6), [(2, 0), (1, 3)], "rotate", 1, 1, 0))
+    @example(case=((6, 6), [(0, 0), (3, 3), (2, 4)], "consistent", 0, 1, 0))
     def test_accepts_exactly_as_all_pairs_oracle(self, case):
         moduli, gens, mode, which, q, seed = case
         g = FiniteAbelianGroup(moduli)

@@ -89,7 +89,7 @@ class TestSpectralField:
     def test_spline_pair_matches_torus_oracle(self):
         sb, spectra = spline_spectra()
         field = build_spectral_field(spectra, 1, 128)
-        w = field.grid()
+        w = np.arange(len(field.values)) / field.Q
         for j, gp in enumerate(sb.g_polys):
             assert np.max(np.abs(field.values[:, j, 0] - eval_torus(gp, w))) < 1e-12
 
@@ -117,7 +117,7 @@ class TestSpectralField:
         rng = np.random.default_rng(0)
         seqs = [[rand_seq(rng) for _ in range(2)] for _ in range(3)]
         field = build_spectral_field(seqs, 2, 128)
-        w = field.grid()
+        w = np.arange(len(field.values)) / field.Q
         for j in range(3):
             for k in range(2):
                 for l in range(2):
@@ -144,7 +144,7 @@ class TestGridSpectra:
         seqs = [[rand_seq(rng, max_support, Q) for _ in range(L)] for _ in range(s)]
         field = build_spectral_field(seqs, r, Q)
         dual = dual_field_from_sequences(field, seqs)
-        w = field.grid()
+        w = np.arange(len(field.values)) / field.Q
         for j in range(s):
             for l in range(L):
                 bound = 1e-12 * np.sum(np.abs(seqs[j][l].values))
@@ -270,7 +270,7 @@ class TestDualField:
         c = FiniteSequence(-1, [4, 19, 4])
         field = build_spectral_field([c], 1, 256)
         dual = dual_field(field)
-        w = field.grid()
+        w = np.arange(len(field.values)) / field.Q
         expected = 1.0 / (19 + 8 * np.cos(2 * np.pi * w))
         assert np.max(np.abs(dual.h_values[:, 0, 0] - expected)) < 1e-14
         assert dual.residual_max <= 1e-9
