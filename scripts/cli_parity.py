@@ -11,6 +11,9 @@ from that tree and sends one fixed corpus through ``cli.main`` in process:
   ``cyclic-design``, ``lca-design`` and ``shift-design`` benchmark workloads
   at each seed, which ``perfbench/workloads.py`` writes to a temporary
   directory;
+- ``dual --u-matrix`` on every problem but the bezout shift ones, with a
+  fixed nonzero ``U`` of the shape that the library gives the problem's
+  dual matrices;
 - ``reconstruct`` on the cyclic and lca problems, from the samples of a
   subspace element built through the library's public API, with that
   element as the problem's ``truth``;
@@ -53,7 +56,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 SPLINES = ((3, 4), (9, 6), (15, 10))
 DESIGNS = ("cyclic-design", "lca-design", "shift-design")
-INPUTS = ("p.json", "s.csv")
+INPUTS = ("p.json", "s.csv", "u.json")
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
@@ -62,32 +65,74 @@ def _pairs(data):
     return arr[..., 0] + 1j * arr[..., 1]
 
 
+def _cyclic(o, doc):
+    """The spec and sampling scheme of a cyclic problem."""
+    spec = o.CyclicSubspaceSpec(
+        operator=o.LinearOperator(_pairs(doc["operator"])),
+        generators=[_pairs(a) for a in doc["generators"]],
+        orders=doc["orders"],
+    )
+    return spec, o.SamplingScheme.for_spec(spec, [_pairs(b) for b in doc["samplers"]], doc["r"])
+
+
+def _lca(o, doc):
+    """The representation, the generator and the spectrum of an lca problem."""
+    group = o.FiniteAbelianGroup(tuple(doc["group"]["moduli"]))
+    H = o.Subgroup(group, doc["group"]["H_gens"])
+    M = o.Subgroup(group, doc["group"]["M_gens"])
+    ops = doc["operators"] if "operators" in doc else [doc["operator"]]
+    rep = o.GroupRepresentation(H, [_pairs(m) for m in ops])
+    a = _pairs(doc["generators"][0])
+    samplers = [_pairs(b) for b in doc["samplers"]]
+    return rep, a, o.build_group_G_matrix(rep, a, samplers, H, M)
+
+
+REFUSED = (ValueError, KeyError, TypeError, IndexError)
+
+
 def _element_samples(o, doc):
     """A subspace element and its samples, or ``None`` when the library
     refuses the problem (its ``reconstruct`` then fails in the CLI too);
     any other exception propagates."""
     try:
-        samplers = [_pairs(b) for b in doc["samplers"]]
         if doc["model"] == "cyclic":
-            spec = o.CyclicSubspaceSpec(
-                operator=o.LinearOperator(_pairs(doc["operator"])),
-                generators=[_pairs(a) for a in doc["generators"]],
-                orders=doc["orders"],
-            )
-            scheme = o.SamplingScheme.for_spec(spec, samplers, doc["r"])
+            spec, scheme = _cyclic(o, doc)
             x = spec.synthesize(np.arange(1.0, spec.total_order + 1))
             return x, o.take_samples(spec, scheme, x)
-        group = o.FiniteAbelianGroup(tuple(doc["group"]["moduli"]))
-        H = o.Subgroup(group, doc["group"]["H_gens"])
-        M = o.Subgroup(group, doc["group"]["M_gens"])
-        ops = doc["operators"] if "operators" in doc else [doc["operator"]]
-        rep = o.GroupRepresentation(H, [_pairs(m) for m in ops])
-        a = _pairs(doc["generators"][0])
-        spectrum = o.build_group_G_matrix(rep, a, samplers, H, M)
-        x = rep.orbit(a) @ np.arange(1.0, H.order + 1)
+        rep, a, spectrum = _lca(o, doc)
+        x = rep.orbit(a) @ np.arange(1.0, rep.H.order + 1)
         return x, o.take_group_samples(spectrum, x)
-    except (ValueError, KeyError, TypeError, IndexError):
+    except REFUSED:
         return None
+
+
+def _u_matrix(o, doc):
+    """A fixed ``U`` for ``dual --u-matrix``, shaped as the library shapes the
+    problem's dual matrices (``cols x rows``); entries that vary by position,
+    so that a transposed or reordered ``U`` shows.  A 1 x 1 ``U`` when the
+    library refuses the problem; any other exception propagates."""
+    try:
+        if doc["model"] == "cyclic":
+            R = o.build_sample_matrix(*_cyclic(o, doc))
+            shape = (R.cols, R.rows)
+        elif doc["model"] == "lca":
+            spectrum = _lca(o, doc)[2]
+            shape = (spectrum.r, spectrum.s)
+        else:
+            seqs = doc["sequences"]
+            names = sorted((n for n in seqs if n[:1] == "g" and n[1:].isdigit()),
+                           key=lambda n: int(n[1:]))
+            r = doc.get("r", 1)
+            field = o.build_spectral_field(
+                [o.FiniteSequence(seqs[n]["offset"], _pairs(seqs[n]["values"])) for n in names],
+                r, doc.get("grid", 1024) * r,
+            )
+            shape = field.values.shape[:0:-1]
+    except REFUSED:
+        shape = (1, 1)
+    U = (np.arange(math.prod(shape)).reshape(shape) % 5 - 2) * (0.1 + 0.05j)
+    with open("u.json", "w") as fh:
+        json.dump([[[v.real, v.imag] for v in row] for row in U.tolist()], fh)
 
 
 def _write_inputs(doc, element):
@@ -112,6 +157,9 @@ def corpus(o, problems):
         model = doc.get("model") if isinstance(doc, dict) else None
         commands.append((["analyze", "--input", path], None))
         commands.append((["dual", "--input", path, "--out", "o"], None))
+        if model is not None and doc.get("method") != "bezout":  # bezout takes no U
+            argv = ["dual", "--input", path, "--out", "o", "--u-matrix", "u.json"]
+            commands.append((argv, lambda doc=doc: _u_matrix(o, doc)))
         if model in ("cyclic", "lca"):
             argv = ["reconstruct", "--input", "p.json", "--samples", "s.csv", "--out", "o"]
             # built when the command runs, so that an exception is its outcome

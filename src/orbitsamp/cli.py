@@ -240,6 +240,8 @@ def _orbit_fields(doc, many=False):
         if op.shape != (dim, dim):
             raise SchemaError(f"operator: expected {dim}x{dim}, got {op.shape}")
     samplers = _list(_require(doc, "samplers"), "samplers", _vector)
+    if not samplers:
+        raise SchemaError("samplers: need at least one sampler")
     truth = _vector(doc["truth"], "truth") if "truth" in doc else None
     if truth is not None and truth.size != dim:
         raise SchemaError(f"truth: expected {dim} entries, got {truth.size}")
@@ -318,16 +320,21 @@ class _Shift:
         self.method = doc.get("method", "pseudoinverse")
         if self.method not in ("pseudoinverse", "bezout"):
             raise SchemaError(f"method: expected 'pseudoinverse' or 'bezout', got {self.method!r}")
-        self.dual_length = _int(doc.get("dual_length", 65), "dual_length")
         r = _int(doc.get("r", 1), "r")
         Q = _int(doc.get("grid", 1024), "grid") * r
         self.field = spectral.build_spectral_field(self.seqs, r, Q)
+        self.dual_length = _int(doc.get("dual_length", min(65, Q)), "dual_length")
+        if not 1 <= self.dual_length <= Q:
+            raise SchemaError(f"dual_length: expected an integer in [1, grid*r = {Q}], "
+                              f"got {self.dual_length}")
 
     def verdict(self, tol):
         return _frame_verdict(spectral.frame_constants(self.field), tol)
 
     def dual(self, U, tol, prefix):
         if self.method == "bezout":
+            if U is not None:
+                raise SchemaError("--u-matrix applies to pseudo-inverse duals, not bezout")
             return self._bezout_duals(prefix)
         dual = spectral.dual_field(self.field, U=U, threshold=tol)
         print(f"dual residual: {_fmt(dual.residual_max)}")
@@ -335,8 +342,6 @@ class _Shift:
             coeffs = spectral.reconstruction_coefficients(dual, self.dual_length)
         except spectral.TailEnergyError as exc:
             raise NotRecoverable(f"truncation refused: {exc}") from exc
-        except ValueError as exc:
-            raise SchemaError(f"dual_length: {exc}") from exc
         for j, per_gen in enumerate(coeffs, start=1):
             for l, seq in enumerate(per_gen, start=1):
                 suffix = f"c{j}" if self.field.L == 1 else f"c{j}g{l}"
@@ -412,9 +417,8 @@ class _Lca:
         expected = spectrum.s * spectrum.M.order
         if samples.size != expected:
             raise SchemaError(f"sample count {samples.size} does not match s*|M| = {expected}")
-        x = lca.group_reconstruct(lca.group_duals(spectrum, threshold=tol), samples)
-        alpha, *_ = np.linalg.lstsq(spectrum.orbit, x, rcond=None)
-        return x, alpha
+        alpha = lca.group_duals(spectrum, threshold=tol).coefficients @ samples
+        return spectrum.orbit @ alpha, alpha
 
 
 _MODELS = {"cyclic": _Cyclic, "shift": _Shift, "lca": _Lca}

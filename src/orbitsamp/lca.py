@@ -12,10 +12,11 @@ rows and read from one integer phase table, and Haar measure on the dual is
 normalized to total mass one (averages over the dual).
 ``build_group_G_matrix`` forms the generator's orbit, the character table
 and the section cells once; the duals and the reconstruction read them from
-the ``GroupSpectrum``.
+the ``GroupSpectrum``.  Reconstruction is ``orbit @ (A @ samples)``: the
+coefficient map ``A`` of ``group_duals`` is formed by index shifts over ``H``.
 
 The single-generator cyclic pipeline is the special case ``H = Z_N`` with
-``M`` the multiples of the sampling period.
+``M = rZ_N``, where ``A`` is the cyclic structured inverse.
 """
 
 from __future__ import annotations
@@ -425,10 +426,11 @@ def take_group_samples(spectrum, x):
 
 @dataclass(eq=False)
 class GroupDual:
-    """Reconstruction vectors and the synthesis matrix whose column ``(j, m)``
-    is ``Pi(m) c_j``."""
+    """Vectors ``c_j``; column ``(j, m)`` of ``coefficients`` (sampler-major) holds
+    the orbit coefficients of ``Pi(m) c_j``, and ``synthesis = orbit @ coefficients``."""
 
     vectors: list
+    coefficients: np.ndarray
     synthesis: np.ndarray
 
 
@@ -438,25 +440,25 @@ def group_duals(spectrum, U=None, *, threshold=RANK_TOL):
     Raises ``FrameError`` when ``sigma_min / sigma_max`` is at most
     ``threshold``.  Row ``k`` of each ``r x s`` dual matrix carries the dual
     functions' values at ``xi + mu_k``; averaging against the characters
-    gives their exact Fourier coefficients, which synthesize the vectors
-    ``c_j`` in the orbit of the generator.
+    gives the orbit coefficients of the vectors ``c_j``.  Since
+    ``Pi(m) Pi(h) a = Pi(h + m) a``, those of ``Pi(m) c_j`` are the same read
+    at ``h - m``: the coefficient map is one gather, and no operator is applied.
     """
     check_frame(spectrum.frame, threshold)
     hmats = spectrum.family.member(U)
 
-    dual = spectrum.dual
+    dual, H, M = spectrum.dual, spectrum.rep.H, spectrum.M
     r, s = spectrum.r, spectrum.s
     # dual function values on the whole dual group
     h_full = np.empty((dual.order, s), dtype=complex)
     h_full[spectrum.cells.ravel()] = hmats.reshape(-1, s)
     # coefficients alpha[h, j] = (r / |dual|) sum_gamma h_j(gamma) conj((h, gamma))
     coeff = (r / dual.order) * (spectrum.characters.conj().T @ h_full)
+    shifted = H.index(H.elements[:, None] - M.elements[None])
+    A = coeff[shifted].transpose(0, 2, 1).reshape(H.order, s * M.order)
     C = spectrum.orbit @ coeff
-    synthesis = spectrum.rep.orbit(C, spectrum.M).transpose(0, 2, 1).reshape(spectrum.rep.dim, -1)
-    return GroupDual(
-        vectors=list(np.ascontiguousarray(C.T)),
-        synthesis=synthesis,
-    )
+    return GroupDual(vectors=list(np.ascontiguousarray(C.T)), coefficients=A,
+                     synthesis=spectrum.orbit @ A)
 
 
 def group_reconstruct(dual, samples):

@@ -30,7 +30,6 @@ __all__ = [
     "build_spectral_field",
     "frame_constants",
     "dual_field",
-    "dual_field_from_sequences",
     "reconstruction_coefficients",
     "analysis",
     "synthesis",
@@ -75,22 +74,12 @@ class FiniteSequence:
             self.offset = int(self.offset) + int(nonzero[0])
             self.values = v[nonzero[0] : nonzero[-1] + 1].copy()
 
-    @classmethod
-    def delta(cls, k=0, amplitude=1.0):
-        return cls(offset=k, values=np.array([amplitude]))
-
     @property
     def end(self):
         return self.offset + self.values.size
 
     def support(self):
         return range(self.offset, self.end)
-
-    def at(self, k):
-        i = k - self.offset
-        if 0 <= i < self.values.size:
-            return complex(self.values[i])
-        return 0j
 
     def conv(self, other):
         return FiniteSequence(
@@ -119,10 +108,6 @@ class FiniteSequence:
         out[::r] = self.values
         return FiniteSequence(offset=self.offset * r, values=out)
 
-    def conj_reversed(self):
-        """Sequence ``k -> conj(self(-k))``."""
-        return FiniteSequence(offset=-(self.end - 1), values=np.conj(self.values[::-1]))
-
     def spectrum(self, w):
         """Evaluate ``sum_k c(k) exp(2 pi i k w)`` at scalar or array ``w``."""
         w = np.asarray(w, dtype=float)
@@ -131,9 +116,6 @@ class FiniteSequence:
         if out.ndim == 0:
             return complex(out)
         return out
-
-    def isclose(self, other, tol=1e-12):
-        return bool(np.max(np.abs((self + (-1.0) * other).values)) <= tol)
 
 
 def sequence_from_laurent(p):
@@ -335,21 +317,6 @@ def dual_field(field, U=None, *, threshold=RANK_TOL):
     if k:
         pinv *= 2.0**k
     h = pinv if U is None else family_member(field.values, pinv, U)
-    return DualField(field=field, h_values=h, residual_max=_dual_residual(field, h))
-
-
-def dual_field_from_sequences(field, hs):
-    """Dual field whose row functions are the given finite sequences.
-
-    ``hs`` is one row per sampler; each row a sequence (``L = 1``) or ``L``
-    sequences.  Row block ``k`` of the matrices is filled with the sequence
-    spectra at ``w + k/r``.  Useful for checking externally constructed
-    duals, e.g. compactly supported Bezout pairs.
-    """
-    rows, L = _nested_sequences(hs)
-    if len(rows) != field.s or L != field.L:
-        raise ValueError("dual sequences must match the field's samplers and generators")
-    h = _translate_spectra(rows, field.r, field.Q).swapaxes(1, 2)
     return DualField(field=field, h_values=h, residual_max=_dual_residual(field, h))
 
 

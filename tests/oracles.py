@@ -7,7 +7,9 @@ by the normal equations, the cyclic reconstruction sum by a Horner walk in
 ``T^r``, the characters of a subgroup by ``np.unique`` over phase rows, an
 operator check that takes its SVD first, the
 shift dual field by its exact route (Gram eigenvalues first), and CSV rows
-written by the ``csv`` module.
+written by the ``csv`` module.  The finite-sequence helpers at the end
+(a delta, the value at an index, the conjugate reversal, closeness and the
+dual field of given sequences) build and compare the spectral test cases.
 """
 
 import csv
@@ -18,7 +20,15 @@ import numpy as np
 from orbitsamp.cyclic import RankDeficiencyError
 from orbitsamp.duals import DualFamily, check_frame, family_member, frame_bounds
 from orbitsamp.hilbert import RANK_TOL, DimensionMismatch, as_cvector
-from orbitsamp.spectral import GRAM_DOUBT, GRAM_SLACK
+from orbitsamp.spectral import (
+    GRAM_DOUBT,
+    GRAM_SLACK,
+    DualField,
+    FiniteSequence,
+    _dual_residual,
+    _nested_sequences,
+    _translate_spectra,
+)
 
 
 def inner(x, y):
@@ -201,3 +211,39 @@ def write_vector_csv(path, values, indices=None, exact=None):
             for i, v in zip(indices, values):
                 v = complex(v)
                 writer.writerow([i, format(v.real, ".17g"), format(v.imag, ".17g")])
+
+
+def delta(k=0, amplitude=1.0):
+    """The sequence with ``amplitude`` at index ``k`` and zero elsewhere."""
+    return FiniteSequence(offset=k, values=np.array([amplitude]))
+
+
+def at(seq, k):
+    """Value of a finite sequence at index ``k``, zero outside its window."""
+    i = k - seq.offset
+    return complex(seq.values[i]) if 0 <= i < seq.values.size else 0j
+
+
+def conj_reversed(seq):
+    """Sequence ``k -> conj(seq(-k))``."""
+    return FiniteSequence(offset=-(seq.end - 1), values=np.conj(seq.values[::-1]))
+
+
+def isclose(a, b, tol=1e-12):
+    """Whether two finite sequences differ by at most ``tol`` at every index."""
+    return bool(np.max(np.abs((a + (-1.0) * b).values)) <= tol)
+
+
+def dual_field_from_sequences(field, hs):
+    """Dual field whose row functions are the given finite sequences.
+
+    ``hs`` is one row per sampler; each row a sequence (``L = 1``) or ``L``
+    sequences.  Row block ``k`` of the matrices is filled with the sequence
+    spectra at ``w + k/r``: externally constructed duals, e.g. compactly
+    supported Bezout pairs, on the grid of ``field``.
+    """
+    rows, L = _nested_sequences(hs)
+    if len(rows) != field.s or L != field.L:
+        raise ValueError("dual sequences must match the field's samplers and generators")
+    h = _translate_spectra(rows, field.r, field.Q).swapaxes(1, 2)
+    return DualField(field=field, h_values=h, residual_max=_dual_residual(field, h))

@@ -277,7 +277,8 @@ def specializations(draw):
 @example(case=(12, 3, 3, 88))
 @example(case=(16, 16, 16, 0))
 def test_criterion_8_holds_on_random_specializations(case):
-    """Cyclic with ``T = Pi(1)`` and ``H = Z_N``, ``M = rZ_N``: same margin, same x."""
+    """Cyclic with ``T = Pi(1)`` and ``H = Z_N``, ``M = rZ_N``: same margin, same
+    coefficient map, same x."""
     N, r, s, seed = case
     rng = np.random.default_rng(seed)
     group = FiniteAbelianGroup((N,))
@@ -294,10 +295,15 @@ def test_criterion_8_holds_on_random_specializations(case):
     ratio = spectrum.frame.sigma_ratio
     assert abs(sv[-1] / sv[0] - ratio) <= 1e-12 * ratio
 
+    # the coefficient maps agree: column (j, n) of each maps samples to orbit coefficients
+    hs = o.structurize_left_inverse(R)
+    duals = group_duals(spectrum)
+    assert np.linalg.norm(duals.coefficients - hs.entries) <= 1e-10 * np.linalg.norm(hs.entries)
+
     x = spec.synthesize(rng.standard_normal(N) + 1j * rng.standard_normal(N))
-    basis = o.reconstruction_vectors(spec, o.structurize_left_inverse(R))
+    basis = o.reconstruction_vectors(spec, hs)
     x_cyc = o.reconstruct(spec, scheme, basis, o.take_samples(spec, scheme, x))
-    x_lca = group_reconstruct(group_duals(spectrum), take_group_samples(spectrum, x))
+    x_lca = group_reconstruct(duals, take_group_samples(spectrum, x))
     assert np.linalg.norm(x_cyc - x_lca) <= 1e-10 * np.linalg.norm(x)
 
 

@@ -142,6 +142,14 @@ class TestAnalyze:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.count("\n") == 1 and "generators" in proc.stderr
 
+    @pytest.mark.parametrize("problem", [lambda: cyclic_problem([]), lca_problem])
+    def test_no_samplers_exit_two(self, tmp_path, capsys, problem):
+        doc = dict(problem(), samplers=[])
+        assert cli.main(["analyze", "--input", write_problem(tmp_path, doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: samplers: need at least one sampler\n"
+
     def test_lca(self, tmp_path, capsys):
         path = write_problem(tmp_path, lca_problem())
         assert cli.main(["analyze", "--input", path]) == 0
@@ -207,13 +215,39 @@ class TestDual:
         assert rc == 1
         assert "truncation refused" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("length", [0, -1])
+    @pytest.mark.parametrize("length", [0, -1, 1025])  # 1025 > grid*r = 1024
     def test_nonpositive_dual_length_exit_two(self, tmp_path, capsys, length):
         doc = spline_shift_problem(method="pseudoinverse")
         doc["dual_length"] = length
         path = write_problem(tmp_path, doc)
         assert cli.main(["dual", "--input", path, "--out", str(tmp_path / "spl")]) == 2
-        assert "dual_length" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "dual_length" in captured.err and captured.out == ""
+
+    def test_dual_length_checked_on_the_grid_in_force(self, tmp_path, capsys):
+        # analyze checks the window too, against --grid; the default window fits any grid
+        doc = spline_shift_problem(method="pseudoinverse")
+        doc["dual_length"] = 65
+        argv = ["analyze", "--input", write_problem(tmp_path, doc), "--grid", "64"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: dual_length: expected an integer in [1, grid*r = 64], got 65\n"
+        del doc["dual_length"]
+        argv[2] = write_problem(tmp_path, doc)
+        assert cli.main(argv) == 0
+        assert cli.main(["dual", *argv[1:], "--out", str(tmp_path / "spl")]) == 0
+
+    def test_u_matrix_on_bezout_exit_two(self, tmp_path, capsys):
+        path = write_problem(tmp_path, spline_shift_problem())
+        upath = tmp_path / "u.json"
+        upath.write_text(json.dumps([[[1.0, 0.0], [0.0, 1.0]]]))  # (r*L) x s = 1 x 2
+        argv = ["dual", "--input", path, "--out", str(tmp_path / "d"), "--u-matrix", str(upath)]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --u-matrix applies to pseudo-inverse duals, not bezout\n"
+        assert not list(tmp_path.glob("d.*"))
 
     def test_u_matrix_plumbing(self, tmp_path):
         path = write_problem(tmp_path, cyclic_problem([E4[0], E4[1]]))

@@ -1,4 +1,6 @@
+import glob
 import importlib.util
+import json
 import os
 import re
 import shutil
@@ -63,12 +65,12 @@ def replace_once(path, old, new):
     path.write_text(text.replace(old, new))
 
 
-def changed_copy(tmp_path, old, new):
-    """A copy of ``src/`` whose ``cli.py`` has its one ``old`` replaced by ``new``."""
+def changed_copy(tmp_path, old, new, module="cli.py"):
+    """A copy of ``src/`` whose ``module`` has its one ``old`` replaced by ``new``."""
     changed = tmp_path / "src"
     shutil.copytree(os.path.join(ROOT, "src"), changed,
                     ignore=shutil.ignore_patterns("__pycache__"))
-    replace_once(changed / "orbitsamp" / "cli.py", old, new)
+    replace_once(changed / "orbitsamp" / module, old, new)
     return changed
 
 
@@ -137,6 +139,50 @@ def test_cli_parity_reports_every_differing_line(tmp_path):
     assert proc.returncode == 1, proc.stdout + proc.stderr
     report = proc.stdout.split("DIFF analyze --input")[1].split("DIFF")[0]
     assert "stdout line 2: 'alpha_G = " in report and "stdout line 3: 'beta_G = " in report
+
+
+def test_cli_parity_compares_u_matrix_duals(tmp_path):
+    # lca duals that drop U differ only where U reaches them: dual --u-matrix
+    # on a problem with more samplers than the annihilator's order (s = 3, r = 2)
+    changed = changed_copy(tmp_path, "family.member(U)", "family.member(None)", "lca.py")
+    e = [[[float(i == k), 0.0] for i in range(4)] for k in range(4)]
+    doc = {
+        "model": "lca",
+        "dimension": 4,
+        "operator": [e[(k - 1) % 4] for k in range(4)],
+        "generators": [e[0]],
+        "samplers": [e[0], e[1], [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]],
+        "group": {"moduli": [4], "H_gens": [[1]], "M_gens": [[2]]},
+    }
+    problem = tmp_path / "lca.json"
+    problem.write_text(json.dumps(doc))
+    proc = run_parity(os.path.join(ROOT, "src"), str(changed), problems=[str(problem)])
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert proc.stdout.count("DIFF ") == 1
+    report = proc.stdout.split("DIFF dual --input")[1]
+    assert report.startswith(f" {problem} --out o --u-matrix u.json\n")
+    assert "files differ: o.c1.csv (max relative difference" in report
+
+
+def test_u_matrix_fits_every_shipped_problem(tmp_path, monkeypatch):
+    # the U is nonzero, and dual exits with it as without it: a U of the wrong
+    # shape would exit 2 on the recoverable problems; bezout takes none
+    import orbitsamp
+    from orbitsamp import cli
+
+    parity = load_parity()
+    monkeypatch.chdir(tmp_path)
+    for path in sorted(glob.glob(os.path.join(ROOT, "problems", "*.json"))):
+        with open(path) as fh:
+            doc = json.load(fh)
+        if doc.get("method") == "bezout":
+            continue
+        parity._u_matrix(orbitsamp, doc)
+        with open("u.json") as fh:
+            U = json.load(fh)
+        assert any(v != [0.0, 0.0] for row in U for v in row)
+        argv = ["dual", "--input", path, "--out", "o", "--u-matrix", "u.json"]
+        assert cli.main(argv) == cli.main(argv[:-2]), path
 
 
 def load_parity():
