@@ -130,7 +130,9 @@ def _u_matrix(o, doc):
             shape = field.values.shape[:0:-1]
     except REFUSED:
         shape = (1, 1)
-    U = (np.arange(math.prod(shape)).reshape(shape) % 5 - 2) * (0.1 + 0.05j)
+    # the ramp keeps rows apart when a row's length is a multiple of the period 5
+    k = np.arange(math.prod(shape)).reshape(shape)
+    U = (k % 5 - 2) * (0.1 + 0.05j) + 0.01 * k
     with open("u.json", "w") as fh:
         json.dump([[[v.real, v.imag] for v in row] for row in U.tolist()], fh)
 

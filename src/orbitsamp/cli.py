@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import json
 import math
 import sys
@@ -56,10 +57,16 @@ def _complex_array(data, where, ndim, what):
         raise SchemaError(f"{where}: entries have inconsistent shapes") from exc
     # Python ints beyond int64 give an object array; anything else in one is not a number
     numeric = (
-        all(isinstance(t, (int, float)) for t in arr.flat)
+        all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in arr.flat)
         if arr.dtype == object
-        else arr.dtype.kind in "biuf"
+        else arr.dtype.kind in "iuf"
     )
+    # np.array reads a boolean among numbers as 0 or 1: only then are the entries' types read
+    if arr.dtype.kind in "iuf" and arr.ndim == ndim and ((arr == 0) | (arr == 1)).any():
+        entries = data
+        for _ in range(ndim - 1):
+            entries = itertools.chain.from_iterable(entries)
+        numeric = bool not in set(map(type, entries))
     if not numeric or arr.ndim != ndim or arr.shape[-1] != 2 or 0 in arr.shape:
         raise SchemaError(f"{where}: expected a nonempty {what} of [re, im] number pairs")
     try:
@@ -72,7 +79,7 @@ def _complex_array(data, where, ndim, what):
 
 
 def _vector(data, where):
-    return _complex_array(data, where, 2, "list of [re, im] pairs")
+    return _complex_array(data, where, 2, "list")
 
 
 def _matrix(data, where):

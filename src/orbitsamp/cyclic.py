@@ -60,8 +60,10 @@ class CyclicSubspaceSpec:
     """Operator plus generators of declared orbit periods.
 
     Construction verifies that there are at most ``dim`` orbit vectors and
-    that ``T^{N_l} a_l == a_l`` within ``PERIOD_TOL`` relative;
-    ``build_sample_matrix`` certifies that they are independent.
+    that ``T^{N_l} a_l == a_l`` within ``PERIOD_TOL`` times the largest entry
+    of ``a_l``: the orbit law ``T O = O P`` for the blockwise cyclic shift
+    ``P``, all that the formulas ask of ``T``.  ``build_sample_matrix``
+    certifies that the orbit vectors are independent.
     """
 
     operator: LinearOperator
@@ -82,15 +84,15 @@ class CyclicSubspaceSpec:
                 f"({self.total_order} of them in dimension {self.operator.dim})"
             )
         cols = []
-        for a, n in zip(self.generators, self.orders):
+        for l, (a, n) in enumerate(zip(self.generators, self.orders)):
             v = a
             for _ in range(n):
                 cols.append(v)
                 v = self.operator.matrix @ v
-            drift = np.linalg.norm(v - a)
-            if drift > PERIOD_TOL * np.linalg.norm(a):
+            drift, size = np.max(np.abs(v - a)), np.max(np.abs(a))  # a norm would overflow
+            if not drift <= PERIOD_TOL * size:  # a nan drift fails too
                 raise ValueError(
-                    f"generator is not fixed by T^{n} (relative drift {drift:.3e})"
+                    f"generator {l} is not fixed by T^{n} (relative drift {drift / size:.3e})"
                 )
         self._orbit = np.column_stack(cols)
 

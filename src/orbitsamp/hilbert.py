@@ -1,13 +1,15 @@
 """Finite-dimensional model of the ambient space.
 
-Complex vectors, the full-rank test the models share, invertible operators
-with a stored inverse and the powers their callers ask for, and the
+Complex vectors, the full-rank test the models share, operators with the
+powers their callers ask for (the models certify them on an orbit), and the
 cross-correlation sequence ``r(k) = <T^k a, b>`` over a range of powers.
 The models form these correlations as matrix products instead (the cyclic
 sample matrix is ``S^H O`` for the orbit matrix ``O``).
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -46,12 +48,13 @@ def as_cvector(v, dim=None):
 
 
 class LinearOperator:
-    """Invertible operator on C^dim: its matrix, its inverse and the powers asked for.
+    """Finite square matrix on C^dim, and the inverse and powers asked for.
 
-    The inverse is computed once at construction; its residual, within
-    ``1e-10``, also certifies ``sigma_min/sigma_max > RANK_TOL``, and a
-    values-only SVD decides only when that bound is inconclusive.  ``power``
-    keeps each ``T^k`` it forms; only ``cyclic.take_samples`` asks, for ``T^{-r}``.
+    The inverse is formed when ``inv_matrix`` or a negative power is first
+    read; its residual, within ``1e-10``, also certifies ``sigma_min/sigma_max
+    > RANK_TOL``, and a values-only SVD decides only when that bound is
+    inconclusive.  ``power`` keeps each ``T^k`` it forms; only
+    ``cyclic.take_samples`` asks, for ``T^{-r}``.
     """
 
     def __init__(self, matrix):
@@ -60,7 +63,13 @@ class LinearOperator:
             raise ValueError(f"operator matrix must be square, got {m.shape}")
         if not np.all(np.isfinite(m)):
             raise ValueError("operator entries must be finite")
-        dim = m.shape[0]
+        self.matrix = m
+        self.dim = m.shape[0]
+        self._powers = {1: m}
+
+    @cached_property
+    def inv_matrix(self):
+        m, dim = self.matrix, self.dim
         try:
             inv = np.linalg.inv(m)
         except np.linalg.LinAlgError:  # exactly singular: the SVD below says so
@@ -75,10 +84,7 @@ class LinearOperator:
             require_full_rank(m, ValueError, message)
             if not resid <= 1e-10:
                 raise ValueError(f"inverse verification failed (residual {resid:.3e})")
-        self.matrix = m
-        self.inv_matrix = inv
-        self.dim = dim
-        self._powers = {1: m, -1: inv}
+        return inv
 
     def power(self, k):
         """Matrix of T^k by repeated squaring, kept for the next call."""

@@ -1,19 +1,20 @@
 """Sampling in orbit subspaces of finite abelian group representations.
 
 Groups are products of cyclic groups, of at most ``MAX_GROUP_ORDER``
-elements; a subgroup ``H`` acts on the ambient space through a
-representation by invertible operators, samples of an orbit element are
-read on a subgroup ``M < H``, and recoverability is decided by the spectral
+elements; a subgroup ``H`` acts on the ambient space through one operator
+per generator, samples of an orbit element are read on a subgroup
+``M < H``, and recoverability is decided by the spectral
 matrices indexed over a transversal of the dual of ``H`` modulo the
 annihilator of ``M``.  Everything is finite and held in integer arrays, one
 row per element or label: subgroups are enumerated in the normal form of
 their generators' relations, characters are labeled by ambient frequency
 rows and read from one integer phase table, and Haar measure on the dual is
 normalized to total mass one (averages over the dual).
-``build_group_G_matrix`` forms the generator's orbit, the character table
-and the section cells once; the duals and the reconstruction read them from
-the ``GroupSpectrum``.  Reconstruction is ``orbit @ (A @ samples)``: the
-coefficient map ``A`` of ``group_duals`` is formed by index shifts over ``H``.
+``build_group_G_matrix`` forms the generator's orbit, certifies the
+operators on it and forms the character table and the section cells once;
+the duals and the reconstruction read them from the ``GroupSpectrum``.
+Reconstruction is ``orbit @ (A @ samples)``: the coefficient map ``A`` of
+``group_duals`` is formed by index shifts over ``H``.
 
 The single-generator cyclic pipeline is the special case ``H = Z_N`` with
 ``M = rZ_N``, where ``A`` is the cyclic structured inverse.
@@ -21,14 +22,14 @@ The single-generator cyclic pipeline is the special case ``H = Z_N`` with
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .duals import DualFamily, FrameConstants, check_frame, scale_exponent
-from .hilbert import RANK_TOL, LinearOperator, as_cvector, require_full_rank
+from .hilbert import RANK_TOL, as_cvector, require_full_rank
 
 __all__ = [
     "FiniteAbelianGroup",
@@ -156,10 +157,6 @@ class Subgroup:
             raise ValueError("element is not in the subgroup")
         return pos
 
-    def coordinates(self, h):
-        """Normal-form coordinates of the element ``h`` over the generators."""
-        return self.coords[self.index(self.group.reduce([h]))[0]]
-
     def is_subgroup_of(self, other):
         return self.group is other.group and bool(np.isin(self._flat, other._flat).all())
 
@@ -255,64 +252,35 @@ def section_omega(dual, perp):
 HOMOMORPHISM_TOL = 1e-8
 
 
-def _max_abs_gap(lhs, rhs):
-    """Whether two products differ by more than ``HOMOMORPHISM_TOL`` times their entry scale."""
-    scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))), 1.0)
-    return float(np.max(np.abs(lhs - rhs))) > HOMOMORPHISM_TOL * scale
-
-
 class GroupRepresentation:
-    """Representation of a subgroup by invertible operators, one per generator.
-
-    ``Pi(h)`` for ``h = sum n_i g_i`` (normal-form coordinates of ``H``) is
-    the product of the powers ``T_i^{n_i}``, formed on request.  A commuting
-    assignment factors through ``Z^k / L = H`` exactly when it kills a basis
-    of the relation lattice ``L``, so the homomorphism law is checked in two
-    parts, each within ``HOMOMORPHISM_TOL`` times the entry scale of the compared
-    products: the generators commute pairwise, and each row of
-    ``H.relations`` maps to the identity (``T_i^{d_i}`` equals the product of
-    the later generators' powers it names).
-    """
+    """Operators ``T_i``, one per generator ``g_i`` of a subgroup ``H``: their
+    count, dimension and finiteness are checked here, the homomorphism law on
+    the orbit that the formulas read (``build_group_G_matrix``).  ``Pi(h)`` for
+    ``h = sum n_i g_i`` (normal-form coordinates of ``H``) is the product
+    ``T_1^{n_1} ... T_k^{n_k}`` of nonnegative powers, formed on request: no
+    inverse is needed, and off a certified orbit's span it need not be a
+    homomorphism."""
 
     def __init__(self, H, generator_ops):
         if len(generator_ops) != len(H.generators):
             raise RepresentationError("need exactly one operator per subgroup generator")
-        ops = [
-            op if isinstance(op, LinearOperator) else LinearOperator(op)
-            for op in generator_ops
-        ]
-        dims = {op.dim for op in ops}
-        if len(dims) != 1:
+        T = [np.asarray(op, dtype=complex) for op in generator_ops]
+        if len({m.shape for m in T}) != 1:
             raise RepresentationError("generator operators must share one dimension")
+        if T[0].ndim != 2 or len(set(T[0].shape)) != 1 or not all(np.isfinite(m).all() for m in T):
+            raise RepresentationError("generator operators must be finite square matrices")
         self.H = H
-        self.dim = dims.pop()
-        self._matrices = [op.matrix for op in ops]
-        T = self._matrices
-        for i, j in itertools.combinations(range(len(T)), 2):
-            if _max_abs_gap(T[i] @ T[j], T[j] @ T[i]):
-                raise RepresentationError(
-                    f"assignment is not a homomorphism: generators {i} and {j} do not commute"
-                )
-        for i, row in enumerate(H.relations):
-            rest = -row
-            rest[i] = 0
-            if _max_abs_gap(np.linalg.matrix_power(T[i], int(row[i])), self._monomial(rest)):
-                raise RepresentationError(
-                    f"assignment is not a homomorphism: relation {row.tolist()} "
-                    "of the generators does not map to the identity"
-                )
-
-    def _monomial(self, exponents):
-        """``prod_i T_i^{n_i}`` for nonnegative exponents ``n_i``."""
-        out = None
-        for T, n in zip(self._matrices, exponents):
-            if n:
-                P = np.linalg.matrix_power(T, int(n))
-                out = P if out is None else P @ out
-        return np.eye(self.dim, dtype=complex) if out is None else out
+        self.dim = T[0].shape[0]
+        self._matrices = T
 
     def op(self, h):
-        return self._monomial(self.H.coordinates(h))
+        """``Pi(h) = T_1^{n_1} ... T_k^{n_k}`` over the normal-form coordinates of ``h``."""
+        H, out = self.H, None
+        for T, n in zip(self._matrices, H.coords[H.index(H.group.reduce([h]))[0]]):
+            if n:
+                P = np.linalg.matrix_power(T, int(n))
+                out = P if out is None else out @ P
+        return np.eye(self.dim, dtype=complex) if out is None else out
 
     def orbit(self, vectors, K=None, *, adjoint=False):
         """``Pi(k) v`` (or ``Pi(k)^H v``) for every ``k`` of ``K <= H``, sorted.
@@ -322,10 +290,12 @@ class GroupRepresentation:
         ``dim x |K|`` array, a ``dim x m`` block a ``dim x |K| x m`` array.
         """
         K = self.H if K is None else K
+        # H's generators step by their own operators, no power formed
+        ops = self._matrices if K is self.H else [self.op(g) for g in K.generators]
         V = np.asarray(vectors, dtype=complex)
         block = V.reshape(self.dim, -1)
         for i in reversed(range(len(K.generators))):
-            T = self.op(K.generators[i])
+            T = ops[i]
             if adjoint:
                 T = T.conj().T
             steps = [block]
@@ -345,8 +315,7 @@ class GroupSpectrum:
     cells (``section_omega``).  ``family`` holds one
     SVD of the matrices, whose entry ``[i][j, k]`` is sampler ``j``'s
     spectrum at ``xi_i + mu_k``, and ``frame`` their frame constants, true
-    extremes since everything is finite.  Row ``(j, m)`` of ``analyzers`` is
-    ``(Pi(-m)^H b_j)^H``, sampler-major over sorted ``M``.
+    extremes since everything is finite.
     """
 
     rep: GroupRepresentation
@@ -359,7 +328,6 @@ class GroupSpectrum:
     characters: np.ndarray
     family: DualFamily
     frame: FrameConstants
-    analyzers: np.ndarray
 
     @property
     def r(self):
@@ -369,18 +337,31 @@ class GroupSpectrum:
     def s(self):
         return len(self.samplers)
 
+    @cached_property
+    def analyzers(self):
+        """Row ``(j, m)`` is ``(Pi(-m)^H b_j)^H``, sampler-major over sorted ``M``,
+        formed on first read: the adjoint orbit of ``b_j`` under ``M`` read at ``-m``."""
+        M = self.M
+        steps = self.rep.orbit(np.column_stack(self.samplers), M, adjoint=True)
+        steps = steps[:, M.index(-M.elements), :]
+        return steps.transpose(2, 1, 0).reshape(self.s * M.order, self.rep.dim).conj()
+
 
 def build_group_G_matrix(rep, a, samplers, H, M):
     """Spectra of the sampler correlations, stacked over the section.
 
-    Requires the orbit of ``a`` under the representation to be linearly
-    independent.  The annihilator of ``M`` fixes the matrix width ``r`` and
-    the section fixes the row of evaluation points.  The ``s x r`` matrices
-    are the Fourier blocks of the map from orbit coefficients to samples,
-    so matrices that pass the frame test at ``RANK_TOL`` certify an
-    independent orbit; only otherwise is the orbit decomposed, and a
-    dependent one raises ``RepresentationError``.  The matrices are
-    factored at the exact scale ``2**scale_exponent``.
+    Requires the orbit of ``a`` to obey the orbit law ``T_i O = O P_i``
+    (column ``h`` of ``T_i O`` is column ``h + g_i`` of the orbit matrix
+    ``O``, within ``HOMOMORPHISM_TOL`` times the entry scale of the two sides)
+    and to be linearly independent; together they make ``Pi`` on the orbit's
+    span the regular representation of ``H``, so every relation and
+    commutation of ``H`` holds there.  The annihilator of ``M`` fixes the
+    matrix width ``r`` and the section fixes the row of evaluation points.
+    The ``s x r`` matrices are the Fourier blocks of the map from orbit
+    coefficients to samples, so matrices that pass the frame test at
+    ``RANK_TOL`` certify an independent orbit; only otherwise is the orbit
+    decomposed, and a dependent one raises ``RepresentationError``.  The
+    matrices are factored at the exact scale ``2**scale_exponent``.
     """
     if H is not rep.H:
         if not (H.is_subgroup_of(rep.H) and rep.H.is_subgroup_of(H)):
@@ -394,11 +375,18 @@ def build_group_G_matrix(rep, a, samplers, H, M):
         raise RepresentationError(f"orbit of the generator is linearly dependent "
                                   f"({H.order} of them in dimension {rep.dim})")
     orbit = rep.orbit(a)
+    for i, (g, T) in enumerate(zip(H.generators, rep._matrices)):
+        lhs = T @ orbit
+        scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(orbit))))
+        gap = float(np.max(np.abs(lhs - orbit[:, H.index(H.elements + g)])))
+        if not gap <= HOMOMORPHISM_TOL * scale:  # a nan gap fails too
+            raise RepresentationError(
+                f"operator {i} breaks the orbit law: T_{i} Pi(h) a differs from "
+                f"Pi(h + {tuple(g.tolist())}) a (relative gap {gap / scale:.3e})")
     dual = DualGroup(H)
     perp = annihilator(H, M, dual=dual)
     cells = section_omega(dual, perp)
     characters = dual.character_table()
-    s = len(samplers)
     S = np.column_stack(samplers)
 
     # spectra G_j(gamma) = sum_h <Pi(-h) a, b_j> (h, gamma); the sample
@@ -410,13 +398,8 @@ def build_group_G_matrix(rep, a, samplers, H, M):
     if frame.sigma_ratio <= RANK_TOL:  # the sections do not certify the orbit
         message = "orbit of the generator is linearly dependent (sigma ratio {:.3e})"
         require_full_rank(orbit, RepresentationError, message)
-
-    # Pi(-m)^H b_j is the adjoint orbit of b_j read at -m
-    steps = rep.orbit(S, M, adjoint=True)[:, M.index(-M.elements), :]
-    analyzers = steps.transpose(2, 1, 0).reshape(s * M.order, rep.dim).conj()
     return GroupSpectrum(rep=rep, samplers=samplers, M=M, dual=dual, perp=perp, cells=cells,
-                         orbit=orbit, characters=characters, family=family, frame=frame,
-                         analyzers=analyzers)
+                         orbit=orbit, characters=characters, family=family, frame=frame)
 
 
 def take_group_samples(spectrum, x):

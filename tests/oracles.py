@@ -4,7 +4,8 @@ Each is the direct textbook form of a quantity the package computes by a
 faster or structured route: dense inner products and Gram matrices, the
 sample matrix entry by entry, an entrywise r-circulant check, a projection
 by the normal equations, the cyclic reconstruction sum by a Horner walk in
-``T^r``, the characters of a subgroup by ``np.unique`` over phase rows, an
+``T^r``, the characters of a subgroup by ``np.unique`` over phase rows, the
+orbit law of a group representation over all pairs of elements, an
 operator check that takes its SVD first, the
 shift dual field by its exact route (Gram eigenvalues first), and CSV rows
 written by the ``csv`` module.  The finite-sequence helpers at the end
@@ -131,6 +132,39 @@ def unique_dual_classes(H):
     number = np.empty_like(first)
     number[np.argsort(first)] = np.arange(first.size)
     return ambient[np.sort(first)], number[inverse.ravel()]
+
+
+def orbit_law_holds(H, mats, a, tol=1e-8):
+    """Whether ``Pi(h) Pi(k) a = Pi(h + k) a`` for all ``h, k`` of ``H``, and
+    ``T_i Pi(k) a = Pi(g_i + k) a`` for each generator ``g_i`` and operator ``T_i``.
+
+    ``Pi(h)`` is the normal-form product ``T_1^{n_1} ... T_k^{n_k}`` over the
+    coordinates ``n`` of ``h``, one matrix product per factor.  Every
+    comparison is within ``tol`` times the largest entry of all the compared
+    vectors.  The second family matters for a generator ``g_i`` that lies in
+    the span of the later ones, whose ``T_i`` no ``Pi(h)`` contains.
+    """
+    mats = [np.asarray(m, dtype=complex) for m in mats]
+    a = np.asarray(a, dtype=complex)
+
+    def pi(coords):
+        out = np.eye(len(a), dtype=complex)
+        for T, n in reversed(list(zip(mats, coords))):
+            for _ in range(int(n)):
+                out = T @ out
+        return out
+
+    def key(h):
+        return tuple(H.group.reduce([h])[0].tolist())
+
+    elements = [tuple(h) for h in H.elements.tolist()]
+    ops = {h: pi(n) for h, n in zip(elements, H.coords)}
+    vec = {h: ops[h] @ a for h in elements}
+    pairs = [(ops[h] @ vec[k], vec[key(np.add(h, k))]) for h in elements for k in elements]
+    pairs += [(T @ vec[k], vec[key(np.add(g, k))])
+              for g, T in zip(H.generators, mats) for k in elements]
+    scale = max(max(np.max(np.abs(lhs)), np.max(np.abs(rhs))) for lhs, rhs in pairs)
+    return all(np.max(np.abs(lhs - rhs)) <= tol * scale for lhs, rhs in pairs)
 
 
 def operator_inverse(matrix):

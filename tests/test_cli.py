@@ -20,7 +20,12 @@ from hypothesis import example, given, settings, strategies as st
 import orbitsamp as o
 from orbitsamp import cli
 from orbitsamp.hilbert import RANK_TOL
-from instances import CyclicInstanceConfig, operator_with_orders, random_cyclic_instance
+from instances import (
+    CyclicInstanceConfig,
+    operator_with_orders,
+    random_cyclic_instance,
+    representation_from_characters,
+)
 import oracles
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -687,7 +692,9 @@ def field_paths(doc, prefix=()):
             yield from field_paths(doc[i], prefix + (i,))
 
 
-MUTATIONS = ("wrong type", "empty", "zero", "negative", "nan", "inf", "shorter", "longer")
+# "nudged" moves a number by 0.5: in an operator entry it breaks the orbit law
+MUTATIONS = ("wrong type", "empty", "zero", "negative", "nan", "inf", "shorter", "longer",
+             "nudged", "true")
 
 
 def mutated_field(value, kind):
@@ -700,6 +707,8 @@ def mutated_field(value, kind):
         "inf": math.inf,
         "shorter": value[:-1] if isinstance(value, list) else [],
         "longer": value + value[-1:] if isinstance(value, list) else [value, value],
+        "nudged": value + 0.5 if type(value) in (int, float) else [value],
+        "true": True,
     }[kind]
 
 
@@ -739,6 +748,11 @@ class TestFuzz:
     @example(case=("cyclic_perm.json", "reconstruct", ("field", ("truth", 0, 0), "nan")))
     @example(case=("cyclic_perm.json", "dual", ("no output directory",)))
     @example(case=("lca_z4.json", "reconstruct", ("no output directory",)))
+    @example(case=("cyclic_perm.json", "analyze", ("field", ("operator", 0, 0, 0), "nudged")))
+    @example(case=("lca_z4.json", "dual", ("field", ("operator", 1, 0, 0), "nudged")))
+    @example(case=("lca_oversampled.json", "reconstruct",
+                   ("field", ("operators", 1, 0, 0, 0), "nudged")))
+    @example(case=("cyclic_perm.json", "reconstruct", ("field", ("samplers", 0, 0, 0), "true")))
     def test_exit_code_without_exception(self, case):
         name, command, edit = case
         doc, rows = fuzz_bases()[name]
@@ -1232,10 +1246,55 @@ class TestMalformedNumbers:
         assert "unrecognized arguments" in proc.stderr and proc.stdout == ""
 
     def test_numbers_accepted(self):
-        v = cli._vector([[1, 2.5], [True, False], [2**70, -3]], "samplers")
+        v = cli._vector([[1, 2.5], [1, 0.0], [2**70, -3]], "samplers")
         assert v.tolist() == [1 + 2.5j, 1 + 0j, complex(2**70, -3)]
         m = cli._matrix([[[1, 0], [0, 1]], [[0.5, 0], [2, 0]]], "operator")
         assert m.tolist() == [[1, 1j], [0.5, 2]]
+
+    @pytest.mark.parametrize("pairs", [[[True, False]], [[2**70, 0], [1, True]]], ids=repr)
+    def test_booleans_are_not_numbers(self, pairs):
+        # an all-boolean array and an object array (an int beyond int64) holding one
+        with pytest.raises(cli.SchemaError, match="number pairs"):
+            cli._vector(pairs, "samplers")
+
+    BOOLEANS = {
+        # every sampler written as true/false pairs: an all-boolean array
+        "samplers all boolean": ("cyclic_perm.json", "analyze", lambda d: d.__setitem__(
+            "samplers", [[[bool(re), bool(im)] for re, im in b] for b in d["samplers"]]),
+            "samplers: expected a nonempty list of [re, im] number pairs"),
+        # one false among floats, which np.array would read as 0.0
+        "operator entry": ("cyclic_perm.json", "analyze",
+                           lambda d: d["operator"][1][0].__setitem__(1, False),
+                           "operator: expected a nonempty row-major matrix of [re, im] "
+                           "number pairs"),
+        "lca generator entry": ("lca_z4.json", "dual",
+                                lambda d: d["generators"][0][2].__setitem__(0, True),
+                                "generators: expected a nonempty list of [re, im] number pairs"),
+        "group generator": ("lca_z4.json", "analyze",
+                            lambda d: d["group"]["M_gens"][0].__setitem__(0, True),
+                            "group.M_gens: expected an integer, got True"),
+        "u-matrix entry": ("cyclic_perm.json", "dual", None,
+                           "u-matrix: expected a nonempty row-major matrix of [re, im] "
+                           "number pairs"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BOOLEANS))
+    def test_boolean_number_exit_two(self, tmp_path, case):
+        name, command, edit, reason = self.BOOLEANS[case]
+        with open(os.path.join(ROOT, "problems", name)) as fh:
+            doc = json.load(fh)
+        argv = [command, "--input", None]
+        if command == "dual":
+            argv += ["--out", str(tmp_path / "d")]
+        if edit is None:
+            U = [[[0.0, 0.0]] * 4 for _ in range(4)]
+            U[0][1] = [False, 0.0]
+            argv += ["--u-matrix", write_problem(tmp_path, U, "u.json")]
+        else:
+            edit(doc)
+        argv[2] = write_problem(tmp_path, doc)
+        proc = run_cli(*argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {reason}\n")
 
 
 ORBIT_DEFECTS = ("none", "repeated generator", "short period", "scaled direction")
@@ -1373,6 +1432,156 @@ class TestOrbitCertificate:
         if command == "analyze":
             sv = np.linalg.svd(R, compute_uv=False)
             assert (rc == 0) == (R.shape[0] >= R.shape[1] and sv[-1] > RANK_TOL * sv[0])
+
+
+def orbit_law_violations():
+    """``(document, stderr line)`` of a cyclic and an lca problem whose operator
+    ``2 T`` (``T`` the shift on C^4) doubles each orbit step, so that
+    ``(2 T)^4 a = 16 a``: no period and no orbit law hold."""
+    cyc = cyclic_problem([E4[0], E4[1]])
+    group = lca_problem()
+    for doc in (cyc, group):
+        doc["operator"] = [cpairs(row) for row in 2 * SHIFT4]
+    return {
+        "cyclic": (cyc, "error: generator 0 is not fixed by T^4 (relative drift 1.500e+01)\n"),
+        # T O against O read at h + 1: the gap 16 - 1 over the largest entry 16
+        "lca": (group, "error: operator 0 breaks the orbit law: T_0 Pi(h) a differs from "
+                       "Pi(h + (1,)) a (relative gap 9.375e-01)\n"),
+    }
+
+
+def padded(m, corner):
+    """``m`` on the first coordinates and ``corner`` on the last ones."""
+    out = np.zeros((len(m) + len(corner),) * 2, dtype=complex)
+    out[: len(m), : len(m)], out[len(m):, len(m):] = m, corner
+    return out
+
+
+class TestOrbitLaw:
+    """The operators are certified on the orbit, which is all that the
+    verdict, the duals and the reconstruction read."""
+
+    @pytest.mark.parametrize("command", ["analyze", "dual", "reconstruct"])
+    @pytest.mark.parametrize("model", ["cyclic", "lca"])
+    def test_violation_exits_two_naming_the_generator(self, tmp_path, model, command):
+        doc, line = orbit_law_violations()[model]
+        argv = [command, "--input", write_problem(tmp_path, doc), "--out", str(tmp_path / "o")]
+        if command == "reconstruct":
+            cli.write_vector_csv(str(tmp_path / "s.csv"), np.ones(4))
+            argv += ["--samples", str(tmp_path / "s.csv")]
+        proc = run_cli(*argv[: 3 if command == "analyze" else None])
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", line)
+
+    @pytest.mark.parametrize("model", ["cyclic", "lca"])
+    def test_singular_off_the_orbit_as_invertible(self, tmp_path, model):
+        # on C^6 the shift acts on the first four coordinates, the orbit of
+        # e_0; off it the operator is 0 (singular) or the identity
+        doc = cyclic_problem([E4[0], E4[1]]) if model == "cyclic" else lca_problem()
+        doc["dimension"] = 6
+        doc["generators"] = [cpairs(np.eye(6)[0])]
+        doc["samplers"] = [cpairs(np.eye(6)[0]), cpairs(np.eye(6)[1] + 0.5 * np.eye(6)[5])]
+        x = np.concatenate([[1.0, 2.0 - 1j, -0.5, 3.0], np.zeros(2)])
+        doc["truth"] = cpairs(x)
+        singular, invertible = (padded(SHIFT4, c) for c in (np.zeros((2, 2)), np.eye(2)))
+        with pytest.raises(ValueError, match="numerically singular"):
+            o.LinearOperator(singular).inv_matrix
+        # the samples of x, by the library, under the invertible operator
+        doc["operator"] = [cpairs(row) for row in invertible]
+        if model == "cyclic":
+            problem = cli._Cyclic(doc)
+            samples = o.take_samples(problem.spec, problem.scheme, x)
+        else:
+            samples = o.take_group_samples(cli._Lca(doc).spectrum, x)
+        spath, out = str(tmp_path / "s.csv"), str(tmp_path / "o")
+        cli.write_vector_csv(spath, samples)
+        results = []
+        for T in (singular, invertible):
+            path = write_problem(tmp_path, dict(doc, operator=[cpairs(row) for row in T]))
+            runs = [run_in_process(["analyze", "--input", path]),
+                    run_in_process(["dual", "--input", path, "--out", out]),
+                    run_in_process(["reconstruct", "--input", path, "--samples", spath,
+                                    "--out", out])]
+            files = {f: pathlib.Path(f).read_bytes()
+                     for f in sorted(glob.glob(glob.escape(out) + ".*.csv"))}
+            results.append((runs, files))
+        assert [rc for rc, *_ in results[0][0]] == [0, 0, 0]
+        assert results[0] == results[1]
+
+
+LCA_DESIGN_RUNGS = [  # (moduli of H, generators of M), as the lca-design workload ships them
+    ((8, 16), [(2, 0), (0, 4)]),
+    ((8, 8), [(2, 0), (0, 2)]),
+    ((4, 16), [(2, 0), (0, 4)]),
+    ((16,), [(4,)]),
+    ((16,), [(8,)]),
+]
+
+
+def design_rung_problem(rng, moduli, M_gens):
+    """An lca problem shaped like a design rung: ``H`` the whole group on its
+    unit generators, ``s = |H : M| + 2`` samplers, the truth of a subspace
+    element, and that element's samples."""
+    group = o.FiniteAbelianGroup(moduli)
+    H_gens = np.eye(len(moduli), dtype=int).tolist()
+    H, M = o.Subgroup(group, H_gens), o.Subgroup(group, M_gens)
+    rep, a = representation_from_characters(rng, H, distortion=0.2)
+    n = H.order
+    samplers = [rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                for _ in range(n // M.order + 2)]
+    spectrum = o.build_group_G_matrix(rep, a, samplers, H, M)
+    x = spectrum.orbit @ (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    doc = {
+        "model": "lca",
+        "dimension": n,
+        "operators": [[cpairs(row) for row in rep.op(g)] for g in H_gens],
+        "generators": [cpairs(a)],
+        "samplers": [cpairs(b) for b in samplers],
+        "group": {"moduli": list(moduli), "H_gens": H_gens, "M_gens": [list(g) for g in M_gens]},
+        "truth": cpairs(x),
+    }
+    return doc, o.take_group_samples(spectrum, x)
+
+
+def test_no_command_forms_an_inverse_or_a_matrix_power(tmp_path, monkeypatch):
+    # analyze, dual and reconstruct on every shipped cyclic and lca problem
+    # and on one problem per lca design rung: the same outcomes without them
+    problems = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "problems", "*.json"))):
+        with open(path) as fh:
+            doc = json.load(fh)
+        if doc["model"] == "cyclic":
+            model = cli._Cyclic(doc)
+            x = model.spec.synthesize(np.arange(1.0, model.spec.total_order + 1))
+            problems.append((doc, x, o.take_samples(model.spec, model.scheme, x)))
+        elif doc["model"] == "lca":
+            spectrum = cli._Lca(doc).spectrum
+            x = spectrum.orbit @ np.arange(1.0, spectrum.rep.H.order + 1)
+            problems.append((doc, x, o.take_group_samples(spectrum, x)))
+    assert {doc["model"] for doc, *_ in problems} == {"cyclic", "lca"}
+    rng = np.random.default_rng(16)
+    for moduli, M_gens in LCA_DESIGN_RUNGS:
+        doc, samples = design_rung_problem(rng, moduli, M_gens)
+        problems.append((doc, None, samples))
+    commands = []
+    for k, (doc, x, samples) in enumerate(problems):
+        if x is not None:
+            doc = dict(doc, truth=cpairs(x))
+        path = write_problem(tmp_path, doc, f"p{k}.json")
+        spath, out = str(tmp_path / f"s{k}.csv"), str(tmp_path / f"o{k}")
+        cli.write_vector_csv(spath, samples)
+        commands += [["analyze", "--input", path], ["dual", "--input", path, "--out", out],
+                     ["reconstruct", "--input", path, "--samples", spath, "--out", out]]
+    before = [run_in_process(argv) for argv in commands]
+    # cyclic_rank2.json is not recoverable; every other problem is
+    assert sorted({rc for rc, *_ in before}) == [0, 1]
+    assert {rc for rc, *_ in before[-3 * len(LCA_DESIGN_RUNGS):]} == {0}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an inverse or a matrix power was formed")
+
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    monkeypatch.setattr(np.linalg, "matrix_power", refuse)
+    assert [run_in_process(argv) for argv in commands] == before
 
 
 def test_in_process_sequence_matches_fresh_processes(tmp_path, monkeypatch):
@@ -1537,6 +1746,55 @@ class TestScaleInvariance:
             for got, want in zip(duals2, duals, strict=True):
                 scale = max(map(abs, want.values()))
                 assert max(abs(got[k] - want[k]) for k in want) <= 1e-12 * scale
+
+
+    @staticmethod
+    def violation_doc(model, seed, size):
+        """A random cyclic or lca problem whose operator moves by ``10**size``
+        relative, off its orbit law."""
+        rng = np.random.default_rng(seed)
+        if model == "cyclic":
+            op, gens = operator_with_orders(rng, 6, [4, 2], distortion=0.2)
+            T, doc = op.matrix, {"model": "cyclic", "orders": [4, 2], "r": 2}
+        else:
+            H = o.Subgroup(o.FiniteAbelianGroup((6,)), [(1,)])
+            rep, a = representation_from_characters(rng, H, distortion=0.2)
+            T, gens = rep.op((1,)), [a]
+            doc = {"model": "lca", "group": {"moduli": [6], "H_gens": [[1]], "M_gens": [[2]]}}
+        T = T + 10.0**size * np.max(np.abs(T)) * rng.standard_normal(T.shape)
+        samplers = [rng.standard_normal(6) + 1j * rng.standard_normal(6) for _ in range(4)]
+        return dict(doc, dimension=6, operator=[cpairs(row) for row in T],
+                    generators=[cpairs(a) for a in gens], samplers=[cpairs(b) for b in samplers])
+
+    @settings(max_examples=10, deadline=None)
+    @given(model=st.sampled_from(["cyclic", "lca"]), seed=st.integers(0, 2**32 - 1),
+           size=st.floats(-6, 0))
+    @example(model="cyclic", seed=0, size=-6)
+    @example(model="lca", seed=1, size=-6)
+    def test_orbit_law_violation(self, model, seed, size):
+        # the generator and the samplers scaled together: the same one line,
+        # its relative gap equal up to its last printed digit
+        doc = self.violation_doc(model, seed, size)
+        with tempfile.TemporaryDirectory() as tmp:
+            lines = []
+            for c in self.SCALES:
+                scaled = copy.deepcopy(doc)
+                for key in ("generators", "samplers"):
+                    scaled[key] = [[[c * re, c * im] for re, im in v] for v in doc[key]]
+                problem = os.path.join(tmp, "p.json")
+                with open(problem, "w") as fh:
+                    json.dump(scaled, fh)
+                for argv in (["analyze", "--input", problem],
+                             ["dual", "--input", problem, "--out", os.path.join(tmp, "d")]):
+                    rc, out, err = run_in_process(argv)
+                    assert (rc, out, err.count("\n")) == (2, "", 1), (c, err)
+                    lines.append(err)
+        head, gap = lines[0].rsplit(" ", 1)
+        assert head.endswith("(relative gap" if model == "lca" else "(relative drift")
+        for line in lines:
+            got_head, got_gap = line.rsplit(" ", 1)
+            assert got_head == head
+            assert abs(float(got_gap[:-2]) / float(gap[:-2]) - 1) <= 1e-3
 
 
 class TestOffsetsBeyondInt64:

@@ -17,8 +17,28 @@ def random_well_conditioned(rng, n, scale=0.3):
 
 class TestLinearOperator:
     def test_rejects_singular(self):
-        with pytest.raises(ValueError):
-            LinearOperator(np.zeros((3, 3)))
+        # construction takes any finite square matrix; T^{-1} is refused when asked for
+        op = LinearOperator(np.zeros((3, 3)))
+        assert np.array_equal(op.power(2), np.zeros((3, 3)))
+        message = r"matrix is numerically singular \(sigma_min/sigma_max = 0\.000e\+00\)"
+        with pytest.raises(ValueError, match=message):
+            op.power(-1)
+        with pytest.raises(ValueError, match=message):
+            op.inv_matrix
+
+    def test_construction_forms_no_inverse(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("inverse or SVD formed")
+
+        for name in ("inv", "svd"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        op = LinearOperator(np.diag([1.0, 0.0]))
+        assert np.array_equal(op.power(3), np.diag([1.0, 0.0]))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_nonfinite(self, bad):
+        with pytest.raises(ValueError, match="operator entries must be finite"):
+            LinearOperator(np.diag([1.0, bad]))
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
@@ -79,18 +99,23 @@ class TestOperatorCertificate:
     @example(m=np.array([[1.0, 2.0], [2.0, 4.0]]))
     @example(m=np.diag([1.0, 1e-8]) @ np.array([[1.0, 1.0], [0.0, 1.0]]))
     def test_matches_svd_first_oracle(self, m):
-        got = outcome(lambda a: LinearOperator(a).inv_matrix, m)
+        # construction accepts every finite square matrix; the inverse is
+        # certified when a negative power asks for it
+        op = LinearOperator(m)
         want = outcome(operator_inverse, m)
-        assert got[0] == want[0]
-        if got[0] == "accepts":
-            assert np.array_equal(got[1], want[1])
-        else:
-            assert got[1] == want[1]
+        for got in (outcome(lambda _: op.power(-1), m), outcome(lambda _: op.inv_matrix, m)):
+            assert got[0] == want[0]
+            if got[0] == "accepts":
+                assert np.array_equal(got[1], want[1])
+            else:
+                assert got[1] == want[1]
 
     def test_overflowing_inverse_rejected(self):
         # sigma ratio 1, but the inverse of 1e-310 * I overflows to nan
-        with pytest.raises(ValueError, match=r"inverse verification failed \(residual nan\)"):
-            LinearOperator(1e-310 * np.eye(2))
+        op = LinearOperator(1e-310 * np.eye(2))
+        for read in (lambda: op.power(-1), lambda: op.inv_matrix):
+            with pytest.raises(ValueError, match=r"inverse verification failed \(residual nan\)"):
+                read()
 
     def test_well_conditioned_takes_no_svd(self, monkeypatch):
         rng = np.random.default_rng(7)

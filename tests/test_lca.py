@@ -25,7 +25,7 @@ from orbitsamp.cyclic import (
 from orbitsamp.duals import FrameError
 from orbitsamp.hilbert import RANK_TOL, LinearOperator
 from instances import representation_from_characters
-from oracles import unique_dual_classes
+from oracles import orbit_law_holds, unique_dual_classes
 from orbitsamp.lca import (
     DualGroup,
     FiniteAbelianGroup,
@@ -210,11 +210,16 @@ class TestRepresentation:
         assert np.allclose(rep.op((3,)) @ rep.op((1,)), np.eye(4))
 
     def test_non_homomorphic_rejected(self):
-        # the shift on C^4 has order 4, not 2
+        # the shift on C^4 has order 4, not 2: refused on the orbit it acts on
         g = FiniteAbelianGroup((2,))
         h = Subgroup(g, [(1,)])
-        with pytest.raises(RepresentationError):
-            GroupRepresentation(h, [shift_matrix(4)])
+        rep = GroupRepresentation(h, [shift_matrix(4)])
+        e = np.eye(4)
+        with pytest.raises(RepresentationError, match="operator 0 breaks the orbit law"):
+            build_group_G_matrix(rep, e[0], [e[0]], h, h)
+        # on an orbit it keeps, of period 2, it acts as Z_2 does
+        spectrum = build_group_G_matrix(rep, e[0] + e[2], [e[0]], h, h)
+        assert np.array_equal(spectrum.orbit, np.column_stack([e[0] + e[2], e[1] + e[3]]))
 
     def test_inverse_consistency(self):
         rng = np.random.default_rng(0)
@@ -367,40 +372,12 @@ def unitary(rng, n):
     return q
 
 
-def all_pairs_homomorphism(H, mats, tol=1e-8):
-    """Reference check: extend the assignment along the closure, test every pair.
-
-    The closure never multiplies by a generator that adds no new element (a
-    zero or repeated generator), so each generator's operator is also
-    compared with the table's entry for it.
-    """
-    group = H.group
-    table = {identity(group): np.eye(mats[0].shape[0], dtype=complex)}
-    frontier = [identity(group)]
-    while frontier:
-        nxt = []
-        for h in frontier:
-            for g, m in zip(rows(H.generators), mats):
-                e = add(group, h, g)
-                if e not in table:
-                    table[e] = m @ table[h]
-                    nxt.append(e)
-        frontier = nxt
-    elements = rows(H.elements)
-    assert set(table) == set(elements)
-    scale = max(max(np.max(np.abs(m)) for m in table.values()), 1.0)
-    pairs = [(table[add(group, h1, h2)], table[h1] @ table[h2])
-             for h1 in elements for h2 in elements]
-    pairs += [(table[g], m) for g, m in zip(rows(H.generators), mats)]
-    return all(np.max(np.abs(lhs - rhs)) <= tol * scale for lhs, rhs in pairs)
-
-
 @st.composite
 def assignments(draw):
     moduli = tuple(draw(st.lists(st.integers(2, 6), min_size=1, max_size=2)))
     element = st.tuples(*(st.integers(0, m - 1) for m in moduli))
     gens = draw(st.lists(element, min_size=1, max_size=3))
-    mode = draw(st.sampled_from(["consistent", "phase", "rotate"]))
+    mode = draw(st.sampled_from(["consistent", "phase", "rotate", "off-orbit"]))
     which = draw(st.integers(0, len(gens) - 1))
     return moduli, gens, mode, which, draw(st.integers(1, 11)), draw(st.integers(0, 2**16))
 
@@ -445,7 +422,9 @@ class TestRelationCheck:
     @example(case=((4, 6), [(2, 0), (1, 3)], "phase", 1, 6, 0))
     @example(case=((4, 6), [(2, 0), (1, 3)], "rotate", 1, 1, 0))
     @example(case=((6, 6), [(0, 0), (3, 3), (2, 4)], "consistent", 0, 1, 0))
+    @example(case=((4, 6), [(2, 0), (1, 3)], "off-orbit", 0, 1, 0))
     def test_accepts_exactly_as_all_pairs_oracle(self, case):
+        """Accepted iff ``Pi(h) Pi(k) a = Pi(h + k) a`` for all ``h, k`` of ``H``."""
         moduli, gens, mode, which, q, seed = case
         g = FiniteAbelianGroup(moduli)
         H = Subgroup(g, gens)
@@ -453,32 +432,46 @@ class TestRelationCheck:
             total = [int(n) * np.array(e) for n, e in zip(row, H.generators)]
             assert not g.reduce([sum(total)]).any()
         assert int(np.prod(np.diag(H.relations))) == H.order
-        # characters of H in a random unitary basis: a representation; a
-        # root-of-unity factor may break a relation (a wrong order), a
-        # rotation of one generator breaks commutation
+        # characters of H in a random unitary basis: a representation, and
+        # a = V 1 spans it; a root-of-unity factor may break a relation (a
+        # wrong order), a rotation of one generator breaks commutation, and
+        # singular blocks that do not commute, off the orbit, break neither
         rng = np.random.default_rng(seed)
         dual = DualGroup(H)
         V = unitary(rng, H.order)
         ops = [V @ np.diag(characters_at(dual, gen)) @ V.conj().T for gen in H.generators]
+        a = V @ np.ones(H.order)
         if mode == "phase":
             ops[which] = ops[which] * np.exp(2j * np.pi * q / 12)
         elif mode == "rotate":
             Q = unitary(rng, H.order)
             ops[which] = Q @ ops[which] @ Q.conj().T
+        elif mode == "off-orbit":
+            blocks = [np.outer(*rng.standard_normal((2, 2))) for _ in ops]
+            ops = [np.block([[T, np.zeros((H.order, 2))], [np.zeros((2, H.order)), X]])
+                   for T, X in zip(ops, blocks)]
+            a = np.concatenate([a, np.zeros(2)])
+            if len(ops) > 1:
+                assert np.max(np.abs(ops[0] @ ops[1] - ops[1] @ ops[0])) > 1e-3
+        rep = GroupRepresentation(H, ops)  # counts and shapes only
         try:
-            GroupRepresentation(H, ops)
+            build_group_G_matrix(rep, a, [a], H, H)
             accepted = True
-        except RepresentationError:
-            accepted = False
-        assert accepted == all_pairs_homomorphism(H, ops)
+        except RepresentationError as exc:
+            accepted = "orbit law" not in str(exc)
+        assert accepted == orbit_law_holds(H, ops, a)
+        assert accepted or mode in ("phase", "rotate")
 
     def test_relation_violation_named(self):
         g = FiniteAbelianGroup((4, 6))
         h = Subgroup(g, [(2, 0), (1, 3)])
-        # Pi(1, 3) of order 4 but Pi(2, 0) not its square
-        ops = [np.eye(4), shift_matrix(4)]
-        with pytest.raises(RepresentationError, match="relation"):
-            GroupRepresentation(h, ops)
+        # Pi(1, 3) of order 4 but Pi(2, 0) not its square: the operator of
+        # (2, 0) moves no orbit vector by two steps
+        rep = GroupRepresentation(h, [np.eye(4), shift_matrix(4)])
+        reason = ("operator 0 breaks the orbit law: T_0 Pi(h) a differs from "
+                  "Pi(h + (2, 0)) a (relative gap 1.000e+00)")
+        with pytest.raises(RepresentationError, match=re.escape(reason)):
+            build_group_G_matrix(rep, np.eye(4)[0], [np.eye(4)[0]], h, h)
 
 
 class TestDualEnumeration:

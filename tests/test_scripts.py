@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -183,6 +184,39 @@ def test_u_matrix_fits_every_shipped_problem(tmp_path, monkeypatch):
         assert any(v != [0.0, 0.0] for row in U for v in row)
         argv = ["dual", "--input", path, "--out", "o", "--u-matrix", "u.json"]
         assert cli.main(argv) == cli.main(argv[:-2]), path
+
+
+def test_transposed_u_matrix_is_seen(tmp_path, monkeypatch, capsys):
+    # on the shipped problems with more samplers than the sampling period,
+    # I - A pinv is not 0: U's transpose exits 2, and its rows in another
+    # order change the written duals
+    import orbitsamp
+    from orbitsamp import cli
+
+    parity = load_parity()
+    monkeypatch.chdir(tmp_path)
+
+    def duals(path, U):
+        with open("u.json", "w") as fh:
+            json.dump(U.tolist(), fh)
+        for old in glob.glob("o.*.csv"):
+            os.remove(old)
+        rc = cli.main(["dual", "--input", path, "--out", "o", "--u-matrix", "u.json"])
+        return rc, {f: open(f).read() for f in sorted(glob.glob("o.*.csv"))}
+
+    for name in ("cyclic_oversampled.json", "lca_oversampled.json"):
+        path = os.path.join(ROOT, "problems", name)
+        with open(path) as fh:
+            parity._u_matrix(orbitsamp, json.load(fh))
+        with open("u.json") as fh:
+            U = np.array(json.load(fh))
+        assert U.shape[0] != U.shape[1]
+        rc, written = duals(path, U)
+        assert rc == 0 and written
+        assert duals(path, U.transpose(1, 0, 2))[0] == 2
+        assert duals(path, U[::-1]) != (rc, written)
+        assert duals(path, 0 * U) != (rc, written)
+    assert "error: " in capsys.readouterr().err
 
 
 def load_parity():
