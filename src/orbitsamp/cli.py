@@ -127,6 +127,17 @@ def _sequence(doc, name):
     )
 
 
+def _named_sequences(doc):
+    """The ``sequences`` object of a shift problem; each name is ``g<n>`` or ``h<n>``."""
+    seqs = _require(doc, "sequences")
+    if not isinstance(seqs, dict):
+        raise SchemaError("sequences: expected an object of named sequences")
+    for name in seqs:
+        if name[:1] not in ("g", "h") or not name[1:].isdecimal():
+            raise SchemaError(f"sequences: unknown sequence name {name!r} (expected g<n> or h<n>)")
+    return seqs
+
+
 def _read_json(path, what):
     try:
         with open(path) as fh:
@@ -316,10 +327,8 @@ class _Shift:
     FIELDS = ("model", "sequences", "method", "dual_length", "r", "grid")
 
     def __init__(self, doc):
-        seqs_doc = _require(doc, "sequences")
-        if not isinstance(seqs_doc, dict):
-            raise SchemaError("sequences: expected an object of named sequences")
-        names = [n for n in seqs_doc if n.startswith("g") and n[1:].isdigit()]
+        seqs_doc = _named_sequences(doc)
+        names = [n for n in seqs_doc if n.startswith("g")]
         if not names:
             raise SchemaError("sequences: need g1..gs entries")
         names.sort(key=lambda n: (int(n[1:]), n))
@@ -538,11 +547,10 @@ def cmd_pr_check(args):
     doc = load_problem(args.input)
     if doc["model"] != "shift":
         raise SchemaError("pr-check needs a shift-model problem with filter sequences")
-    seqs_doc = _require(doc, "sequences")
+    _known_fields(doc, _Shift.FIELDS, "shift problem")
+    seqs_doc = _named_sequences(doc)
     r = _int(doc.get("r", 1), "r")
-    if not isinstance(seqs_doc, dict):
-        raise SchemaError("sequences: expected an object of named sequences")
-    names = sorted(n for n in seqs_doc if n[:1] in ("h", "g") and n[1:].isdigit())
+    names = sorted(seqs_doc)
     pairs = range(1, 1 + sum(n[0] == "h" for n in names))
     if not pairs or names != sorted(f"{p}{j}" for j in pairs for p in "hg"):
         got = f", got {', '.join(names)}" if pairs else ""

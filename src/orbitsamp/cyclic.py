@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .duals import DualFamily, family_member
-from .hilbert import RANK_TOL, LinearOperator, as_cvector, require_full_rank
+from .hilbert import ORBIT_LAW_TOL, RANK_TOL, LinearOperator, as_cvector, require_full_rank
 
 __all__ = [
     "CyclicSubspaceSpec",
@@ -42,7 +42,6 @@ __all__ = [
 ]
 
 
-PERIOD_TOL = 1e-8
 # bound on max |H R - I| for a structured left inverse; the rank tolerance is separate
 LEFT_INVERSE_TOL = 1e-10
 
@@ -60,7 +59,7 @@ class CyclicSubspaceSpec:
     """Operator plus generators of declared orbit periods.
 
     Construction verifies that there are at most ``dim`` orbit vectors and
-    that ``T^{N_l} a_l == a_l`` within ``PERIOD_TOL`` times the largest entry
+    that ``T^{N_l} a_l == a_l`` within ``ORBIT_LAW_TOL`` times the largest entry
     of ``a_l``: the orbit law ``T O = O P`` for the blockwise cyclic shift
     ``P``, all that the formulas ask of ``T``.  ``build_sample_matrix``
     certifies that the orbit vectors are independent.
@@ -90,7 +89,7 @@ class CyclicSubspaceSpec:
                 cols.append(v)
                 v = self.operator.matrix @ v
             drift, size = np.max(np.abs(v - a)), np.max(np.abs(a))  # a norm would overflow
-            if not drift <= PERIOD_TOL * size:  # a nan drift fails too
+            if not drift <= ORBIT_LAW_TOL * size:  # a nan drift fails too
                 raise ValueError(
                     f"generator {l} is not fixed by T^{n} (relative drift {drift / size:.3e})"
                 )

@@ -15,12 +15,15 @@ import numpy as np
 
 __all__ = [
     "RANK_TOL",
+    "ORBIT_LAW_TOL",
     "DimensionMismatch",
     "LinearOperator",
     "cross_correlation",
 ]
 
 RANK_TOL = 1e-10
+# the orbit law T O = O P of either model, relative to the entry scale of its two sides
+ORBIT_LAW_TOL = 1e-8
 
 
 class DimensionMismatch(ValueError):

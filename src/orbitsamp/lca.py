@@ -6,10 +6,11 @@ per generator, samples of an orbit element are read on a subgroup
 ``M < H``, and recoverability is decided by the spectral
 matrices indexed over a transversal of the dual of ``H`` modulo the
 annihilator of ``M``.  Everything is finite and held in integer arrays, one
-row per element or label: subgroups are enumerated in the normal form of
-their generators' relations, characters are labeled by ambient frequency
-rows and read from one integer phase table, and Haar measure on the dual is
-normalized to total mass one (averages over the dual).
+row per element or label: a subgroup is its sorted elements and the step
+count of each generator, characters are labeled by ambient frequency rows
+and read from one integer phase table, and Haar measure on the dual is
+normalized to total mass one (averages over the dual).  Operators act by
+chains of generator mat-vecs along the enumeration; no power is formed.
 ``build_group_G_matrix`` forms the generator's orbit, certifies the
 operators on it and forms the character table and the section cells once;
 the duals and the reconstruction read them from the ``GroupSpectrum``.
@@ -24,12 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
 from .duals import DualFamily, FrameConstants, check_frame, scale_exponent
-from .hilbert import RANK_TOL, as_cvector, require_full_rank
+from .hilbert import ORBIT_LAW_TOL, RANK_TOL, as_cvector, require_full_rank
 
 __all__ = [
     "FiniteAbelianGroup",
@@ -101,64 +102,63 @@ def _divisors(n):
 
 
 class Subgroup:
-    """Subgroup generated by the given elements, in normal-form coordinates.
+    """Subgroup generated by the given elements: sorted elements and step counts.
 
-    With ``H_i = <g_i, ..., g_k>``, ``d_i`` is the least positive multiple of
-    ``g_i`` that lies in ``H_{i+1}``; every element is ``sum n_i g_i`` for
-    exactly one coordinate row with ``0 <= n_i < d_i`` (``coords``, one row
-    per element of ``elements``, which are sorted).  Row ``i`` of
-    ``relations`` is ``d_i e_i - coords(d_i g_i)``: the rows are an upper
-    triangular (Hermite) basis of the relation lattice ``{n : sum n_i g_i = 0}``.
+    With ``H_i = <g_i, ..., g_k>``, ``steps[i]`` is ``d_i``, the least
+    positive multiple of ``g_i`` that lies in ``H_{i+1}``; every element is
+    ``sum n_i g_i`` for exactly one row with ``0 <= n_i < d_i``.  The
+    elements are enumerated ``n_1``-major (closure order) and kept sorted
+    (``elements``); ``coordinates`` reads the rows ``n`` back from the closure order.
     """
 
     def __init__(self, group, generators):
         self.group = group
         self.generators = group.reduce(generators)
-        rank, k = self.generators.shape[1], len(self.generators)
+        rank = self.generators.shape[1]
         # H_{k+1} = {0}; each pass prepends one generator, n_i-major
-        elems = np.zeros((1, rank), dtype=np.int64)
-        coords = np.zeros((1, 0), dtype=np.int64)
-        self.relations = np.zeros((k, k), dtype=np.int64)
-        for i in reversed(range(k)):
-            g = self.generators[i]
-            flat = group.flat(elems)
-            closure = np.argsort(flat)
-            flat = flat[closure]
+        elems, steps = np.zeros((1, rank), dtype=np.int64), []
+        for g in self.generators[::-1]:
             # the n with n g in H_{i+1} are the multiples of d, ord(g) among them
             order = math.lcm(*(m // math.gcd(int(x), m) for x, m in zip(g, group.moduli)))
             divs = _divisors(order)
-            q = group.flat(divs[:, None] * g)
-            pos = np.minimum(np.searchsorted(flat, q), flat.size - 1)
-            first = np.flatnonzero(flat[pos] == q)[0]
-            d, tail = int(divs[first]), coords[closure[pos[first]]]
-            self.relations[i, i] = d
-            self.relations[i, i + 1 :] = -tail
+            d = int(divs[np.isin(group.flat(divs[:, None] * g), group.flat(elems))][0])
+            steps.append(d)
             elems = ((np.arange(d)[:, None, None] * g + elems) % group.moduli).reshape(-1, rank)
-            coords = np.hstack(
-                [np.repeat(np.arange(d), len(coords))[:, None], np.tile(coords, (d, 1))]
-            )
+        self.steps = tuple(steps[::-1])
         flat = group.flat(elems)
         # closure position of each sorted element: orbits are stepped in
         # closure order and read out in sorted order
         self._closure_order = np.argsort(flat)
         self._flat = flat[self._closure_order]
         self.elements = elems[self._closure_order]
-        self.coords = coords[self._closure_order]
 
     @property
     def order(self):
         return len(self.elements)
 
-    def index(self, elements):
-        """Sorted position of each row of an integer array of elements."""
+    def _find(self, elements):
+        """Sorted positions of the rows of ``elements``, and whether all are in the subgroup."""
         q = self.group.flat(elements)
         pos = np.minimum(np.searchsorted(self._flat, q), self._flat.size - 1)
-        if not np.array_equal(self._flat[pos], q):
+        return pos, np.array_equal(self._flat[pos], q)
+
+    def index(self, elements):
+        """Sorted position of each row of an integer array of elements."""
+        pos, found = self._find(elements)
+        if not found:
             raise ValueError("element is not in the subgroup")
         return pos
 
+    def coordinates(self, elements):
+        """Rows ``n`` with ``h = sum n_i g_i``, ``0 <= n_i < d_i``: the mixed-radix
+        digits over ``steps`` of each element's closure position."""
+        # a leading radix 1 keeps a subgroup without generators in range
+        digits = np.unravel_index(self._closure_order[self.index(elements)], (1, *self.steps))
+        return np.stack(digits, axis=-1)[..., 1:]
+
     def is_subgroup_of(self, other):
-        return self.group is other.group and bool(np.isin(self._flat, other._flat).all())
+        """A subgroup lies in ``other`` iff its generators do."""
+        return self.group is other.group and other._find(self.generators)[1]
 
 
 def _phases(group, labels, elements):
@@ -249,17 +249,13 @@ def section_omega(dual, perp):
     return cells
 
 
-HOMOMORPHISM_TOL = 1e-8
-
-
 class GroupRepresentation:
     """Operators ``T_i``, one per generator ``g_i`` of a subgroup ``H``: their
-    count, dimension and finiteness are checked here, the homomorphism law on
-    the orbit that the formulas read (``build_group_G_matrix``).  ``Pi(h)`` for
-    ``h = sum n_i g_i`` (normal-form coordinates of ``H``) is the product
-    ``T_1^{n_1} ... T_k^{n_k}`` of nonnegative powers, formed on request: no
-    inverse is needed, and off a certified orbit's span it need not be a
-    homomorphism."""
+    count, dimension and finiteness are checked here, the orbit law on the
+    orbit that the formulas read (``build_group_G_matrix``).  ``Pi(h)`` for
+    ``h = sum n_i g_i`` (``H.coordinates``) is ``T_1^{n_1} ... T_k^{n_k}``,
+    applied as a chain of generator mat-vecs: no inverse and no power is
+    formed, and off a certified orbit's span it need not be a homomorphism."""
 
     def __init__(self, H, generator_ops):
         if len(generator_ops) != len(H.generators):
@@ -273,34 +269,24 @@ class GroupRepresentation:
         self.dim = T[0].shape[0]
         self._matrices = T
 
-    def op(self, h):
-        """``Pi(h) = T_1^{n_1} ... T_k^{n_k}`` over the normal-form coordinates of ``h``."""
-        H, out = self.H, None
-        for T, n in zip(self._matrices, H.coords[H.index(H.group.reduce([h]))[0]]):
-            if n:
-                P = np.linalg.matrix_power(T, int(n))
-                out = P if out is None else out @ P
-        return np.eye(self.dim, dtype=complex) if out is None else out
-
     def orbit(self, vectors, K=None, *, adjoint=False):
         """``Pi(k) v`` (or ``Pi(k)^H v``) for every ``k`` of ``K <= H``, sorted.
 
-        Blocks of vectors step along the normal-form enumeration of ``K``
-        (default ``H``): ``|K|`` mat-vecs per vector.  A vector gives a
-        ``dim x |K|`` array, a ``dim x m`` block a ``dim x |K| x m`` array.
+        Blocks of vectors step along the enumeration of ``K`` (default ``H``): a
+        generator of ``K`` with ``H``-coordinates ``n`` steps by ``n_1 + ... + n_k``
+        generator mat-vecs.  A vector gives a ``dim x |K|`` array, a ``dim x m``
+        block a ``dim x |K| x m`` array.
         """
         K = self.H if K is None else K
-        # H's generators step by their own operators, no power formed
-        ops = self._matrices if K is self.H else [self.op(g) for g in K.generators]
+        T = [m.conj().T for m in self._matrices] if adjoint else self._matrices
         V = np.asarray(vectors, dtype=complex)
         block = V.reshape(self.dim, -1)
-        for i in reversed(range(len(K.generators))):
-            T = ops[i]
-            if adjoint:
-                T = T.conj().T
+        for n, d in reversed(list(zip(self.H.coordinates(K.generators), K.steps))):
+            # Pi(n) v applies T_k first, its adjoint T_1^H first
+            chain = np.repeat(np.arange(len(T)), n)[:: 1 if adjoint else -1]
             steps = [block]
-            for _ in range(K.relations[i, i] - 1):
-                steps.append(T @ steps[-1])
+            for _ in range(d - 1):
+                steps.append(reduce(lambda v, j: T[j] @ v, chain, steps[-1]))
             block = np.hstack(steps)
         out = block.reshape(self.dim, K.order, -1)[:, K._closure_order, :]
         return out[:, :, 0] if V.ndim == 1 else out
@@ -312,10 +298,9 @@ class GroupSpectrum:
 
     ``orbit`` holds ``Pi(h) a`` over sorted ``H``, ``characters`` the
     character table (``DualGroup.character_table``) and ``cells`` the section
-    cells (``section_omega``).  ``family`` holds one
-    SVD of the matrices, whose entry ``[i][j, k]`` is sampler ``j``'s
-    spectrum at ``xi_i + mu_k``, and ``frame`` their frame constants, true
-    extremes since everything is finite.
+    cells (``section_omega``).  ``family`` holds one SVD of the matrices, whose
+    entry ``[i][j, k]`` is sampler ``j``'s spectrum at ``xi_i + mu_k``, and
+    ``frame`` their frame constants, true extremes since everything is finite.
     """
 
     rep: GroupRepresentation
@@ -352,7 +337,7 @@ def build_group_G_matrix(rep, a, samplers, H, M):
 
     Requires the orbit of ``a`` to obey the orbit law ``T_i O = O P_i``
     (column ``h`` of ``T_i O`` is column ``h + g_i`` of the orbit matrix
-    ``O``, within ``HOMOMORPHISM_TOL`` times the entry scale of the two sides)
+    ``O``, within ``ORBIT_LAW_TOL`` times the entry scale of the two sides)
     and to be linearly independent; together they make ``Pi`` on the orbit's
     span the regular representation of ``H``, so every relation and
     commutation of ``H`` holds there.  The annihilator of ``M`` fixes the
@@ -379,7 +364,7 @@ def build_group_G_matrix(rep, a, samplers, H, M):
         lhs = T @ orbit
         scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(orbit))))
         gap = float(np.max(np.abs(lhs - orbit[:, H.index(H.elements + g)])))
-        if not gap <= HOMOMORPHISM_TOL * scale:  # a nan gap fails too
+        if not gap <= ORBIT_LAW_TOL * scale:  # a nan gap fails too
             raise RepresentationError(
                 f"operator {i} breaks the orbit law: T_{i} Pi(h) a differs from "
                 f"Pi(h + {tuple(g.tolist())}) a (relative gap {gap / scale:.3e})")

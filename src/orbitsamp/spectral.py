@@ -46,6 +46,8 @@ TAIL_TOL = 1e-6
 # Gram eigenvalues err by about eps times their point's largest (``_gram_pass``)
 GRAM_DOUBT = 1e-4
 GRAM_SLACK = 1e-12
+# random inputs of the time-domain cross-check in ``perfect_reconstruction_check``
+ROUNDTRIP_TRIALS, ROUNDTRIP_SUPPORT, ROUNDTRIP_SEED = 16, 64, 0
 
 
 class TailEnergyError(ValueError):
@@ -424,17 +426,18 @@ class PRReport:
     relative_residual: float
 
 
-def perfect_reconstruction_check(fb, torus_grid=512, *, trials=16, max_support=64, seed=0):
+def perfect_reconstruction_check(fb, torus_grid=512):
     """Certify ``G(z) H(z) = I_r`` on a torus grid and cross-check in time.
 
     Passes when the polyphase residual, relative to the largest entry of
     ``|G(w)| |H(w)|`` over the grid (floored at 1), stays at or below 1e-9:
     the rounding error of the product grows with that scale, which exact
     banks with large taps reach.  The report also carries the absolute
-    residual and the worst relative round-trip error of ``trials`` random
-    finitely supported inputs through analysis and synthesis, which refuses a
-    branch moving them over ``MAX_GRID_ENTRIES / 2`` samples.  The grid has
-    ``MIN_GRID_FACTOR`` points or more, ``MAX_GRID_ENTRIES / (s*r)`` or fewer.
+    residual and the worst relative round-trip error of ``ROUNDTRIP_TRIALS``
+    random inputs of support at most ``ROUNDTRIP_SUPPORT`` through analysis
+    and synthesis, which refuses a branch moving them over
+    ``MAX_GRID_ENTRIES / 2`` samples.  The grid has ``MIN_GRID_FACTOR``
+    points or more, ``MAX_GRID_ENTRIES / (s*r)`` or fewer.
     """
     r = fb.r
     _check_grid(torus_grid, MIN_GRID_FACTOR, fb.s * r)
@@ -450,10 +453,10 @@ def perfect_reconstruction_check(fb, torus_grid=512, *, trials=16, max_support=6
     resid = float(np.max(np.abs(prod - np.eye(r))))
     relative = resid / max(float(np.max(np.abs(Gv) @ np.abs(Hv))), 1.0)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(ROUNDTRIP_SEED)
     worst = 0.0
-    for _ in range(trials):
-        n = int(rng.integers(1, max_support + 1))
+    for _ in range(ROUNDTRIP_TRIALS):
+        n = int(rng.integers(1, ROUNDTRIP_SUPPORT + 1))
         vals = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         alpha = FiniteSequence(offset=int(rng.integers(-16, 16)), values=vals)
         back = synthesis(fb, analysis(fb, alpha))

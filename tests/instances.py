@@ -29,6 +29,7 @@ __all__ = [
     "operator_with_orders",
     "random_cyclic_instance",
     "representation_from_characters",
+    "group_operators",
 ]
 
 
@@ -182,3 +183,11 @@ def representation_from_characters(rng, H, *, distortion=0.0, dim=None):
     coeff[:n] = (0.5 + rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
     a = V @ coeff
     return rep, a
+
+
+def group_operators(rep, elements):
+    """``Pi(h)`` for each element ``h``: column ``j`` is ``Pi(h) e_j``, read off
+    the orbit of the identity."""
+    H = rep.H
+    pi = rep.orbit(np.eye(rep.dim))
+    return [pi[:, i, :] for i in H.index(H.group.reduce(elements))]

@@ -14,6 +14,7 @@ dual field of given sequences) build and compare the spectral test cases.
 """
 
 import csv
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -134,31 +135,44 @@ def unique_dual_classes(H):
     return ambient[np.sort(first)], number[inverse.ravel()]
 
 
+def normal_form(H):
+    """``{h: n}`` over the box ``0 <= n_i < d_i`` of ``H.steps``: each
+    ``h = sum n_i g_i`` summed and reduced one row at a time."""
+    zero = np.zeros(len(H.group.moduli), dtype=np.int64)
+    forms = {}
+    for n in itertools.product(*map(range, H.steps)):
+        h = H.group.reduce([sum((c * g for c, g in zip(n, H.generators)), zero)])[0]
+        forms[tuple(h.tolist())] = n
+    return forms
+
+
+def normal_form_operator(mats, n):
+    """``T_1^{n_1} ... T_k^{n_k}``, one matrix product per factor."""
+    out = np.eye(len(mats[0]), dtype=complex)
+    for T, count in reversed(list(zip(mats, n))):
+        for _ in range(int(count)):
+            out = np.asarray(T, dtype=complex) @ out
+    return out
+
+
 def orbit_law_holds(H, mats, a, tol=1e-8):
     """Whether ``Pi(h) Pi(k) a = Pi(h + k) a`` for all ``h, k`` of ``H``, and
     ``T_i Pi(k) a = Pi(g_i + k) a`` for each generator ``g_i`` and operator ``T_i``.
 
-    ``Pi(h)`` is the normal-form product ``T_1^{n_1} ... T_k^{n_k}`` over the
-    coordinates ``n`` of ``h``, one matrix product per factor.  Every
-    comparison is within ``tol`` times the largest entry of all the compared
-    vectors.  The second family matters for a generator ``g_i`` that lies in
-    the span of the later ones, whose ``T_i`` no ``Pi(h)`` contains.
+    ``Pi(h)`` is ``normal_form_operator`` over the coordinates that
+    ``normal_form`` finds for ``h``.  Every comparison is within ``tol`` times
+    the largest entry of all the compared vectors.  The second family matters
+    for a generator ``g_i`` that lies in the span of the later ones, whose
+    ``T_i`` no ``Pi(h)`` contains.
     """
     mats = [np.asarray(m, dtype=complex) for m in mats]
     a = np.asarray(a, dtype=complex)
 
-    def pi(coords):
-        out = np.eye(len(a), dtype=complex)
-        for T, n in reversed(list(zip(mats, coords))):
-            for _ in range(int(n)):
-                out = T @ out
-        return out
-
     def key(h):
         return tuple(H.group.reduce([h])[0].tolist())
 
-    elements = [tuple(h) for h in H.elements.tolist()]
-    ops = {h: pi(n) for h, n in zip(elements, H.coords)}
+    ops = {h: normal_form_operator(mats, n) for h, n in normal_form(H).items()}
+    elements = list(ops)
     vec = {h: ops[h] @ a for h in elements}
     pairs = [(ops[h] @ vec[k], vec[key(np.add(h, k))]) for h in elements for k in elements]
     pairs += [(T @ vec[k], vec[key(np.add(g, k))])

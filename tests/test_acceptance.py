@@ -22,7 +22,7 @@ from orbitsamp.lca import (
     group_reconstruct,
     take_group_samples,
 )
-from instances import representation_from_characters
+from instances import group_operators, representation_from_characters
 from oracles import is_r_circulant
 
 
@@ -74,16 +74,23 @@ def test_criterion_1_spline_example_exact():
 def test_criterion_2_perfect_reconstruction():
     t0 = time.perf_counter()
     sb = o.bspline_filter_bank(3, 4)
-    pr = o.perfect_reconstruction_check(
-        sb.bank, torus_grid=1024, trials=100, max_support=64, seed=2024
-    )
+    pr = o.perfect_reconstruction_check(sb.bank, torus_grid=1024)
+    # the time-domain round trip on 100 sequences of its own, beyond the check's
+    rng = np.random.default_rng(2024)
+    worst = pr.roundtrip_error
+    for _ in range(100):
+        n = int(rng.integers(1, 65))
+        vals = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        alpha = o.FiniteSequence(offset=int(rng.integers(-16, 16)), values=vals)
+        diff = o.synthesis(sb.bank, o.analysis(sb.bank, alpha)) + (-1.0) * alpha
+        worst = max(worst, float(np.max(np.abs(diff.values))) / float(np.max(np.abs(vals))))
     elapsed = time.perf_counter() - t0
-    ok = pr.max_residual <= 1e-12 and pr.roundtrip_error <= 1e-10 and elapsed < 5.0
+    ok = pr.max_residual <= 1e-12 and worst <= 1e-10 and elapsed < 5.0
     report(
         "criterion 2 (perfect reconstruction)",
         ok,
         f"torus residual {pr.max_residual:.2e} <= 1e-12, "
-        f"round-trip {pr.roundtrip_error:.2e} <= 1e-10 on 100 sequences, "
+        f"round-trip {worst:.2e} <= 1e-10 on 116 sequences, "
         f"runtime {elapsed:.2f}s < 5s",
     )
 
@@ -243,7 +250,7 @@ def test_criterion_8_lca_specialization_coherence():
     spectrum = build_group_G_matrix(rep, a, samplers, H, M)
     duals = group_duals(spectrum)
 
-    T = o.LinearOperator(rep.op((1,)))
+    T = o.LinearOperator(group_operators(rep, [(1,)])[0])
     spec = o.CyclicSubspaceSpec(operator=T, generators=[a], orders=[12])
     scheme = o.SamplingScheme.for_spec(spec, samplers, 3)
     R = o.build_sample_matrix(spec, scheme)
@@ -287,7 +294,7 @@ def test_criterion_8_holds_on_random_specializations(case):
     samplers = [rng.standard_normal(N) + 1j * rng.standard_normal(N) for _ in range(s)]
     spectrum = build_group_G_matrix(rep, a, samplers, H, M)
 
-    T = o.LinearOperator(rep.op((1,)))
+    T = o.LinearOperator(group_operators(rep, [(1,)])[0])
     spec = o.CyclicSubspaceSpec(operator=T, generators=[a], orders=[N])
     scheme = o.SamplingScheme.for_spec(spec, samplers, r)
     R = o.build_sample_matrix(spec, scheme)

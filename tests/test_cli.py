@@ -22,6 +22,7 @@ from orbitsamp import cli
 from orbitsamp.hilbert import RANK_TOL
 from instances import (
     CyclicInstanceConfig,
+    group_operators,
     operator_with_orders,
     random_cyclic_instance,
     representation_from_characters,
@@ -969,11 +970,35 @@ class TestUndeclaredInput:
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: group: unknown field {key!r}\n"
 
-    def test_sequences_not_checked(self, capsys):
-        # only top-level keys are declared: analyze reads the g's of a bank file
+    def test_bank_file_analyzed_on_its_gs(self, capsys):
+        # h<n> names are admitted in every shift command: analyze reads the g's of a bank file
         path = os.path.join(ROOT, "problems", "bank_spline.json")
         assert cli.main(["analyze", "--input", path]) == 0
         assert "recoverable: yes" in capsys.readouterr().out
+
+    @staticmethod
+    def shift_argv(command, doc, tmp_path):
+        """``command`` on the problem ``doc``, its outputs under ``tmp_path``."""
+        extra = {"dual": ["--out", str(tmp_path / "o")],
+                 "reconstruct": ["--samples", str(tmp_path / "s.csv")]}
+        return [command, "--input", write_problem(tmp_path, doc), *extra.get(command, [])]
+
+    @pytest.mark.parametrize("command", ["analyze", "dual", "reconstruct", "pr-check"])
+    def test_unknown_field_of_a_bank_named(self, tmp_path, capsys, command):
+        doc = bank_problem()
+        doc["bogus"] = 1
+        assert cli.main(self.shift_argv(command, doc, tmp_path)) == 2
+        assert capsys.readouterr() == ("", "error: shift problem: unknown field 'bogus'\n")
+
+    @pytest.mark.parametrize("name", ["x9", "g", "h1a", "G1"])
+    @pytest.mark.parametrize("command", ["analyze", "dual", "reconstruct", "pr-check"])
+    def test_unknown_sequence_name_named(self, tmp_path, capsys, command, name):
+        doc = bank_problem()
+        doc["sequences"][name] = doc["sequences"]["g1"]
+        assert cli.main(self.shift_argv(command, doc, tmp_path)) == 2
+        line = f"error: sequences: unknown sequence name {name!r} (expected g<n> or h<n>)\n"
+        assert capsys.readouterr() == ("", line)
+        assert os.listdir(tmp_path) == ["problem.json"]
 
     @pytest.mark.parametrize("command", ["analyze", "dual"])
     @pytest.mark.parametrize("name", ["cyclic_perm.json", "cyclic_rank2.json", "lca_z4.json"])
@@ -1533,7 +1558,7 @@ def design_rung_problem(rng, moduli, M_gens):
     doc = {
         "model": "lca",
         "dimension": n,
-        "operators": [[cpairs(row) for row in rep.op(g)] for g in H_gens],
+        "operators": [[cpairs(row) for row in T] for T in group_operators(rep, H_gens)],
         "generators": [cpairs(a)],
         "samplers": [cpairs(b) for b in samplers],
         "group": {"moduli": list(moduli), "H_gens": H_gens, "M_gens": [list(g) for g in M_gens]},
@@ -1544,7 +1569,9 @@ def design_rung_problem(rng, moduli, M_gens):
 
 def test_no_command_forms_an_inverse_or_a_matrix_power(tmp_path, monkeypatch):
     # analyze, dual and reconstruct on every shipped cyclic and lca problem
-    # and on one problem per lca design rung: the same outcomes without them
+    # and on one problem per lca design rung, lca-demo on its built-in problem
+    # and on every shipped lca problem, and take_group_samples on every lca
+    # problem: the same outcomes without them
     problems = []
     for path in sorted(glob.glob(os.path.join(ROOT, "problems", "*.json"))):
         with open(path) as fh:
@@ -1562,7 +1589,7 @@ def test_no_command_forms_an_inverse_or_a_matrix_power(tmp_path, monkeypatch):
     for moduli, M_gens in LCA_DESIGN_RUNGS:
         doc, samples = design_rung_problem(rng, moduli, M_gens)
         problems.append((doc, None, samples))
-    commands = []
+    commands, demos = [], [["lca-demo"]]
     for k, (doc, x, samples) in enumerate(problems):
         if x is not None:
             doc = dict(doc, truth=cpairs(x))
@@ -1571,10 +1598,24 @@ def test_no_command_forms_an_inverse_or_a_matrix_power(tmp_path, monkeypatch):
         cli.write_vector_csv(spath, samples)
         commands += [["analyze", "--input", path], ["dual", "--input", path, "--out", out],
                      ["reconstruct", "--input", path, "--samples", spath, "--out", out]]
+        if doc["model"] == "lca" and x is not None:
+            demos.append(["lca-demo", "--input", path])
+    commands += demos
     before = [run_in_process(argv) for argv in commands]
     # cyclic_rank2.json is not recoverable; every other problem is
     assert sorted({rc for rc, *_ in before}) == [0, 1]
-    assert {rc for rc, *_ in before[-3 * len(LCA_DESIGN_RUNGS):]} == {0}
+    rungs = slice(-3 * len(LCA_DESIGN_RUNGS) - len(demos), -len(demos))
+    assert {rc for rc, *_ in before[rungs]} == {0}
+    assert [rc for rc, *_ in before[-len(demos):]] == [0] * len(demos) and len(demos) > 1
+    # the analyzers are formed on first read, by a fresh spectrum each time
+    lca_docs = [dict(doc, truth=cpairs(x)) if x is not None else doc
+                for doc, x, _ in problems if doc["model"] == "lca"]
+
+    def group_samples():
+        return [o.take_group_samples(cli._Lca(doc).spectrum, [complex(*v) for v in doc["truth"]])
+                for doc in lca_docs]
+
+    samples_before = group_samples()
 
     def refuse(*args, **kwargs):
         raise AssertionError("an inverse or a matrix power was formed")
@@ -1582,6 +1623,7 @@ def test_no_command_forms_an_inverse_or_a_matrix_power(tmp_path, monkeypatch):
     monkeypatch.setattr(np.linalg, "inv", refuse)
     monkeypatch.setattr(np.linalg, "matrix_power", refuse)
     assert [run_in_process(argv) for argv in commands] == before
+    assert all(map(np.array_equal, group_samples(), samples_before))
 
 
 def test_in_process_sequence_matches_fresh_processes(tmp_path, monkeypatch):
@@ -1759,7 +1801,7 @@ class TestScaleInvariance:
         else:
             H = o.Subgroup(o.FiniteAbelianGroup((6,)), [(1,)])
             rep, a = representation_from_characters(rng, H, distortion=0.2)
-            T, gens = rep.op((1,)), [a]
+            (T,), gens = group_operators(rep, [(1,)]), [a]
             doc = {"model": "lca", "group": {"moduli": [6], "H_gens": [[1]], "M_gens": [[2]]}}
         T = T + 10.0**size * np.max(np.abs(T)) * rng.standard_normal(T.shape)
         samplers = [rng.standard_normal(6) + 1j * rng.standard_normal(6) for _ in range(4)]

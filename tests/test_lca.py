@@ -24,8 +24,8 @@ from orbitsamp.cyclic import (
 )
 from orbitsamp.duals import FrameError
 from orbitsamp.hilbert import RANK_TOL, LinearOperator
-from instances import representation_from_characters
-from oracles import orbit_law_holds, unique_dual_classes
+from instances import group_operators, representation_from_characters
+from oracles import normal_form, normal_form_operator, orbit_law_holds, unique_dual_classes
 from orbitsamp.lca import (
     DualGroup,
     FiniteAbelianGroup,
@@ -205,9 +205,10 @@ class TestRepresentation:
         g = FiniteAbelianGroup((4,))
         h = Subgroup(g, [(1,)])
         rep = GroupRepresentation(h, [shift_matrix(4)])
-        assert np.allclose(rep.op((0,)), np.eye(4))
-        assert np.allclose(rep.op((3,)), np.linalg.matrix_power(shift_matrix(4), 3))
-        assert np.allclose(rep.op((3,)) @ rep.op((1,)), np.eye(4))
+        zero, three, one = group_operators(rep, [(0,), (3,), (1,)])
+        assert np.allclose(zero, np.eye(4))
+        assert np.allclose(three, np.linalg.matrix_power(shift_matrix(4), 3))
+        assert np.allclose(three @ one, np.eye(4))
 
     def test_non_homomorphic_rejected(self):
         # the shift on C^4 has order 4, not 2: refused on the orbit it acts on
@@ -226,10 +227,10 @@ class TestRepresentation:
         g = FiniteAbelianGroup((6,))
         h = Subgroup(g, [(1,)])
         rep, _ = representation_from_characters(rng, h, distortion=0.2)
-        for k in range(6):
-            lhs = rep.op((-k,))
-            rhs = np.linalg.inv(rep.op((k,)))
-            assert np.max(np.abs(lhs - rhs)) < 1e-8
+        negative = group_operators(rep, [(-k,) for k in range(6)])
+        positive = group_operators(rep, [(k,) for k in range(6)])
+        for lhs, op in zip(negative, positive):
+            assert np.max(np.abs(lhs - np.linalg.inv(op))) < 1e-8
 
 
 class TestGroupSpectrum:
@@ -322,8 +323,10 @@ class TestGroupReconstruction:
         xh = group_reconstruct(group_duals(spectrum), samples)
         # dense oracle: solve the full sampling system for the coefficients
         orbit = spectrum.orbit
+        forms = normal_form(h)
         S = np.array([
-            (rep.op(np.negative(mm)).conj().T @ b).conj() @ orbit
+            (normal_form_operator(ops, forms[add(g, identity(g), np.negative(mm))]).conj().T
+             @ b).conj() @ orbit
             for b in spectrum.samplers
             for mm in spectrum.M.elements
         ])
@@ -405,7 +408,63 @@ class TestSubgroupEnumeration:
             best = min(best, time.perf_counter() - start)
         assert best < 0.05
         assert rows(H.elements) == closure(group, [(gen,)])
-        assert H.relations.tolist() == [[H.order]]
+        assert H.steps == (H.order,)
+
+
+@st.composite
+def subgroup_pairs(draw):
+    """Moduli and two generator lists of up to three unreduced elements each;
+    empty lists, zero generators and moduli of 1 give trivial subgroups."""
+    moduli = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=3)))
+    element = st.tuples(*(st.integers(-7, 7) for _ in moduli))
+    return moduli, draw(st.lists(element, max_size=3)), draw(st.lists(element, max_size=3))
+
+
+class TestStepsAndCoordinates:
+    @settings(max_examples=80, deadline=None)
+    @given(case=subgroup_pairs())
+    @example(case=((1,), [], []))
+    @example(case=((4, 6), [(0, 0)], [(2, 0), (1, 3)]))
+    @example(case=((4, 6), [(2, 0), (1, 3)], [(0, 3)]))
+    @example(case=((6, 6), [(0, 0), (3, 3), (2, 4)], [(3, 3)]))
+    def test_subgroup_laws(self, case):
+        moduli, gens, others = case
+        group = FiniteAbelianGroup(moduli)
+        H, K = Subgroup(group, gens), Subgroup(group, others)
+        assert rows(H.elements) == closure(group, rows(H.generators))
+        assert len(H.steps) == len(gens) and math.prod(H.steps) == H.order
+        # d_i g_i lies in <g_{i+1}..g_k> and no smaller positive multiple does
+        for i, (d, g) in enumerate(zip(H.steps, rows(H.generators))):
+            later = set(closure(group, rows(H.generators[i + 1:])))
+            multiples = [add(group, np.multiply(n, g), identity(group)) for n in range(1, d + 1)]
+            assert multiples[-1] in later and later.isdisjoint(multiples[:-1])
+        # the coordinates rebuild every element, each from one row of the box
+        n = H.coordinates(H.elements)
+        assert n.shape == (H.order, len(gens))
+        assert ((n >= 0) & (n < np.array(H.steps, dtype=int))).all()
+        assert np.array_equal(group.reduce(n @ H.generators), H.elements)
+        assert dict(zip(rows(H.elements), rows(n))) == normal_form(H)
+        # containment read from generators agrees with containment of elements
+        for A, B in ((K, H), (H, K), (H, H)):
+            assert A.is_subgroup_of(B) == set(rows(A.elements)).issubset(rows(B.elements))
+
+    @pytest.mark.parametrize("adjoint", [False, True])
+    def test_subgroup_orbit_steps_by_coordinate_chains(self, adjoint):
+        # operators that do not commute: the order of each chain shows
+        rng = np.random.default_rng(7)
+        group = FiniteAbelianGroup((4, 6))
+        H = Subgroup(group, [(1, 0), (0, 1)])
+        K = Subgroup(group, [(1, 2), (2, 3)])
+        mats = [rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)) for _ in range(2)]
+        rep = GroupRepresentation(H, mats)
+        v = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+        steps = [normal_form_operator(mats, normal_form(H)[g]) for g in rows(K.generators)]
+        if adjoint:
+            steps = [P.conj().T for P in steps]
+        forms = normal_form(K)
+        want = np.column_stack([normal_form_operator(steps, forms[k]) @ v for k in rows(K.elements)])
+        got = rep.orbit(v, K, adjoint=adjoint)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestRelationCheck:
@@ -414,7 +473,8 @@ class TestRelationCheck:
         h = Subgroup(g, [(2, 0), (1, 3)])
         assert h.elements.tolist() == [[0, 0], [1, 3], [2, 0], [3, 3]]
         # (2, 0) = 2 (1, 3) in Z4 x Z6, and (1, 3) has order 4
-        assert h.relations.tolist() == [[1, -2], [0, 4]]
+        assert h.steps == (1, 4)
+        assert h.coordinates(h.generators).tolist() == [[0, 2], [0, 1]]
 
     @settings(max_examples=60, deadline=None)
     @given(case=assignments())
@@ -428,10 +488,10 @@ class TestRelationCheck:
         moduli, gens, mode, which, q, seed = case
         g = FiniteAbelianGroup(moduli)
         H = Subgroup(g, gens)
-        for row in H.relations:
-            total = [int(n) * np.array(e) for n, e in zip(row, H.generators)]
-            assert not g.reduce([sum(total)]).any()
-        assert int(np.prod(np.diag(H.relations))) == H.order
+        # d_i g_i lies in <g_{i+1}..g_k>: its coordinates vanish up to i
+        for i, (d, gen) in enumerate(zip(H.steps, H.generators)):
+            assert not H.coordinates(g.reduce([d * gen]))[0, : i + 1].any()
+        assert math.prod(H.steps) == H.order
         # characters of H in a random unitary basis: a representation, and
         # a = V 1 spans it; a root-of-unity factor may break a relation (a
         # wrong order), a rotation of one generator breaks commutation, and

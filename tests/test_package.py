@@ -1,5 +1,6 @@
 """Every module of the package is reached from ``orbitsamp`` or ``orbitsamp.cli``:
-code that no entry point imports lives under ``tests/`` or ``scripts/``."""
+code that no entry point imports lives under ``tests/`` or ``scripts/``.  Matrix
+powers and inverses are formed in ``hilbert.py`` alone."""
 
 import glob
 import os
@@ -28,3 +29,14 @@ def test_every_module_is_imported():
     loaded = {name.split(".", 1)[1] for name in proc.stdout.split()} | {"__init__"}
     assert "cli" in modules and "hilbert" in modules
     assert [name for name in modules if name not in loaded] == []
+
+
+def test_powers_and_inverses_only_in_hilbert():
+    # the models step orbits by their operators; only hilbert.LinearOperator forms either
+    found = set()
+    for path in glob.glob(os.path.join(SRC, "orbitsamp", "*.py")):
+        with open(path) as fh:
+            text = fh.read()
+        if "matrix_power" in text or "linalg.inv" in text:
+            found.add(os.path.basename(path))
+    assert found == {"hilbert.py"}
