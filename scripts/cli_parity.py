@@ -18,8 +18,7 @@ from that tree and sends one fixed corpus through ``cli.main`` in process:
   subspace element built through the library's public API, with that
   element as the problem's ``truth``;
 - ``pr-check`` on the shift problems, filter banks among them;
-- ``spline-demo`` at (K, p) = (3, 4), (9, 6) and (15, 10), runtime line masked;
-- ``lca-demo`` on its built-in problem and on every lca problem.
+- ``spline-demo`` at (K, p) = (3, 4), (9, 6) and (15, 10), runtime line masked.
 
 Exit codes, stdout, stderr and the bytes of every file a command writes must
 match; every differing line of stdout and stderr is printed.  When a
@@ -168,10 +167,7 @@ def corpus(o, problems):
             commands.append((argv, lambda doc=doc: _write_inputs(doc, _element_samples(o, doc))))
         if model == "shift":  # a problem without filter pairs checks the refusal
             commands.append((["pr-check", "--input", path], None))
-        if model == "lca":
-            commands.append((["lca-demo", "--input", path], None))
     commands += [(["spline-demo", "--K", str(K), "--p", str(p)], None) for K, p in SPLINES]
-    commands.append((["lca-demo"], None))
     return commands
 
 

@@ -115,27 +115,21 @@ def _require(doc, key, where="problem"):
     return doc[key]
 
 
-def _sequence(doc, name):
-    entry = doc.get(name)
-    if entry is None:
-        raise SchemaError(f"sequences: missing sequence {name!r}")
-    if not isinstance(entry, dict) or "offset" not in entry or "values" not in entry:
-        raise SchemaError(f"sequences.{name}: need 'offset' and 'values'")
-    return FiniteSequence(
-        offset=_int(entry["offset"], f"sequences.{name}.offset"),
-        values=_vector(entry["values"], f"sequences.{name}"),
-    )
-
-
 def _named_sequences(doc):
-    """The ``sequences`` object of a shift problem; each name is ``g<n>`` or ``h<n>``."""
+    """The parsed ``sequences`` of a shift problem, by name; each is ``g<n>`` or ``h<n>``."""
     seqs = _require(doc, "sequences")
     if not isinstance(seqs, dict):
         raise SchemaError("sequences: expected an object of named sequences")
     for name in seqs:
         if name[:1] not in ("g", "h") or not name[1:].isdecimal():
             raise SchemaError(f"sequences: unknown sequence name {name!r} (expected g<n> or h<n>)")
-    return seqs
+    parsed = {}
+    for name, entry in seqs.items():
+        if not isinstance(entry, dict) or "offset" not in entry or "values" not in entry:
+            raise SchemaError(f"sequences.{name}: need 'offset' and 'values'")
+        parsed[name] = FiniteSequence(offset=_int(entry["offset"], f"sequences.{name}.offset"),
+                                      values=_vector(entry["values"], f"sequences.{name}"))
+    return parsed
 
 
 def _read_json(path, what):
@@ -239,6 +233,13 @@ def _frame_verdict(fc, tol):
     return fc.sigma_ratio > tol
 
 
+def _print_pr_report(pr):
+    print(f"PR torus residual on {pr.torus_grid} points: {_fmt(pr.max_residual)}")
+    print(f"PR torus residual relative to max |G||H|: {_fmt(pr.relative_residual)}")
+    print(f"time-domain round-trip max relative error: {_fmt(pr.roundtrip_error)}")
+    print(f"perfect reconstruction: {'pass' if pr.passed else 'fail'}")
+
+
 def _write_duals(prefix, vectors):
     for j, c in enumerate(vectors, start=1):
         write_vector_csv(f"{prefix}.c{j}.csv", c)
@@ -322,22 +323,24 @@ class _Cyclic:
 
 
 class _Shift:
-    """Shift-invariant spaces: recoverable on ``sigma_min/sigma_max`` over the grid."""
+    """Shift-invariant spaces: recoverable on ``sigma_min/sigma_max`` over the grid;
+    a file of ``h<n>``/``g<n>`` pairs is also a filter bank for ``pr_check``."""
 
     FIELDS = ("model", "sequences", "method", "dual_length", "r", "grid")
 
     def __init__(self, doc):
-        seqs_doc = _named_sequences(doc)
-        names = [n for n in seqs_doc if n.startswith("g")]
+        self.named = _named_sequences(doc)
+        names = [n for n in self.named if n.startswith("g")]
         if not names:
             raise SchemaError("sequences: need g1..gs entries")
         names.sort(key=lambda n: (int(n[1:]), n))
-        self.seqs = [_sequence(seqs_doc, n) for n in names]
+        self.seqs = [self.named[n] for n in names]
         self.method = doc.get("method", "pseudoinverse")
         if self.method not in ("pseudoinverse", "bezout"):
             raise SchemaError(f"method: expected 'pseudoinverse' or 'bezout', got {self.method!r}")
         r = _int(doc.get("r", 1), "r")
-        Q = _int(doc.get("grid", 1024), "grid") * r
+        self.grid = _int(doc.get("grid", 1024), "grid")
+        Q = self.grid * r
         self.field = spectral.build_spectral_field(self.seqs, r, Q)
         self.dual_length = _int(doc.get("dual_length", min(65, Q)), "dual_length")
         if not 1 <= self.dual_length <= Q:
@@ -392,6 +395,28 @@ class _Shift:
             "reconstruct supports the cyclic and lca models; use pr-check for filter banks"
         )
 
+    def pr_check(self):
+        """Print the polyphase matrices of the bank and certify it on ``grid`` torus points."""
+        names = sorted(self.named)
+        pairs = range(1, 1 + sum(n[0] == "h" for n in names))
+        if not pairs or names != sorted(f"{p}{j}" for j in pairs for p in "hg"):
+            got = f", got {', '.join(names)}" if pairs else ""
+            raise SchemaError(f"sequences: need analysis/synthesis pairs h1/g1, h2/g2, ...{got}")
+        bank = _loaded(spectral.FilterBank, analysis=[self.named[f"h{j}"] for j in pairs],
+                       synthesis=[self.named[f"g{j}"] for j in pairs], r=self.field.r)
+        pr = _loaded(spectral.perfect_reconstruction_check, bank, self.grid)
+        Hp, Gp = spectral.polyphase(bank)
+        print("analysis polyphase matrix H(z):")
+        for jrow, row in enumerate(Hp, start=1):
+            for k, entry in enumerate(row):
+                print(f"  H[{jrow},{k}] = {entry}")
+        print("synthesis polyphase matrix G(z):")
+        for k, row in enumerate(Gp):
+            for jcol, entry in enumerate(row, start=1):
+                print(f"  G[{k},{jcol}] = {entry}")
+        _print_pr_report(pr)
+        return pr.passed
+
 
 class _Lca:
     """One orbit of a finite abelian group: recoverable on ``sigma_min/sigma_max``."""
@@ -423,6 +448,9 @@ class _Lca:
         spectrum = self.spectrum
         print(f"|H| = {spectrum.rep.H.order}, |M| = {spectrum.M.order}, r = {spectrum.r}, "
               f"|Omega| = {len(spectrum.cells)}")
+        print(f"annihilator labels: {list(map(tuple, spectrum.perp.tolist()))}")
+        section = spectrum.dual.labels[spectrum.cells[:, 0]]
+        print(f"section labels: {list(map(tuple, section.tolist()))}")
         return _frame_verdict(spectrum.frame, tol)
 
     def dual(self, U, tol, prefix):
@@ -505,13 +533,6 @@ def cmd_reconstruct(args):
     return 0
 
 
-def _print_pr_report(pr):
-    print(f"PR torus residual on {pr.torus_grid} points: {_fmt(pr.max_residual)}")
-    print(f"PR torus residual relative to max |G||H|: {_fmt(pr.relative_residual)}")
-    print(f"time-domain round-trip max relative error: {_fmt(pr.roundtrip_error)}")
-    print(f"perfect reconstruction: {'pass' if pr.passed else 'fail'}")
-
-
 def cmd_spline_demo(args):
     t0 = time.perf_counter()
     # the bank's second channel reads the stride-K component at offset 1
@@ -547,73 +568,7 @@ def cmd_pr_check(args):
     doc = load_problem(args.input)
     if doc["model"] != "shift":
         raise SchemaError("pr-check needs a shift-model problem with filter sequences")
-    _known_fields(doc, _Shift.FIELDS, "shift problem")
-    seqs_doc = _named_sequences(doc)
-    r = _int(doc.get("r", 1), "r")
-    names = sorted(seqs_doc)
-    pairs = range(1, 1 + sum(n[0] == "h" for n in names))
-    if not pairs or names != sorted(f"{p}{j}" for j in pairs for p in "hg"):
-        got = f", got {', '.join(names)}" if pairs else ""
-        raise SchemaError(f"sequences: need analysis/synthesis pairs h1/g1, h2/g2, ...{got}")
-    hs = [_sequence(seqs_doc, f"h{j}") for j in pairs]
-    gs = [_sequence(seqs_doc, f"g{j}") for j in pairs]
-    bank = _loaded(spectral.FilterBank, analysis=hs, synthesis=gs, r=r)
-    pr = _loaded(spectral.perfect_reconstruction_check, bank, args.grid or 1024)
-    Hp, Gp = spectral.polyphase(bank)
-    print("analysis polyphase matrix H(z):")
-    for jrow, row in enumerate(Hp, start=1):
-        for k, entry in enumerate(row):
-            print(f"  H[{jrow},{k}] = {entry}")
-    print("synthesis polyphase matrix G(z):")
-    for k, row in enumerate(Gp):
-        for jcol, entry in enumerate(row, start=1):
-            print(f"  G[{k},{jcol}] = {entry}")
-    _print_pr_report(pr)
-    return 0 if pr.passed else 1
-
-
-_DEFAULT_LCA_DEMO = {
-    "model": "lca",
-    "dimension": 4,
-    "operator": [
-        [[0, 0], [0, 0], [0, 0], [1, 0]],
-        [[1, 0], [0, 0], [0, 0], [0, 0]],
-        [[0, 0], [1, 0], [0, 0], [0, 0]],
-        [[0, 0], [0, 0], [1, 0], [0, 0]],
-    ],
-    "generators": [[[1, 0], [0, 0], [0, 0], [0, 0]]],
-    "samplers": [
-        [[1, 0], [0, 0], [0, 0], [0, 0]],
-        [[0, 0], [1, 0], [0, 0], [0, 0]],
-    ],
-    "group": {"moduli": [4], "H_gens": [[1]], "M_gens": [[2]]},
-}
-
-
-def cmd_lca_demo(args):
-    if args.input:
-        doc = load_problem(args.input)
-        if doc["model"] != "lca":
-            raise SchemaError("lca-demo needs an lca-model problem")
-    else:
-        doc = _DEFAULT_LCA_DEMO
-        print("using the built-in Z_4 demo problem")
-    model = _load_model(doc)
-    spectrum = model.spectrum
-    print(f"|H| = {spectrum.rep.H.order}, |M| = {spectrum.M.order}, r = {spectrum.r}")
-    print(f"annihilator labels: {list(map(tuple, spectrum.perp.tolist()))}")
-    section = spectrum.dual.labels[spectrum.cells[:, 0]]
-    print(f"section labels: {list(map(tuple, section.tolist()))}")
-    if not _frame_verdict(spectrum.frame, args.tol):
-        return _recoverable(False)
-    rng = np.random.default_rng(0)
-    n = spectrum.rep.H.order
-    coeff = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    x = spectrum.orbit @ coeff
-    x_hat, _ = model.reconstruct(lca.take_group_samples(spectrum, x), args.tol)
-    resid = float(np.linalg.norm(x_hat - x) / np.linalg.norm(x))
-    print(f"round-trip relative residual on a random subspace element: {_fmt(resid)}")
-    return _recoverable(resid <= 1e-8)
+    return 0 if _load_model(doc, args.grid).pr_check() else 1
 
 
 # -- entry point -------------------------------------------------------------
@@ -637,9 +592,7 @@ _COMMANDS = {
     "reconstruct": (cmd_reconstruct, "rebuild a vector from samples", "input out tol samples"),
     "spline-demo": (cmd_spline_demo, "compact-support dual demo", "K p grid"),
     "pr-check": (cmd_pr_check, "filter-bank certification", "input grid"),
-    "lca-demo": (cmd_lca_demo, "finite-group pipeline demo", "input tol"),
 }
-_OPTIONAL_INPUT = ("spline-demo", "lca-demo")
 
 
 @functools.cache  # one parser per process: ``parse_args`` leaves it unchanged
@@ -670,7 +623,7 @@ def _check_flags(args):
     tol = getattr(args, "tol", 0.0)
     if not (math.isfinite(tol) and tol >= 0):
         raise SchemaError(f"--tol must be a finite nonnegative number, got {tol}")
-    if args.command not in _OPTIONAL_INPUT and not args.input:
+    if "input" in vars(args) and not args.input:
         raise SchemaError("--input is required for this command")
 
 

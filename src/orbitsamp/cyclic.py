@@ -20,6 +20,7 @@ import numpy as np
 
 from .duals import DualFamily, family_member
 from .hilbert import ORBIT_LAW_TOL, RANK_TOL, LinearOperator, as_cvector, require_full_rank
+from .spectral import MAX_GRID_ENTRIES
 
 __all__ = [
     "CyclicSubspaceSpec",
@@ -130,7 +131,12 @@ class SamplingScheme:
         samplers = [as_cvector(b, spec.operator.dim) for b in samplers]
         if not samplers:
             raise ValueError("need at least one sampler")
-        return cls(samplers=samplers, r=r, ell=N // r)
+        ell = N // r
+        entries = len(samplers) * ell * spec.total_order
+        if entries > MAX_GRID_ENTRIES:  # before R, or any table of its size, is formed
+            raise ValueError(f"sample matrix R would hold {entries} entries, more than "
+                             f"{MAX_GRID_ENTRIES} (1 GiB)")
+        return cls(samplers=samplers, r=r, ell=ell)
 
     @property
     def s(self):

@@ -158,7 +158,7 @@ class Subgroup:
 
     def is_subgroup_of(self, other):
         """A subgroup lies in ``other`` iff its generators do."""
-        return self.group is other.group and other._find(self.generators)[1]
+        return self.group == other.group and other._find(self.generators)[1]
 
 
 def _phases(group, labels, elements):

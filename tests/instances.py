@@ -27,6 +27,7 @@ __all__ = [
     "CyclicInstanceConfig",
     "CyclicInstance",
     "operator_with_orders",
+    "block_permutation",
     "random_cyclic_instance",
     "representation_from_characters",
     "group_operators",
@@ -80,6 +81,18 @@ def operator_with_orders(rng, dim, orders, *, distortion=0.0):
         generators.append(V @ coeff)
         off += n
     return op, generators
+
+
+def block_permutation(orders):
+    """A cyclic permutation block of size ``N_l`` per order, in ``sum(orders)``
+    dimensions; returns ``(matrix, generators)`` with generator ``l`` the first
+    basis vector of block ``l``, so its orbit period is exactly ``N_l``."""
+    dim = sum(orders)
+    matrix, basis = np.zeros((dim, dim)), np.eye(dim)
+    starts = np.cumsum((0, *orders[:-1]))
+    for start, n in zip(starts, orders):
+        matrix[start + (np.arange(n) + 1) % n, start + np.arange(n)] = 1.0
+    return matrix, [basis[start] for start in starts]
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,16 @@ import copy
 import functools
 import glob
 import io
+import itertools
 import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
+import time
 import types
 import warnings
 
@@ -22,6 +25,7 @@ from orbitsamp import cli
 from orbitsamp.hilbert import RANK_TOL
 from instances import (
     CyclicInstanceConfig,
+    block_permutation,
     group_operators,
     operator_with_orders,
     random_cyclic_instance,
@@ -178,6 +182,22 @@ class TestAnalyze:
 
     def test_missing_input_exit_two(self):
         assert cli.main(["analyze"]) == 2
+
+    def test_sample_matrix_beyond_budget_exit_two(self, tmp_path):
+        # s * ell * sum(N_l) = 2 * lcm(13, ..., 43) * 253 entries: refused before R is formed
+        orders = [13, 17, 19, 23, 29, 31, 37, 41, 43]
+        matrix, generators = block_permutation(orders)
+        doc = {"model": "cyclic", "dimension": sum(orders), "orders": orders, "r": 1,
+               "operator": [cpairs(row) for row in matrix],
+               "generators": [cpairs(a) for a in generators],
+               "samplers": [cpairs(generators[0]), cpairs(generators[1])]}
+        start = time.perf_counter()
+        proc = run_cli("analyze", "--input", write_problem(tmp_path, doc))
+        assert time.perf_counter() - start < 30
+        assert proc.returncode == 2 and proc.stdout == ""
+        entries = 2 * math.lcm(*orders) * sum(orders)
+        assert proc.stderr.startswith(f"error: sample matrix R would hold {entries} entries")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
 class TestDual:
@@ -897,17 +917,32 @@ class TestPrCheck:
         path = write_problem(tmp_path, doc)
         assert cli.main(["pr-check", "--input", path]) == 1
 
+    def test_grid_field_sets_the_torus(self, tmp_path, capsys):
+        path = write_problem(tmp_path, dict(bank_problem(), grid=64))
+        for extra, points in (([], 64), (["--grid", "128"], 128)):
+            assert cli.main(["pr-check", "--input", path, *extra]) == 0
+            assert f"PR torus residual on {points} points: " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("key, value", [("grid", 8), ("grid", "x"), ("dual_length", 0),
+                                            ("method", "bogus")])
+    def test_shift_field_checked(self, tmp_path, key, value):
+        # pr-check loads the file as every shift command does
+        path = write_problem(tmp_path, {**bank_problem(), key: value})
+        proc = run_cli("pr-check", "--input", path)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+
 
 class TestLcaDemo:
-    def test_builtin_demo(self, capsys):
-        assert cli.main(["lca-demo"]) == 0
-        out = capsys.readouterr().out
-        assert "r = 2" in out
-        assert "recoverable: yes" in out
+    """The Z_4 demo problem, written as a problem file, runs through ``analyze``."""
 
     def test_problem_file(self, tmp_path, capsys):
         path = write_problem(tmp_path, lca_problem())
-        assert cli.main(["lca-demo", "--input", path]) == 0
+        assert cli.main(["analyze", "--input", path]) == 0
+        out = capsys.readouterr().out
+        assert "r = 2" in out
+        assert "recoverable: yes" in out
 
 
 class TestShippedProblems:
@@ -933,8 +968,23 @@ class TestShippedProblems:
         assert cli.main(["pr-check", "--input", path]) == 0
         assert "perfect reconstruction: pass" in capsys.readouterr().out
 
-    def test_lca_z4(self):
-        assert cli.main(["lca-demo", "--input", f"{self.ROOT}/problems/lca_z4.json"]) == 0
+    def test_lca_z4(self, tmp_path, capsys):
+        # analyze names the annihilator of M and the section; reconstruct inverts the samples
+        path = f"{self.ROOT}/problems/lca_z4.json"
+        assert cli.main(["analyze", "--input", path]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[1].startswith("|H| = 4, |M| = 2, r = 2,")
+        assert out[2:4] == ["annihilator labels: [(0,), (2,)]", "section labels: [(0,), (1,)]"]
+        assert out[-1] == "recoverable: yes"
+        with open(path) as fh:
+            spectrum = cli._Lca(json.load(fh)).spectrum
+        x = spectrum.orbit @ np.array([1 + 2j, -0.5, 3j, 0.25])
+        samples = str(tmp_path / "s.csv")
+        cli.write_vector_csv(samples, o.take_group_samples(spectrum, x))
+        argv = ["reconstruct", "--input", path, "--samples", samples, "--out", str(tmp_path / "r")]
+        assert cli.main(argv) == 0
+        _, x_hat = cli.read_vector_csv(str(tmp_path / "r.x.csv"))
+        assert np.linalg.norm(x_hat - x) <= 1e-12 * np.linalg.norm(x)
 
 
 class TestUndeclaredInput:
@@ -975,6 +1025,15 @@ class TestUndeclaredInput:
         path = os.path.join(ROOT, "problems", "bank_spline.json")
         assert cli.main(["analyze", "--input", path]) == 0
         assert "recoverable: yes" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["analyze", "dual"])
+    def test_bank_h_sequence_parsed(self, tmp_path, command):
+        # analyze and dual read only the g's, yet a malformed h exits 2 as in pr-check
+        doc = bank_problem()
+        doc["sequences"]["h1"] = {"offset": "x", "values": 5}
+        proc = run_cli(*self.shift_argv(command, doc, tmp_path))
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == "error: sequences.h1.offset: expected an integer, got 'x'\n"
 
     @staticmethod
     def shift_argv(command, doc, tmp_path):
@@ -1221,7 +1280,8 @@ class TestMalformedNumbers:
              "--tol", "nan"],
             ["analyze", "--input", os.path.join(ROOT, "problems", "cyclic_rank2.json"),
              "--tol", "-1"],
-            ["lca-demo", "--tol", "inf"],
+            ["analyze", "--input", os.path.join(ROOT, "problems", "lca_z4.json"),
+             "--tol", "inf"],
         ],
         ids=lambda argv: " ".join(a for a in argv if not a.endswith(".json")),
     )
@@ -1259,7 +1319,8 @@ class TestMalformedNumbers:
             ["analyze", "--input", os.path.join(ROOT, "problems", "cyclic_perm.json"),
              "--out", "x"],
             ["spline-demo", "--K", "3", "--p", "4", "--tol", "1e-3"],
-            ["lca-demo", "--grid", "64"],
+            ["reconstruct", "--input", os.path.join(ROOT, "problems", "lca_z4.json"),
+             "--samples", "s.csv", "--grid", "64"],
             ["pr-check", "--input", os.path.join(ROOT, "problems", "bank_spline.json"),
              "--tol", "1e-3"],
         ],
@@ -1569,9 +1630,8 @@ def design_rung_problem(rng, moduli, M_gens):
 
 def test_no_command_forms_an_inverse_or_a_matrix_power(tmp_path, monkeypatch):
     # analyze, dual and reconstruct on every shipped cyclic and lca problem
-    # and on one problem per lca design rung, lca-demo on its built-in problem
-    # and on every shipped lca problem, and take_group_samples on every lca
-    # problem: the same outcomes without them
+    # and on one problem per lca design rung, and take_group_samples on every
+    # lca problem: the same outcomes without them
     problems = []
     for path in sorted(glob.glob(os.path.join(ROOT, "problems", "*.json"))):
         with open(path) as fh:
@@ -1589,7 +1649,7 @@ def test_no_command_forms_an_inverse_or_a_matrix_power(tmp_path, monkeypatch):
     for moduli, M_gens in LCA_DESIGN_RUNGS:
         doc, samples = design_rung_problem(rng, moduli, M_gens)
         problems.append((doc, None, samples))
-    commands, demos = [], [["lca-demo"]]
+    commands = []
     for k, (doc, x, samples) in enumerate(problems):
         if x is not None:
             doc = dict(doc, truth=cpairs(x))
@@ -1598,15 +1658,10 @@ def test_no_command_forms_an_inverse_or_a_matrix_power(tmp_path, monkeypatch):
         cli.write_vector_csv(spath, samples)
         commands += [["analyze", "--input", path], ["dual", "--input", path, "--out", out],
                      ["reconstruct", "--input", path, "--samples", spath, "--out", out]]
-        if doc["model"] == "lca" and x is not None:
-            demos.append(["lca-demo", "--input", path])
-    commands += demos
     before = [run_in_process(argv) for argv in commands]
     # cyclic_rank2.json is not recoverable; every other problem is
     assert sorted({rc for rc, *_ in before}) == [0, 1]
-    rungs = slice(-3 * len(LCA_DESIGN_RUNGS) - len(demos), -len(demos))
-    assert {rc for rc, *_ in before[rungs]} == {0}
-    assert [rc for rc, *_ in before[-len(demos):]] == [0] * len(demos) and len(demos) > 1
+    assert {rc for rc, *_ in before[-3 * len(LCA_DESIGN_RUNGS):]} == {0}
     # the analyzers are formed on first read, by a fresh spectrum each time
     lca_docs = [dict(doc, truth=cpairs(x)) if x is not None else doc
                 for doc, x, _ in problems if doc["model"] == "lca"]
@@ -1645,7 +1700,7 @@ def test_in_process_sequence_matches_fresh_processes(tmp_path, monkeypatch):
         ["dual", "--input", problem("shift_spline.json"), "--out", out],
         ["analyze", "--input", problem("shift_spline.json"), "--grid", "8"],
         ["pr-check", "--input", problem("bank_spline.json")],
-        ["lca-demo", "--input", problem("lca_z4.json")],
+        ["analyze", "--input", problem("lca_z4.json")],
         ["reconstruct", "--input", cyc, "--out", out],
         ["analyze", "--input", cyc],
     ]
@@ -1662,6 +1717,18 @@ def test_in_process_sequence_matches_fresh_processes(tmp_path, monkeypatch):
         proc = run_cli(*argv)
         assert written((proc.returncode, proc.stdout, proc.stderr)) == expected, argv
 
+
+
+def test_readme_command_table_matches_the_parser():
+    # a removed command or flag cannot linger in the docs, nor a new one go unlisted
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        lines = fh.read().split("| command | flags |\n|---|---|\n", 1)[1].splitlines()
+    rows = itertools.takewhile(lambda line: line.startswith("| `"), lines)
+    table = {}
+    for row in rows:
+        name, flags = row.strip("|").split("|")
+        table[name.strip(" `")] = sorted(re.findall(r"`--([\w-]+)`", flags))
+    assert table == {name: sorted(flags.split()) for name, (_, _, flags) in cli._COMMANDS.items()}
 
 
 class TestScaleInvariance:

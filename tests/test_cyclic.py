@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -19,8 +20,10 @@ from orbitsamp.cyclic import (
     take_samples,
 )
 from orbitsamp.hilbert import LinearOperator
+from orbitsamp.spectral import MAX_GRID_ENTRIES
 from instances import (
     CyclicInstanceConfig,
+    block_permutation,
     operator_with_orders,
     random_cyclic_instance,
 )
@@ -162,6 +165,24 @@ class TestBuildSampleMatrix:
         spec = shift_spec(4)
         with pytest.raises(ValueError):
             SamplingScheme.for_spec(spec, [np.eye(4)[0]], 3)
+
+    def test_sample_matrix_beyond_budget_refused(self):
+        # ell = lcm(13, ..., 43) = 5.66e12 rows per sampler: refused before R is allocated
+        orders = [13, 17, 19, 23, 29, 31, 37, 41, 43]
+        matrix, generators = block_permutation(orders)
+        spec = CyclicSubspaceSpec(LinearOperator(matrix), generators, orders)
+        entries = 2 * math.lcm(*orders) * sum(orders)
+        with pytest.raises(ValueError, match=f"R would hold {entries} entries"):
+            SamplingScheme.for_spec(spec, [generators[0], generators[1]], 1)
+
+    def test_sample_matrix_budget_is_inclusive(self):
+        # s * ell * sum(N_l) against MAX_GRID_ENTRIES, read from the spec's orders alone
+        side = math.isqrt(MAX_GRID_ENTRIES)
+        spec = types.SimpleNamespace(lcm_order=side, total_order=side,
+                                     operator=types.SimpleNamespace(dim=1))
+        assert SamplingScheme.for_spec(spec, [[1.0]], 1).ell == side
+        with pytest.raises(ValueError, match="R would hold"):
+            SamplingScheme.for_spec(spec, [[1.0], [1.0]], 1)
 
 
 class TestTakeSamples:
