@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare the CLI of two source trees, command by command.
 
-    python3 scripts/cli_parity.py [--seeds N ...] BASE_SRC CHANGE_SRC [problem.json ...]
+    python3 scripts/cli_parity.py [--seeds N ...] [--npy] BASE_SRC CHANGE_SRC [problem.json ...]
 
 Each tree runs in a child interpreter of its own, which imports ``orbitsamp``
 from that tree and sends one fixed corpus through ``cli.main`` in process:
@@ -19,6 +19,11 @@ from that tree and sends one fixed corpus through ``cli.main`` in process:
   element as the problem's ``truth``;
 - ``pr-check`` on the shift problems, filter banks among them;
 - ``spline-demo`` at (K, p) = (3, 4), (9, 6) and (15, 10), runtime line masked.
+
+With ``--npy`` the change side reads every problem, ``reconstruct`` input
+and ``U`` in its binary form: each vector and matrix is written to a
+complex ``.npy`` file beside the JSON, which refers to it as ``{"npy":
+name}``.  Run on one tree, it checks that the two forms give the same output.
 
 Exit codes, stdout, stderr and the bytes of every file a command writes must
 match; every differing line of stdout and stderr is printed.  When a
@@ -55,7 +60,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 SPLINES = ((3, 4), (9, 6), (15, 10))
 DESIGNS = ("cyclic-design", "lca-design", "shift-design")
-INPUTS = ("p.json", "s.csv", "u.json")
+INPUTS = ("p.json", "s.csv", "u.json")  # and the .npy files of the binary form
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
@@ -105,7 +110,34 @@ def _element_samples(o, doc):
         return None
 
 
-def _u_matrix(o, doc):
+def _npy(value, path, field):
+    """``{"npy": name}`` for an array saved beside ``path``, named from ``field``."""
+    name = f"{os.path.splitext(os.path.basename(path))[0]}.{field}.npy"
+    np.save(os.path.join(os.path.dirname(path), name), _pairs(value))
+    return {"npy": name}
+
+
+def write_json(path, doc, npy=False):
+    """Write ``doc`` to ``path``; with ``npy`` its vectors and matrices (the
+    whole of a ``U``) go to ``.npy`` files beside it, which it refers to."""
+    if npy and isinstance(doc, list):
+        doc = _npy(doc, path, "u")
+    elif npy:
+        doc = dict(doc)
+        for key in ("operator", "truth"):
+            if key in doc:
+                doc[key] = _npy(doc[key], path, key)
+        for key in ("operators", "generators", "samplers"):
+            if key in doc:
+                doc[key] = [_npy(v, path, f"{key}{i}") for i, v in enumerate(doc[key])]
+        if "sequences" in doc:
+            doc["sequences"] = {name: dict(seq, values=_npy(seq["values"], path, name))
+                                for name, seq in doc["sequences"].items()}
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+
+
+def _u_matrix(o, doc, npy=False):
     """A fixed ``U`` for ``dual --u-matrix``, shaped as the library shapes the
     problem's dual matrices (``cols x rows``); entries that vary by position,
     so that a transposed or reordered ``U`` shows.  A 1 x 1 ``U`` when the
@@ -132,25 +164,24 @@ def _u_matrix(o, doc):
     # the ramp keeps rows apart when a row's length is a multiple of the period 5
     k = np.arange(math.prod(shape)).reshape(shape)
     U = (k % 5 - 2) * (0.1 + 0.05j) + 0.01 * k
-    with open("u.json", "w") as fh:
-        json.dump([[[v.real, v.imag] for v in row] for row in U.tolist()], fh)
+    write_json("u.json", [[[v.real, v.imag] for v in row] for row in U.tolist()], npy)
 
 
-def _write_inputs(doc, element):
+def _write_inputs(doc, element, npy=False):
     """``p.json`` with the element as truth and ``s.csv`` with its samples, in
     the working directory; the CSV is formatted here, not by the tree under test."""
     x, samples = element if element is not None else (None, [0j])
     if x is not None:
         doc = dict(doc, truth=[[v.real, v.imag] for v in x.tolist()])
-    with open("p.json", "w") as fh:
-        json.dump(doc, fh)
+    write_json("p.json", doc, npy)
     rows = [f"{i},{v.real!r},{v.imag!r}" for i, v in enumerate(complex(v) for v in samples)]
     with open("s.csv", "w") as fh:
         fh.write("\n".join(["index,re,im", *rows]) + "\n")
 
 
-def corpus(o, problems):
-    """``(argv, prepare or None)`` for every command; ``prepare`` writes its inputs."""
+def corpus(o, problems, npy=False):
+    """``(argv, prepare or None)`` for every command; ``prepare`` writes its
+    inputs, in their binary form with ``npy``."""
     commands = []
     for path in problems:
         with open(path) as fh:
@@ -160,19 +191,23 @@ def corpus(o, problems):
         commands.append((["dual", "--input", path, "--out", "o"], None))
         if model is not None and doc.get("method") != "bezout":  # bezout takes no U
             argv = ["dual", "--input", path, "--out", "o", "--u-matrix", "u.json"]
-            commands.append((argv, lambda doc=doc: _u_matrix(o, doc)))
+            commands.append((argv, lambda doc=doc: _u_matrix(o, doc, npy)))
         if model in ("cyclic", "lca"):
             argv = ["reconstruct", "--input", "p.json", "--samples", "s.csv", "--out", "o"]
             # built when the command runs, so that an exception is its outcome
-            commands.append((argv, lambda doc=doc: _write_inputs(doc, _element_samples(o, doc))))
+            commands.append(
+                (argv, lambda doc=doc: _write_inputs(doc, _element_samples(o, doc), npy))
+            )
         if model == "shift":  # a problem without filter pairs checks the refusal
             commands.append((["pr-check", "--input", path], None))
     commands += [(["spline-demo", "--K", str(K), "--p", str(p)], None) for K, p in SPLINES]
     return commands
 
 
-def run_child(src, problems):
-    """Run the corpus against the tree at ``src``; one JSON record per command."""
+def run_child(src, problems, npy=False):
+    """Run the corpus against the tree at ``src``; one JSON record per command.
+    With ``npy`` each command reads the binary form of its problem, recorded
+    under the problem's own path."""
     sys.path.insert(0, src)
     import orbitsamp as o
     from orbitsamp import cli
@@ -181,7 +216,12 @@ def run_child(src, problems):
         raise SystemExit(f"orbitsamp was imported from {cli.__file__}, not {src}")
     records, home = [], os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
-        for k, (argv, prepare) in enumerate(corpus(o, problems)):
+        binary = {}
+        for k, path in enumerate(problems if npy else ()):
+            binary[path] = os.path.join(tmp, f"problem{k}.json")
+            with open(path) as fh:
+                write_json(binary[path], json.load(fh), npy)
+        for k, (argv, prepare) in enumerate(corpus(o, problems, npy)):
             cwd = os.path.join(tmp, str(k))
             os.mkdir(cwd)
             os.chdir(cwd)
@@ -191,7 +231,7 @@ def run_child(src, problems):
                 try:
                     if prepare is not None:
                         prepare()
-                    rc = cli.main(argv)
+                    rc = cli.main([binary.get(arg, arg) for arg in argv])
                 except SystemExit as exc:  # argparse usage errors
                     rc = exc.code
                 except Exception as exc:
@@ -202,7 +242,7 @@ def run_child(src, problems):
             )
             files = {}
             for name in sorted(os.listdir(cwd)):
-                if name not in INPUTS:
+                if name not in INPUTS and not name.endswith(".npy"):
                     with open(name, "rb") as fh:
                         files[name] = fh.read().decode("latin-1")  # byte for byte
             records.append(
@@ -228,13 +268,13 @@ def design_problems(seeds, workdir):
     return paths
 
 
-def collect(src, problems):
+def collect(src, problems, npy=False):
     child = (
         f"import sys; sys.path.insert(0, {HERE!r}); import cli_parity; "
-        "cli_parity.run_child(sys.argv[1], sys.argv[2:])"
+        "cli_parity.run_child(sys.argv[2], sys.argv[3:], sys.argv[1] == 'npy')"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", child, src, *problems],
+        [sys.executable, "-c", child, "npy" if npy else "json", src, *problems],
         capture_output=True,
         text=True,
         env=dict(os.environ, COLUMNS="80"),
@@ -353,6 +393,8 @@ def main(argv=None):
                         help="largest relative difference of CSV values and of the numbers "
                              "in output lines that counts as matching (default 0: files "
                              "and lines must match byte for byte)")
+    parser.add_argument("--npy", action="store_true",
+                        help="the change side reads its arrays from .npy files")
     argv = sys.argv[1:] if argv is None else list(argv)
     if "--seeds" in argv:  # the seeds end at the first argument that is not one
         end = argv.index("--seeds") + 1
@@ -369,7 +411,7 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as workdir:
         problems += design_problems(args.seeds, workdir)
         base = collect(os.path.abspath(args.base_src), problems)
-        change = collect(os.path.abspath(args.change_src), problems)
+        change = collect(os.path.abspath(args.change_src), problems, args.npy)
     differing = compare(base, change, args.rtol)
     files = sum(len(r["files"]) for r in base)
     print(f"{len(base)} commands, {files} files compared on {len(problems)} problems: "

@@ -1,7 +1,9 @@
 """Batch front end: problem files in, reports and CSV vectors out.
 
 Problem definitions are JSON documents with a ``model`` of ``cyclic``,
-``shift`` or ``lca``; complex scalars are ``[re, im]`` pairs.  Vectors are
+``shift`` or ``lca``; complex scalars are ``[re, im]`` pairs, and a vector
+or matrix may instead be ``{"npy": path}``, a ``.npy`` file of its complex
+values named relative to the file that refers to it.  Vectors are
 emitted as CSV with header ``index,re,im``, floats at 17 significant digits
 (value-preserving round trip) and exact rationals as ``p/q`` strings.
 
@@ -14,9 +16,11 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import gc
 import itertools
 import json
 import math
+import os
 import sys
 import time
 from fractions import Fraction
@@ -47,8 +51,9 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
-def _complex_array(data, where, ndim, what):
-    """``[re, im]`` pairs nested ``ndim - 1`` deep, converted in one pass."""
+def _pair_values(data, where, ndim, what):
+    """``[re, im]`` pairs nested ``ndim`` deep as complex values, converted in
+    one pass; ``None`` when the entries are not number pairs ``ndim`` deep."""
     if not isinstance(data, list) or not data:
         raise SchemaError(f"{where}: expected a nonempty {what}")
     try:
@@ -62,28 +67,67 @@ def _complex_array(data, where, ndim, what):
         else arr.dtype.kind in "iuf"
     )
     # np.array reads a boolean among numbers as 0 or 1: only then are the entries' types read
-    if arr.dtype.kind in "iuf" and arr.ndim == ndim and ((arr == 0) | (arr == 1)).any():
+    if arr.dtype.kind in "iuf" and arr.ndim == ndim + 1 and ((arr == 0) | (arr == 1)).any():
         entries = data
-        for _ in range(ndim - 1):
+        for _ in range(ndim):
             entries = itertools.chain.from_iterable(entries)
         numeric = bool not in set(map(type, entries))
-    if not numeric or arr.ndim != ndim or arr.shape[-1] != 2 or 0 in arr.shape:
-        raise SchemaError(f"{where}: expected a nonempty {what} of [re, im] number pairs")
+    if not numeric or arr.ndim != ndim + 1 or arr.shape[-1] != 2:
+        return None
     try:
         arr = arr.astype(float)
     except OverflowError as exc:
         raise SchemaError(f"{where}: a number is too large for a float") from exc
-    if not np.all(np.isfinite(arr)):
+    with np.errstate(invalid="ignore"):  # 1j * inf, which the finiteness check refuses
+        return arr[..., 0] + 1j * arr[..., 1]
+
+
+_NPY_HEADERS = {(v, 0): getattr(np.lib.format, f"read_array_header_{v}_0") for v in (1, 2)}
+
+
+def _npy_values(ref, where):
+    """Values of an ``{"npy": path}`` reference, whose path ``_read_json``
+    resolved; ``None`` when the file's dtype is not an integer, float or complex type."""
+    path = ref.get("npy")
+    if list(ref) != ["npy"] or not isinstance(path, str):
+        raise SchemaError(f"{where}: an array reference is {{\"npy\": file name}}, got {ref!r}")
+    try:
+        with open(path, "rb") as fh:
+            header = _NPY_HEADERS.get(np.lib.format.read_magic(fh))
+            if header is None:
+                raise ValueError("unsupported .npy format version")
+            shape, _, dtype = header(fh)
+            if dtype.kind not in "iufc":  # read before np.load, which takes objects for pickles
+                return None
+            if math.prod(shape) * dtype.itemsize > os.fstat(fh.fileno()).st_size:
+                raise ValueError("the file is shorter than its header declares")
+            fh.seek(0)
+            return np.asarray(np.load(fh, allow_pickle=False), dtype=complex)
+    except (OSError, ValueError) as exc:
+        raise SchemaError(f"{where}: cannot read {path}: {exc}") from exc
+
+
+def _complex_array(data, where, ndim, what):
+    """Complex values with ``ndim`` axes from ``[re, im]`` pairs or ``{"npy": path}``."""
+    if isinstance(data, dict):
+        values = _npy_values(data, where)
+        if values is not None and values.shape[:1] == (0,):  # as the JSON form ``[]`` reads
+            raise SchemaError(f"{where}: expected a nonempty {what}")
+    else:
+        values = _pair_values(data, where, ndim, what)
+    if values is None or values.ndim != ndim or 0 in values.shape:
+        raise SchemaError(f"{where}: expected a nonempty {what} of [re, im] number pairs")
+    if not np.all(np.isfinite(values)):
         raise SchemaError(f"{where}: entries must be finite numbers")
-    return arr[..., 0] + 1j * arr[..., 1]
+    return values
 
 
 def _vector(data, where):
-    return _complex_array(data, where, 2, "list")
+    return _complex_array(data, where, 1, "list")
 
 
 def _matrix(data, where):
-    return _complex_array(data, where, 3, "row-major matrix")
+    return _complex_array(data, where, 2, "row-major matrix")
 
 
 def _list(data, where, parse):
@@ -105,6 +149,13 @@ def _int(value, where):
 
 def _int_list(values, where):
     return _list(values, where, _int)
+
+
+def _grid_floor(grid, name):
+    """``grid``, refused below the floor that the shift and torus grids share."""
+    if grid < spectral.MIN_GRID_FACTOR:
+        raise SchemaError(f"{name} must be at least {spectral.MIN_GRID_FACTOR}, got {grid}")
+    return grid
 
 
 def _require(doc, key, where="problem"):
@@ -133,14 +184,27 @@ def _named_sequences(doc):
 
 
 def _read_json(path, what):
+    """Decode ``path`` with the collector off (decoding makes no cycles for it
+    to find), each ``{"npy": name}`` in it resolved against its directory."""
+    base = os.path.dirname(path)
+
+    def resolve(obj):
+        name = obj.get("npy")
+        return dict(obj, npy=os.path.join(base, name)) if isinstance(name, str) else obj
+
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, object_hook=resolve)
     except OSError as exc:
         raise SchemaError(f"cannot read {what}: {exc}") from exc
     # bad syntax or bytes, an integer literal too long, nesting too deep
     except (ValueError, RecursionError) as exc:
         raise SchemaError(f"invalid JSON in {what}: {exc}") from exc
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def load_problem(path):
@@ -339,7 +403,7 @@ class _Shift:
         if self.method not in ("pseudoinverse", "bezout"):
             raise SchemaError(f"method: expected 'pseudoinverse' or 'bezout', got {self.method!r}")
         r = _int(doc.get("r", 1), "r")
-        self.grid = _int(doc.get("grid", 1024), "grid")
+        self.grid = _grid_floor(_int(doc.get("grid", 1024), "grid"), "grid")
         Q = self.grid * r
         self.field = spectral.build_spectral_field(self.seqs, r, Q)
         self.dual_length = _int(doc.get("dual_length", min(65, Q)), "dual_length")
@@ -616,10 +680,8 @@ def _check_flags(args):
         value = getattr(args, flag, None)
         if value is not None and value <= 0:
             raise SchemaError(f"--{flag} must be positive, got {value}")
-    # the shift grid (per unit interval) and the torus grid share the floor
-    grid = getattr(args, "grid", None)
-    if grid is not None and grid < spectral.MIN_GRID_FACTOR:
-        raise SchemaError(f"--grid must be at least {spectral.MIN_GRID_FACTOR}, got {grid}")
+    if getattr(args, "grid", None) is not None:
+        _grid_floor(args.grid, "--grid")
     tol = getattr(args, "tol", 0.0)
     if not (math.isfinite(tol) and tol >= 0):
         raise SchemaError(f"--tol must be a finite nonnegative number, got {tol}")

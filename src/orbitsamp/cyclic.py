@@ -248,7 +248,7 @@ def build_sample_matrix(spec, scheme):
     orbit = spec.orbit_matrix()
     correlations = np.array(scheme.samplers).conj() @ orbit
     idx = _shift_index(spec.orders, scheme.r, scheme.ell)
-    matrix = correlations[:, idx].reshape(-1, spec.total_order)
+    matrix = np.take(correlations, idx, axis=1).reshape(-1, spec.total_order)
     R = SampleMatrix(
         matrix=matrix,
         r=scheme.r,
@@ -310,7 +310,10 @@ class StructuredLeftInverse:
     Column ``(j, n)`` equals column ``(j, 0)`` shifted down ``r*n`` positions
     within each generator block (wraparound modulo ``N_l``), exactly: the
     construction permutes stored entries rather than recomputing them.
-    ``certified_residual`` is ``max |entries @ R - I|``, checked at construction.
+    ``certified_residual`` is ``max |entries @ R - I|``, checked at construction
+    on one row per shift class: shifting both indices of ``entries @ R`` by
+    ``r`` within their generator blocks leaves it unchanged, up to the order of
+    its sums, so rows ``k < gcd(N_l, r)`` of each block meet every entry.
     """
 
     entries: np.ndarray
@@ -330,8 +333,18 @@ class StructuredLeftInverse:
         return self.entries[:, j * self.ell]
 
 
-def _left_inverse_residual(H, R):
-    return float(np.max(np.abs(H @ R.matrix - np.eye(R.cols))))
+def _left_inverse_residual(H, R, rows):
+    """``max |(H R - I)[rows]|``."""
+    P = H[rows] @ R.matrix
+    P[np.arange(len(rows)), rows] -= 1
+    return float(np.max(np.abs(P)))
+
+
+def _shift_class_rows(R):
+    """Rows ``k < gcd(N_l, r)`` of each generator block: one per shift class
+    of the rows of ``H R`` (see ``StructuredLeftInverse``)."""
+    offs = R.column_offsets()[:-1]
+    return np.concatenate([off + np.arange(math.gcd(Nl, R.r)) for off, Nl in zip(offs, R.orders)])
 
 
 def _structured_first_columns(H, R):
@@ -358,7 +371,7 @@ def _pinv_first_columns(R, tol):
 
 def _shifted_columns(first, R):
     """Columns ``(j, n)``: row ``j`` of ``first`` shifted down ``r*n`` in each generator block."""
-    return first[:, _shift_index(R.orders, R.r, R.ell)].reshape(R.rows, R.cols).T
+    return np.take(first, _shift_index(R.orders, R.r, R.ell), axis=1).reshape(R.rows, R.cols).T
 
 
 def structurize_left_inverse(R, *, U=None, tol=RANK_TOL):
@@ -382,7 +395,7 @@ def structurize_left_inverse(R, *, U=None, tol=RANK_TOL):
     first = _pinv_first_columns(R, tol)
     if U is not None:
         H = family_member(R.matrix, _shifted_columns(first, R), U)
-        seed_resid = _left_inverse_residual(H, R)
+        seed_resid = _left_inverse_residual(H, R, np.arange(R.cols))
         if seed_resid > LEFT_INVERSE_TOL:
             raise LeftInverseError(
                 f"seed is not a left inverse of R (residual {seed_resid:.3e})"
@@ -390,7 +403,7 @@ def structurize_left_inverse(R, *, U=None, tol=RANK_TOL):
         first = _structured_first_columns(H, R)
 
     out = _shifted_columns(first, R)
-    resid = _left_inverse_residual(out, R)
+    resid = _left_inverse_residual(out, R, _shift_class_rows(R))
     if resid > LEFT_INVERSE_TOL:
         raise LeftInverseError(
             f"structured columns are not a left inverse (residual {resid:.3e}); "

@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import functools
+import gc
 import glob
 import io
 import itertools
@@ -198,6 +199,21 @@ class TestAnalyze:
         entries = 2 * math.lcm(*orders) * sum(orders)
         assert proc.stderr.startswith(f"error: sample matrix R would hold {entries} entries")
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("command", ["analyze", "dual", "pr-check"])
+    @pytest.mark.parametrize("grid, flag", [(40, None), (1024, "40"), (40, "64")])
+    def test_grid_below_the_floor_named(self, tmp_path, command, grid, flag):
+        # the field or the flag that is too coarse, not the grid*r it would give
+        base = bank_problem() if command == "pr-check" else spline_shift_problem("pseudoinverse")
+        doc = dict(base, grid=grid, r=2)
+        argv = [command, "--input", write_problem(tmp_path, doc)]
+        argv += ["--out", str(tmp_path / "d")] if command == "dual" else []
+        rc, out, err = run_in_process(argv + (["--grid", flag] if flag else []))
+        if flag == "64":  # the flag stands in for the field
+            assert rc in (0, 1) and err == ""
+        else:
+            name = "grid" if flag is None else "--grid"
+            assert (rc, out, err) == (2, "", f"error: {name} must be at least 64, got 40\n")
 
 
 class TestDual:
@@ -665,6 +681,152 @@ class TestInputOutputErrors:
         assert proc.stderr.startswith("error: invalid JSON in problem file: ")
 
 
+class TestDecodeCollector:
+    """``_read_json`` decodes with the collector off and leaves it as it found it."""
+
+    CONTENTS = {"valid": b'{"model": "cyclic"}', "invalid JSON": b'{"model": ',
+                "nested too deep": b"[" * 100_000, "unreadable": None}
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("case", sorted(CONTENTS))
+    def test_state_restored(self, tmp_path, monkeypatch, case, enabled):
+        path = tmp_path / "p.json"  # absent in the unreadable case
+        if self.CONTENTS[case] is not None:
+            path.write_bytes(self.CONTENTS[case])
+        during, load = [], json.load
+        monkeypatch.setattr(json, "load", lambda *a, **k: during.append(gc.isenabled())
+                            or load(*a, **k))
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if case == "valid":
+                assert cli._read_json(str(path), "problem file") == {"model": "cyclic"}
+            else:
+                with pytest.raises(cli.SchemaError):
+                    cli._read_json(str(path), "problem file")
+            after = gc.isenabled()
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert after == enabled
+        assert during == ([] if case == "unreadable" else [False])
+
+
+def save_npy(directory, name, values):
+    np.save(os.path.join(directory, name), values, allow_pickle=values.dtype == object)
+    return {"npy": name}
+
+
+def pair_values(data):
+    arr = np.asarray(data, dtype=float)
+    return arr[..., 0] + 1j * arr[..., 1]
+
+
+def json_pairs(values):
+    """The JSON form of an array: number pairs, or ``[true, false]`` and
+    ``[text, "0"]`` pairs for boolean and object or string entries."""
+    if values.ndim > 1:
+        return [json_pairs(row) for row in values]
+    kind = values.dtype.kind
+    return [[bool(v), False] if kind == "b" else [str(v), "0"] if kind in "OU"
+            else [float(v.real), float(v.imag)] for v in values]
+
+
+class TestNpyInput:
+    """``{"npy": name}`` stands for a vector or matrix, read from a ``.npy``
+    file named relative to the file that refers to it."""
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32, np.float64, np.complex128, ">c16"])
+    def test_dtypes_give_the_json_output(self, tmp_path, capsys, dtype):
+        doc = cyclic_problem([E4[0], E4[1]], truth=E4[0])
+        outputs = []
+        for name, form in (("json", doc), ("npy", dict(doc))):
+            if name == "npy":
+                form["operator"] = save_npy(tmp_path, "op.npy", SHIFT4.astype(dtype))
+                form["samplers"] = [save_npy(tmp_path, f"b{j}.npy", E4[j].astype(dtype))
+                                    for j in range(2)]
+            path = write_problem(tmp_path, form, f"{name}.json")
+            out = ["--out", str(tmp_path / "d")]
+            codes = [cli.main(["analyze", "--input", path]),
+                     cli.main(["dual", "--input", path, *out])]
+            files = [(tmp_path / f"d.c{j}.csv").read_bytes() for j in (1, 2)]
+            outputs.append((codes, capsys.readouterr(), files))
+        assert outputs[0] == outputs[1] and outputs[0][0] == [0, 0]
+
+    def test_names_resolve_against_the_referring_file(self, tmp_path):
+        (tmp_path / "problems").mkdir()
+        (tmp_path / "arrays").mkdir()
+        doc = cyclic_problem([E4[0], E4[1]])
+        doc["operator"] = save_npy(tmp_path / "arrays", "op.npy", SHIFT4)
+        doc["operator"]["npy"] = os.path.join("..", "arrays", "op.npy")
+        problem = write_problem(tmp_path / "problems", doc)
+        u_doc = save_npy(tmp_path / "arrays", "u.npy", np.full((4, 4), 0.1 + 0.2j))
+        u_matrix = write_problem(tmp_path / "arrays", u_doc, "u.json")
+        json_u = write_problem(tmp_path, [[[0.1, 0.2]] * 4] * 4, "u.json")
+        outputs = []
+        for u in (u_matrix, json_u):
+            proc = run_cli("dual", "--input", problem, "--u-matrix", u,
+                           "--out", str(tmp_path / "d"))  # from the repository root
+            outputs.append((proc.returncode, proc.stdout, proc.stderr,
+                            (tmp_path / "d.c1.csv").read_bytes()))
+        assert outputs[0] == outputs[1] and outputs[0][0] == 0
+
+    @pytest.mark.parametrize("kind", ["bool", "nan", "shorter"])
+    def test_u_matrix_gives_the_json_reason(self, tmp_path, kind):
+        problem = write_problem(tmp_path, cyclic_problem([E4[0], E4[1]]))
+        U = npy_mutated(np.full((4, 4), 0.1 + 0.2j), kind)
+        reasons = []
+        for name, doc in (("npy", save_npy(tmp_path, "u.npy", U)), ("json", json_pairs(U))):
+            u = write_problem(tmp_path, doc, f"{name}.json")
+            reasons.append(run_in_process(["dual", "--input", problem, "--u-matrix", u,
+                                           "--out", str(tmp_path / "d")]))
+        assert reasons[0] == reasons[1] and reasons[0][0] == 2
+
+    @pytest.mark.parametrize("shape, reason", [
+        (None, "the magic string is not correct"),
+        ((4, 4), "could only read 15 elements"),
+        ((10**9,), "the file is shorter than its header declares"),  # refused unallocated
+    ], ids=["not npy", "truncated", "truncated by 16 GB"])
+    def test_unreadable_file_one_line(self, tmp_path, shape, reason):
+        with open(tmp_path / "op.npy", "wb") as fh:
+            if shape is None:
+                fh.write(b"not an array")
+            else:
+                header = {"descr": "<c16", "fortran_order": False, "shape": shape}
+                np.lib.format.write_array_header_1_0(fh, header)
+                fh.write(np.zeros(15, complex).tobytes())
+        doc = dict(cyclic_problem([E4[0], E4[1]]), operator={"npy": "op.npy"})
+        rc, out, err = run_in_process(["analyze", "--input", write_problem(tmp_path, doc)])
+        assert rc == 2 and out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: operator: cannot read {tmp_path / 'op.npy'}: ")
+        assert reason in err
+
+
+def array_fields(doc):
+    """Paths of the vectors and matrices of a problem, and the ``where`` its errors name."""
+    for key in ("operator", "truth"):
+        if key in doc:
+            yield (key,), key
+    for key in ("operators", "generators", "samplers"):
+        for i in range(len(doc.get(key, []))):
+            yield (key, i), key
+    for name in doc.get("sequences", {}):
+        yield ("sequences", name, "values"), f"sequences.{name}"
+
+
+# each has a JSON form but the last two, which name the file or the reference
+NPY_MUTATIONS = ("shorter", "extra axis", "nan", "inf", "bool", "object", "string",
+                 "missing file", "extra key")
+
+
+def npy_mutated(values, kind):
+    values = values.copy()
+    if kind in ("nan", "inf"):  # an infinite imaginary part, which 1j * inf turns to nan
+        values.flat[0] = complex(0, math.inf) if kind == "inf" else math.nan
+    return {"shorter": values[:-1], "extra axis": values[..., None],
+            "bool": np.ones(values.shape, bool), "object": values.astype(object),
+            "string": values.astype(str)}.get(kind, values)
+
+
 @functools.cache
 def fuzz_bases():
     """Each shipped problem as ``(doc, lines of a samples CSV)``, and two
@@ -803,6 +965,68 @@ class TestFuzz:
             with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
                 rc = cli.main(argv)
         assert rc in (0, 1, 2)
+
+
+@st.composite
+def npy_cases(draw):
+    name = draw(st.sampled_from(sorted(fuzz_bases())))
+    field = draw(st.sampled_from(list(array_fields(fuzz_bases()[name][0]))))
+    command = draw(st.sampled_from(("analyze", "dual", "reconstruct")))
+    return name, field, draw(st.sampled_from(NPY_MUTATIONS)), command
+
+
+class TestNpyFuzz:
+    """One array of a shipped problem in a mutated ``.npy`` file: the command
+    exits as the JSON form of that array makes it, with the same output and
+    reason; a missing file or an extra key in the reference exits 2 with one
+    line that names the field."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=npy_cases())
+    @example(case=("cyclic_perm.json", (("operator",), "operator"), "object", "analyze"))
+    @example(case=("cyclic_perm.json", (("truth",), "truth"), "inf", "reconstruct"))
+    @example(case=("lca_oversampled.json", (("operators", 1), "operators"), "extra axis",
+                   "dual"))
+    @example(case=("shift_spline.json", (("sequences", "g2", "values"), "sequences.g2"),
+                   "bool", "dual"))
+    @example(case=("cyclic_rank2.json", (("truth",), "truth"), "missing file", "reconstruct"))
+    @example(case=("lca_z4.json", (("samplers", 0), "samplers"), "extra key", "analyze"))
+    def test_exit_as_the_json_form(self, case):
+        name, ((*parents, last), where), kind, command = case
+        doc, rows = fuzz_bases()[name]
+        with tempfile.TemporaryDirectory() as tmp:
+            forms = {}
+            for form in ("json", "npy"):
+                forms[form] = copy.deepcopy(doc)
+                owner = functools.reduce(lambda d, k: d[k], parents, forms[form])
+                values = npy_mutated(pair_values(owner[last]), kind)
+                owner[last] = (json_pairs(values) if form == "json"
+                               else save_npy(tmp, "a.npy", values))
+            ref = owner[last]
+            if kind == "missing file":
+                ref["npy"] = "absent.npy"
+            elif kind == "extra key":
+                ref["shape"] = list(values.shape)
+            samples = os.path.join(tmp, "s.csv")
+            with open(samples, "w") as fh:
+                fh.write("\n".join(rows) + "\n")
+            outcomes = []
+            for form, problem in forms.items():
+                argv = [command, "--input", write_problem(pathlib.Path(tmp), problem, "p.json")]
+                if command != "analyze":
+                    argv += ["--out", os.path.join(tmp, "o")]
+                if command == "reconstruct":
+                    argv += ["--samples", samples]
+                outcomes.append(run_in_process(argv))
+        if kind == "missing file":
+            reason = f"error: {where}: cannot read {os.path.join(tmp, 'absent.npy')}: "
+        elif kind == "extra key":
+            reason = f"error: {where}: an array reference is {{\"npy\": file name}}, got {{'npy"
+        else:
+            assert outcomes[1] == outcomes[0]
+            return
+        rc, out, err = outcomes[1]
+        assert rc == 2 and out == "" and err.startswith(reason) and err.count("\n") == 1
 
 
 def not_recoverable_cases():

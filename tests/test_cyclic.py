@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from orbitsamp import cyclic
 from orbitsamp.cyclic import (
     CyclicSubspaceSpec,
     RankDeficiencyError,
@@ -483,6 +484,88 @@ class TestOrbitSynthesis:
         table = np.column_stack([take_samples(spec, scheme, c) for c in basis.vectors])
         got_table = interpolation_table(R, hs)
         assert np.max(np.abs(got_table - table)) <= 1e-12 * max(1.0, np.max(np.abs(table)))
+
+
+def structured_oracle(H, R):
+    """Column ``(j, 0)`` from rows ``p mod r`` of the seed's columns ``(j, -(p // r))``
+    in each generator block, and column ``(j, n)`` that column rolled by ``r n``."""
+    offs, out = R.column_offsets(), np.empty((R.cols, R.rows), dtype=complex)
+    for j in range(R.s):
+        for o, Nl in zip(offs, R.orders):
+            first = [H[o + p % R.r, j * R.ell + (-(p // R.r)) % R.ell] for p in range(Nl)]
+            for n in range(R.ell):
+                out[o : o + Nl, j * R.ell + n] = np.roll(first, R.r * n)
+    return out
+
+
+def dense_residual(H, R):
+    return np.max(np.abs(H @ R.matrix - np.eye(R.cols)))
+
+
+class TestShiftClassResidual:
+    """``certified_residual``, taken on the rows ``k < gcd(N_l, r)`` of each
+    generator block, is the dense ``max |H R - I|``: shifting both indices by
+    ``r`` permutes the ``s*ell`` terms of an entry's sum, so the two differ by
+    at most ``2 (s*ell + 1) eps max(|H| |R|)``, twice the rounding bound of a sum."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=orbit_problems(), seeded=st.booleans())
+    @example(case=([4, 6], 4, 4, 1, 0), seeded=False)  # r divides only one period
+    @example(case=([2, 3], 6, 3, 1, 1), seeded=True)  # r above every period
+    @example(case=([4, 2], 2, 4, 1, 0), seeded=True)  # a seed without the cyclic structure
+    @example(case=([5], 5, 5, 1, 4), seeded=True)  # ell = 1
+    def test_equals_dense(self, case, seeded):
+        orders, r, s, extra, seed = case
+        rng = np.random.default_rng(seed)
+        dim = sum(orders) + extra
+        op, gens = operator_with_orders(rng, dim, orders, distortion=0.2)
+        spec = CyclicSubspaceSpec(operator=op, generators=gens, orders=orders)
+        samplers = [rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for _ in range(s)]
+        R = build_sample_matrix(spec, SamplingScheme.for_spec(spec, samplers, r))
+        assume(check_rank(R).full_rank)
+        U = None
+        if seeded:
+            U = rng.standard_normal((R.cols, R.rows)) + 1j * rng.standard_normal((R.cols, R.rows))
+            pinv = np.linalg.pinv(R.matrix)
+            member = pinv + U @ (np.eye(R.rows) - R.matrix @ pinv)
+            oracle = dense_residual(structured_oracle(member, R), R)
+        try:
+            hs = structurize_left_inverse(R, U=U)
+        except LeftInverseError as exc:
+            # refused by the class rows exactly when the dense check refuses
+            assert seeded and oracle > 1e-6
+            assert str(exc).startswith("structured columns are not a left inverse (residual ")
+            assert str(exc).endswith("; the seed's blocks lack the cyclic structure")
+            return
+        H = hs.entries
+        bound = 2 * (R.rows + 1) * np.finfo(float).eps * np.max(np.abs(H) @ np.abs(R.matrix))
+        assert abs(hs.certified_residual - dense_residual(H, R)) <= bound
+        assert not seeded or oracle <= 1e-8
+
+    def test_unstructured_seed_refused(self):
+        # two generators whose U-seeded member is a left inverse, but not its structured columns
+        rng = np.random.default_rng(0)
+        op, gens = operator_with_orders(rng, 7, [4, 2], distortion=0.2)
+        spec = CyclicSubspaceSpec(operator=op, generators=gens, orders=[4, 2])
+        samplers = [rng.standard_normal(7) + 1j * rng.standard_normal(7) for _ in range(4)]
+        R = build_sample_matrix(spec, SamplingScheme.for_spec(spec, samplers, 2))
+        U = rng.standard_normal((R.cols, R.rows)) + 1j * rng.standard_normal((R.cols, R.rows))
+        message = (r"structured columns are not a left inverse \(residual \S+\); "
+                   "the seed's blocks lack the cyclic structure")
+        with pytest.raises(LeftInverseError, match=message):
+            structurize_left_inverse(R, U=U)
+
+    def test_seed_checked_on_every_row(self, monkeypatch):
+        # the seeded member is not structured, so its own check reads all of H R
+        spec = shift_spec(4)
+        scheme = SamplingScheme.for_spec(spec, [np.eye(4)[0], np.eye(4)[1]], 2)
+        R = build_sample_matrix(spec, scheme)
+        rows = []
+        real = cyclic._left_inverse_residual
+        monkeypatch.setattr(cyclic, "_left_inverse_residual",
+                            lambda H, R, r: rows.append(len(r)) or real(H, R, r))
+        structurize_left_inverse(R, U=np.ones((4, 4)))
+        assert rows == [4, 2]
 
 
 class TestFilterBankCoefficients:

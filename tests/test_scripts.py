@@ -165,6 +165,53 @@ def test_cli_parity_compares_u_matrix_duals(tmp_path):
     assert "files differ: o.c1.csv (max relative difference" in report
 
 
+def test_cli_parity_npy(tmp_path):
+    # the binary form of the shipped problems gives the JSON form's output;
+    # a copy that reads .npy values scaled by 1 + 2**-20 differs in every
+    # model, and only when the change side reads the binary form
+    src = os.path.join(ROOT, "src")
+    proc = run_parity(src, src, "--npy")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.split()[-2] == "0"
+    changed = changed_copy(tmp_path, "allow_pickle=False), dtype=complex)",
+                           "allow_pickle=False), dtype=complex) * (1 + 2**-20)")
+    proc = run_parity(src, str(changed), "--npy")
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    for name in ("bank_spline", "cyclic_perm", "lca_z4", "shift_spline"):
+        assert f"DIFF analyze --input {ROOT}/problems/{name}.json\n" in proc.stdout
+    assert "DIFF reconstruct --input p.json" in proc.stdout
+    assert run_parity(src, str(changed)).returncode == 0
+
+
+def test_binary_form_refers_to_every_array(tmp_path):
+    # every vector and matrix of a shipped problem, and a whole U, is one .npy
+    # file beside the JSON, named relative to it, with the values of the pairs
+    from orbitsamp import cli
+
+    parity = load_parity()
+    for path in sorted(glob.glob(os.path.join(ROOT, "problems", "*.json"))):
+        with open(path) as fh:
+            doc = json.load(fh)
+        copy = tmp_path / os.path.basename(path)
+        parity.write_json(str(copy), doc, npy=True)
+        binary = json.loads(copy.read_text())
+        arrays = [(doc[k], binary[k]) for k in ("operator", "truth") if k in doc]
+        for key in ("operators", "generators", "samplers"):
+            arrays += list(zip(doc.get(key, []), binary.get(key, [])))
+        for name, seq in doc.get("sequences", {}).items():
+            arrays.append((seq["values"], binary["sequences"][name]["values"]))
+        assert arrays
+        for pairs, ref in arrays:
+            assert list(ref) == ["npy"] and os.sep not in ref["npy"]
+            want = cli._complex_array(pairs, "x", np.ndim(pairs) - 1, "array")
+            got = np.load(tmp_path / ref["npy"])
+            assert got.dtype == complex and np.array_equal(got, want)
+        assert json.dumps(binary).count('"npy"') == len(arrays)
+    parity.write_json(str(tmp_path / "u.json"), [[[1.0, 2.0], [3.0, 4.0]]], npy=True)
+    assert json.loads((tmp_path / "u.json").read_text()) == {"npy": "u.u.npy"}
+    assert np.load(tmp_path / "u.u.npy").tolist() == [[1 + 2j, 3 + 4j]]
+
+
 def test_u_matrix_fits_every_shipped_problem(tmp_path, monkeypatch):
     # the U is nonzero, and dual exits with it as without it: a U of the wrong
     # shape would exit 2 on the recoverable problems; bezout takes none
