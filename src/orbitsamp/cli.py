@@ -14,6 +14,7 @@ failed certification, 2 on schema or usage errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import gc
@@ -183,28 +184,37 @@ def _named_sequences(doc):
     return parsed
 
 
+@contextlib.contextmanager
+def _collector_off():
+    """Hold the cyclic collector off, then restore its state: decoded JSON and the models
+    built from it make no cycles, and a scope drops the documents before it ends, so
+    that no pass walks them."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _read_json(path, what):
-    """Decode ``path`` with the collector off (decoding makes no cycles for it
-    to find), each ``{"npy": name}`` in it resolved against its directory."""
+    """Decode ``path`` with the collector off, each ``{"npy": name}`` in it
+    resolved against its directory."""
     base = os.path.dirname(path)
 
     def resolve(obj):
         name = obj.get("npy")
         return dict(obj, npy=os.path.join(base, name)) if isinstance(name, str) else obj
 
-    enabled = gc.isenabled()
-    gc.disable()
     try:
-        with open(path) as fh:
+        with _collector_off(), open(path) as fh:
             return json.load(fh, object_hook=resolve)
     except OSError as exc:
         raise SchemaError(f"cannot read {what}: {exc}") from exc
     # bad syntax or bytes, an integer literal too long, nesting too deep
     except (ValueError, RecursionError) as exc:
         raise SchemaError(f"invalid JSON in {what}: {exc}") from exc
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def load_problem(path):
@@ -559,17 +569,22 @@ def _recoverable(ok):
 
 
 def cmd_analyze(args):
-    doc = load_problem(args.input)
-    model = _load_model(doc, args.grid)
-    print(f"model: {doc['model']}")
+    with _collector_off():
+        doc = load_problem(args.input)
+        model = _load_model(doc, args.grid)
+        print(f"model: {doc['model']}")
+        del doc
     return _recoverable(model.verdict(args.tol))
 
 
 def cmd_dual(args):
-    doc = load_problem(args.input)
-    path = args.u_matrix
-    U = None if path is None else _matrix(_read_json(path, "U matrix"), "u-matrix")
-    _load_model(doc, args.grid).dual(U, args.tol, args.out or "dual")
+    with _collector_off():
+        doc = load_problem(args.input)
+        path = args.u_matrix
+        U = None if path is None else _matrix(_read_json(path, "U matrix"), "u-matrix")
+        model = _load_model(doc, args.grid)
+        del doc
+    model.dual(U, args.tol, args.out or "dual")
     return 0
 
 
@@ -577,7 +592,8 @@ RESIDUAL_FLAG = 1e-6
 
 
 def cmd_reconstruct(args):
-    model = _load_model(load_problem(args.input))
+    with _collector_off():
+        model = _load_model(load_problem(args.input))
     indices, samples = read_vector_csv(args.samples)
     if indices != list(range(len(indices))):
         raise SchemaError(f"{args.samples}: indices must run 0..{len(indices) - 1} in order")
@@ -629,10 +645,13 @@ def cmd_spline_demo(args):
 
 
 def cmd_pr_check(args):
-    doc = load_problem(args.input)
-    if doc["model"] != "shift":
-        raise SchemaError("pr-check needs a shift-model problem with filter sequences")
-    return 0 if _load_model(doc, args.grid).pr_check() else 1
+    with _collector_off():
+        doc = load_problem(args.input)
+        if doc["model"] != "shift":
+            raise SchemaError("pr-check needs a shift-model problem with filter sequences")
+        model = _load_model(doc, args.grid)
+        del doc
+    return 0 if model.pr_check() else 1
 
 
 # -- entry point -------------------------------------------------------------

@@ -142,12 +142,18 @@ class SamplingScheme:
     def s(self):
         return len(self.samplers)
 
+    @cached_property
+    def adjoint(self):
+        """``S^H``: the conjugated samplers as rows, formed once."""
+        return np.array(self.samplers).conj()
+
 
 @dataclass
 class SampleMatrix:
-    """The ``s*ell x sum(N_l)`` sampling matrix, blockwise r-circulant."""
+    """The ``s*ell x sum(N_l)`` sampling matrix, blockwise r-circulant, held as
+    the first row ``S^H O`` of each sampler's block; ``matrix`` is formed on first read."""
 
-    matrix: np.ndarray
+    first_rows: np.ndarray
     r: int
     ell: int
     orders: tuple
@@ -155,23 +161,26 @@ class SampleMatrix:
 
     @property
     def s(self):
-        return self.matrix.shape[0] // self.ell
+        return self.first_rows.shape[0]
 
     @property
     def rows(self):
-        return self.matrix.shape[0]
+        return self.s * self.ell
 
     @property
     def cols(self):
-        return self.matrix.shape[1]
+        return self.first_rows.shape[1]
 
     def column_offsets(self):
         return np.concatenate(([0], np.cumsum(self.orders)))
 
     @cached_property
+    def matrix(self):
+        return _shifted_rows(self.first_rows, self)
+
+    @cached_property
     def blocks(self):
-        """``DFTBlocks`` of ``matrix``, formed on first use from its first rows,
-        which describe it because it is blockwise r-circulant."""
+        """``DFTBlocks`` of ``matrix``, formed on first use from the first rows."""
         return DFTBlocks(self)
 
 
@@ -188,49 +197,49 @@ class DFTBlocks:
     make ``R`` block diagonal: column frequency ``m`` of generator ``l`` meets
     only read frequency ``p = m * lcm / N_l mod ell``, with entries
     ``sqrt(ell) * F(c_jl)(m)`` (``F`` the unitary DFT of the first row ``c_jl``
-    of block ``(j, l)``).  One ``DualFamily`` over the blocks, zero-padded to
-    the widest, gives ``singular_values`` of ``R`` (descending) and, by one
-    FFT of the block pseudo-inverses, the first columns of ``pinv(R)``.
+    of block ``(j, l)``).  One ``DualFamily`` over the blocks that some column
+    meets, zero-padded to the widest, gives ``singular_values`` of ``R``
+    (descending; each empty block adds zeros) and, by one FFT of the block
+    pseudo-inverses, the first columns of ``pinv(R)``.
     """
 
     def __init__(self, R):
         self.offsets = R.column_offsets()
         self.ell = R.ell
-        # column (l, m) sits in block freq[(l, m)], at position slot[(l, m)]
-        self.freq = np.concatenate(
-            [np.arange(N) * (R.lcm_order // N) % R.ell for N in R.orders]
-        )
-        widths = np.bincount(self.freq, minlength=R.ell)
-        order = np.argsort(self.freq, kind="stable")
-        self.slot = np.empty_like(self.freq)
-        self.slot[order] = np.arange(R.cols) - (np.cumsum(widths) - widths)[self.freq[order]]
-        stack = np.zeros((R.ell, R.s, widths.max()), dtype=complex)
-        first_rows = R.matrix[:: R.ell]
-        stack[self.freq, :, self.slot] = math.sqrt(R.ell) * _block_fft(first_rows, self.offsets).T
+        # column (l, m) meets frequency freq[(l, m)], at position slot[(l, m)] of its
+        # block, which is block[(l, m)] among those of the frequencies some column meets
+        freq = np.concatenate([np.arange(N) * (R.lcm_order // N) % R.ell for N in R.orders])
+        widths = np.bincount(freq, minlength=R.ell)
+        order = np.argsort(freq, kind="stable")
+        self.slot = np.empty_like(freq)
+        self.slot[order] = np.arange(R.cols) - (np.cumsum(widths) - widths)[freq[order]]
+        self.block = (np.cumsum(widths > 0) - 1)[freq]
+        widths = widths[widths > 0]
+        stack = np.zeros((widths.size, R.s, widths.max()), dtype=complex)
+        spectra = math.sqrt(R.ell) * _block_fft(R.first_rows, self.offsets)
+        stack[self.block, :, self.slot] = spectra.T
         self.family = DualFamily(stack)
         # block p has rank at most w_p: its values past w_p come from the padding
         sv = self.family.singular_values
         sv = np.where(np.arange(sv.shape[1]) < widths[:, None], sv, 0.0)
-        self.singular_values = np.sort(sv, axis=None)[::-1][: min(R.rows, R.cols)]
+        sv = np.concatenate((sv.ravel(), np.zeros((R.ell - widths.size) * sv.shape[1])))
+        self.singular_values = np.sort(sv)[::-1][: min(R.rows, R.cols)]
 
     def pinv_first_columns(self):
         """Column ``(j, 0)`` of ``pinv(R)`` as row ``j``: one FFT of the block pinvs."""
-        rows = self.family.pinv[self.freq, self.slot].T
+        rows = self.family.pinv[self.block, self.slot].T
         return _block_fft(rows, self.offsets) / math.sqrt(self.ell)
 
 
-def _shift_index(orders, r, ell):
-    """Gather index of the blockwise r-circulant layout.
-
-    ``idx[n, off_l + k] = off_l + (k - r*n) mod N_l``, so ``first_rows[:, idx]``
-    reshaped to ``ell`` rows per first row shifts each first row right by
-    ``r*n`` within every generator block; rows stay sampler-major.
-    """
-    offs = np.concatenate(([0], np.cumsum(orders)))
-    n = np.arange(ell)[:, None]
-    return np.hstack(
-        [off + (np.arange(Nl) - r * n) % Nl for off, Nl in zip(offs, orders)]
-    )
+def _shifted_rows(first, R):
+    """Rows ``(j, n)``: row ``j`` of ``first`` shifted right by ``r*n`` within every
+    generator block, sampler-major (``R`` from ``R.first_rows``, the transpose of a
+    structured inverse from its first columns); ``first[:, idx]`` for ``idx[n, off_l
+    + k] = off_l + (k - r*n) mod N_l``."""
+    n = np.arange(R.ell)[:, None]
+    idx = np.hstack([off + (np.arange(Nl) - R.r * n) % Nl
+                     for off, Nl in zip(R.column_offsets(), R.orders)])
+    return np.take(first, idx, axis=1).reshape(R.rows, R.cols)
 
 
 def build_sample_matrix(spec, scheme):
@@ -246,11 +255,8 @@ def build_sample_matrix(spec, scheme):
     decomposed, and a dependent orbit raises ``RankDeficiencyError``.
     """
     orbit = spec.orbit_matrix()
-    correlations = np.array(scheme.samplers).conj() @ orbit
-    idx = _shift_index(spec.orders, scheme.r, scheme.ell)
-    matrix = np.take(correlations, idx, axis=1).reshape(-1, spec.total_order)
     R = SampleMatrix(
-        matrix=matrix,
+        first_rows=scheme.adjoint @ orbit,
         r=scheme.r,
         ell=scheme.ell,
         orders=tuple(spec.orders),
@@ -272,11 +278,10 @@ def take_samples(spec, scheme, x):
     op = spec.operator
     x = as_cvector(x, op.dim)
     step = op.power(-scheme.r)
-    rows = np.array(scheme.samplers).conj()
     out = np.empty((scheme.s, scheme.ell), dtype=complex)
     z = x
     for n in range(scheme.ell):
-        out[:, n] = rows @ z
+        out[:, n] = scheme.adjoint @ z
         z = step @ z
     return out.ravel()
 
@@ -361,19 +366,6 @@ def _structured_first_columns(H, R):
     return H[rows, cols]
 
 
-def _pinv_first_columns(R, tol):
-    """Rank test on the block singular values, then ``DFTBlocks.pinv_first_columns``."""
-    rank = _numerical_rank(R.blocks.singular_values, min(tol, RANK_TOL))
-    if rank < R.cols:
-        raise RankDeficiencyError(f"R has rank {rank} < {R.cols}; no left inverse exists")
-    return R.blocks.pinv_first_columns()
-
-
-def _shifted_columns(first, R):
-    """Columns ``(j, n)``: row ``j`` of ``first`` shifted down ``r*n`` in each generator block."""
-    return np.take(first, _shift_index(R.orders, R.r, R.ell), axis=1).reshape(R.rows, R.cols).T
-
-
 def structurize_left_inverse(R, *, U=None, tol=RANK_TOL):
     """Build a structured left inverse of ``R``.
 
@@ -392,9 +384,12 @@ def structurize_left_inverse(R, *, U=None, tol=RANK_TOL):
     large ``U``) or the shifted columns fail to form one (possible for
     multi-generator problems with seeds whose blocks lack the cyclic structure).
     """
-    first = _pinv_first_columns(R, tol)
+    rank = _numerical_rank(R.blocks.singular_values, min(tol, RANK_TOL))
+    if rank < R.cols:
+        raise RankDeficiencyError(f"R has rank {rank} < {R.cols}; no left inverse exists")
+    first = R.blocks.pinv_first_columns()
     if U is not None:
-        H = family_member(R.matrix, _shifted_columns(first, R), U)
+        H = family_member(R.matrix, _shifted_rows(first, R).T, U)
         seed_resid = _left_inverse_residual(H, R, np.arange(R.cols))
         if seed_resid > LEFT_INVERSE_TOL:
             raise LeftInverseError(
@@ -402,7 +397,7 @@ def structurize_left_inverse(R, *, U=None, tol=RANK_TOL):
             )
         first = _structured_first_columns(H, R)
 
-    out = _shifted_columns(first, R)
+    out = _shifted_rows(first, R).T
     resid = _left_inverse_residual(out, R, _shift_class_rows(R))
     if resid > LEFT_INVERSE_TOL:
         raise LeftInverseError(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -84,8 +85,8 @@ class DualFamily:
 
     The SVD is of ``A 2**exponent``, whose ``singular_values`` are descending
     per matrix.  ``pinv`` (of ``A``) drops those at or below ``1e-15`` times
-    the largest, as ``np.linalg.pinv`` does, and is formed in the storage of
-    the SVD's left factor when the shapes allow.
+    the largest, as ``np.linalg.pinv`` does; it is formed on first read, from
+    the kept factors and in the storage of the left one when the shapes allow.
     """
 
     def __init__(self, A, exponent=0):
@@ -94,10 +95,16 @@ class DualFamily:
         u, sv, vh = np.linalg.svd(self.matrices * 2.0**exponent, full_matrices=False)
         kept = sv > PINV_RCOND * sv[..., :1]
         u *= np.divide(2.0**exponent, sv, out=np.zeros_like(sv), where=kept)[..., None, :]
+        self._factors = u, vh
+        self.singular_values = sv
+
+    @cached_property
+    def pinv(self):
+        u, vh = self._factors
+        del self._factors
         # pinv = V S^+ U^H, the adjoint of U S^+ V^H
         out = u if u.shape == self.matrices.shape else None
-        self.pinv = np.conjugate(u @ vh, out=out).swapaxes(-1, -2)
-        self.singular_values = sv
+        return np.conjugate(u @ vh, out=out).swapaxes(-1, -2)
 
     def frame(self):
         """Frame constants from the singular values; a wide matrix has ``alpha_G = 0``."""

@@ -57,11 +57,12 @@ class LinearOperator:
     read; its residual, within ``1e-10``, also certifies ``sigma_min/sigma_max
     > RANK_TOL``, and a values-only SVD decides only when that bound is
     inconclusive.  ``power`` keeps each ``T^k`` it forms; only
-    ``cyclic.take_samples`` asks, for ``T^{-r}``.
+    ``cyclic.take_samples`` asks, for ``T^{-r}``.  A complex ``matrix`` is
+    held as given, not copied: it must not change after construction.
     """
 
     def __init__(self, matrix):
-        m = np.array(matrix, dtype=complex)
+        m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"operator matrix must be square, got {m.shape}")
         if not np.all(np.isfinite(m)):

@@ -394,12 +394,23 @@ def take_group_samples(spectrum, x):
 
 @dataclass(eq=False)
 class GroupDual:
-    """Vectors ``c_j``; column ``(j, m)`` of ``coefficients`` (sampler-major) holds
-    the orbit coefficients of ``Pi(m) c_j``, and ``synthesis = orbit @ coefficients``."""
+    """Vectors ``c_j``, with orbit coefficients ``coeff[:, j]``; column ``(j, m)`` of
+    ``coefficients`` (sampler-major) holds those of ``Pi(m) c_j``, and ``synthesis =
+    orbit @ coefficients``.  Both are formed on first read."""
 
     vectors: list
-    coefficients: np.ndarray
-    synthesis: np.ndarray
+    coeff: np.ndarray
+    spectrum: GroupSpectrum
+
+    @cached_property
+    def coefficients(self):
+        H, M = self.spectrum.rep.H, self.spectrum.M
+        shifted = H.index(H.elements[:, None] - M.elements[None])
+        return self.coeff[shifted].transpose(0, 2, 1).reshape(H.order, -1)
+
+    @cached_property
+    def synthesis(self):
+        return self.spectrum.orbit @ self.coefficients
 
 
 def group_duals(spectrum, U=None, *, threshold=RANK_TOL):
@@ -415,18 +426,14 @@ def group_duals(spectrum, U=None, *, threshold=RANK_TOL):
     check_frame(spectrum.frame, threshold)
     hmats = spectrum.family.member(U)
 
-    dual, H, M = spectrum.dual, spectrum.rep.H, spectrum.M
-    r, s = spectrum.r, spectrum.s
+    dual, s = spectrum.dual, spectrum.s
     # dual function values on the whole dual group
     h_full = np.empty((dual.order, s), dtype=complex)
     h_full[spectrum.cells.ravel()] = hmats.reshape(-1, s)
     # coefficients alpha[h, j] = (r / |dual|) sum_gamma h_j(gamma) conj((h, gamma))
-    coeff = (r / dual.order) * (spectrum.characters.conj().T @ h_full)
-    shifted = H.index(H.elements[:, None] - M.elements[None])
-    A = coeff[shifted].transpose(0, 2, 1).reshape(H.order, s * M.order)
+    coeff = (spectrum.r / dual.order) * (spectrum.characters.conj().T @ h_full)
     C = spectrum.orbit @ coeff
-    return GroupDual(vectors=list(np.ascontiguousarray(C.T)), coefficients=A,
-                     synthesis=spectrum.orbit @ A)
+    return GroupDual(vectors=list(np.ascontiguousarray(C.T)), coeff=coeff, spectrum=spectrum)
 
 
 def group_reconstruct(dual, samples):

@@ -710,6 +710,92 @@ class TestDecodeCollector:
         assert after == enabled
         assert during == ([] if case == "unreadable" else [False])
 
+    # the commands' load scope, which decodes the problem and builds its model:
+    # r = 2.5 fails in the model build, and r = 3 (shift r = 0) in the library
+    LOAD_CASES = ("valid", "unreadable", "invalid JSON", "schema error in the model build",
+                  "library ValueError")
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("command", ["analyze", "dual", "reconstruct", "pr-check"])
+    @pytest.mark.parametrize("case", LOAD_CASES)
+    def test_load_scope_restores_state(self, tmp_path, monkeypatch, case, command, enabled):
+        shift = command == "pr-check"
+        doc = bank_problem() if shift else cyclic_problem([E4[0], E4[1]], truth=E4[0])
+        doc.update({"schema error in the model build": {"r": 2.5},
+                    "library ValueError": {"r": 0 if shift else 3}}.get(case, {}))
+        path = tmp_path / "p.json"  # absent in the unreadable case
+        if case == "invalid JSON":
+            path.write_bytes(b'{"model": ')
+        elif case != "unreadable":
+            path.write_text(json.dumps(doc))
+        samples = tmp_path / "s.csv"
+        samples.write_text("index,re,im\n0,1,0\n1,0,0\n2,0,0\n3,0,0\n")
+        argv = [command, "--input", str(path)]
+        argv += {"dual": ["--out", str(tmp_path / "d")], "reconstruct":
+                 ["--samples", str(samples), "--out", str(tmp_path / "r")]}.get(command, [])
+        during, load_model = [], cli._load_model
+        monkeypatch.setattr(cli, "_load_model", lambda *a: during.append(gc.isenabled())
+                            or load_model(*a))
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            rc, _, err = run_in_process(argv)
+            after = gc.isenabled()
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert after == enabled
+        assert rc == (0 if case == "valid" else 2), err
+        assert during == ([] if case in ("unreadable", "invalid JSON") else [False])
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_decoded_problem_is_gone_before_the_collector_is_back(self, tmp_path, monkeypatch,
+                                                                  enabled):
+        # d = 64: the decoded pair lists alone are some 4,300 tracked objects
+        rng = np.random.default_rng(64)
+        op, gens = operator_with_orders(rng, 64, [32, 16])
+        samplers = rng.standard_normal((8, 64)) + 1j * rng.standard_normal((8, 64))
+        doc = {"model": "cyclic", "dimension": 64, "operator": [cpairs(row) for row in op.matrix],
+               "generators": [cpairs(a) for a in gens], "orders": [32, 16],
+               "samplers": [cpairs(b) for b in samplers], "r": 4}
+        path = write_problem(tmp_path, doc)
+        counts, collections, verdict = [], [], cli._Cyclic.verdict
+        monkeypatch.setattr(cli._Cyclic, "verdict", lambda self, tol:
+                            counts.append(gc.get_count()[0]) or verdict(self, tol))
+
+        def record(phase, info):
+            if phase == "start" and not counts:
+                collections.append(info["generation"])
+
+        cli._build_parser()  # built once per process, before the count starts
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        gc.collect()
+        gc.callbacks.append(record)
+        try:
+            rc, _, err = run_in_process(["analyze", "--input", path])
+        finally:
+            gc.callbacks.remove(record)
+            (gc.enable if was else gc.disable)()
+        assert rc == 0, err
+        assert counts[0] < gc.get_threshold()[0] and collections == []
+
+
+def test_dual_reasons_in_order(tmp_path):
+    # the problem file, then --u-matrix, then the problem's fields: the first failing one
+    problem = write_problem(tmp_path, dict(cyclic_problem([E4[0], E4[1]]), extra=1))
+    broken = tmp_path / "broken.json"
+    broken.write_bytes(b'{"model": ')
+    u_matrix = tmp_path / "u.json"
+    u_matrix.write_text(json.dumps([cpairs(row) for row in np.zeros((4, 4))]))
+    absent, out = str(tmp_path / "absent.json"), str(tmp_path / "d")
+    for given, u, reason in [(str(broken), absent, "invalid JSON in problem file: "),
+                             (problem, absent, "cannot read U matrix: "),
+                             (problem, str(u_matrix), "cyclic problem: unknown field 'extra'")]:
+        rc, stdout, stderr = run_in_process(["dual", "--input", given, "--u-matrix", u,
+                                             "--out", out])
+        assert (rc, stdout) == (2, "") and stderr.startswith(f"error: {reason}")
+        assert stderr.count("\n") == 1
+
 
 def save_npy(directory, name, values):
     np.save(os.path.join(directory, name), values, allow_pickle=values.dtype == object)
@@ -1903,6 +1989,42 @@ def test_no_command_forms_an_inverse_or_a_matrix_power(tmp_path, monkeypatch):
     monkeypatch.setattr(np.linalg, "matrix_power", refuse)
     assert [run_in_process(argv) for argv in commands] == before
     assert all(map(np.array_equal, group_samples(), samples_before))
+
+
+def test_analyze_forms_only_what_it_reads(tmp_path, monkeypatch):
+    # analyze on every shipped problem and on one problem per lca design rung
+    # reads no full R, no pseudo-inverse and no coefficient map; lca dual reads
+    # no coefficient map: the same outcomes and files with each refused
+    paths = sorted(glob.glob(os.path.join(ROOT, "problems", "*.json")))
+    rng = np.random.default_rng(21)
+    for k, (moduli, M_gens) in enumerate(LCA_DESIGN_RUNGS):
+        paths.append(write_problem(tmp_path, design_rung_problem(rng, moduli, M_gens)[0],
+                                   f"rung{k}.json"))
+    lca_paths = [p for p in paths if json.loads(pathlib.Path(p).read_text())["model"] == "lca"]
+    assert len(lca_paths) > len(LCA_DESIGN_RUNGS)
+    commands = [["analyze", "--input", p] for p in paths]
+    commands += [["dual", "--input", p, "--out", str(tmp_path / f"d{k}")]
+                 for k, p in enumerate(lca_paths)]
+
+    def outcomes(argvs):
+        runs = [run_in_process(argv) for argv in argvs]
+        files = {f.name: f.read_bytes() for f in sorted(tmp_path.glob("d*.csv"))}
+        return runs, files
+
+    before = outcomes(commands)
+    assert before[1] and {rc for rc, *_ in before[0]} == {0, 1}
+
+    def refuse(name):
+        def formed(self):
+            raise AssertionError(f"{name} formed")
+        return property(formed)
+
+    monkeypatch.setattr(o.lca.GroupDual, "coefficients", refuse("coefficient map"))
+    monkeypatch.setattr(o.lca.GroupDual, "synthesis", refuse("synthesis"))
+    assert outcomes(commands) == before
+    monkeypatch.setattr(o.cyclic.SampleMatrix, "matrix", refuse("R"))
+    monkeypatch.setattr(o.duals.DualFamily, "pinv", refuse("pseudo-inverse"))
+    assert [run_in_process(argv) for argv in commands[: len(paths)]] == before[0][: len(paths)]
 
 
 def test_in_process_sequence_matches_fresh_processes(tmp_path, monkeypatch):

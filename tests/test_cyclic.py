@@ -1,3 +1,4 @@
+import functools
 import math
 import types
 
@@ -217,6 +218,28 @@ class TestTakeSamples:
         x = spec.synthesize(alpha)
         samples = take_samples(spec, scheme, x)
         assert np.max(np.abs(samples - R.matrix @ alpha)) < 1e-10 * np.linalg.norm(alpha)
+
+    def test_sampler_rows_formed_once(self, monkeypatch):
+        # S^H is formed on the scheme's first read and kept; the samples are those
+        # of the conjugated samplers formed afresh on every call
+        rng = np.random.default_rng(20)
+        inst = random_cyclic_instance(rng, CyclicInstanceConfig(distortion=0.2))
+        spec = inst.spec
+        formed, adjoint = [], SamplingScheme.adjoint.func
+        counted = functools.cached_property(lambda self: formed.append(1) or adjoint(self))
+        counted.__set_name__(SamplingScheme, "adjoint")
+        monkeypatch.setattr(SamplingScheme, "adjoint", counted)
+        scheme = SamplingScheme.for_spec(spec, inst.scheme.samplers, inst.scheme.r)
+        build_sample_matrix(spec, scheme)
+        step = spec.operator.power(-scheme.r)
+        for _ in range(3):
+            x = rng.standard_normal(spec.operator.dim) + 1j * rng.standard_normal(spec.operator.dim)
+            expected, z = [], x
+            for _ in range(scheme.ell):
+                expected.append(np.array(scheme.samplers).conj() @ z)
+                z = step @ z
+            assert np.array_equal(take_samples(spec, scheme, x), np.column_stack(expected).ravel())
+        assert formed == [1]
 
 
 class TestCheckRank:

@@ -40,6 +40,11 @@ class TestLinearOperator:
         with pytest.raises(ValueError, match="operator entries must be finite"):
             LinearOperator(np.diag([1.0, bad]))
 
+    def test_complex_matrix_held_as_given(self):
+        m = np.diag([1.0, 1j])
+        assert LinearOperator(m).matrix is m
+        assert np.array_equal(LinearOperator(m.real).matrix, m.real)
+
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             LinearOperator(np.ones((2, 3)))
