@@ -711,14 +711,22 @@ def _check_flags(args):
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        _check_flags(args)
-        return args.func(args)
-    except (SchemaError, DimensionMismatch) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        try:
+            _check_flags(args)
+            code = args.func(args)
+        except (SchemaError, DimensionMismatch) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except (NotRecoverable, FrameError) as exc:
+            print(exc)
+            code = 1
+        sys.stdout.flush()  # a closed pipe shows here when stdout is buffered
+        return code
+    except BrokenPipeError as exc:
+        # fd 1 on devnull: the interpreter's own flush at exit then has nowhere to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write standard output: {exc.strerror}", file=sys.stderr)
         return 2
-    except (NotRecoverable, FrameError) as exc:
-        print(exc)
-        return 1
 
 
 if __name__ == "__main__":

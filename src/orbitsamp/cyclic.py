@@ -13,13 +13,13 @@ orbit synthesis ``O (H samples)``; only ``take_samples`` forms a power of ``T``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .duals import DualFamily, family_member
-from .hilbert import ORBIT_LAW_TOL, RANK_TOL, LinearOperator, as_cvector, require_full_rank
+from .hilbert import ORBIT_LAW_TOL, RANK_TOL, as_cvector, require_full_rank
 from .spectral import MAX_GRID_ENTRIES
 
 __all__ = [
@@ -55,7 +55,6 @@ class LeftInverseError(ValueError):
     pass
 
 
-@dataclass
 class CyclicSubspaceSpec:
     """Operator plus generators of declared orbit periods.
 
@@ -66,16 +65,12 @@ class CyclicSubspaceSpec:
     certifies that the orbit vectors are independent.
     """
 
-    operator: LinearOperator
-    generators: list
-    orders: list
-    _orbit: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if len(self.generators) == 0 or len(self.generators) != len(self.orders):
+    def __init__(self, operator, generators, orders):
+        if len(generators) == 0 or len(generators) != len(orders):
             raise ValueError("need one positive order per generator")
-        self.generators = [as_cvector(a, self.operator.dim) for a in self.generators]
-        self.orders = [int(n) for n in self.orders]
+        self.operator = operator
+        self.generators = [as_cvector(a, operator.dim) for a in generators]
+        self.orders = [int(n) for n in orders]
         if any(n < 1 for n in self.orders):
             raise ValueError("orders must be positive")
         if self.total_order > self.operator.dim:  # before the loop forms them all
@@ -114,13 +109,11 @@ class CyclicSubspaceSpec:
         return self._orbit @ coeffs
 
 
-@dataclass
 class SamplingScheme:
     """Samplers read every ``r`` operator steps, ``ell`` reads per sampler."""
 
-    samplers: list
-    r: int
-    ell: int
+    def __init__(self, samplers, r, ell):
+        self.samplers, self.r, self.ell = samplers, r, ell
 
     @classmethod
     def for_spec(cls, spec, samplers, r):
@@ -148,16 +141,13 @@ class SamplingScheme:
         return np.array(self.samplers).conj()
 
 
-@dataclass
 class SampleMatrix:
     """The ``s*ell x sum(N_l)`` sampling matrix, blockwise r-circulant, held as
     the first row ``S^H O`` of each sampler's block; ``matrix`` is formed on first read."""
 
-    first_rows: np.ndarray
-    r: int
-    ell: int
-    orders: tuple
-    lcm_order: int
+    def __init__(self, first_rows, r, ell, orders, lcm_order):
+        self.first_rows, self.r, self.ell = first_rows, r, ell
+        self.orders, self.lcm_order = orders, lcm_order
 
     @property
     def s(self):
@@ -286,8 +276,7 @@ def take_samples(spec, scheme, x):
     return out.ravel()
 
 
-@dataclass(frozen=True)
-class RankReport:
+class RankReport(NamedTuple):
     full_rank: bool
     rank: int
     cols: int
@@ -308,7 +297,6 @@ def check_rank(R, rank_tol=RANK_TOL):
     )
 
 
-@dataclass
 class StructuredLeftInverse:
     """Left inverse of ``R`` whose columns are blockwise cyclic shifts.
 
@@ -321,11 +309,9 @@ class StructuredLeftInverse:
     its sums, so rows ``k < gcd(N_l, r)`` of each block meet every entry.
     """
 
-    entries: np.ndarray
-    r: int
-    ell: int
-    orders: tuple
-    certified_residual: float
+    def __init__(self, entries, r, ell, orders, certified_residual):
+        self.entries, self.r, self.ell, self.orders = entries, r, ell, orders
+        self.certified_residual = certified_residual
 
     @property
     def s(self):
@@ -409,13 +395,12 @@ def structurize_left_inverse(R, *, U=None, tol=RANK_TOL):
     )
 
 
-@dataclass
 class ReconstructionBasis:
     """Ambient vectors ``c_j`` whose shifted orbit reproduces the subspace, and
     the structured inverse ``inverse`` they come from: ``c_j = O h_{j,0}``."""
 
-    vectors: list
-    inverse: StructuredLeftInverse
+    def __init__(self, vectors, inverse):
+        self.vectors, self.inverse = vectors, inverse
 
 
 def reconstruction_vectors(spec, hs):

@@ -14,8 +14,8 @@ Gram matrices neither overflow nor underflow at any finite scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +37,7 @@ def scale_exponent(A):
     return 0 if abs(k) <= SAFE_EXPONENT else min(max(k, -1022), 1022)
 
 
-@dataclass(frozen=True)
-class FrameConstants:
+class FrameConstants(NamedTuple):
     """Grid extremes of the spectrum of ``G* G`` (lower/upper estimates) and
     ``sigma_ratio = sigma_min / sigma_max``, 0 when ``beta_G`` is; the ratio
     holds also where the extremes round to 0 or ``inf``."""

@@ -9,9 +9,9 @@ as polyphase matrices, but the Euclidean routines require exact input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Number
+from typing import NamedTuple
 
 import numpy as np
 
@@ -336,8 +336,7 @@ def eval_torus(p, w):
     return p.eval(z)
 
 
-@dataclass(frozen=True)
-class PositivityReport:
+class PositivityReport(NamedTuple):
     min_value: float
     argmin: float
     positive: bool

@@ -24,12 +24,11 @@ The single-generator cyclic pipeline is the special case ``H = Z_N`` with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
 
-from .duals import DualFamily, FrameConstants, check_frame, scale_exponent
+from .duals import DualFamily, check_frame, scale_exponent
 from .hilbert import ORBIT_LAW_TOL, RANK_TOL, as_cvector, require_full_rank
 
 __all__ = [
@@ -56,21 +55,25 @@ class RepresentationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class FiniteAbelianGroup:
-    """Product of cyclic groups; elements are integer rows modulo the moduli."""
+    """Product of cyclic groups; elements are integer rows modulo the moduli.
+    Groups with equal moduli are equal."""
 
-    moduli: tuple
-
-    def __post_init__(self):
-        mods = tuple(int(d) for d in self.moduli)
+    def __init__(self, moduli):
+        mods = tuple(int(d) for d in moduli)
         if not mods or any(d < 1 for d in mods):
             raise ValueError("moduli must be positive integers")
         if math.prod(mods) > MAX_GROUP_ORDER:
             raise ValueError(f"group order {math.prod(mods)} exceeds the budget {MAX_GROUP_ORDER}")
-        object.__setattr__(self, "moduli", mods)
+        self.moduli = mods
         # strides of the lexicographic rank (``flat``), formed once per group
-        object.__setattr__(self, "_strides", np.cumprod((mods[1:] + (1,))[::-1])[::-1])
+        self._strides = np.cumprod((mods[1:] + (1,))[::-1])[::-1]
+
+    def __eq__(self, other):
+        return isinstance(other, FiniteAbelianGroup) and self.moduli == other.moduli
+
+    def __hash__(self):
+        return hash(self.moduli)
 
     @property
     def order(self):
@@ -292,7 +295,6 @@ class GroupRepresentation:
         return out[:, :, 0] if V.ndim == 1 else out
 
 
-@dataclass(eq=False)
 class GroupSpectrum:
     """Spectral matrices of a group sampling problem over a section.
 
@@ -303,16 +305,10 @@ class GroupSpectrum:
     ``frame`` their frame constants, true extremes since everything is finite.
     """
 
-    rep: GroupRepresentation
-    samplers: list
-    M: Subgroup
-    dual: DualGroup
-    perp: np.ndarray
-    cells: np.ndarray
-    orbit: np.ndarray
-    characters: np.ndarray
-    family: DualFamily
-    frame: FrameConstants
+    def __init__(self, rep, samplers, M, dual, perp, cells, orbit, characters, family, frame):
+        self.rep, self.samplers, self.M, self.dual, self.perp = rep, samplers, M, dual, perp
+        self.cells, self.orbit, self.characters = cells, orbit, characters
+        self.family, self.frame = family, frame
 
     @property
     def r(self):
@@ -392,15 +388,13 @@ def take_group_samples(spectrum, x):
     return spectrum.analyzers @ as_cvector(x, spectrum.rep.dim)
 
 
-@dataclass(eq=False)
 class GroupDual:
     """Vectors ``c_j``, with orbit coefficients ``coeff[:, j]``; column ``(j, m)`` of
     ``coefficients`` (sampler-major) holds those of ``Pi(m) c_j``, and ``synthesis =
     orbit @ coefficients``.  Both are formed on first read."""
 
-    vectors: list
-    coeff: np.ndarray
-    spectrum: GroupSpectrum
+    def __init__(self, vectors, coeff, spectrum):
+        self.vectors, self.coeff, self.spectrum = vectors, coeff, spectrum
 
     @cached_property
     def coefficients(self):

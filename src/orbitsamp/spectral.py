@@ -11,11 +11,13 @@ analysis/synthesis filter bank with its polyphase certification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from typing import NamedTuple
 
 import numpy as np
 
-from .duals import DualFamily, check_frame, family_member, frame_bounds, scale_exponent
+from .duals import (SAFE_EXPONENT, DualFamily, check_frame, family_member, frame_bounds,
+                    scale_exponent)
 from .hilbert import RANK_TOL
 from .laurent import LaurentPoly, bezout, bspline, polyphase_sample
 
@@ -54,7 +56,6 @@ class TailEnergyError(ValueError):
     """Truncating the dual coefficients would drop more than ``TAIL_TOL`` of their energy."""
 
 
-@dataclass(eq=False)
 class FiniteSequence:
     """Complex sequence supported on a window, implicitly zero outside.
 
@@ -62,18 +63,15 @@ class FiniteSequence:
     empty; the zero sequence is a single zero at offset 0.
     """
 
-    offset: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
+    def __init__(self, offset, values):
+        v = np.asarray(values, dtype=complex)
         if v.ndim != 1:
             raise ValueError("values must be one-dimensional")
         nonzero = np.flatnonzero(v)
         if nonzero.size == 0:
             self.offset, self.values = 0, np.zeros(1, dtype=complex)
         else:
-            self.offset = int(self.offset) + int(nonzero[0])
+            self.offset = int(offset) + int(nonzero[0])
             self.values = v[nonzero[0] : nonzero[-1] + 1].copy()
 
     @property
@@ -128,7 +126,6 @@ def sequence_from_laurent(p):
     return FiniteSequence(offset=p.min_deg, values=vals)
 
 
-@dataclass(eq=False)
 class SpectralField:
     """Stacked ``s x (r*L)`` spectral matrices on the grid ``w_q = q/Q``.
 
@@ -137,10 +134,8 @@ class SpectralField:
     left-closed equispaced points.
     """
 
-    r: int
-    L: int
-    Q: int
-    values: np.ndarray
+    def __init__(self, r, L, Q, values):
+        self.r, self.L, self.Q, self.values = r, L, Q, values
 
     @property
     def s(self):
@@ -248,7 +243,6 @@ def frame_constants(field):
     return frame_bounds(_gram_pass(field.values * 2.0**k if k else field.values)[0], exponent=k)
 
 
-@dataclass(eq=False)
 class DualField:
     """Per-grid-point ``(r*L) x s`` dual matrices for a spectral field.
 
@@ -257,9 +251,8 @@ class DualField:
     field determines the dual functions on all of ``[0, 1)``.
     """
 
-    field: SpectralField
-    h_values: np.ndarray
-    residual_max: float
+    def __init__(self, field, h_values, residual_max):
+        self.field, self.h_values, self.residual_max = field, h_values, residual_max
 
 
 def _dual_residual(field, h_values):
@@ -361,19 +354,15 @@ def reconstruction_coefficients(dual, length=None):
     return [[FiniteSequence(offset=lo, values=kept[j, l]) for l in range(L)] for j in range(s)]
 
 
-@dataclass(eq=False)
 class FilterBank:
     """Analysis/synthesis filter pairs sharing a downsampling factor."""
 
-    analysis: list
-    synthesis: list
-    r: int
-
-    def __post_init__(self):
-        if len(self.analysis) != len(self.synthesis):
+    def __init__(self, analysis, synthesis, r):
+        if len(analysis) != len(synthesis):
             raise ValueError("analysis and synthesis branch counts differ")
-        if self.r < 1:
+        if r < 1:
             raise ValueError("downsampling factor must be positive")
+        self.analysis, self.synthesis, self.r = analysis, synthesis, r
 
     @property
     def s(self):
@@ -417,8 +406,7 @@ def polyphase(fb):
     return H, G
 
 
-@dataclass(frozen=True)
-class PRReport:
+class PRReport(NamedTuple):
     passed: bool
     max_residual: float
     roundtrip_error: float
@@ -437,7 +425,10 @@ def perfect_reconstruction_check(fb, torus_grid=512):
     random inputs of support at most ``ROUNDTRIP_SUPPORT`` through analysis
     and synthesis, which refuses a branch moving them over
     ``MAX_GRID_ENTRIES / 2`` samples.  The grid has ``MIN_GRID_FACTOR``
-    points or more, ``MAX_GRID_ENTRIES / (s*r)`` or fewer.
+    points or more, ``MAX_GRID_ENTRIES / (s*r)`` or fewer.  When the largest
+    entry of either side lies beyond ``2**±SAFE_EXPONENT``, both sides are
+    first brought to the same binary order as ``(h 2**-k, g 2**k)``, which
+    leaves every product ``g h``, and so every output, unchanged.
     """
     r = fb.r
     _check_grid(torus_grid, MIN_GRID_FACTOR, fb.s * r)
@@ -445,6 +436,11 @@ def perfect_reconstruction_check(fb, torus_grid=512):
         if max(abs(h.offset + g.offset), abs(h.end + g.end)) > MAX_GRID_ENTRIES // 2:
             raise ValueError(f"h{j}/g{j}: offsets {h.offset} and {g.offset} move branch {j} "
                              f"of the round trip more than {MAX_GRID_ENTRIES // 2} samples")
+    eh, eg = (math.frexp(max((float(np.abs(q.values).max()) for q in side), default=0.0))[1]
+              for side in (fb.analysis, fb.synthesis))
+    if max(abs(eh), abs(eg)) > SAFE_EXPONENT:
+        k = min(max((eh - eg) // 2, -1022), 1022)  # 2.0**±k a normal float
+        fb = FilterBank([h * 2.0**-k for h in fb.analysis], [g * 2.0**k for g in fb.synthesis], r)
     # a polyphase entry at z = exp(-2 pi i w) is the spectrum of its component
     H = [[_phase(h, r, -k) for k in range(r)] for h in fb.analysis]
     G = [[_phase(g, r, k) for g in fb.synthesis] for k in range(r)]
@@ -472,14 +468,11 @@ def perfect_reconstruction_check(fb, torus_grid=512):
     )
 
 
-@dataclass(eq=False)
 class SplineBank:
     """Oversampled compact-support bank built from a discrete B-spline."""
 
-    bank: FilterBank
-    mp: LaurentPoly
-    g_polys: tuple
-    h_polys: tuple
+    def __init__(self, bank, mp, g_polys, h_polys):
+        self.bank, self.mp, self.g_polys, self.h_polys = bank, mp, g_polys, h_polys
 
 
 def bspline_filter_bank(K, p):

@@ -1243,6 +1243,60 @@ class TestPrCheck:
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
 
+    @staticmethod
+    def report_lines(out):
+        return [line for line in out.splitlines() if line.startswith(("PR ", "time-", "perfect"))]
+
+    def test_bank_rescaled_as_hc_g_over_c_gives_one_verdict(self, tmp_path):
+        # h1 = c(1 + z), h2 = c, g1 = 0, g2 = 1/c: at c = 2**1023 the unbalanced
+        # torus spectra overflowed to nan residuals and a fail
+        runs = []
+        for c in (2.0**-1000, 1.0, 2.0**1023):
+            seqs = {"h1": [c, c], "h2": [c], "g1": [0.0], "g2": [1 / c]}
+            doc = {"model": "shift", "r": 1, "sequences": {
+                name: {"offset": 0, "values": cpairs(v)} for name, v in seqs.items()}}
+            proc = run_cli("pr-check", "--input", write_problem(tmp_path, doc))
+            runs.append((proc.returncode, proc.stderr, self.report_lines(proc.stdout)))
+        assert runs[0] == runs[1] == runs[2]
+        assert runs[0][:2] == (0, "") and runs[0][2][-1] == "perfect reconstruction: pass"
+
+    @pytest.mark.parametrize("exponent", [-1000, 900])
+    def test_power_of_two_balance_changes_no_report_line(self, tmp_path, capsys, exponent):
+        doc = bank_problem()
+        path = write_problem(tmp_path, doc, "plain.json")
+        assert cli.main(["pr-check", "--input", path]) == 0
+        plain = self.report_lines(capsys.readouterr().out)
+        for name, seq in doc["sequences"].items():
+            scale = 2.0 ** (exponent if name[0] == "h" else -exponent)
+            seq["values"] = [[re * scale, im * scale] for re, im in seq["values"]]
+        path = write_problem(tmp_path, doc, "scaled.json")
+        assert cli.main(["pr-check", "--input", path]) == 0
+        assert self.report_lines(capsys.readouterr().out) == plain
+
+
+class TestClosedStdout:
+    """A reader that has gone away ends the command with one line, not a traceback."""
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("argv", [["analyze", "--input", "problems/cyclic_perm.json"],
+                                      ["pr-check", "--input", "problems/bank_spline.json"]])
+    def test_exits_2_with_one_line(self, argv, unbuffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to the pipe now fails with EPIPE
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        try:
+            proc = subprocess.run([sys.executable, "-m", "orbitsamp.cli", *argv], cwd=ROOT,
+                                  stdout=write_end, stderr=subprocess.PIPE, text=True,
+                                  env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: cannot write standard output: Broken pipe\n"
+
 
 class TestLcaDemo:
     """The Z_4 demo problem, written as a problem file, runs through ``analyze``."""

@@ -1,6 +1,7 @@
 """Every module of the package is reached from ``orbitsamp`` or ``orbitsamp.cli``:
 code that no entry point imports lives under ``tests/`` or ``scripts/``.  Matrix
-powers and inverses are formed in ``hilbert.py`` alone."""
+powers and inverses are formed in ``hilbert.py`` alone, and importing the package
+generates no dataclass."""
 
 import glob
 import os
@@ -40,3 +41,24 @@ def test_powers_and_inverses_only_in_hilbert():
         if "matrix_power" in text or "linalg.inv" in text:
             found.add(os.path.basename(path))
     assert found == {"hilbert.py"}
+
+
+def test_import_generates_no_dataclass():
+    # every command is its own process, so the import is paid once per command
+    code = ("import inspect, sys, orbitsamp, orbitsamp.cli\n"
+            "classes = [c for name, m in list(sys.modules.items()) if name.startswith('orbitsamp')\n"
+            "           for _, c in inspect.getmembers(m, inspect.isclass)\n"
+            "           if c.__module__.startswith('orbitsamp')]\n"
+            "print(len(classes), 'dataclasses' in sys.modules,\n"
+            "      [c.__name__ for c in classes if hasattr(c, '__dataclass_fields__')])")
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    count, imported, generated = proc.stdout.split(" ", 2)
+    assert int(count) > 17
+    assert (imported, generated.strip()) == ("False", "[]")
