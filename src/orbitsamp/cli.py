@@ -14,7 +14,6 @@ failed certification, 2 on schema or usage errors.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import functools
 import gc
@@ -30,7 +29,7 @@ import numpy as np
 
 from . import cyclic, lca, spectral
 from .duals import FrameError
-from .hilbert import DimensionMismatch, LinearOperator
+from .hilbert import RESIDUAL_FLAG, DimensionMismatch, LinearOperator
 from .laurent import CoprimalityError, LaurentPoly, bezout, positivity_certificate
 from .spectral import FiniteSequence
 
@@ -184,23 +183,8 @@ def _named_sequences(doc):
     return parsed
 
 
-@contextlib.contextmanager
-def _collector_off():
-    """Hold the cyclic collector off, then restore its state: decoded JSON and the models
-    built from it make no cycles, and a scope drops the documents before it ends, so
-    that no pass walks them."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
 def _read_json(path, what):
-    """Decode ``path`` with the collector off, each ``{"npy": name}`` in it
-    resolved against its directory."""
+    """Decode ``path``, each ``{"npy": name}`` in it resolved against its directory."""
     base = os.path.dirname(path)
 
     def resolve(obj):
@@ -208,7 +192,7 @@ def _read_json(path, what):
         return dict(obj, npy=os.path.join(base, name)) if isinstance(name, str) else obj
 
     try:
-        with _collector_off(), open(path) as fh:
+        with open(path) as fh:
             return json.load(fh, object_hook=resolve)
     except OSError as exc:
         raise SchemaError(f"cannot read {what}: {exc}") from exc
@@ -569,31 +553,25 @@ def _recoverable(ok):
 
 
 def cmd_analyze(args):
-    with _collector_off():
-        doc = load_problem(args.input)
-        model = _load_model(doc, args.grid)
-        print(f"model: {doc['model']}")
-        del doc
+    doc = load_problem(args.input)
+    model = _load_model(doc, args.grid)
+    print(f"model: {doc['model']}")
+    del doc  # freed before the verdict allocates, which keeps the peak memory down
     return _recoverable(model.verdict(args.tol))
 
 
 def cmd_dual(args):
-    with _collector_off():
-        doc = load_problem(args.input)
-        path = args.u_matrix
-        U = None if path is None else _matrix(_read_json(path, "U matrix"), "u-matrix")
-        model = _load_model(doc, args.grid)
-        del doc
+    doc = load_problem(args.input)
+    path = args.u_matrix
+    U = None if path is None else _matrix(_read_json(path, "U matrix"), "u-matrix")
+    model = _load_model(doc, args.grid)
+    del doc  # freed before the duals allocate, which keeps the peak memory down
     model.dual(U, args.tol, args.out or "dual")
     return 0
 
 
-RESIDUAL_FLAG = 1e-6
-
-
 def cmd_reconstruct(args):
-    with _collector_off():
-        model = _load_model(load_problem(args.input))
+    model = _load_model(load_problem(args.input))
     indices, samples = read_vector_csv(args.samples)
     if indices != list(range(len(indices))):
         raise SchemaError(f"{args.samples}: indices must run 0..{len(indices) - 1} in order")
@@ -645,12 +623,11 @@ def cmd_spline_demo(args):
 
 
 def cmd_pr_check(args):
-    with _collector_off():
-        doc = load_problem(args.input)
-        if doc["model"] != "shift":
-            raise SchemaError("pr-check needs a shift-model problem with filter sequences")
-        model = _load_model(doc, args.grid)
-        del doc
+    doc = load_problem(args.input)
+    if doc["model"] != "shift":
+        raise SchemaError("pr-check needs a shift-model problem with filter sequences")
+    model = _load_model(doc, args.grid)
+    del doc  # freed before the check allocates, which keeps the peak memory down
     return 0 if model.pr_check() else 1
 
 
@@ -710,6 +687,10 @@ def _check_flags(args):
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
+    # decoded JSON, CSV samples and the models built from them make no reference
+    # cycles: reference counts free them all, and no collection pass need walk them
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         try:
             _check_flags(args)
@@ -727,6 +708,9 @@ def main(argv=None):
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: cannot write standard output: {exc.strerror}", file=sys.stderr)
         return 2
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ import numpy as np
 
 __all__ = [
     "RANK_TOL",
+    "RESIDUAL_FLAG",
     "ORBIT_LAW_TOL",
     "DimensionMismatch",
     "LinearOperator",
@@ -22,6 +23,8 @@ __all__ = [
 ]
 
 RANK_TOL = 1e-10
+# relative error of a reconstruction, against a truth or round trip, that passes
+RESIDUAL_FLAG = 1e-6
 # the orbit law T O = O P of either model, relative to the entry scale of its two sides
 ORBIT_LAW_TOL = 1e-8
 

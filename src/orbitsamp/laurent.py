@@ -302,32 +302,26 @@ def bezout(g1, g2):
             common_factor=g2 if g1.is_zero else g1,
         )
 
-    # extended Euclid on the ordinary parts: r0 = s0*p1 + t0*p2 throughout
+    # extended Euclid on the ordinary parts, one cofactor: r0 = s0*p1 (mod p2) throughout
     p1, p2 = (LaurentPoly(0, [Fraction(c) for c in g.coeffs]) for g in (g1, g2))
     r0, r1 = p1, p2
     s0, s1 = LaurentPoly.one(), LaurentPoly.zero()
-    t0, t1 = LaurentPoly.zero(), LaurentPoly.one()
     while not r1.is_zero:
         q, rem = _divmod(r0, r1)
         r0, r1 = r1, rem
         s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
     if r0.max_deg > 0:
         monic = r0 * (1 / r0.coeffs[-1])
         raise CoprimalityError(
             f"common factor {monic} divides both polynomials", common_factor=monic
         )
-    unit = 1 / r0.coeffs[0]
-    # canonical representative: reduce u modulo p2, fold the quotient into v
-    q, u = _divmod(s0 * unit, p2)
-    v = t0 * unit + q * p1
-
-    h1 = u.shifted(-g1.min_deg)
-    h2 = v.shifted(-g2.min_deg)
-    identity = g1 * h1 + g2 * h2
-    if identity != LaurentPoly.one():
+    # canonical representative: u reduced modulo p2, and v the exact quotient
+    # (1 - p1 u) / p2, whose zero remainder proves p1 u + p2 v = 1
+    u = _divmod(s0 * (1 / r0.coeffs[0]), p2)[1]
+    v, rem = _divmod(1 - p1 * u, p2)
+    if not rem.is_zero:
         raise RuntimeError("Bezout identity failed to verify exactly")
-    return h1, h2
+    return u.shifted(-g1.min_deg), v.shifted(-g2.min_deg)
 
 
 def eval_torus(p, w):

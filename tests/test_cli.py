@@ -23,7 +23,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import orbitsamp as o
 from orbitsamp import cli
-from orbitsamp.hilbert import RANK_TOL
+from orbitsamp.hilbert import RANK_TOL, RESIDUAL_FLAG
 from instances import (
     CyclicInstanceConfig,
     block_permutation,
@@ -681,11 +681,33 @@ class TestInputOutputErrors:
         assert proc.stderr.startswith("error: invalid JSON in problem file: ")
 
 
-class TestDecodeCollector:
-    """``_read_json`` decodes with the collector off and leaves it as it found it."""
+@contextlib.contextmanager
+def collector(enabled):
+    """Run the body with the collector ``enabled`` or not; yield a list that
+    receives the state the body left, then restore the state found."""
+    was, after = gc.isenabled(), []
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield after
+        after.append(gc.isenabled())
+    finally:
+        (gc.enable if was else gc.disable)()
 
-    CONTENTS = {"valid": b'{"model": "cyclic"}', "invalid JSON": b'{"model": ',
-                "nested too deep": b"[" * 100_000, "unreadable": None}
+
+def recording(monkeypatch, during, owner, name):
+    """Patch ``owner.name`` to append the collector state to ``during`` on each call."""
+    func = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a, **k: during.append(gc.isenabled())
+                        or func(*a, **k))
+
+
+class TestDecodeCollector:
+    """``main`` holds the collector off for the whole command, from the problem's
+    decoding on, and leaves it as it found it on every way out."""
+
+    CONTENTS = {"valid": json.dumps(cyclic_problem([E4[0], E4[1]])).encode(),
+                "invalid JSON": b'{"model": ', "nested too deep": b"[" * 100_000,
+                "unreadable": None}
 
     @pytest.mark.parametrize("enabled", [True, False])
     @pytest.mark.parametrize("case", sorted(CONTENTS))
@@ -693,24 +715,76 @@ class TestDecodeCollector:
         path = tmp_path / "p.json"  # absent in the unreadable case
         if self.CONTENTS[case] is not None:
             path.write_bytes(self.CONTENTS[case])
-        during, load = [], json.load
-        monkeypatch.setattr(json, "load", lambda *a, **k: during.append(gc.isenabled())
-                            or load(*a, **k))
-        was = gc.isenabled()
-        (gc.enable if enabled else gc.disable)()
-        try:
-            if case == "valid":
-                assert cli._read_json(str(path), "problem file") == {"model": "cyclic"}
-            else:
-                with pytest.raises(cli.SchemaError):
-                    cli._read_json(str(path), "problem file")
-            after = gc.isenabled()
-        finally:
-            (gc.enable if was else gc.disable)()
-        assert after == enabled
+        during = []
+        recording(monkeypatch, during, json, "load")
+        with collector(enabled) as after:
+            rc, _, err = run_in_process(["analyze", "--input", str(path)])
+        assert after == [enabled]
+        assert rc == (0 if case == "valid" else 2), err
         assert during == ([] if case == "unreadable" else [False])
 
-    # the commands' load scope, which decodes the problem and builds its model:
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_off_in_every_read(self, tmp_path, monkeypatch, enabled):
+        # the problem's and --u-matrix's json.load, the samples CSV and the model build
+        doc = cyclic_problem([E4[0], E4[1]], truth=E4[0])
+        path = write_problem(tmp_path, doc)
+        u_matrix = write_problem(tmp_path, [cpairs(row) for row in np.zeros((4, 4))], "u.json")
+        samples = tmp_path / "s.csv"
+        samples.write_text("index,re,im\n0,1,0\n1,0,0\n2,0,0\n3,0,0\n")
+        during = {name: [] for name in ("load", "read_vector_csv", "_load_model")}
+        recording(monkeypatch, during["load"], json, "load")
+        for name in ("read_vector_csv", "_load_model"):
+            recording(monkeypatch, during[name], cli, name)
+        out = str(tmp_path / "o")
+        with collector(enabled) as after:
+            runs = [run_in_process(["dual", "--input", path, "--u-matrix", u_matrix,
+                                    "--out", out]),
+                    run_in_process(["reconstruct", "--input", path, "--samples", str(samples),
+                                    "--out", out])]
+        assert after == [enabled] and [rc for rc, *_ in runs] == [0, 0], runs
+        assert during == {"load": [False] * 3, "read_vector_csv": [False],
+                          "_load_model": [False] * 2}
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("way_out", ["exit 0", "exit 1", "exit 2", "exception"])
+    def test_restored_on_every_way_out(self, tmp_path, monkeypatch, way_out, enabled):
+        doc = cyclic_problem([E4[0], E4[1]] if way_out != "exit 1" else [E4[0], E4[2]])
+        if way_out == "exit 2":
+            doc["r"] = 2.5
+        path = write_problem(tmp_path, doc)
+        if way_out == "exception":
+            def verdict(self, tol):
+                raise RuntimeError("raised by the model")
+            monkeypatch.setattr(cli._Cyclic, "verdict", verdict)
+        with collector(enabled) as after:
+            if way_out == "exception":
+                with pytest.raises(RuntimeError, match="raised by the model"):
+                    cli.main(["analyze", "--input", path])
+            else:
+                rc, _, err = run_in_process(["analyze", "--input", path])
+                assert rc == int(way_out[-1]), err
+        assert after == [enabled]
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_restored_after_a_closed_stdout(self, enabled):
+        # main in a child whose stdout is a pipe without a reader, which then
+        # reports main's exit code and the collector state on stderr
+        code = (f"import gc, sys; from orbitsamp import cli; gc.{'en' if enabled else 'dis'}able()"
+                "; rc = cli.main(['analyze', '--input', 'problems/cyclic_perm.json'])"
+                "; print(rc, gc.isenabled(), file=sys.stderr)")
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+        try:
+            proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, stdout=write_end,
+                                  stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.stderr.splitlines() == ["error: cannot write standard output: Broken pipe",
+                                            f"2 {enabled}"]
+
+    # the model build of every loading command, through main:
     # r = 2.5 fails in the model build, and r = 3 (shift r = 0) in the library
     LOAD_CASES = ("valid", "unreadable", "invalid JSON", "schema error in the model build",
                   "library ValueError")
@@ -733,24 +807,19 @@ class TestDecodeCollector:
         argv = [command, "--input", str(path)]
         argv += {"dual": ["--out", str(tmp_path / "d")], "reconstruct":
                  ["--samples", str(samples), "--out", str(tmp_path / "r")]}.get(command, [])
-        during, load_model = [], cli._load_model
-        monkeypatch.setattr(cli, "_load_model", lambda *a: during.append(gc.isenabled())
-                            or load_model(*a))
-        was = gc.isenabled()
-        (gc.enable if enabled else gc.disable)()
-        try:
+        during = []
+        recording(monkeypatch, during, cli, "_load_model")
+        with collector(enabled) as after:
             rc, _, err = run_in_process(argv)
-            after = gc.isenabled()
-        finally:
-            (gc.enable if was else gc.disable)()
-        assert after == enabled
+        assert after == [enabled]
         assert rc == (0 if case == "valid" else 2), err
         assert during == ([] if case in ("unreadable", "invalid JSON") else [False])
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_decoded_problem_is_gone_before_the_collector_is_back(self, tmp_path, monkeypatch,
                                                                   enabled):
-        # d = 64: the decoded pair lists alone are some 4,300 tracked objects
+        # d = 64: the decoded pair lists alone are some 4,300 tracked objects, which
+        # ``del doc`` frees before the verdict; no collection runs in the command
         rng = np.random.default_rng(64)
         op, gens = operator_with_orders(rng, 64, [32, 16])
         samplers = rng.standard_normal((8, 64)) + 1j * rng.standard_normal((8, 64))
@@ -778,6 +847,26 @@ class TestDecodeCollector:
             (gc.enable if was else gc.disable)()
         assert rc == 0, err
         assert counts[0] < gc.get_threshold()[0] and collections == []
+
+
+def test_no_command_leaves_cyclic_garbage(tmp_path):
+    # main holds the collector off, so all that a command allocates must go by reference counts
+    commands = [["spline-demo", "--K", "3", "--p", "4"], ["spline-demo", "--K", "3", "--p", "20"],
+                ["analyze", "--input", str(tmp_path / "absent.json")]]
+    for k, (doc, rows) in enumerate(fuzz_bases().values()):
+        path = write_problem(tmp_path, doc, f"p{k}.json")
+        samples, out = tmp_path / f"s{k}.csv", str(tmp_path / f"o{k}")
+        samples.write_text("\n".join(rows) + "\n")
+        commands += [["analyze", "--input", path], ["dual", "--input", path, "--out", out],
+                     ["reconstruct", "--input", path, "--samples", str(samples), "--out", out],
+                     ["pr-check", "--input", path]]
+    codes = set()
+    for argv in commands:
+        gc.collect()
+        rc, _, err = run_in_process(argv)
+        codes.add(rc)
+        assert gc.collect() == 0, (argv, rc, err)
+    assert codes == {0, 1, 2}
 
 
 def test_dual_reasons_in_order(tmp_path):
@@ -1221,6 +1310,18 @@ class TestPrCheck:
         assert cli.main(["spline-demo", "--K", "15", "--p", "10"]) == 0
         assert "perfect reconstruction: pass" in capsys.readouterr().out
 
+    def test_round_trip_far_off_fails(self, tmp_path, capsys):
+        # K = 3, p = 20: cancellation inflates max |G||H| with the torus residual, whose
+        # ratio stays near 3e-16, while the round trip is off by some 5e-3
+        path = write_problem(tmp_path, self.bank_doc(3, 20))
+        for argv in (["pr-check", "--input", path], ["spline-demo", "--K", "3", "--p", "20"]):
+            assert cli.main(argv) == 1
+            out = capsys.readouterr().out
+            relative = float(out.split("relative to max |G||H|: ")[1].split()[0])
+            roundtrip = float(out.split("round-trip max relative error: ")[1].split()[0])
+            assert relative <= 1e-9 and roundtrip > RESIDUAL_FLAG
+            assert "perfect reconstruction: fail" in out
+
     def test_relative_perturbation_fails(self, tmp_path):
         doc = self.bank_doc()
         doc["sequences"]["g1"]["values"][1][0] *= 1 + 1e-6
@@ -1326,6 +1427,20 @@ class TestShippedProblems:
         assert cli.main(["analyze", "--input", path]) == 0
         assert cli.main(["dual", "--input", path, "--out", str(tmp_path / "d")]) == 0
         assert "-38/243" in capsys.readouterr().out
+
+    def test_shift_doubtful_analyze_and_dual_agree_at_the_ratio(self, tmp_path):
+        # doubtful grid points send dual to its exact route: at the ratio that analyze
+        # prints and at the doubles on either side of it, both give one exit code
+        path = f"{self.ROOT}/problems/shift_doubtful.json"
+        rc, out, _ = run_in_process(["analyze", "--input", path])
+        ratio = float(out.split("sigma_min/sigma_max = ")[1].split()[0])
+        assert rc == 0 and ratio < 1e-2
+        for tol, code in ((np.nextafter(ratio, 0), 0), (ratio, 1), (np.nextafter(ratio, 1), 1),
+                          (0.006353264651051832, 1)):
+            argv = ["--input", path, "--tol", repr(float(tol))]
+            codes = [run_in_process(["analyze", *argv])[0],
+                     run_in_process(["dual", *argv, "--out", str(tmp_path / "d")])[0]]
+            assert codes == [code, code], tol
 
     def test_bank_spline(self, capsys):
         path = f"{self.ROOT}/problems/bank_spline.json"

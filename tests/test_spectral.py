@@ -236,7 +236,9 @@ class TestFrameConstants:
 
     def test_svd_only_where_gram_is_doubtful(self, monkeypatch):
         rng = np.random.default_rng(4)
-        u, _, vh = np.linalg.svd(rng.standard_normal((64, 3, 2)), full_matrices=False)
+        # complex, as the doubtful points' one DualFamily takes its SVD
+        draw = rng.standard_normal((64, 3, 2)) + 1j * rng.standard_normal((64, 3, 2))
+        u, _, vh = np.linalg.svd(draw, full_matrices=False)
         values = (u * [1.0, 0.1]) @ vh  # sigma ratio 0.1 at every point
         shapes = []
         svd = np.linalg.svd
@@ -427,6 +429,29 @@ class TestDualField:
             assert shapes == want
             assert np.max(np.abs(dual.h_values - pinv)) <= 1e-12 * np.max(np.abs(pinv))
             shapes.clear()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        width=st.sampled_from([2, 4]),
+        extra=st.integers(0, 2),
+        planted=st.lists(st.integers(0, 63), min_size=1, max_size=4, unique=True),
+        log_ratio=st.floats(-7, -2.5),
+        scale=st.sampled_from([1e-6, 1.0, 1e3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_refused_exactly_at_the_ratio_of_frame_constants(self, width, extra, planted,
+                                                             log_ratio, scale, seed):
+        # planted points with sigma ratio at most 10**-2.5 are doubtful, so the
+        # frame test takes the exact route: it must read the frame_constants ratio
+        rng = np.random.default_rng(seed)
+        ratios = 10 ** rng.uniform(-1, 0, 64)
+        ratios[planted] = 10**log_ratio
+        values = scale * self.conditioned_stack(rng, width, extra, ratios)
+        field = SpectralField(r=1, L=width, Q=64, values=values)
+        ratio = frame_constants(field).sigma_ratio
+        with pytest.raises(FrameError):
+            dual_field(field, threshold=ratio)
+        dual_field(field, threshold=np.nextafter(ratio, 0))
 
 
 class TestReconstructionCoefficients:
