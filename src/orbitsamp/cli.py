@@ -29,7 +29,7 @@ import numpy as np
 
 from . import cyclic, lca, spectral
 from .duals import FrameError
-from .hilbert import RESIDUAL_FLAG, DimensionMismatch, LinearOperator
+from .hilbert import RANK_TOL, RESIDUAL_FLAG, DimensionMismatch, LinearOperator
 from .laurent import CoprimalityError, LaurentPoly, bezout, positivity_certificate
 from .spectral import FiniteSequence
 
@@ -419,12 +419,10 @@ class _Shift:
             coeffs = spectral.reconstruction_coefficients(dual, self.dual_length)
         except spectral.TailEnergyError as exc:
             raise NotRecoverable(f"truncation refused: {exc}") from exc
-        for j, per_gen in enumerate(coeffs, start=1):
-            for l, seq in enumerate(per_gen, start=1):
-                suffix = f"c{j}" if self.field.L == 1 else f"c{j}g{l}"
-                path = f"{prefix}.{suffix}.csv"
-                write_vector_csv(path, seq.values, indices=seq.support())
-                print(f"wrote {path}")
+        for j, (seq,) in enumerate(coeffs, start=1):  # L = 1: each g<n> is one sampler
+            path = f"{prefix}.c{j}.csv"
+            write_vector_csv(path, seq.values, indices=seq.support())
+            print(f"wrote {path}")
 
     def _bezout_duals(self, prefix):
         if len(self.seqs) != 2 or self.field.r != 1:
@@ -638,7 +636,7 @@ _TOL_HELP = "recoverability tolerance on sigma_min/sigma_max in every model and 
 _FLAGS = {
     "input": dict(help="problem file (JSON)"),
     "out": dict(help="output path prefix for CSV files"),
-    "tol": dict(type=float, default=1e-10, help=_TOL_HELP),
+    "tol": dict(type=float, default=RANK_TOL, help=_TOL_HELP),
     "grid": dict(type=int, help="grid points per unit interval"),
     "u-matrix": dict(help="JSON file with a left-inverse perturbation matrix"),
     "samples": dict(required=True, help="CSV of samples (index,re,im)"),

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .duals import DualFamily, family_member
-from .hilbert import ORBIT_LAW_TOL, RANK_TOL, as_cvector, require_full_rank
+from .hilbert import LEFT_INVERSE_TOL, ORBIT_LAW_TOL, RANK_TOL, as_cvector, require_full_rank
 from .spectral import MAX_GRID_ENTRIES
 
 __all__ = [
@@ -41,10 +41,6 @@ __all__ = [
     "interpolation_table",
     "filter_bank_coefficients",
 ]
-
-
-# bound on max |H R - I| for a structured left inverse; the rank tolerance is separate
-LEFT_INVERSE_TOL = 1e-10
 
 
 class RankDeficiencyError(ValueError):

@@ -16,6 +16,7 @@ import numpy as np
 __all__ = [
     "RANK_TOL",
     "RESIDUAL_FLAG",
+    "LEFT_INVERSE_TOL",
     "ORBIT_LAW_TOL",
     "DimensionMismatch",
     "LinearOperator",
@@ -25,6 +26,7 @@ __all__ = [
 RANK_TOL = 1e-10
 # relative error of a reconstruction, against a truth or round trip, that passes
 RESIDUAL_FLAG = 1e-6
+LEFT_INVERSE_TOL = 1e-10  # max |X A - I| for a left inverse X of A; RANK_TOL is separate
 # the orbit law T O = O P of either model, relative to the entry scale of its two sides
 ORBIT_LAW_TOL = 1e-8
 
@@ -57,9 +59,9 @@ class LinearOperator:
     """Finite square matrix on C^dim, and the inverse and powers asked for.
 
     The inverse is formed when ``inv_matrix`` or a negative power is first
-    read; its residual, within ``1e-10``, also certifies ``sigma_min/sigma_max
-    > RANK_TOL``, and a values-only SVD decides only when that bound is
-    inconclusive.  ``power`` keeps each ``T^k`` it forms; only
+    read; its residual, within ``LEFT_INVERSE_TOL``, also certifies
+    ``sigma_min/sigma_max > RANK_TOL``, and a values-only SVD decides only
+    when that bound is inconclusive.  ``power`` keeps each ``T^k`` it forms; only
     ``cyclic.take_samples`` asks, for ``T^{-r}``.  A complex ``matrix`` is
     held as given, not copied: it must not change after construction.
     """
@@ -86,10 +88,10 @@ class LinearOperator:
         # (1 - dim * resid) / (||m||_F ||inv||_F); only when that is inconclusive
         # does a values-only SVD decide, its singular test ahead of the residual's
         bound = (1 - dim * resid) / (np.linalg.norm(m) * np.linalg.norm(inv))
-        if not (resid <= 1e-10 and bound > RANK_TOL):
+        if not (resid <= LEFT_INVERSE_TOL and bound > RANK_TOL):
             message = "matrix is numerically singular (sigma_min/sigma_max = {:.3e})"
             require_full_rank(m, ValueError, message)
-            if not resid <= 1e-10:
+            if not resid <= LEFT_INVERSE_TOL:
                 raise ValueError(f"inverse verification failed (residual {resid:.3e})")
         return inv
 

@@ -48,8 +48,10 @@ TAIL_TOL = 1e-6
 # Gram eigenvalues err by about eps times their point's largest (``_gram_pass``)
 GRAM_DOUBT = 1e-4
 GRAM_SLACK = 1e-12
+DUAL_BLOCK_ENTRIES = 1 << 14  # complex entries of the field per block of ``dual_field``
 # random inputs of the time-domain cross-check in ``perfect_reconstruction_check``
 ROUNDTRIP_TRIALS, ROUNDTRIP_SUPPORT, ROUNDTRIP_SEED = 16, 64, 0
+PR_TOL = 1e-9  # torus residual of ``G H - I``, relative to max |G| |H|, that passes
 
 
 class TailEnergyError(ValueError):
@@ -264,16 +266,47 @@ def _dual_residual(field, h_values):
     return float(np.max(np.abs(prod - target)))
 
 
-def _certified(G, pinv, step, threshold):
-    """Whether ``X`` and ``E = I - X G`` show that ``_gram_pass`` finds no doubtful
-    point and the frame test passes: where ``e = |E|_F < 1``, ``sigma_min(G) >=
-    (1 - e) / |X|_F``, and ``sigma_max(G) <= |G|_F``; the squared bounds clear
-    ``GRAM_DOUBT`` at every point and ``threshold**2`` over the grid by a factor 2."""
+def _certification(G, pinv, step):
+    """Per point, the squares of ``sigma_min(G) >= (1 - e) / |X|_F`` where ``e =
+    |E|_F < 1`` (else 0), for ``E = I - X G``, and of ``sigma_max(G) <= |G|_F``."""
     flat = (np.ascontiguousarray(M, dtype=complex).reshape(len(M), -1).view(float)
             for M in (step, pinv, G))
     e2, x2, g2 = (np.einsum("ij,ij->i", v, v) for v in flat)  # squared Frobenius norms
-    low = np.where(e2 < 1, (1 - np.sqrt(e2)) ** 2, 0.0) / x2
-    return bool(np.all(low > 2 * GRAM_DOUBT * g2) and low.min() > 2 * threshold**2 * g2.max())
+    return np.where(e2 < 1, (1 - np.sqrt(e2)) ** 2, 0.0) / x2, g2
+
+
+def _gram_solve(G, A):
+    """``X = solve(A, G*)`` for the Gram matrices ``A`` of ``G``, and ``E = I - X G``."""
+    pinv = np.linalg.solve(A, np.conj(np.swapaxes(G, 1, 2)))
+    step = pinv @ G
+    return pinv, np.subtract(np.eye(G.shape[-1]), step, out=step)
+
+
+def _certified_duals(field, k, U, threshold):
+    """The dual matrices, ``DUAL_BLOCK_ENTRIES`` of the field at a time; None when a
+    Gram matrix is exactly singular, or unless ``_certification`` clears ``GRAM_DOUBT``
+    at every point (no point doubtful) and ``threshold**2`` over the grid, by a factor 2."""
+    P, s, n = field.values.shape
+    if U is not None:  # sliced with each block; a constant U as a view of stride 0
+        U = np.broadcast_to(U, (P,) + np.shape(U)[-2:])
+    h = np.empty((P, n, s), dtype=complex)
+    size, low_min, g2_max = max(1, DUAL_BLOCK_ENTRIES // (s * n)), np.inf, 0.0
+    for a in range(0, P, size):
+        V = field.values[a : a + size]
+        G = V * 2.0**k if k else V
+        try:
+            pinv, step = _gram_solve(G, np.conj(np.swapaxes(G, 1, 2)) @ G)
+        except np.linalg.LinAlgError:  # an exactly singular Gram matrix, never a sound one
+            return None
+        low, g2 = _certification(G, pinv, step)
+        if not np.all(low > 2 * GRAM_DOUBT * g2):
+            return None
+        low_min, g2_max = min(low_min, low.min()), max(g2_max, g2.max())
+        pinv += step @ pinv
+        if k:
+            pinv *= 2.0**k
+        h[a : a + size] = pinv if U is None else family_member(V, pinv, U[a : a + size])
+    return h if low_min > 2 * threshold**2 * g2_max else None
 
 
 def dual_field(field, U=None, *, threshold=RANK_TOL):
@@ -284,35 +317,27 @@ def dual_field(field, U=None, *, threshold=RANK_TOL):
     row condition, and the verification residual is recorded.  The frame test
     is ``frame_constants``': ``FrameError`` when ``sigma_min/sigma_max`` is at
     or below ``threshold``, taken by ``_gram_pass`` unless ``X = solve(G*G, G*)``
-    passes ``_certified``.  One Newton-Schulz step ``X += (I - X G) X`` squares
+    passes ``_certified_duals``.  One Newton-Schulz step ``X += (I - X G) X`` squares
     the solve's relative error; a thin SVD gives doubtful points values and pinv.
     All of it runs on ``G 2**k``, ``k = scale_exponent(G)``, and ``pinv`` is
-    scaled back by the same power of two.
+    scaled back by the same power of two; only the exact route takes the whole grid.
     """
     k = scale_exponent(field.values)
-    G = field.values * 2.0**k if k else field.values
-    A = np.conj(np.swapaxes(G, 1, 2)) @ G
-    family = None
-    for exact in (False, True):  # the exact route only when X leaves the grid uncertified
-        if exact:
-            eigs, doubtful, family = _gram_pass(G, A)
-            check_frame(frame_bounds(eigs), threshold)
-            A[doubtful] = np.eye(G.shape[-1])  # a placeholder, replaced by the SVD's below
-        try:
-            pinv = np.linalg.solve(A, np.conj(np.swapaxes(G, 1, 2)))
-        except np.linalg.LinAlgError:  # an exactly singular Gram matrix, never a sound one
-            continue
-        step = pinv @ G
-        np.subtract(np.eye(G.shape[-1]), step, out=step)
-        if exact or _certified(G, pinv, step, threshold):
-            break
-    del A  # before the step's temporaries
-    pinv += step @ pinv
-    if family is not None:
-        pinv[doubtful] = family.pinv
-    if k:
-        pinv *= 2.0**k
-    h = pinv if U is None else family_member(field.values, pinv, U)
+    h = _certified_duals(field, k, U, threshold)
+    if h is None:
+        G = field.values * 2.0**k if k else field.values
+        A = np.conj(np.swapaxes(G, 1, 2)) @ G
+        eigs, doubtful, family = _gram_pass(G, A)
+        check_frame(frame_bounds(eigs), threshold)
+        A[doubtful] = np.eye(G.shape[-1])  # a placeholder, replaced by the SVD's below
+        pinv, step = _gram_solve(G, A)
+        del A  # before the step's temporaries
+        pinv += step @ pinv
+        if family is not None:
+            pinv[doubtful] = family.pinv
+        if k:
+            pinv *= 2.0**k
+        h = pinv if U is None else family_member(field.values, pinv, U)
     return DualField(field=field, h_values=h, residual_max=_dual_residual(field, h))
 
 
@@ -336,15 +361,19 @@ def reconstruction_coefficients(dual, length=None):
         raise ValueError(f"truncation length must be in [1, {Q}]")
     lo = -(length // 2)
     window = np.arange(lo, lo + length)
-    # f[j, l] on the full circle: translate block k of row l holds w + k/r
-    f = r * np.conj(dual.h_values).reshape(-1, r, L, s).transpose(3, 2, 1, 0).reshape(s, L, Q)
-    coeffs = np.fft.fft(f, axis=-1) / Q
-    kept = coeffs[..., window % Q]
+    # f[j, l] on the full circle: translate block k of row l holds w + k/r; one copy,
+    # transformed a row at a time back into itself
+    f = np.empty((s, L, Q), dtype=complex)
+    np.conjugate(dual.h_values.reshape(-1, r, L, s).transpose(3, 2, 1, 0),
+                 out=f.reshape(s, L, r, -1))
+    f *= r
+    for row in (rows := f.reshape(-1, Q)):
+        np.divide(np.fft.fft(row), Q, out=row)
+    kept = f[..., window % Q]
     # energies of magnitudes scaled exactly out of reach of overflow and underflow
-    mag = np.abs(coeffs)
-    mag *= 2.0 ** scale_exponent(mag)
-    total = np.sum(mag**2, axis=-1)
-    tail = total - np.sum(mag[..., window % Q] ** 2, axis=-1)
+    scale = 2.0 ** scale_exponent(max(np.abs(row).max() for row in rows))
+    total = np.array([np.sum((np.abs(row) * scale) ** 2) for row in rows]).reshape(s, L)
+    tail = total - np.sum((np.abs(kept) * scale) ** 2, axis=-1)
     refused = np.argwhere((total > 0) & (tail > TAIL_TOL * total))
     if refused.size:
         j, l = refused[0]
@@ -419,7 +448,7 @@ def perfect_reconstruction_check(fb, torus_grid=512):
     """Certify ``G(z) H(z) = I_r`` on a torus grid and cross-check in time.
 
     Passes when the polyphase residual, relative to the largest entry of
-    ``|G(w)| |H(w)|`` over the grid (floored at 1), stays at or below 1e-9,
+    ``|G(w)| |H(w)|`` over the grid (floored at 1), stays at or below ``PR_TOL``,
     and the worst relative round-trip error of ``ROUNDTRIP_TRIALS`` random
     inputs of support at most ``ROUNDTRIP_SUPPORT`` through analysis and
     synthesis is at most ``RESIDUAL_FLAG``.  The rounding error of the
@@ -463,7 +492,7 @@ def perfect_reconstruction_check(fb, torus_grid=512):
         err = float(np.max(np.abs(diff.values))) / float(np.max(np.abs(alpha.values)))
         worst = max(worst, err)
     return PRReport(
-        passed=relative <= 1e-9 and worst <= RESIDUAL_FLAG,
+        passed=relative <= PR_TOL and worst <= RESIDUAL_FLAG,
         max_residual=resid,
         roundtrip_error=worst,
         torus_grid=int(torus_grid),

@@ -7,8 +7,9 @@ by the normal equations, the cyclic reconstruction sum by a Horner walk in
 ``T^r``, the characters of a subgroup by ``np.unique`` over phase rows, the
 orbit law of a group representation over all pairs of elements, an
 operator check that takes its SVD first, the
-shift dual field by its exact route (Gram eigenvalues first), and CSV rows
-written by the ``csv`` module.  The finite-sequence helpers at the end
+shift dual field by its exact route (Gram eigenvalues first), the shift
+reconstruction coefficients by one batched FFT over all samplers, and CSV
+rows written by the ``csv`` module.  The finite-sequence helpers at the end
 (a delta, the value at an index, the conjugate reversal, closeness and the
 dual field of given sequences) build and compare the spectral test cases.
 """
@@ -20,13 +21,15 @@ from fractions import Fraction
 import numpy as np
 
 from orbitsamp.cyclic import RankDeficiencyError
-from orbitsamp.duals import DualFamily, check_frame, family_member, frame_bounds
+from orbitsamp.duals import DualFamily, check_frame, family_member, frame_bounds, scale_exponent
 from orbitsamp.hilbert import RANK_TOL, DimensionMismatch, as_cvector
 from orbitsamp.spectral import (
     GRAM_DOUBT,
     GRAM_SLACK,
+    TAIL_TOL,
     DualField,
     FiniteSequence,
+    TailEnergyError,
     _dual_residual,
     _nested_sequences,
     _translate_spectra,
@@ -241,6 +244,31 @@ def exact_dual_field(field, U=None, threshold=RANK_TOL):
     target = np.zeros((L, n))
     target[:, :L] = np.eye(L)
     return h, float(np.max(np.abs(h[:, :L, :] @ G - target)))
+
+
+def batched_reconstruction_coefficients(dual, length):
+    """``spectral.reconstruction_coefficients`` with every (sampler, generator)
+    row conjugated, scaled and transformed at once, and the energies of all
+    rows taken from one array of magnitudes."""
+    field = dual.field
+    Q, r, L, s = field.Q, field.r, field.L, field.s
+    lo = -(length // 2)
+    window = np.arange(lo, lo + length)
+    f = r * np.conj(dual.h_values).reshape(-1, r, L, s).transpose(3, 2, 1, 0).reshape(s, L, Q)
+    coeffs = np.fft.fft(f, axis=-1) / Q
+    kept = coeffs[..., window % Q]
+    mag = np.abs(coeffs)
+    mag *= 2.0 ** scale_exponent(mag)
+    total = np.sum(mag**2, axis=-1)
+    tail = total - np.sum(mag[..., window % Q] ** 2, axis=-1)
+    refused = np.argwhere((total > 0) & (tail > TAIL_TOL * total))
+    if refused.size:
+        j, l = refused[0]
+        raise TailEnergyError(
+            f"truncation to {length} coefficients drops {tail[j, l] / total[j, l]:.3e} "
+            f"of the dual energy (sampler {j + 1}); increase the length"
+        )
+    return [[FiniteSequence(offset=lo, values=kept[j, l]) for l in range(L)] for j in range(s)]
 
 
 def write_vector_csv(path, values, indices=None, exact=None):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from orbitsamp import cli, cyclic, hilbert
 from orbitsamp.hilbert import DimensionMismatch, LinearOperator, cross_correlation
 from oracles import gram_matrix, inner, operator_inverse
 
@@ -53,6 +54,18 @@ class TestLinearOperator:
         rng = np.random.default_rng(0)
         op = random_well_conditioned(rng, 4)
         assert np.max(np.abs(op.inv_matrix @ op.matrix - np.eye(4))) < 1e-10
+
+    def test_one_name_per_tolerance(self, monkeypatch):
+        # the CLI's --tol default is RANK_TOL, and the operator and the cyclic
+        # structured inverse read one left-inverse bound
+        args = cli._build_parser().parse_args(["analyze", "--input", "p.json"])
+        assert args.tol is hilbert.RANK_TOL
+        assert cyclic.LEFT_INVERSE_TOL is hilbert.LEFT_INVERSE_TOL
+        op = random_well_conditioned(np.random.default_rng(0), 4)
+        assert 0 < np.max(np.abs(np.linalg.inv(op.matrix) @ op.matrix - np.eye(4)))
+        monkeypatch.setattr(hilbert, "LEFT_INVERSE_TOL", 0.0)
+        with pytest.raises(ValueError, match="inverse verification failed"):
+            op.inv_matrix
 
     def test_far_powers_of_permutation(self):
         # T^k of a cyclic shift is the shift by k mod n, however large k is

@@ -1,14 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import oracles
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from orbitsamp import spectral
 from orbitsamp.duals import FrameError
 from orbitsamp.laurent import LaurentPoly, eval_torus
 from orbitsamp.spectral import (
     GRAM_DOUBT,
     MAX_GRID_ENTRIES,
     MIN_GRID_FACTOR,
+    DualField,
     FilterBank,
     FiniteSequence,
     SpectralField,
@@ -376,6 +380,49 @@ class TestDualField:
             dual = dual_field(field, U=U, threshold=threshold)
             assert np.array_equal(dual.h_values, h) and dual.residual_max == residual
 
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    def test_blocks_change_no_bit(self, monkeypatch, block):
+        # ragged blocks of the certified route, one-point blocks among them: every
+        # member and refusal is the whole-grid exact route's, bit for bit
+        rng = np.random.default_rng(block)
+        sizes = []
+        solve = spectral._gram_solve
+
+        def recording_solve(G, A):
+            sizes.append(len(G))
+            return solve(G, A)
+
+        monkeypatch.setattr(spectral, "_gram_solve", recording_solve)
+        for points, width, extra in ((32, 2, 1), (45, 1, 2), (64, 4, 0)):
+            s = width + extra
+            monkeypatch.setattr(spectral, "DUAL_BLOCK_ENTRIES", block * s * width)
+            ratios = 10 ** rng.uniform(-1, 0, points)
+            sound = self.conditioned_stack(rng, width, extra, ratios)
+            ratios[-2] = 1e-3  # Gram eigenvalue ratio 1e-6: doubtful, in a late block
+            doubtful = self.conditioned_stack(rng, width, extra, ratios)
+            singular = sound.copy()
+            singular[-1] = 0.0  # an exactly singular Gram matrix in the last block
+            U = rng.standard_normal((width, s)) + 1j * rng.standard_normal((width, s))
+            members = (None, U, U[None], U * rng.standard_normal((points, 1, 1)))
+            for values in (sound, doubtful, singular):
+                field = SpectralField(r=1, L=width, Q=points, values=values)
+                ratio = frame_constants(field).sigma_ratio
+                for member in members:
+                    for threshold in (1e-10, ratio * (1 - 1e-9), ratio * (1 + 1e-9)):
+                        try:
+                            h, residual = oracles.exact_dual_field(field, member, threshold)
+                        except FrameError as exc:
+                            with pytest.raises(FrameError) as got:
+                                dual_field(field, U=member, threshold=threshold)
+                            assert str(got.value) == str(exc)
+                            continue
+                        dual = dual_field(field, U=member, threshold=threshold)
+                        assert np.array_equal(dual.h_values, h)
+                        assert dual.residual_max == residual
+            sizes.clear()
+            dual_field(SpectralField(r=1, L=width, Q=points, values=sound))
+            assert sizes == [block] * (points // block) + [points % block] * (points % block > 0)
+
     def test_eigenvalues_only_when_uncertified(self, monkeypatch):
         rng = np.random.default_rng(5)
         ratios = np.full(64, 0.5)
@@ -493,6 +540,54 @@ class TestReconstructionCoefficients:
         dual = dual_field(field)
         with pytest.raises(TailEnergyError):
             reconstruction_coefficients(dual, 3)
+
+
+    @staticmethod
+    def assert_batched(dual, length):
+        """``reconstruction_coefficients`` is the batched oracle's, refusal and all,
+        and leaves the dual matrices as they were."""
+        before = dual.h_values.copy()
+        try:
+            want = oracles.batched_reconstruction_coefficients(dual, length)
+        except TailEnergyError as exc:
+            with pytest.raises(TailEnergyError) as got:
+                reconstruction_coefficients(dual, length)
+            assert str(got.value) == str(exc)
+        else:
+            got = reconstruction_coefficients(dual, length)
+            for got_row, want_row in zip(got, want, strict=True):
+                for g, w in zip(got_row, want_row, strict=True):
+                    assert g.offset == w.offset and np.array_equal(g.values, w.values)
+        assert np.array_equal(dual.h_values, before)
+
+    @pytest.mark.parametrize("r, L, s", [(1, 1, 1), (1, 2, 3), (2, 1, 3), (4, 1, 6), (3, 2, 4)])
+    def test_rows_match_batched_transform(self, r, L, s):
+        rng = np.random.default_rng(100 * r + 10 * L + s)
+        Q = 64 * r
+        values = np.zeros((Q // r, s, r * L), dtype=complex)
+        field = SpectralField(r=r, L=L, Q=Q, values=values)
+        shape = (Q // r, r * L, s)
+        noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        smooth = dual_field(build_spectral_field(
+            [[rand_seq(rng) for _ in range(L)] for _ in range(max(s, r * L))], r, Q))
+        for scale in (1.0, 2.0**-1000, 2.0**900):
+            for length in (1, 5, 33, Q // 2 + 1, Q):
+                self.assert_batched(DualField(field, noise * scale, 0.0), length)
+                self.assert_batched(DualField(smooth.field, smooth.h_values * scale, 0.0), length)
+
+    @pytest.mark.parametrize("points", [4096, 16384])
+    def test_dual_within_two_and_a_half_fields(self, points):
+        # r = 4, s = 6: the duals and their coefficients hold the output, one
+        # transposed copy and one block or row of temporaries beyond the field
+        rng = np.random.default_rng(0)
+        field = build_spectral_field([rand_seq(rng) for _ in range(6)], 4, 4 * points)
+        tracemalloc.start()
+        try:
+            reconstruction_coefficients(dual_field(field), 65)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * field.values.nbytes
 
 
 class TestFilterBank:
