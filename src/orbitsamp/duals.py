@@ -5,10 +5,11 @@ matrix ``R``, or one spectral matrix per grid point (shift) or section point
 (lca).  Its duals are the left-inverse family ``pinv(A) + U (I - A pinv(A))``.
 One thin SVD gives both the singular values behind the verdict, which is
 ``sigma_min / sigma_max`` over all the matrices in every model, and the
-pseudo-inverse; the shift grid takes it only at doubtful points, none when
-its Gram solve certifies the grid (``spectral.dual_field``).  The shift grid
-and the lca section are first scaled exactly by ``2**scale_exponent``: their
-Gram matrices neither overflow nor underflow at any finite scale.
+pseudo-inverse; the shift grid takes it point by point, only where the
+certificate of its Gram solve refuses the point (``spectral.dual_field``).
+The shift grid and the lca section are first scaled exactly by
+``2**scale_exponent``: their Gram matrices neither overflow nor underflow at
+any finite scale.
 """
 
 from __future__ import annotations

@@ -210,22 +210,21 @@ def build_spectral_field(sequences, r, Q=None):
     return SpectralField(r=r, L=L, Q=Q, values=_translate_spectra(rows, r, Q))
 
 
-def _gram_pass(G, A=None):
-    """Eigenvalues of the Gram matrices ``A = G*G`` (formed unless given),
-    ascending per point, and the doubtful points, whose smallest is at or below
-    ``GRAM_DOUBT`` times their largest (every point of a wide field).  Those take
-    the thin SVD of one ``DualFamily``, returned last, so that the frame test and
-    the dual's pseudo-inverse read the same singular values.  The sound points
-    whose smallest may be the grid's, within ``GRAM_SLACK`` times their largest,
-    take it as ``|G v|^2`` for its eigenvector ``v``, which errs by about eps
-    times ``cond(G)``, not its square: ``alpha_G`` and ``sigma_min/sigma_max``
-    are then within 1e-12 relative of the SVD's, and so is ``beta_G``."""
-    A = np.conj(np.swapaxes(G, 1, 2)) @ G if A is None else A
+def _gram_pass(G):
+    """Eigenvalues of the Gram matrices ``G*G``, ascending per point.  The
+    doubtful points, whose smallest is at or below ``GRAM_DOUBT`` times their
+    largest (every point of a wide field), take squared singular values from
+    one ``DualFamily``, the SVD and the bits of ``dual_field``'s at them.  The
+    sound points whose smallest may be the grid's, within ``GRAM_SLACK`` times
+    their largest, take it as ``|G v|^2`` for its eigenvector ``v``, which errs
+    by about eps times ``cond(G)``, not its square: ``alpha_G`` and
+    ``sigma_min/sigma_max`` are then within 1e-12 relative of the SVD's, and
+    so is ``beta_G``."""
+    A = np.conj(np.swapaxes(G, 1, 2)) @ G
     eigs = np.linalg.eigvalsh(A)
     doubtful = eigs[:, 0] <= GRAM_DOUBT * eigs[:, -1]
-    family = DualFamily(G[doubtful]) if doubtful.any() else None
-    if family is not None:
-        sv = family.singular_values
+    if doubtful.any():
+        sv = DualFamily(G[doubtful]).singular_values
         # ascending, a wide matrix's missing values at zero
         eigs[doubtful] = 0.0
         eigs[doubtful, -sv.shape[-1] :] = sv[:, ::-1] ** 2
@@ -234,7 +233,7 @@ def _gram_pass(G, A=None):
     if near.any():
         v = np.linalg.eigh(A[near])[1][:, :, :1]
         eigs[near, 0] = np.sum(np.abs(G[near] @ v) ** 2, axis=(1, 2))
-    return eigs, doubtful, family
+    return eigs
 
 
 def frame_constants(field):
@@ -243,7 +242,7 @@ def frame_constants(field):
     may hold the smallest a Rayleigh quotient, all on ``G`` scaled exactly by
     ``2**scale_exponent(G)`` so that ``G*G`` stays inside the float range."""
     k = scale_exponent(field.values)
-    return frame_bounds(_gram_pass(field.values * 2.0**k if k else field.values)[0], exponent=k)
+    return frame_bounds(_gram_pass(field.values * 2.0**k if k else field.values), exponent=k)
 
 
 class DualField:
@@ -258,14 +257,6 @@ class DualField:
         self.field, self.h_values, self.residual_max = field, h_values, residual_max
 
 
-def _dual_residual(field, h_values):
-    L = field.L
-    prod = h_values[:, :L, :] @ field.values
-    target = np.zeros((L, field.r * L))
-    target[:, :L] = np.eye(L)
-    return float(np.max(np.abs(prod - target)))
-
-
 def _certification(G, pinv, step):
     """Per point, the squares of ``sigma_min(G) >= (1 - e) / |X|_F`` where ``e =
     |E|_F < 1`` (else 0), for ``E = I - X G``, and of ``sigma_max(G) <= |G|_F``."""
@@ -276,37 +267,16 @@ def _certification(G, pinv, step):
 
 
 def _gram_solve(G, A):
-    """``X = solve(A, G*)`` for the Gram matrices ``A`` of ``G``, and ``E = I - X G``."""
-    pinv = np.linalg.solve(A, np.conj(np.swapaxes(G, 1, 2)))
-    step = pinv @ G
-    return pinv, np.subtract(np.eye(G.shape[-1]), step, out=step)
-
-
-def _certified_duals(field, k, U, threshold):
-    """The dual matrices, ``DUAL_BLOCK_ENTRIES`` of the field at a time; None when a
-    Gram matrix is exactly singular, or unless ``_certification`` clears ``GRAM_DOUBT``
-    at every point (no point doubtful) and ``threshold**2`` over the grid, by a factor 2."""
-    P, s, n = field.values.shape
-    if U is not None:  # sliced with each block; a constant U as a view of stride 0
-        U = np.broadcast_to(U, (P,) + np.shape(U)[-2:])
-    h = np.empty((P, n, s), dtype=complex)
-    size, low_min, g2_max = max(1, DUAL_BLOCK_ENTRIES // (s * n)), np.inf, 0.0
-    for a in range(0, P, size):
-        V = field.values[a : a + size]
-        G = V * 2.0**k if k else V
-        try:
-            pinv, step = _gram_solve(G, np.conj(np.swapaxes(G, 1, 2)) @ G)
-        except np.linalg.LinAlgError:  # an exactly singular Gram matrix, never a sound one
-            return None
-        low, g2 = _certification(G, pinv, step)
-        if not np.all(low > 2 * GRAM_DOUBT * g2):
-            return None
-        low_min, g2_max = min(low_min, low.min()), max(g2_max, g2.max())
-        pinv += step @ pinv
-        if k:
-            pinv *= 2.0**k
-        h[a : a + size] = pinv if U is None else family_member(V, pinv, U[a : a + size])
-    return h if low_min > 2 * threshold**2 * g2_max else None
+    """``X = solve(A, G*)`` for the Gram matrices ``A`` of ``G``, NaN where ``A`` is
+    exactly singular: a stack that raises is halved until each such ``A`` stands
+    alone (the bits of a solve do not depend on its stack)."""
+    try:
+        return np.linalg.solve(A, np.conj(np.swapaxes(G, 1, 2)))
+    except np.linalg.LinAlgError:
+        if len(A) == 1:
+            return np.full((1, G.shape[2], G.shape[1]), np.nan, dtype=complex)
+        m = len(A) // 2
+        return np.concatenate((_gram_solve(G[:m], A[:m]), _gram_solve(G[m:], A[m:])))
 
 
 def dual_field(field, U=None, *, threshold=RANK_TOL):
@@ -314,31 +284,48 @@ def dual_field(field, U=None, *, threshold=RANK_TOL):
 
     ``U`` (constant or per-grid-point ``(r*L) x s``) selects the member
     ``pinv(G) + U @ (I_s - G @ pinv(G))``; every member satisfies the dual
-    row condition, and the verification residual is recorded.  The frame test
-    is ``frame_constants``': ``FrameError`` when ``sigma_min/sigma_max`` is at
-    or below ``threshold``, taken by ``_gram_pass`` unless ``X = solve(G*G, G*)``
-    passes ``_certified_duals``.  One Newton-Schulz step ``X += (I - X G) X`` squares
-    the solve's relative error; a thin SVD gives doubtful points values and pinv.
-    All of it runs on ``G 2**k``, ``k = scale_exponent(G)``, and ``pinv`` is
-    scaled back by the same power of two; only the exact route takes the whole grid.
+    row condition, and the verification residual is recorded.  One pass, on
+    ``DUAL_BLOCK_ENTRIES`` of the field at a time scaled to ``G 2**k`` (``k =
+    scale_exponent(G)``; ``pinv`` is scaled back): a point keeps ``X = solve(G*G,
+    G*)`` and one Newton-Schulz step ``X += (I - X G) X`` where ``_certification``
+    clears ``GRAM_DOUBT``, else takes its own thin SVD, whose singular values
+    stand in for its bounds.  ``FrameError`` as ``frame_constants`` decides it,
+    when ``sigma_min/sigma_max`` is at or below ``threshold``; the bounds spare
+    that call when they clear ``threshold`` by a factor ``sqrt(2)``, and a wide
+    field (``s < r*L``) takes it first.
     """
     k = scale_exponent(field.values)
-    h = _certified_duals(field, k, U, threshold)
-    if h is None:
-        G = field.values * 2.0**k if k else field.values
-        A = np.conj(np.swapaxes(G, 1, 2)) @ G
-        eigs, doubtful, family = _gram_pass(G, A)
-        check_frame(frame_bounds(eigs), threshold)
-        A[doubtful] = np.eye(G.shape[-1])  # a placeholder, replaced by the SVD's below
-        pinv, step = _gram_solve(G, A)
-        del A  # before the step's temporaries
+    P, s, n = field.values.shape
+    if U is not None:  # sliced with each block; a constant U as a view of stride 0
+        U = np.broadcast_to(U, (P,) + np.shape(U)[-2:])
+    if s < n:  # sigma_min 0 at every point: no bound can settle the verdict
+        check_frame(frame_constants(field), threshold)
+    h = np.empty((P, n, s), dtype=complex)
+    target = np.eye(field.L, n)
+    size, low_min, g2_max, residual = max(1, DUAL_BLOCK_ENTRIES // (s * n)), np.inf, 0.0, 0.0
+    for a in range(0, P, size):
+        V = field.values[a : a + size]
+        G = V * 2.0**k if k else V
+        pinv = _gram_solve(G, np.conj(np.swapaxes(G, 1, 2)) @ G)
+        step = pinv @ G
+        np.subtract(np.eye(n), step, out=step)  # E = I - X G
+        low, g2 = _certification(G, pinv, step)
         pinv += step @ pinv
-        if family is not None:
-            pinv[doubtful] = family.pinv
+        refused = ~(low > 2 * GRAM_DOUBT * g2)  # NaN where the solve had no answer
+        if refused.any():
+            family = DualFamily(G[refused])
+            sv = family.singular_values
+            pinv[refused], g2[refused] = family.pinv, sv[:, 0] ** 2
+            low[refused] = sv[:, -1] ** 2 if s >= n else 0.0
+        low_min, g2_max = min(low_min, low.min()), max(g2_max, g2.max())
         if k:
             pinv *= 2.0**k
-        h = pinv if U is None else family_member(field.values, pinv, U)
-    return DualField(field=field, h_values=h, residual_max=_dual_residual(field, h))
+        h[a : a + size] = pinv if U is None else family_member(V, pinv, U[a : a + size])
+        residual = max(residual, np.max(np.abs(h[a : a + size, : field.L] @ V - target)))
+    # a quotient of squares cannot overflow; an underflow to 0 leaves the verdict open
+    if not (g2_max > 0 and math.sqrt(low_min / g2_max / 2) > threshold):
+        check_frame(frame_constants(field), threshold)
+    return DualField(field=field, h_values=h, residual_max=float(residual))
 
 
 def reconstruction_coefficients(dual, length=None):

@@ -7,7 +7,8 @@ by the normal equations, the cyclic reconstruction sum by a Horner walk in
 ``T^r``, the characters of a subgroup by ``np.unique`` over phase rows, the
 orbit law of a group representation over all pairs of elements, an
 operator check that takes its SVD first, the
-shift dual field by its exact route (Gram eigenvalues first), the shift
+shift dual field over the whole grid at once (its verdict from
+``frame_constants``, a solve or an SVD per point), the shift
 reconstruction coefficients by one batched FFT over all samplers, and CSV
 rows written by the ``csv`` module.  The finite-sequence helpers at the end
 (a delta, the value at an index, the conjugate reversal, closeness and the
@@ -21,18 +22,17 @@ from fractions import Fraction
 import numpy as np
 
 from orbitsamp.cyclic import RankDeficiencyError
-from orbitsamp.duals import DualFamily, check_frame, family_member, frame_bounds, scale_exponent
+from orbitsamp.duals import DualFamily, check_frame, family_member, scale_exponent
 from orbitsamp.hilbert import RANK_TOL, DimensionMismatch, as_cvector
 from orbitsamp.spectral import (
     GRAM_DOUBT,
-    GRAM_SLACK,
     TAIL_TOL,
     DualField,
     FiniteSequence,
     TailEnergyError,
-    _dual_residual,
     _nested_sequences,
     _translate_spectra,
+    frame_constants,
 )
 
 
@@ -206,44 +206,43 @@ def operator_inverse(matrix):
 
 
 def exact_dual_field(field, U=None, threshold=RANK_TOL):
-    """``(h_values, residual_max)`` of the shift dual field, the eigenvalues first.
+    """``(h_values, residual_max)`` of the shift dual field, the whole grid at once.
 
-    The Gram matrices ``A = G*G`` and their ``eigvalsh`` at every point; the
-    points whose smallest eigenvalue is at or below ``GRAM_DOUBT`` times their
-    largest take one thin SVD, whose squared singular values replace their
-    eigenvalues; the other points whose smallest is within ``GRAM_SLACK`` times
-    their largest of the grid's take ``|G v|^2`` for its eigenvector ``v``.
-    ``check_frame`` at ``threshold`` on all of them; then
-    ``solve(A, G*)`` and one Newton-Schulz step at the other points, the SVD's
-    pseudo-inverse at these, and the member ``U`` selects.
+    ``check_frame`` on ``frame_constants`` at ``threshold`` first.  Then at
+    every point ``X = solve(G*G, G*)`` (none where ``G*G`` is exactly
+    singular) and ``E = I - X G``; a point keeps ``X + E X`` where
+    ``(1 - |E|_F)^2 / |X|_F^2 > 2 GRAM_DOUBT |G|_F^2`` with ``|E|_F < 1``, and
+    every other point takes the pseudo-inverse of one thin SVD of them all;
+    then the member ``U`` selects.
     """
+    check_frame(frame_constants(field), threshold)
     G = field.values
     n = G.shape[-1]
-    A = np.conj(np.swapaxes(G, 1, 2)) @ G
-    eigs = np.linalg.eigvalsh(A)
-    doubtful = eigs[:, 0] <= GRAM_DOUBT * eigs[:, -1]
-    if doubtful.any():
-        family = DualFamily(G[doubtful])
-        sv = family.singular_values
-        eigs[doubtful] = 0.0
-        eigs[doubtful, n - sv.shape[-1] :] = sv[:, ::-1] ** 2
-    slack = np.where(doubtful, 0.0, GRAM_SLACK * eigs[:, -1])
-    near = ~doubtful & (eigs[:, 0] - slack <= np.min(eigs[:, 0] + slack))
-    if near.any():
-        v = np.linalg.eigh(A[near])[1][:, :, :1]
-        eigs[near, 0] = np.sum(np.abs(G[near] @ v) ** 2, axis=(1, 2))
-    check_frame(frame_bounds(eigs), threshold)
-    A[doubtful] = np.eye(n)
-    pinv = np.linalg.solve(A, np.conj(np.swapaxes(G, 1, 2)))
+    GH = np.conj(np.swapaxes(G, 1, 2))
+    A = GH @ G
+    pinv = np.full(GH.shape, np.nan, dtype=complex)
+    for q in range(len(G)):
+        try:
+            pinv[q] = np.linalg.solve(A[q], GH[q])
+        except np.linalg.LinAlgError:
+            pass
     step = np.eye(n) - pinv @ G
+    e, x, g = (np.linalg.norm(M, axis=(1, 2)) for M in (step, pinv, G))
+    refused = ~((e < 1) & ((1 - e) ** 2 / x**2 > 2 * GRAM_DOUBT * g**2))
     pinv += step @ pinv
-    if doubtful.any():
-        pinv[doubtful] = family.pinv
+    if refused.any():
+        pinv[refused] = DualFamily(G[refused]).pinv
     h = pinv if U is None else family_member(G, pinv, U)
+    return h, dual_residual(field, h)
+
+
+def dual_residual(field, h):
+    """The largest entry of ``h G - [I_L 0]`` over the grid: the first ``L``
+    rows of each dual matrix against the field."""
     L = field.L
-    target = np.zeros((L, n))
+    target = np.zeros((L, field.values.shape[-1]))
     target[:, :L] = np.eye(L)
-    return h, float(np.max(np.abs(h[:, :L, :] @ G - target)))
+    return float(np.max(np.abs(h[:, :L, :] @ field.values - target)))
 
 
 def batched_reconstruction_coefficients(dual, length):
@@ -322,4 +321,4 @@ def dual_field_from_sequences(field, hs):
     if len(rows) != field.s or L != field.L:
         raise ValueError("dual sequences must match the field's samplers and generators")
     h = _translate_spectra(rows, field.r, field.Q).swapaxes(1, 2)
-    return DualField(field=field, h_values=h, residual_max=_dual_residual(field, h))
+    return DualField(field=field, h_values=h, residual_max=dual_residual(field, h))

@@ -1205,7 +1205,7 @@ class TestNpyFuzz:
 
 
 def not_recoverable_cases():
-    """``(command, document, samples or None, reason prefix, stdout line count)``."""
+    """``(command and options, document, samples or None, reason prefix, stdout line count)``."""
     deficient = cyclic_problem([E4[0]])
     common_zero = spline_shift_problem("pseudoinverse")
     common_zero["sequences"] = {
@@ -1219,10 +1219,15 @@ def not_recoverable_cases():
     }
     one_sampler = lca_problem()
     one_sampler["samplers"] = one_sampler["samplers"][:1]
+    deltas = spline_shift_problem("pseudoinverse")  # sigma_min/sigma_max 1 at every point
+    deltas["sequences"] = {g: {"offset": 0, "values": cpairs([1])} for g in ("g1", "g2")}
     return {
         "cyclic dual rank": ("dual", deficient, None, "not recoverable: rank 2/4", 1),
         "cyclic reconstruct rank": ("reconstruct", deficient, [1, 2], "not recoverable: rank", 1),
         "shift frame": ("dual", common_zero, None, "not recoverable: sigma_min/sigma_max", 1),
+        # a tolerance whose square overflows a float
+        "shift huge tol": ("dual --tol 1e160", deltas, None,
+                           "not recoverable: sigma_min/sigma_max = 1.000e+00 <= 1.0e+160", 1),
         # the dual residual is reported before the truncation is refused
         "shift truncation": ("dual", spline_shift_problem("pseudoinverse"), None,
                              "truncation refused", 2),
@@ -1234,7 +1239,8 @@ def not_recoverable_cases():
 @pytest.mark.parametrize("case", sorted(not_recoverable_cases()))
 def test_not_recoverable_one_line(tmp_path, case):
     command, doc, samples, reason, lines = not_recoverable_cases()[case]
-    argv = [command, "--input", write_problem(tmp_path, doc), "--out", str(tmp_path / "o")]
+    argv = [*command.split(), "--input", write_problem(tmp_path, doc), "--out",
+            str(tmp_path / "o")]
     if samples is not None:
         path = tmp_path / "s.csv"
         cli.write_vector_csv(str(path), samples)
@@ -1429,7 +1435,7 @@ class TestShippedProblems:
         assert "-38/243" in capsys.readouterr().out
 
     def test_shift_doubtful_analyze_and_dual_agree_at_the_ratio(self, tmp_path):
-        # doubtful grid points send dual to its exact route: at the ratio that analyze
+        # doubtful grid points take their own SVDs in dual: at the ratio that analyze
         # prints and at the doubles on either side of it, both give one exit code
         path = f"{self.ROOT}/problems/shift_doubtful.json"
         rc, out, _ = run_in_process(["analyze", "--input", path])
@@ -1437,6 +1443,34 @@ class TestShippedProblems:
         assert rc == 0 and ratio < 1e-2
         for tol, code in ((np.nextafter(ratio, 0), 0), (ratio, 1), (np.nextafter(ratio, 1), 1),
                           (0.006353264651051832, 1)):
+            argv = ["--input", path, "--tol", repr(float(tol))]
+            codes = [run_in_process(["analyze", *argv])[0],
+                     run_in_process(["dual", *argv, "--out", str(tmp_path / "d")])[0]]
+            assert codes == [code, code], tol
+
+    def test_shift_borderline_takes_svds_analyze_does_not(self, tmp_path, monkeypatch):
+        # grid points that the Gram certificate refuses, sound by their Gram
+        # eigenvalues: analyze takes no SVD, dual takes one for them and no
+        # eigenvalues, and the two agree at the ratio that analyze prints
+        path = f"{self.ROOT}/problems/shift_borderline.json"
+        calls = []
+
+        def recording(name, func):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return func(*args, **kwargs)
+
+            return call
+
+        for name in ("eigvalsh", "svd"):
+            monkeypatch.setattr(np.linalg, name, recording(name, getattr(np.linalg, name)))
+        rc, out, _ = run_in_process(["analyze", "--input", path])
+        ratio = float(out.split("sigma_min/sigma_max = ")[1].split()[0])
+        assert rc == 0 and calls == ["eigvalsh"] and ratio**2 > o.spectral.GRAM_DOUBT
+        calls.clear()
+        assert run_in_process(["dual", "--input", path, "--out", str(tmp_path / "d")])[0] == 0
+        assert calls == ["svd"]
+        for tol, code in ((np.nextafter(ratio, 0), 0), (ratio, 1), (np.nextafter(ratio, 1), 1)):
             argv = ["--input", path, "--tol", repr(float(tol))]
             codes = [run_in_process(["analyze", *argv])[0],
                      run_in_process(["dual", *argv, "--out", str(tmp_path / "d")])[0]]

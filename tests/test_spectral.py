@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from orbitsamp import spectral
 from orbitsamp.duals import FrameError
+from orbitsamp.hilbert import RANK_TOL
 from orbitsamp.laurent import LaurentPoly, eval_torus
 from orbitsamp.spectral import (
     GRAM_DOUBT,
@@ -382,8 +384,8 @@ class TestDualField:
 
     @pytest.mark.parametrize("block", [1, 3, 7])
     def test_blocks_change_no_bit(self, monkeypatch, block):
-        # ragged blocks of the certified route, one-point blocks among them: every
-        # member and refusal is the whole-grid exact route's, bit for bit
+        # ragged blocks, one-point blocks among them: every member and refusal is
+        # the whole-grid oracle's, bit for bit
         rng = np.random.default_rng(block)
         sizes = []
         solve = spectral._gram_solve
@@ -402,9 +404,13 @@ class TestDualField:
             doubtful = self.conditioned_stack(rng, width, extra, ratios)
             singular = sound.copy()
             singular[-1] = 0.0  # an exactly singular Gram matrix in the last block
+            rounded = sound.copy()  # one whose G*G rounds to singular, sigma ratio 5e-10
+            if width > 1:  # columns e1 and e1 + 1e-9 e2
+                rounded[-3] = np.eye(s, width)
+                rounded[-3, :2, 1] = 1.0, 1e-9
             U = rng.standard_normal((width, s)) + 1j * rng.standard_normal((width, s))
             members = (None, U, U[None], U * rng.standard_normal((points, 1, 1)))
-            for values in (sound, doubtful, singular):
+            for values in (sound, doubtful, singular, rounded):
                 field = SpectralField(r=1, L=width, Q=points, values=values)
                 ratio = frame_constants(field).sigma_ratio
                 for member in members:
@@ -424,6 +430,8 @@ class TestDualField:
             assert sizes == [block] * (points // block) + [points % block] * (points % block > 0)
 
     def test_eigenvalues_only_when_uncertified(self, monkeypatch):
+        # a point the certificate refuses takes its own SVD; frame_constants, and
+        # so eigvalsh, runs only when the bounds do not settle the verdict
         rng = np.random.default_rng(5)
         ratios = np.full(64, 0.5)
         sound = self.conditioned_stack(rng, 2, 1, ratios)
@@ -442,16 +450,58 @@ class TestDualField:
 
         for name in ("eigvalsh", "svd"):
             monkeypatch.setattr(np.linalg, name, recording(name, getattr(np.linalg, name)))
-        cases = ((sound, False), (doubtful, False), (sound[:, :1], True), (zero, True))
-        for values, refused in cases:
+        open_ = ["svd", "eigvalsh", "svd"]
+        cases = ((sound, RANK_TOL, False, []), (doubtful, RANK_TOL, False, ["svd"]),
+                 # bounds 1e-3 / sqrt(1.25), within sqrt(2) of 8e-4: open, and recoverable
+                 (doubtful, 8e-4, False, open_),
+                 # a wide field takes frame_constants first
+                 (sound[:, :1], RANK_TOL, True, ["eigvalsh", "svd"]), (zero, RANK_TOL, True, open_))
+        for values, threshold, refused, want in cases:
             field = SpectralField(r=1, L=2, Q=64, values=values)
             if refused:
                 with pytest.raises(FrameError):
-                    dual_field(field)
+                    dual_field(field, threshold=threshold)
             else:
-                dual_field(field)
-            assert calls == ([] if values is sound else ["eigvalsh", "svd"])
+                dual_field(field, threshold=threshold)
+            assert calls == want
             calls.clear()
+
+    @pytest.mark.parametrize("tiny,threshold", [(1e-90, 1e-170), (1e-90, 1e-140),
+                                                (1e-90, 1e200), (1e-90, 1e300),
+                                                (1e-150, 1e-170), (1e-150, 1e-250)])
+    def test_bounds_settle_without_overflow_or_underflow(self, tiny, threshold):
+        # sigma 1e60 at one point and ``tiny`` at the other, unscaled (within
+        # 2**200); threshold**2 underflows at 1e-170 and overflows at 1e200.  At
+        # tiny = 1e-150 the squared ratio 1e-420 is below the float range, and
+        # frame_constants reads 0: dual must refuse with it
+        values = np.zeros((2, 2, 2), dtype=complex)
+        values[0], values[1] = 1e60 * np.eye(2), tiny * np.eye(2)
+        field = SpectralField(r=1, L=2, Q=2, values=values)
+        ratio = frame_constants(field).sigma_ratio
+        assert ratio == pytest.approx(tiny * 1e-60 if tiny == 1e-90 else 0.0, rel=1e-12, abs=0)
+        if ratio > threshold:
+            h = dual_field(field, threshold=threshold).h_values
+            np.testing.assert_allclose(h, np.linalg.inv(values), rtol=1e-15, atol=0)
+            return
+        with pytest.raises(FrameError, match=re.escape(f"= {ratio:.3e} <= {threshold:.1e}")):
+            dual_field(field, threshold=threshold)
+
+    def test_uncertified_points_within_half_a_field(self):
+        # r = 4, s = 6: sigma ratio 0.012 at every 97th point fails the certificate
+        # (its Gram ratio 1.44e-4 is sound); those points take their own SVDs
+        # within the blocks, and dual_field holds one block beyond its output
+        rng = np.random.default_rng(0)
+        ratios = 10 ** rng.uniform(-1, 0, 16384)
+        ratios[::97] = 0.012
+        values = self.conditioned_stack(rng, 4, 2, ratios)
+        field = SpectralField(r=4, L=1, Q=4 * 16384, values=values)
+        tracemalloc.start()
+        try:
+            dual = dual_field(field)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - dual.h_values.nbytes <= 0.5 * field.values.nbytes
 
     def test_svd_only_at_doubtful_points(self, monkeypatch):
         rng = np.random.default_rng(3)
@@ -482,14 +532,15 @@ class TestDualField:
         width=st.sampled_from([2, 4]),
         extra=st.integers(0, 2),
         planted=st.lists(st.integers(0, 63), min_size=1, max_size=4, unique=True),
-        log_ratio=st.floats(-7, -2.5),
+        log_ratio=st.floats(-7, -1.5),
         scale=st.sampled_from([1e-6, 1.0, 1e3]),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_refused_exactly_at_the_ratio_of_frame_constants(self, width, extra, planted,
                                                              log_ratio, scale, seed):
-        # planted points with sigma ratio at most 10**-2.5 are doubtful, so the
-        # frame test takes the exact route: it must read the frame_constants ratio
+        # planted points with sigma ratio at most 10**-1.5 fail the certificate and
+        # take their own SVD, doubtful or sound by their Gram eigenvalues: refused
+        # exactly at frame_constants' ratio, which the bounds leave open there
         rng = np.random.default_rng(seed)
         ratios = 10 ** rng.uniform(-1, 0, 64)
         ratios[planted] = 10**log_ratio
