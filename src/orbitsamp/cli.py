@@ -582,7 +582,7 @@ def cmd_reconstruct(args):
         denom = max(float(np.linalg.norm(model.truth)), 1e-300)
         resid = float(np.linalg.norm(x - model.truth)) / denom
         print(f"relative residual vs truth: {_fmt(resid)}")
-        if resid > RESIDUAL_FLAG:
+        if not resid <= RESIDUAL_FLAG:  # NaN fails too
             raise NotRecoverable(
                 f"residual exceeds {RESIDUAL_FLAG:.1e}: samples inconsistent with truth"
             )

@@ -373,7 +373,7 @@ def structurize_left_inverse(R, *, U=None, tol=RANK_TOL):
     if U is not None:
         H = family_member(R.matrix, _shifted_rows(first, R).T, U)
         seed_resid = _left_inverse_residual(H, R, np.arange(R.cols))
-        if seed_resid > LEFT_INVERSE_TOL:
+        if not seed_resid <= LEFT_INVERSE_TOL:  # NaN fails too
             raise LeftInverseError(
                 f"seed is not a left inverse of R (residual {seed_resid:.3e})"
             )
@@ -381,7 +381,7 @@ def structurize_left_inverse(R, *, U=None, tol=RANK_TOL):
 
     out = _shifted_rows(first, R).T
     resid = _left_inverse_residual(out, R, _shift_class_rows(R))
-    if resid > LEFT_INVERSE_TOL:
+    if not resid <= LEFT_INVERSE_TOL:
         raise LeftInverseError(
             f"structured columns are not a left inverse (residual {resid:.3e}); "
             "the seed's blocks lack the cyclic structure"

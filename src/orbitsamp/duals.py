@@ -50,7 +50,8 @@ class FrameConstants(NamedTuple):
 
 
 class FrameError(ValueError):
-    """The matrices fail the frame test: they are not uniformly of full column rank."""
+    """The matrices fail the frame test: they are not uniformly of full column rank;
+    or their duals leave the float range (``finite_duals``)."""
 
 
 def check_frame(fc, threshold=RANK_TOL):
@@ -61,58 +62,59 @@ def check_frame(fc, threshold=RANK_TOL):
         )
 
 
-def frame_bounds(eigs, width=None, exponent=0):
-    """Frame constants from the eigenvalues of ``G* G`` at each point (last axis).
+def finite_duals(duals):
+    """``duals``, unless an entry is not finite: a dual beyond the float range is refused."""
+    if not np.isfinite(duals).all():
+        raise FrameError("not recoverable: the duals leave the float range")
+    return duals
 
-    The squared singular values of ``G`` serve as well; ``width`` is then the
-    column count of ``G``, and a point with fewer values than columns (a
-    wide ``G``) has its missing eigenvalues at zero.  The eigenvalues may be
-    those of ``G 2**exponent``; the constants are then scaled back.
-    """
+
+def frame_bounds(eigs, exponent=0):
+    """Frame constants from the eigenvalues of ``G* G`` at each point (last axis);
+    those of ``G 2**exponent`` are scaled back.  Each root of the ratio is taken
+    first: the quotient of the squares can underflow where the ratio does not."""
     eigs = np.asarray(eigs, dtype=float)
-    wide = width is not None and eigs.shape[-1] < width
-    low, high = 0.0 if wide else float(eigs.min()), float(eigs.max())
+    low, high = float(eigs.min()), float(eigs.max())
     with np.errstate(over="ignore", under="ignore"):
-        det = 0.0 if wide else float(np.prod(eigs, axis=-1).min())
+        det = float(np.prod(eigs, axis=-1).min())
         alpha_G, beta_G, det_min = (float(np.ldexp(v, -2 * exponent * n)) for v, n in
                                     ((low, 1), (high, 1), (det, eigs.shape[-1])))
-    ratio = math.sqrt(low / high) if high > 0 else 0.0
+    ratio = math.sqrt(low) / math.sqrt(high) if high > 0 else 0.0
     return FrameConstants(alpha_G, beta_G, det_min, ratio)
 
 
 class DualFamily:
-    """One thin SVD of a matrix, or of a stack of matrices, and its dual family.
+    """One thin SVD of a matrix, or of a stack of matrices, as LAPACK returns it.
 
-    The SVD is of ``A 2**exponent``, whose ``singular_values`` are descending
-    per matrix.  ``pinv`` (of ``A``) drops those at or below ``1e-15`` times
-    the largest, as ``np.linalg.pinv`` does; it is formed on first read, from
-    the kept factors and in the storage of the left one when the shapes allow.
+    The SVD is of ``A 2**exponent``: ``u``, ``singular_values`` (descending per
+    matrix) and ``vh``.  ``pinv`` (of ``A``) drops the values at or below
+    ``1e-15`` times the largest, as ``np.linalg.pinv`` does; it is formed on
+    first read.
     """
 
     def __init__(self, A, exponent=0):
         self.matrices = np.asarray(A, dtype=complex)
         self.exponent = exponent
-        u, sv, vh = np.linalg.svd(self.matrices * 2.0**exponent, full_matrices=False)
-        kept = sv > PINV_RCOND * sv[..., :1]
-        u *= np.divide(2.0**exponent, sv, out=np.zeros_like(sv), where=kept)[..., None, :]
-        self._factors = u, vh
-        self.singular_values = sv
+        self.u, self.singular_values, self.vh = np.linalg.svd(self.matrices * 2.0**exponent,
+                                                              full_matrices=False)
+
+    @property
+    def gram_eigenvalues(self):
+        """Eigenvalues of the Gram matrices of ``A 2**exponent``, descending per
+        matrix: the squared singular values, then a zero for each column beyond the rows."""
+        sv = self.singular_values
+        zeros = np.zeros(sv.shape[:-1] + (self.matrices.shape[-1] - sv.shape[-1],))
+        return np.concatenate((sv**2, zeros), axis=-1)
 
     @cached_property
     def pinv(self):
-        u, vh = self._factors
-        del self._factors
-        # pinv = V S^+ U^H, the adjoint of U S^+ V^H
-        out = u if u.shape == self.matrices.shape else None
-        return np.conjugate(u @ vh, out=out).swapaxes(-1, -2)
-
-    def frame(self):
-        """Frame constants from the singular values; a wide matrix has ``alpha_G = 0``."""
-        return frame_bounds(self.singular_values**2, self.matrices.shape[-1], self.exponent)
-
-    def member(self, U=None):
-        """``pinv + U (I - A pinv)``; without ``U`` the member is ``pinv`` itself."""
-        return self.pinv if U is None else family_member(self.matrices, self.pinv, U)
+        sv = self.singular_values
+        with np.errstate(over="ignore", invalid="ignore"):  # refused by ``finite_duals``
+            scale = np.divide(2.0**self.exponent, sv, out=np.zeros_like(sv),
+                              where=sv > PINV_RCOND * sv[..., :1])
+            # pinv = V S^+ U^H, the adjoint of U S^+ V^H
+            pinv = np.conjugate((self.u * scale[..., None, :]) @ self.vh).swapaxes(-1, -2)
+        return finite_duals(pinv)
 
 
 def family_member(A, pinv, U):

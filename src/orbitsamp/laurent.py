@@ -40,18 +40,8 @@ class SymmetryError(ValueError):
     """The operation needs a Hermitian-symmetric polynomial."""
 
 
-def _conj(c):
-    return c.conjugate() if isinstance(c, complex) else c
-
-
 def _is_exact(c):
     return isinstance(c, (int, Fraction)) and not isinstance(c, bool)
-
-
-def _to_complex(c):
-    if isinstance(c, complex):
-        return c
-    return complex(float(c))
 
 
 class LaurentPoly:
@@ -139,7 +129,7 @@ class LaurentPoly:
         """Return ``sum conj(c_k) z^{-k}``."""
         if self.is_zero:
             return LaurentPoly()
-        rev = tuple(_conj(c) for c in reversed(self.coeffs))
+        rev = tuple(c.conjugate() for c in reversed(self.coeffs))
         return LaurentPoly(-self.max_deg, rev)
 
     def has_exact_coeffs(self):
@@ -213,17 +203,11 @@ class LaurentPoly:
         z = np.asarray(z, dtype=complex)
         acc = np.zeros_like(z)
         for c in reversed(self.coeffs):
-            acc = acc * z + _to_complex(c)
+            acc = acc * z + complex(c)
         acc = acc * z**self.min_deg
         if acc.ndim == 0:
             return complex(acc)
         return acc
-
-    @staticmethod
-    def _fmt_coeff(c):
-        if isinstance(c, Fraction):
-            return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-        return str(c)
 
     def __str__(self):
         if self.is_zero:
@@ -237,7 +221,7 @@ class LaurentPoly:
                 sign, mag = "+", str(c)
             else:
                 sign = "-" if c < 0 else "+"
-                mag = self._fmt_coeff(abs(c))
+                mag = str(abs(c))
             if k == 0:
                 term = mag
             else:
@@ -348,7 +332,7 @@ def positivity_certificate(p, grid):
         raise ValueError("grid must be positive")
     hi = max(abs(p.min_deg), abs(p.max_deg)) if not p.is_zero else 0
     for k in range(hi + 1):
-        if p.coeff(-k) != _conj(p.coeff(k)):
+        if p.coeff(-k) != p.coeff(k).conjugate():
             raise SymmetryError(
                 f"coefficient at z^{-k} is not the conjugate of the one at z^{k}"
             )

@@ -28,7 +28,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .duals import DualFamily, check_frame, scale_exponent
+from .duals import DualFamily, check_frame, family_member, frame_bounds, scale_exponent
 from .hilbert import ORBIT_LAW_TOL, RANK_TOL, as_cvector, require_full_rank
 
 __all__ = [
@@ -375,7 +375,7 @@ def build_group_G_matrix(rep, a, samplers, H, M):
     samples_of_a = (S.conj().T @ orbit)[:, H.index(-H.elements)]
     stack = np.moveaxis((samples_of_a @ characters.T)[:, cells], 0, 1)
     family = DualFamily(stack, scale_exponent(stack))
-    frame = family.frame()
+    frame = frame_bounds(family.gram_eigenvalues, family.exponent)
     if frame.sigma_ratio <= RANK_TOL:  # the sections do not certify the orbit
         message = "orbit of the generator is linearly dependent (sigma ratio {:.3e})"
         require_full_rank(orbit, RepresentationError, message)
@@ -418,7 +418,8 @@ def group_duals(spectrum, U=None, *, threshold=RANK_TOL):
     at ``h - m``: the coefficient map is one gather, and no operator is applied.
     """
     check_frame(spectrum.frame, threshold)
-    hmats = spectrum.family.member(U)
+    family = spectrum.family
+    hmats = family.pinv if U is None else family_member(family.matrices, family.pinv, U)
 
     dual, s = spectrum.dual, spectrum.s
     # dual function values on the whole dual group

@@ -16,8 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .duals import (SAFE_EXPONENT, DualFamily, check_frame, family_member, frame_bounds,
-                    scale_exponent)
+from .duals import (SAFE_EXPONENT, DualFamily, check_frame, family_member, finite_duals,
+                    frame_bounds, scale_exponent)
 from .hilbert import RANK_TOL, RESIDUAL_FLAG
 from .laurent import LaurentPoly, bezout, bspline, polyphase_sample
 
@@ -213,21 +213,17 @@ def build_spectral_field(sequences, r, Q=None):
 def _gram_pass(G):
     """Eigenvalues of the Gram matrices ``G*G``, ascending per point.  The
     doubtful points, whose smallest is at or below ``GRAM_DOUBT`` times their
-    largest (every point of a wide field), take squared singular values from
-    one ``DualFamily``, the SVD and the bits of ``dual_field``'s at them.  The
-    sound points whose smallest may be the grid's, within ``GRAM_SLACK`` times
-    their largest, take it as ``|G v|^2`` for its eigenvector ``v``, which errs
-    by about eps times ``cond(G)``, not its square: ``alpha_G`` and
-    ``sigma_min/sigma_max`` are then within 1e-12 relative of the SVD's, and
-    so is ``beta_G``."""
+    largest (every point of a wide field), take them from one ``DualFamily``,
+    the SVD and the bits of ``dual_field``'s at them.  The sound points whose
+    smallest may be the grid's, within ``GRAM_SLACK`` times their largest,
+    take it as ``|G v|^2`` for its eigenvector ``v``, which errs by about eps
+    times ``cond(G)``, not its square: ``alpha_G`` and ``sigma_min/sigma_max``
+    are then within 1e-12 relative of the SVD's, and so is ``beta_G``."""
     A = np.conj(np.swapaxes(G, 1, 2)) @ G
     eigs = np.linalg.eigvalsh(A)
     doubtful = eigs[:, 0] <= GRAM_DOUBT * eigs[:, -1]
     if doubtful.any():
-        sv = DualFamily(G[doubtful]).singular_values
-        # ascending, a wide matrix's missing values at zero
-        eigs[doubtful] = 0.0
-        eigs[doubtful, -sv.shape[-1] :] = sv[:, ::-1] ** 2
+        eigs[doubtful] = DualFamily(G[doubtful]).gram_eigenvalues[:, ::-1]
     slack = np.where(doubtful, 0.0, GRAM_SLACK * eigs[:, -1])
     near = ~doubtful & (eigs[:, 0] - slack <= np.min(eigs[:, 0] + slack))
     if near.any():
@@ -279,6 +275,7 @@ def _gram_solve(G, A):
         return np.concatenate((_gram_solve(G[:m], A[:m]), _gram_solve(G[m:], A[m:])))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # duals beyond the float range are refused
 def dual_field(field, U=None, *, threshold=RANK_TOL):
     """Pseudo-inverse dual matrices, optionally perturbed inside the family.
 
@@ -288,7 +285,7 @@ def dual_field(field, U=None, *, threshold=RANK_TOL):
     ``DUAL_BLOCK_ENTRIES`` of the field at a time scaled to ``G 2**k`` (``k =
     scale_exponent(G)``; ``pinv`` is scaled back): a point keeps ``X = solve(G*G,
     G*)`` and one Newton-Schulz step ``X += (I - X G) X`` where ``_certification``
-    clears ``GRAM_DOUBT``, else takes its own thin SVD, whose singular values
+    clears ``GRAM_DOUBT``, else takes its own thin SVD, whose Gram eigenvalues
     stand in for its bounds.  ``FrameError`` as ``frame_constants`` decides it,
     when ``sigma_min/sigma_max`` is at or below ``threshold``; the bounds spare
     that call when they clear ``threshold`` by a factor ``sqrt(2)``, and a wide
@@ -314,18 +311,17 @@ def dual_field(field, U=None, *, threshold=RANK_TOL):
         refused = ~(low > 2 * GRAM_DOUBT * g2)  # NaN where the solve had no answer
         if refused.any():
             family = DualFamily(G[refused])
-            sv = family.singular_values
-            pinv[refused], g2[refused] = family.pinv, sv[:, 0] ** 2
-            low[refused] = sv[:, -1] ** 2 if s >= n else 0.0
+            eigs = family.gram_eigenvalues
+            pinv[refused], g2[refused], low[refused] = family.pinv, eigs[:, 0], eigs[:, -1]
         low_min, g2_max = min(low_min, low.min()), max(g2_max, g2.max())
         if k:
             pinv *= 2.0**k
         h[a : a + size] = pinv if U is None else family_member(V, pinv, U[a : a + size])
-        residual = max(residual, np.max(np.abs(h[a : a + size, : field.L] @ V - target)))
+        residual = np.maximum(residual, np.max(np.abs(h[a : a + size, : field.L] @ V - target)))
     # a quotient of squares cannot overflow; an underflow to 0 leaves the verdict open
     if not (g2_max > 0 and math.sqrt(low_min / g2_max / 2) > threshold):
         check_frame(frame_constants(field), threshold)
-    return DualField(field=field, h_values=h, residual_max=float(residual))
+    return DualField(field=field, h_values=finite_duals(h), residual_max=float(residual))
 
 
 def reconstruction_coefficients(dual, length=None):
@@ -361,7 +357,7 @@ def reconstruction_coefficients(dual, length=None):
     scale = 2.0 ** scale_exponent(max(np.abs(row).max() for row in rows))
     total = np.array([np.sum((np.abs(row) * scale) ** 2) for row in rows]).reshape(s, L)
     tail = total - np.sum((np.abs(kept) * scale) ** 2, axis=-1)
-    refused = np.argwhere((total > 0) & (tail > TAIL_TOL * total))
+    refused = np.argwhere((total != 0) & ~(tail <= TAIL_TOL * total))  # NaN is refused
     if refused.size:
         j, l = refused[0]
         raise TailEnergyError(

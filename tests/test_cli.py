@@ -2455,6 +2455,62 @@ class TestScaleInvariance:
             assert abs(float(got_gap[:-2]) / float(gap[:-2]) - 1) <= 1e-3
 
 
+def scaled_problem(name, c):
+    """The shipped problem ``name`` with its samplers, or its shift sequences, times ``c``."""
+    with open(os.path.join(ROOT, "problems", name)) as fh:
+        doc = json.load(fh)
+    if "samplers" in doc:
+        doc["samplers"] = [[[c * re, c * im] for re, im in b] for b in doc["samplers"]]
+    for seq in doc.get("sequences", {}).values():
+        seq["values"] = [[c * re, c * im] for re, im in seq["values"]]
+    return doc
+
+
+class TestBeyondTheFloatRange:
+    """Samplers times 1e-310: every verdict is the scale-1 one, with nothing on
+    stderr, and duals of entries near 1e310 are refused in one line, not
+    written as ``nan``."""
+
+    SHIPPED = sorted(os.listdir(os.path.join(ROOT, "problems")))
+    PSEUDO_INVERSE = ("bank_spline.json", "cyclic_oversampled.json", "cyclic_perm.json",
+                      "lca_oversampled.json", "lca_z4.json", "shift_borderline.json",
+                      "shift_doubtful.json")
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_analyze_keeps_its_verdict(self, tmp_path, name):
+        runs = []
+        for c in (1.0, 1e-310):
+            problem = write_problem(tmp_path, scaled_problem(name, c), f"p{c:g}.json")
+            rc, out, err = run_in_process(["analyze", "--input", problem])
+            runs.append((rc, out.splitlines()[-1], err))
+        assert runs[1] == runs[0] and runs[0][2] == ""
+
+    @pytest.mark.parametrize("name", PSEUDO_INVERSE)
+    def test_duals_refused_in_one_line(self, tmp_path, name):
+        doc = scaled_problem(name, 1e-310)
+        commands = [["dual", "--out", str(tmp_path / "d")]]
+        if doc["model"] == "cyclic":  # the samples of a subspace element, which is the truth
+            model = cli._Cyclic(doc)
+            x = model.spec.synthesize(np.arange(1.0, model.spec.total_order + 1))
+            samples = o.take_samples(model.spec, model.scheme, x)
+        elif doc["model"] == "lca":
+            spectrum = cli._Lca(doc).spectrum
+            x = spectrum.orbit @ np.arange(1.0, spectrum.rep.H.order + 1)
+            samples = o.lca.take_group_samples(spectrum, x)
+        if doc["model"] != "shift":
+            doc["truth"] = cpairs(x)
+            cli.write_vector_csv(str(tmp_path / "y.csv"), samples)
+            commands.append(["reconstruct", "--samples", str(tmp_path / "y.csv"),
+                             "--out", str(tmp_path / "r")])
+        problem = write_problem(tmp_path, doc)
+        assert run_in_process(["analyze", "--input", problem])[::2] == (0, "")
+        written = sorted(os.listdir(tmp_path))
+        for command, *flags in commands:
+            got = run_in_process([command, "--input", problem, *flags])
+            assert got == (1, "not recoverable: the duals leave the float range\n", ""), command
+        assert sorted(os.listdir(tmp_path)) == written
+
+
 class TestOffsetsBeyondInt64:
     """Sequence offsets are Python ints of any size: the spectra reduce them
     modulo the grid, and ``pr-check`` refuses a round trip it cannot span."""

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from orbitsamp.duals import DualFamily, frame_bounds, scale_exponent
+from orbitsamp.duals import DualFamily, family_member, frame_bounds, scale_exponent
 from orbitsamp.hilbert import DimensionMismatch
 from orbitsamp.spectral import FiniteSequence, build_spectral_field, dual_field, frame_constants
 
@@ -29,7 +29,7 @@ class TestDualFamily:
         assert np.allclose(family.singular_values, np.linalg.svd(A, compute_uv=False))
         pinv = np.linalg.pinv(A)
         assert np.max(np.abs(family.pinv - pinv)) <= 1e-12
-        member = family.member(U)
+        member = family_member(A, family.pinv, U)
         assert np.max(np.abs(member - (pinv + U @ (np.eye(7) - A @ pinv)))) <= 1e-12
         assert np.max(np.abs(member @ A - np.eye(4))) <= 1e-12
 
@@ -41,7 +41,36 @@ class TestDualFamily:
     def test_wrong_shape_member_rejected(self):
         family = DualFamily(np.eye(3, 2))
         with pytest.raises(DimensionMismatch):
-            family.member(np.zeros((3, 2)))
+            family_member(family.matrices, family.pinv, np.zeros((3, 2)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        points=st.integers(1, 4),
+        rows=st.integers(1, 5),
+        cols=st.integers(1, 5),
+        scale=st.sampled_from([1e-150, 1.0, 1e150]),
+    )
+    def test_record_of_one_svd(self, seed, points, rows, cols, scale):
+        # tall and wide stacks, two scales beyond 2**±200 among them, where the
+        # SVD is of A 2**exponent: the factors rebuild it, pinv is numpy's, and
+        # the Gram eigenvalues descend, a wide stack's trailing ones zero
+        rng = np.random.default_rng(seed)
+        A = scale * crandn(rng, points, rows, cols)
+        exponent = scale_exponent(A)
+        family = DualFamily(A, exponent)
+        sv = family.singular_values
+        assume(sv[:, -1].min() > 1e-3 * sv[:, 0].max())
+        B = A * 2.0**exponent
+        rebuilt = (family.u * sv[:, None, :]) @ family.vh
+        assert np.max(np.abs(rebuilt - B)) <= 1e-13 * np.max(np.abs(B))
+        pinv = np.linalg.pinv(A)
+        assert np.max(np.abs(family.pinv - pinv)) <= 1e-12 * np.max(np.abs(pinv))
+        eigs = family.gram_eigenvalues
+        assert eigs.shape == (points, cols)
+        assert np.all(eigs[:, rows:] == 0)
+        want = np.linalg.eigvalsh(np.conj(np.swapaxes(B, 1, 2)) @ B)[:, ::-1]
+        assert np.max(np.abs(eigs - want)) <= 1e-12 * np.max(want)
 
 
 def test_scale_exponent():
@@ -88,7 +117,6 @@ class TestSpectralDuals:
         rng = np.random.default_rng(seed)
         field = random_field(rng, s, r, L, 64 * r)
         gram = frame_constants(field)
-        sv = DualFamily(field.values).singular_values
-        fc = frame_bounds(sv**2, r * L)
+        fc = frame_bounds(DualFamily(field.values).gram_eigenvalues)
         assert abs(fc.alpha_G - gram.alpha_G) <= 1e-12 * gram.beta_G
         assert abs(fc.beta_G - gram.beta_G) <= 1e-12 * gram.beta_G

@@ -145,7 +145,8 @@ def test_cli_parity_reports_every_differing_line(tmp_path):
 def test_cli_parity_compares_u_matrix_duals(tmp_path):
     # lca duals that drop U differ only where U reaches them: dual --u-matrix
     # on a problem with more samplers than the annihilator's order (s = 3, r = 2)
-    changed = changed_copy(tmp_path, "family.member(U)", "family.member(None)", "lca.py")
+    changed = changed_copy(tmp_path, "family.pinv if U is None else", "family.pinv if True else",
+                           "lca.py")
     e = [[[float(i == k), 0.0] for i in range(4)] for k in range(4)]
     doc = {
         "model": "lca",

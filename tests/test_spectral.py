@@ -472,13 +472,14 @@ class TestDualField:
     def test_bounds_settle_without_overflow_or_underflow(self, tiny, threshold):
         # sigma 1e60 at one point and ``tiny`` at the other, unscaled (within
         # 2**200); threshold**2 underflows at 1e-170 and overflows at 1e200.  At
-        # tiny = 1e-150 the squared ratio 1e-420 is below the float range, and
-        # frame_constants reads 0: dual must refuse with it
+        # tiny = 1e-150 the squared ratio 1e-420 is below the float range, but
+        # the ratio 1e-210 is not: frame_constants reads it, and dual refuses
+        # with it at 1e-170 and returns inv(values) at 1e-250
         values = np.zeros((2, 2, 2), dtype=complex)
         values[0], values[1] = 1e60 * np.eye(2), tiny * np.eye(2)
         field = SpectralField(r=1, L=2, Q=2, values=values)
         ratio = frame_constants(field).sigma_ratio
-        assert ratio == pytest.approx(tiny * 1e-60 if tiny == 1e-90 else 0.0, rel=1e-12, abs=0)
+        assert ratio == pytest.approx(tiny * 1e-60, rel=1e-12, abs=0)
         if ratio > threshold:
             h = dual_field(field, threshold=threshold).h_values
             np.testing.assert_allclose(h, np.linalg.inv(values), rtol=1e-15, atol=0)
