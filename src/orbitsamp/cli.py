@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import cyclic, lca, spectral
-from .duals import FrameError
+from .duals import FrameError, scale_exponent
 from .hilbert import RANK_TOL, RESIDUAL_FLAG, DimensionMismatch, LinearOperator
 from .laurent import CoprimalityError, LaurentPoly, bezout, positivity_certificate
 from .spectral import FiniteSequence
@@ -348,21 +348,11 @@ class _Cyclic:
         print(f"singular values: {' '.join(_fmt(v) for v in report.singular_values)}")
         return report.full_rank
 
-    def _inverse(self, U, tol):
-        """Structured inverse once ``R`` passes the rank verdict at ``tol``; the
-        inverse's rank test at ``min(tol, RANK_TOL)`` then passes."""
-        report = cyclic.check_rank(self.R, rank_tol=tol)
-        if not report.full_rank:
-            raise NotRecoverable(f"not recoverable: rank {report.rank}/{report.cols}")
-        try:
-            return cyclic.structurize_left_inverse(self.R, U=U, tol=tol)
-        except cyclic.LeftInverseError as exc:
-            raise NotRecoverable(f"structured inverse failed: {exc}") from exc
-
     def dual(self, U, tol, prefix):
-        hs = self._inverse(U, tol)
+        hs = cyclic.structurize_left_inverse(self.R, U=U, tol=tol)
+        vectors = cyclic.reconstruction_vectors(self.spec, hs).vectors
         print(f"left-inverse residual: {_fmt(hs.certified_residual)}")
-        _write_duals(prefix, cyclic.reconstruction_vectors(self.spec, hs).vectors)
+        _write_duals(prefix, vectors)
         if self.R.rows == self.R.cols:
             print("interpolation table L_j' c_j(r n) (rows: j', n; columns: j):")
             ell = self.scheme.ell
@@ -376,7 +366,7 @@ class _Cyclic:
         expected = self.scheme.s * self.scheme.ell
         if samples.size != expected:
             raise SchemaError(f"sample count {samples.size} does not match s*ell = {expected}")
-        alpha = self._inverse(None, tol).entries @ samples
+        alpha = cyclic.structurize_left_inverse(self.R, tol=tol).entries @ samples
         return self.spec.synthesize(alpha), alpha
 
 
@@ -415,10 +405,7 @@ class _Shift:
             return self._bezout_duals(prefix)
         dual = spectral.dual_field(self.field, U=U, threshold=tol)
         print(f"dual residual: {_fmt(dual.residual_max)}")
-        try:
-            coeffs = spectral.reconstruction_coefficients(dual, self.dual_length)
-        except spectral.TailEnergyError as exc:
-            raise NotRecoverable(f"truncation refused: {exc}") from exc
+        coeffs = spectral.reconstruction_coefficients(dual, self.dual_length)
         for j, (seq,) in enumerate(coeffs, start=1):  # L = 1: each g<n> is one sampler
             path = f"{prefix}.c{j}.csv"
             write_vector_csv(path, seq.values, indices=seq.support())
@@ -578,9 +565,10 @@ def cmd_reconstruct(args):
     write_vector_csv(f"{prefix}.x.csv", x)
     write_vector_csv(f"{prefix}.alpha.csv", alpha)
     print(f"wrote {prefix}.x.csv and {prefix}.alpha.csv")
-    if model.truth is not None:
-        denom = max(float(np.linalg.norm(model.truth)), 1e-300)
-        resid = float(np.linalg.norm(x - model.truth)) / denom
+    if model.truth is not None:  # both norms scaled exactly by 2**k, finite at any scale
+        scale = 2.0 ** scale_exponent(model.truth)
+        denom = max(float(np.linalg.norm(model.truth * scale)), 1e-300)
+        resid = float(np.linalg.norm((x - model.truth) * scale)) / denom
         print(f"relative residual vs truth: {_fmt(resid)}")
         if not resid <= RESIDUAL_FLAG:  # NaN fails too
             raise NotRecoverable(

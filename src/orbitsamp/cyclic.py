@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .duals import DualFamily, family_member
+from .duals import DualFamily, FrameError, family_member, finite_duals
 from .hilbert import LEFT_INVERSE_TOL, ORBIT_LAW_TOL, RANK_TOL, as_cvector, require_full_rank
 from .spectral import MAX_GRID_ENTRIES
 
@@ -43,11 +43,11 @@ __all__ = [
 ]
 
 
-class RankDeficiencyError(ValueError):
+class RankDeficiencyError(FrameError):
     pass
 
 
-class LeftInverseError(ValueError):
+class LeftInverseError(FrameError):
     pass
 
 
@@ -258,8 +258,8 @@ def take_samples(spec, scheme, x):
     """Generalized samples ``<x, (T*)^{-r n} b_j>``, ordered to match ``R``.
 
     Well defined for any ambient ``x``; when ``x`` lies outside the subspace
-    the downstream reconstruction returns the frame expansion of its
-    projection.
+    the downstream reconstruction returns its oblique projection onto the
+    subspace along the vectors whose samples vanish, not the orthogonal one.
     """
     op = spec.operator
     x = as_cvector(x, op.dim)
@@ -361,30 +361,29 @@ def structurize_left_inverse(R, *, U=None, tol=RANK_TOL):
     column ``(j, 0)``.
 
     Raises ``RankDeficiencyError`` when the block singular values fail the
-    rank test at ``min(tol, RANK_TOL)``, and ``LeftInverseError`` when a seed
+    rank test of ``check_rank`` at ``tol``, and ``LeftInverseError`` when a seed
     is not a left inverse of ``R`` within ``LEFT_INVERSE_TOL`` (rounding of a
     large ``U``) or the shifted columns fail to form one (possible for
     multi-generator problems with seeds whose blocks lack the cyclic structure).
     """
-    rank = _numerical_rank(R.blocks.singular_values, min(tol, RANK_TOL))
+    rank = _numerical_rank(R.blocks.singular_values, tol)
     if rank < R.cols:
-        raise RankDeficiencyError(f"R has rank {rank} < {R.cols}; no left inverse exists")
+        raise RankDeficiencyError(f"not recoverable: rank {rank}/{R.cols}")
     first = R.blocks.pinv_first_columns()
     if U is not None:
         H = family_member(R.matrix, _shifted_rows(first, R).T, U)
         seed_resid = _left_inverse_residual(H, R, np.arange(R.cols))
         if not seed_resid <= LEFT_INVERSE_TOL:  # NaN fails too
-            raise LeftInverseError(
-                f"seed is not a left inverse of R (residual {seed_resid:.3e})"
-            )
+            raise LeftInverseError(f"structured inverse failed: seed is not a left "
+                                   f"inverse of R (residual {seed_resid:.3e})")
         first = _structured_first_columns(H, R)
 
     out = _shifted_rows(first, R).T
     resid = _left_inverse_residual(out, R, _shift_class_rows(R))
     if not resid <= LEFT_INVERSE_TOL:
         raise LeftInverseError(
-            f"structured columns are not a left inverse (residual {resid:.3e}); "
-            "the seed's blocks lack the cyclic structure"
+            f"structured inverse failed: structured columns are not a left inverse "
+            f"(residual {resid:.3e}); the seed's blocks lack the cyclic structure"
         )
     return StructuredLeftInverse(
         entries=out, r=R.r, ell=R.ell, orders=R.orders, certified_residual=resid
@@ -400,9 +399,11 @@ class ReconstructionBasis:
 
 
 def reconstruction_vectors(spec, hs):
-    """Synthesize ``c_j`` from column ``(j, 0)`` of the structured inverse."""
+    """Synthesize ``c_j`` from column ``(j, 0)`` of the structured inverse;
+    ``FrameError`` when one leaves the float range."""
     orbit = spec.orbit_matrix()
-    vectors = [orbit @ hs.first_column(j) for j in range(hs.s)]
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by ``finite_duals``
+        vectors = finite_duals([orbit @ hs.first_column(j) for j in range(hs.s)])
     return ReconstructionBasis(vectors=vectors, inverse=hs)
 
 

@@ -50,16 +50,16 @@ class FrameConstants(NamedTuple):
 
 
 class FrameError(ValueError):
-    """The matrices fail the frame test: they are not uniformly of full column rank;
-    or their duals leave the float range (``finite_duals``)."""
+    """A refusal of the duals, worded where it is decided as the one line that the
+    CLI prints: the matrices fail the frame test (not uniformly of full column
+    rank), or their duals leave the float range (``finite_duals``).  The cyclic
+    rank and left-inverse refusals and the shift truncation refusal subclass it."""
 
 
-def check_frame(fc, threshold=RANK_TOL):
-    """Raise ``FrameError`` unless ``fc.sigma_ratio`` exceeds ``threshold``."""
-    if not fc.sigma_ratio > threshold:
-        raise FrameError(
-            f"not recoverable: sigma_min/sigma_max = {fc.sigma_ratio:.3e} <= {threshold:.1e}"
-        )
+def check_frame(ratio, threshold=RANK_TOL):
+    """Raise ``FrameError`` unless ``ratio = sigma_min/sigma_max`` exceeds ``threshold``."""
+    if not ratio > threshold:
+        raise FrameError(f"not recoverable: sigma_min/sigma_max = {ratio:.3e} <= {threshold:.1e}")
 
 
 def finite_duals(duals):

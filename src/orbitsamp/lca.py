@@ -28,7 +28,8 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .duals import DualFamily, check_frame, family_member, frame_bounds, scale_exponent
+from .duals import (DualFamily, check_frame, family_member, finite_duals, frame_bounds,
+                    scale_exponent)
 from .hilbert import ORBIT_LAW_TOL, RANK_TOL, as_cvector, require_full_rank
 
 __all__ = [
@@ -391,10 +392,17 @@ def take_group_samples(spectrum, x):
 class GroupDual:
     """Vectors ``c_j``, with orbit coefficients ``coeff[:, j]``; column ``(j, m)`` of
     ``coefficients`` (sampler-major) holds those of ``Pi(m) c_j``, and ``synthesis =
-    orbit @ coefficients``.  Both are formed on first read."""
+    orbit @ coefficients``.  All three are formed on first read; ``vectors`` raises
+    ``FrameError`` when one leaves the float range."""
 
-    def __init__(self, vectors, coeff, spectrum):
-        self.vectors, self.coeff, self.spectrum = vectors, coeff, spectrum
+    def __init__(self, coeff, spectrum):
+        self.coeff, self.spectrum = coeff, spectrum
+
+    @cached_property
+    def vectors(self):
+        with np.errstate(over="ignore", invalid="ignore"):  # refused by ``finite_duals``
+            C = finite_duals(self.spectrum.orbit @ self.coeff)
+        return list(np.ascontiguousarray(C.T))
 
     @cached_property
     def coefficients(self):
@@ -417,7 +425,7 @@ def group_duals(spectrum, U=None, *, threshold=RANK_TOL):
     ``Pi(m) Pi(h) a = Pi(h + m) a``, those of ``Pi(m) c_j`` are the same read
     at ``h - m``: the coefficient map is one gather, and no operator is applied.
     """
-    check_frame(spectrum.frame, threshold)
+    check_frame(spectrum.frame.sigma_ratio, threshold)
     family = spectrum.family
     hmats = family.pinv if U is None else family_member(family.matrices, family.pinv, U)
 
@@ -427,8 +435,7 @@ def group_duals(spectrum, U=None, *, threshold=RANK_TOL):
     h_full[spectrum.cells.ravel()] = hmats.reshape(-1, s)
     # coefficients alpha[h, j] = (r / |dual|) sum_gamma h_j(gamma) conj((h, gamma))
     coeff = (spectrum.r / dual.order) * (spectrum.characters.conj().T @ h_full)
-    C = spectrum.orbit @ coeff
-    return GroupDual(vectors=list(np.ascontiguousarray(C.T)), coeff=coeff, spectrum=spectrum)
+    return GroupDual(coeff=coeff, spectrum=spectrum)
 
 
 def group_reconstruct(dual, samples):

@@ -16,8 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .duals import (SAFE_EXPONENT, DualFamily, check_frame, family_member, finite_duals,
-                    frame_bounds, scale_exponent)
+from .duals import (SAFE_EXPONENT, DualFamily, FrameError, check_frame, family_member,
+                    finite_duals, frame_bounds, scale_exponent)
 from .hilbert import RANK_TOL, RESIDUAL_FLAG
 from .laurent import LaurentPoly, bezout, bspline, polyphase_sample
 
@@ -54,7 +54,7 @@ ROUNDTRIP_TRIALS, ROUNDTRIP_SUPPORT, ROUNDTRIP_SEED = 16, 64, 0
 PR_TOL = 1e-9  # torus residual of ``G H - I``, relative to max |G| |H|, that passes
 
 
-class TailEnergyError(ValueError):
+class TailEnergyError(FrameError):
     """Truncating the dual coefficients would drop more than ``TAIL_TOL`` of their energy."""
 
 
@@ -289,14 +289,14 @@ def dual_field(field, U=None, *, threshold=RANK_TOL):
     stand in for its bounds.  ``FrameError`` as ``frame_constants`` decides it,
     when ``sigma_min/sigma_max`` is at or below ``threshold``; the bounds spare
     that call when they clear ``threshold`` by a factor ``sqrt(2)``, and a wide
-    field (``s < r*L``) takes it first.
+    field (``s < r*L``), whose ratio is 0, is refused from its shape first.
     """
     k = scale_exponent(field.values)
     P, s, n = field.values.shape
     if U is not None:  # sliced with each block; a constant U as a view of stride 0
         U = np.broadcast_to(U, (P,) + np.shape(U)[-2:])
-    if s < n:  # sigma_min 0 at every point: no bound can settle the verdict
-        check_frame(frame_constants(field), threshold)
+    if s < n:  # sigma_min 0 at every point
+        check_frame(0.0, threshold)
     h = np.empty((P, n, s), dtype=complex)
     target = np.eye(field.L, n)
     size, low_min, g2_max, residual = max(1, DUAL_BLOCK_ENTRIES // (s * n)), np.inf, 0.0, 0.0
@@ -320,7 +320,7 @@ def dual_field(field, U=None, *, threshold=RANK_TOL):
         residual = np.maximum(residual, np.max(np.abs(h[a : a + size, : field.L] @ V - target)))
     # a quotient of squares cannot overflow; an underflow to 0 leaves the verdict open
     if not (g2_max > 0 and math.sqrt(low_min / g2_max / 2) > threshold):
-        check_frame(frame_constants(field), threshold)
+        check_frame(frame_constants(field).sigma_ratio, threshold)
     return DualField(field=field, h_values=finite_duals(h), residual_max=float(residual))
 
 
@@ -361,8 +361,9 @@ def reconstruction_coefficients(dual, length=None):
     if refused.size:
         j, l = refused[0]
         raise TailEnergyError(
-            f"truncation to {length} coefficients drops {tail[j, l] / total[j, l]:.3e} "
-            f"of the dual energy (sampler {j + 1}); increase the length"
+            f"truncation refused: truncation to {length} coefficients drops "
+            f"{tail[j, l] / total[j, l]:.3e} of the dual energy (sampler {j + 1}); "
+            "increase the length"
         )
     return [[FiniteSequence(offset=lo, values=kept[j, l]) for l in range(L)] for j in range(s)]
 

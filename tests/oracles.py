@@ -208,14 +208,14 @@ def operator_inverse(matrix):
 def exact_dual_field(field, U=None, threshold=RANK_TOL):
     """``(h_values, residual_max)`` of the shift dual field, the whole grid at once.
 
-    ``check_frame`` on ``frame_constants`` at ``threshold`` first.  Then at
+    ``check_frame`` on ``frame_constants``' ratio at ``threshold`` first.  Then at
     every point ``X = solve(G*G, G*)`` (none where ``G*G`` is exactly
     singular) and ``E = I - X G``; a point keeps ``X + E X`` where
     ``(1 - |E|_F)^2 / |X|_F^2 > 2 GRAM_DOUBT |G|_F^2`` with ``|E|_F < 1``, and
     every other point takes the pseudo-inverse of one thin SVD of them all;
     then the member ``U`` selects.
     """
-    check_frame(frame_constants(field), threshold)
+    check_frame(frame_constants(field).sigma_ratio, threshold)
     G = field.values
     n = G.shape[-1]
     GH = np.conj(np.swapaxes(G, 1, 2))
@@ -264,8 +264,9 @@ def batched_reconstruction_coefficients(dual, length):
     if refused.size:
         j, l = refused[0]
         raise TailEnergyError(
-            f"truncation to {length} coefficients drops {tail[j, l] / total[j, l]:.3e} "
-            f"of the dual energy (sampler {j + 1}); increase the length"
+            f"truncation refused: truncation to {length} coefficients drops "
+            f"{tail[j, l] / total[j, l]:.3e} of the dual energy (sampler {j + 1}); "
+            "increase the length"
         )
     return [[FiniteSequence(offset=lo, values=kept[j, l]) for l in range(L)] for j in range(s)]
 

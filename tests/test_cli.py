@@ -2510,6 +2510,44 @@ class TestBeyondTheFloatRange:
             assert got == (1, "not recoverable: the duals leave the float range\n", ""), command
         assert sorted(os.listdir(tmp_path)) == written
 
+    @staticmethod
+    def wide_orbit(name):
+        """The shipped orbit problem ``name``, generators times 1e300 and samplers
+        times 1e-310: finite dual matrices near 1e10, whose vectors are near 1e310."""
+        doc = scaled_problem(name, 1e-310)
+        doc.pop("truth", None)
+        doc["generators"] = [[[1e300 * re, 1e300 * im] for re, im in a] for a in doc["generators"]]
+        return doc
+
+    @pytest.mark.parametrize("name", ["cyclic_perm.json", "lca_z4.json"])
+    def test_synthesised_duals_refused_in_one_line(self, tmp_path, name):
+        problem = write_problem(tmp_path, self.wide_orbit(name))
+        assert run_in_process(["analyze", "--input", problem])[::2] == (0, "")
+        written = sorted(os.listdir(tmp_path))
+        got = run_in_process(["dual", "--input", problem, "--out", str(tmp_path / "d")])
+        assert got == (1, "not recoverable: the duals leave the float range\n", "")
+        assert sorted(os.listdir(tmp_path)) == written
+
+    @pytest.mark.parametrize("name", ["cyclic_perm.json", "lca_z4.json"])
+    def test_truth_residual_of_entries_near_1e300(self, tmp_path, name):
+        # the truth O (1, 2, ..., n) and its samples: the residual is taken at the truth's scale
+        doc = self.wide_orbit(name)
+        if doc["model"] == "cyclic":
+            model = cli._Cyclic(doc)
+            x = model.spec.synthesize(np.arange(1.0, model.spec.total_order + 1))
+            samples = o.take_samples(model.spec, model.scheme, x)
+        else:
+            spectrum = cli._Lca(doc).spectrum
+            x = spectrum.orbit @ np.arange(1.0, spectrum.rep.H.order + 1)
+            samples = o.lca.take_group_samples(spectrum, x)
+        doc["truth"] = cpairs(x)
+        cli.write_vector_csv(str(tmp_path / "y.csv"), samples)
+        rc, out, err = run_in_process(["reconstruct", "--input", write_problem(tmp_path, doc),
+                                       "--samples", str(tmp_path / "y.csv"),
+                                       "--out", str(tmp_path / "r")])
+        assert (rc, err) == (0, "")
+        assert float(out.splitlines()[-1].removeprefix("relative residual vs truth: ")) < 1e-12
+
 
 class TestOffsetsBeyondInt64:
     """Sequence offsets are Python ints of any size: the spectra reduce them

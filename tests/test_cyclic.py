@@ -21,6 +21,7 @@ from orbitsamp.cyclic import (
     structurize_left_inverse,
     take_samples,
 )
+from orbitsamp.duals import FrameError
 from orbitsamp.hilbert import LinearOperator
 from orbitsamp.spectral import MAX_GRID_ENTRIES
 from instances import (
@@ -326,6 +327,25 @@ class TestStructurizeLeftInverse:
         with pytest.raises(RankDeficiencyError):
             structurize_left_inverse(R)
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), square=st.booleans(),
+           exponent=st.floats(-12, 2), at_ratio=st.booleans())
+    def test_one_rank_gate(self, seed, square, exponent, at_ratio):
+        # the inverse refuses at its tol exactly when check_rank does, in check_rank's
+        # counts; tol runs log-uniformly across sigma_min/sigma_max (>= 1e-3 > RANK_TOL)
+        config = CyclicInstanceConfig(max_dim=12, square=square, distortion=0.2)
+        R = random_cyclic_instance(np.random.default_rng(seed), config).sample_matrix
+        sv = check_rank(R).singular_values
+        tol = sv[-1] / sv[0] * (1.0 if at_ratio else 10.0**exponent)
+        report = check_rank(R, tol)
+        try:
+            structurize_left_inverse(R, tol=tol)
+        except RankDeficiencyError as exc:
+            assert isinstance(exc, FrameError) and not report.full_rank
+            assert str(exc) == f"not recoverable: rank {report.rank}/{report.cols}"
+        else:
+            assert report.full_rank
+
     def test_u_family_member_still_left_inverse(self):
         rng = np.random.default_rng(9)
         op, gens = operator_with_orders(rng, 12, [12])
@@ -557,7 +577,8 @@ class TestShiftClassResidual:
         except LeftInverseError as exc:
             # refused by the class rows exactly when the dense check refuses
             assert seeded and oracle > 1e-6
-            assert str(exc).startswith("structured columns are not a left inverse (residual ")
+            assert str(exc).startswith("structured inverse failed: structured columns are not "
+                                       "a left inverse (residual ")
             assert str(exc).endswith("; the seed's blocks lack the cyclic structure")
             return
         H = hs.entries

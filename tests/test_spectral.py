@@ -454,8 +454,8 @@ class TestDualField:
         cases = ((sound, RANK_TOL, False, []), (doubtful, RANK_TOL, False, ["svd"]),
                  # bounds 1e-3 / sqrt(1.25), within sqrt(2) of 8e-4: open, and recoverable
                  (doubtful, 8e-4, False, open_),
-                 # a wide field takes frame_constants first
-                 (sound[:, :1], RANK_TOL, True, ["eigvalsh", "svd"]), (zero, RANK_TOL, True, open_))
+                 # a wide field is refused from its shape, with no decomposition
+                 (sound[:, :1], RANK_TOL, True, []), (zero, RANK_TOL, True, open_))
         for values, threshold, refused, want in cases:
             field = SpectralField(r=1, L=2, Q=64, values=values)
             if refused:
