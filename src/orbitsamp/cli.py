@@ -350,7 +350,7 @@ class _Cyclic:
 
     def dual(self, U, tol, prefix):
         hs = cyclic.structurize_left_inverse(self.R, U=U, tol=tol)
-        vectors = cyclic.reconstruction_vectors(self.spec, hs).vectors
+        vectors = hs.vectors  # refused before any line is printed
         print(f"left-inverse residual: {_fmt(hs.certified_residual)}")
         _write_duals(prefix, vectors)
         if self.R.rows == self.R.cols:
@@ -363,11 +363,7 @@ class _Cyclic:
                     print(f"  j'={jp + 1} n={n}: {cells}")
 
     def reconstruct(self, samples, tol):
-        expected = self.scheme.s * self.scheme.ell
-        if samples.size != expected:
-            raise SchemaError(f"sample count {samples.size} does not match s*ell = {expected}")
-        alpha = cyclic.structurize_left_inverse(self.R, tol=tol).entries @ samples
-        return self.spec.synthesize(alpha), alpha
+        return cyclic.structurize_left_inverse(self.R, tol=tol).reconstruct(samples)
 
 
 class _Shift:
@@ -376,7 +372,7 @@ class _Shift:
 
     FIELDS = ("model", "sequences", "method", "dual_length", "r", "grid")
 
-    def __init__(self, doc):
+    def __init__(self, doc, build_field=True):
         self.named = _named_sequences(doc)
         names = [n for n in self.named if n.startswith("g")]
         if not names:
@@ -389,11 +385,12 @@ class _Shift:
         r = _int(doc.get("r", 1), "r")
         self.grid = _grid_floor(_int(doc.get("grid", 1024), "grid"), "grid")
         Q = self.grid * r
-        self.field = spectral.build_spectral_field(self.seqs, r, Q)
         self.dual_length = _int(doc.get("dual_length", min(65, Q)), "dual_length")
         if not 1 <= self.dual_length <= Q:
             raise SchemaError(f"dual_length: expected an integer in [1, grid*r = {Q}], "
                               f"got {self.dual_length}")
+        if build_field:  # reconstruct reads the checks above alone, then refuses the model
+            self.field = spectral.build_spectral_field(self.seqs, r, Q)
 
     def verdict(self, tol):
         return _frame_verdict(spectral.frame_constants(self.field), tol)
@@ -432,11 +429,6 @@ class _Shift:
             exact = [(Fraction(c), Fraction(0)) for c in cpoly.coeffs]
             write_vector_csv(path, None, indices=cpoly.exponents(), exact=exact)
             print(f"wrote {path}")
-
-    def reconstruct(self, samples, tol):
-        raise SchemaError(
-            "reconstruct supports the cyclic and lca models; use pr-check for filter banks"
-        )
 
     def pr_check(self):
         """Print the polyphase matrices of the bank and certify it on ``grid`` torus points."""
@@ -500,12 +492,7 @@ class _Lca:
         _write_duals(prefix, lca.group_duals(self.spectrum, U, threshold=tol).vectors)
 
     def reconstruct(self, samples, tol):
-        spectrum = self.spectrum
-        expected = spectrum.s * spectrum.M.order
-        if samples.size != expected:
-            raise SchemaError(f"sample count {samples.size} does not match s*|M| = {expected}")
-        alpha = lca.group_duals(spectrum, threshold=tol).coefficients @ samples
-        return spectrum.orbit @ alpha, alpha
+        return lca.group_duals(self.spectrum, threshold=tol).reconstruct(samples)
 
 
 _MODELS = {"cyclic": _Cyclic, "shift": _Shift, "lca": _Lca}
@@ -518,15 +505,16 @@ def _known_fields(doc, fields, where):
             raise SchemaError(f"{where}: unknown field {key!r}")
 
 
-def _load_model(doc, grid=None):
-    """The model of a loaded problem; ``--grid`` stands in for the ``grid`` field."""
+def _load_model(doc, grid=None, **options):
+    """The model of a loaded problem, ``options`` passed to its constructor;
+    ``--grid`` stands in for the ``grid`` field."""
     model = _MODELS[doc["model"]]
     _known_fields(doc, model.FIELDS, f"{doc['model']} problem")
     if grid is not None:
         if "grid" not in model.FIELDS:
             raise SchemaError(f"--grid applies to shift problems, not {doc['model']}")
         doc = dict(doc, grid=grid)
-    return _loaded(model, doc)
+    return _loaded(model, doc, **options)
 
 
 # -- commands ----------------------------------------------------------------
@@ -556,7 +544,13 @@ def cmd_dual(args):
 
 
 def cmd_reconstruct(args):
-    model = _load_model(load_problem(args.input))
+    doc = load_problem(args.input)
+    if doc["model"] == "shift":  # its fields are read and checked; no spectral field is built
+        _load_model(doc, build_field=False)
+        raise SchemaError("reconstruct supports the cyclic and lca models; "
+                          "use pr-check for filter banks")
+    model = _load_model(doc)
+    del doc  # freed before the reconstruction allocates, which keeps the peak memory down
     indices, samples = read_vector_csv(args.samples)
     if indices != list(range(len(indices))):
         raise SchemaError(f"{args.samples}: indices must run 0..{len(indices) - 1} in order")

@@ -6,8 +6,8 @@ cross-correlation matrix ``R`` they induce decides recoverability by its
 rank.  A left inverse of ``R`` whose columns are blockwise cyclic shifts of
 each sampler's first column yields reconstruction vectors ``c_j`` such that
 ``x = sum_{j,n} sample(j, n) T^{r n} c_j``.  Since ``c_j = O h_{j,0}`` for the
-orbit matrix ``O`` and column ``(j, 0)`` of that inverse ``H``, the sum is the
-orbit synthesis ``O (H samples)``; only ``take_samples`` forms a power of ``T``.
+orbit matrix ``O`` and column ``(j, 0)`` of that inverse ``H`` (an ``OrbitDual``),
+the sum is ``O (H samples)``; only ``take_samples`` forms a power of ``T``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .duals import DualFamily, FrameError, family_member, finite_duals
+from .duals import DualFamily, FrameError, OrbitDual, family_member, shifted_columns
 from .hilbert import LEFT_INVERSE_TOL, ORBIT_LAW_TOL, RANK_TOL, as_cvector, require_full_rank
 from .spectral import MAX_GRID_ENTRIES
 
@@ -29,7 +29,6 @@ __all__ = [
     "DFTBlocks",
     "RankReport",
     "StructuredLeftInverse",
-    "ReconstructionBasis",
     "RankDeficiencyError",
     "LeftInverseError",
     "build_sample_matrix",
@@ -138,11 +137,12 @@ class SamplingScheme:
 
 
 class SampleMatrix:
-    """The ``s*ell x sum(N_l)`` sampling matrix, blockwise r-circulant, held as
-    the first row ``S^H O`` of each sampler's block; ``matrix`` is formed on first read."""
+    """The ``s*ell x sum(N_l)`` sampling matrix, blockwise r-circulant, held as the
+    first row ``S^H O`` of each sampler's block (``orbit`` is ``O``); ``matrix`` is
+    formed on first read."""
 
-    def __init__(self, first_rows, r, ell, orders, lcm_order):
-        self.first_rows, self.r, self.ell = first_rows, r, ell
+    def __init__(self, first_rows, orbit, r, ell, orders, lcm_order):
+        self.first_rows, self.orbit, self.r, self.ell = first_rows, orbit, r, ell
         self.orders, self.lcm_order = orders, lcm_order
 
     @property
@@ -161,8 +161,16 @@ class SampleMatrix:
         return np.concatenate(([0], np.cumsum(self.orders)))
 
     @cached_property
+    def shifts(self):
+        """Entry ``[(l, k), n]`` is the orbit index of ``(l, k - r*n mod N_l)``: row
+        ``(j, n)`` of ``matrix`` is row ``j`` of ``first_rows`` read there."""
+        n = np.arange(self.ell)
+        return np.concatenate([off + (np.arange(Nl)[:, None] - self.r * n) % Nl
+                               for off, Nl in zip(self.column_offsets(), self.orders)])
+
+    @cached_property
     def matrix(self):
-        return _shifted_rows(self.first_rows, self)
+        return shifted_columns(self.first_rows.T, self.shifts).T
 
     @cached_property
     def blocks(self):
@@ -217,17 +225,6 @@ class DFTBlocks:
         return _block_fft(rows, self.offsets) / math.sqrt(self.ell)
 
 
-def _shifted_rows(first, R):
-    """Rows ``(j, n)``: row ``j`` of ``first`` shifted right by ``r*n`` within every
-    generator block, sampler-major (``R`` from ``R.first_rows``, the transpose of a
-    structured inverse from its first columns); ``first[:, idx]`` for ``idx[n, off_l
-    + k] = off_l + (k - r*n) mod N_l``."""
-    n = np.arange(R.ell)[:, None]
-    idx = np.hstack([off + (np.arange(Nl) - R.r * n) % Nl
-                     for off, Nl in zip(R.column_offsets(), R.orders)])
-    return np.take(first, idx, axis=1).reshape(R.rows, R.cols)
-
-
 def build_sample_matrix(spec, scheme):
     """Assemble ``R`` from the cross-correlations of generators and samplers.
 
@@ -243,6 +240,7 @@ def build_sample_matrix(spec, scheme):
     orbit = spec.orbit_matrix()
     R = SampleMatrix(
         first_rows=scheme.adjoint @ orbit,
+        orbit=orbit,
         r=scheme.r,
         ell=scheme.ell,
         orders=tuple(spec.orders),
@@ -293,36 +291,24 @@ def check_rank(R, rank_tol=RANK_TOL):
     )
 
 
-class StructuredLeftInverse:
-    """Left inverse of ``R`` whose columns are blockwise cyclic shifts.
-
-    Column ``(j, n)`` equals column ``(j, 0)`` shifted down ``r*n`` positions
-    within each generator block (wraparound modulo ``N_l``), exactly: the
-    construction permutes stored entries rather than recomputing them.
-    ``certified_residual`` is ``max |entries @ R - I|``, checked at construction
-    on one row per shift class: shifting both indices of ``entries @ R`` by
-    ``r`` within their generator blocks leaves it unchanged, up to the order of
-    its sums, so rows ``k < gcd(N_l, r)`` of each block meet every entry.
+class StructuredLeftInverse(OrbitDual):
+    """Left inverse ``H = coefficients`` of ``R``, the ``OrbitDual`` over ``R`` of its
+    columns ``(j, 0)``: column ``(j, n)`` is column ``(j, 0)`` shifted down ``r*n``
+    within each generator block (modulo ``N_l``), exactly, by the gather ``R.shifts``.
+    ``certified_residual`` is ``max |H R - I|``, checked at construction on one row
+    per shift class: shifting both indices of ``H R`` by ``r`` within their
+    generator blocks leaves it unchanged, up to the order of its sums, so rows
+    ``k < gcd(N_l, r)`` of each block meet every entry.
     """
 
-    def __init__(self, entries, r, ell, orders, certified_residual):
-        self.entries, self.r, self.ell, self.orders = entries, r, ell, orders
+    def __init__(self, first, R, certified_residual):
+        super().__init__(first, R)
         self.certified_residual = certified_residual
-
-    @property
-    def s(self):
-        return self.entries.shape[1] // self.ell
-
-    def column_offsets(self):
-        return np.concatenate(([0], np.cumsum(self.orders)))
-
-    def first_column(self, j):
-        return self.entries[:, j * self.ell]
 
 
 def _left_inverse_residual(H, R, rows):
-    """``max |(H R - I)[rows]|``."""
-    P = H[rows] @ R.matrix
+    """``max |(H R - I)[rows]|``, ``H`` holding only the rows ``rows``."""
+    P = H @ R.matrix
     P[np.arange(len(rows)), rows] -= 1
     return float(np.max(np.abs(P)))
 
@@ -369,42 +355,30 @@ def structurize_left_inverse(R, *, U=None, tol=RANK_TOL):
     rank = _numerical_rank(R.blocks.singular_values, tol)
     if rank < R.cols:
         raise RankDeficiencyError(f"not recoverable: rank {rank}/{R.cols}")
-    first = R.blocks.pinv_first_columns()
+    first = R.blocks.pinv_first_columns().T
     if U is not None:
-        H = family_member(R.matrix, _shifted_rows(first, R).T, U)
+        H = family_member(R.matrix, shifted_columns(first, R.shifts), U)
         seed_resid = _left_inverse_residual(H, R, np.arange(R.cols))
         if not seed_resid <= LEFT_INVERSE_TOL:  # NaN fails too
             raise LeftInverseError(f"structured inverse failed: seed is not a left "
                                    f"inverse of R (residual {seed_resid:.3e})")
-        first = _structured_first_columns(H, R)
+        first = _structured_first_columns(H, R).T
 
-    out = _shifted_rows(first, R).T
-    resid = _left_inverse_residual(out, R, _shift_class_rows(R))
+    rows = _shift_class_rows(R)
+    resid = _left_inverse_residual(shifted_columns(first, R.shifts[rows]), R, rows)
     if not resid <= LEFT_INVERSE_TOL:
         raise LeftInverseError(
             f"structured inverse failed: structured columns are not a left inverse "
             f"(residual {resid:.3e}); the seed's blocks lack the cyclic structure"
         )
-    return StructuredLeftInverse(
-        entries=out, r=R.r, ell=R.ell, orders=R.orders, certified_residual=resid
-    )
-
-
-class ReconstructionBasis:
-    """Ambient vectors ``c_j`` whose shifted orbit reproduces the subspace, and
-    the structured inverse ``inverse`` they come from: ``c_j = O h_{j,0}``."""
-
-    def __init__(self, vectors, inverse):
-        self.vectors, self.inverse = vectors, inverse
+    return StructuredLeftInverse(first, R, resid)
 
 
 def reconstruction_vectors(spec, hs):
-    """Synthesize ``c_j`` from column ``(j, 0)`` of the structured inverse;
-    ``FrameError`` when one leaves the float range."""
-    orbit = spec.orbit_matrix()
-    with np.errstate(over="ignore", invalid="ignore"):  # refused by ``finite_duals``
-        vectors = finite_duals([orbit @ hs.first_column(j) for j in range(hs.s)])
-    return ReconstructionBasis(vectors=vectors, inverse=hs)
+    """The structured inverse ``hs`` of ``spec``'s ``R``, its vectors ``c_j = O h_{j,0}``
+    (``hs.vectors``) formed: ``FrameError`` when one leaves the float range."""
+    hs.vectors  # formed here, or refused
+    return hs
 
 
 def reconstruct(spec, scheme, basis, samples):
@@ -414,14 +388,13 @@ def reconstruct(spec, scheme, basis, samples):
     shifted by ``r n`` within each generator block, and ``T^{N_l} a_l = a_l``,
     so ``T^{r n} c_j = O H[:, (j, n)]``: no power of ``T`` is formed.
     """
-    samples = as_cvector(samples, scheme.s * scheme.ell)
-    return spec.orbit_matrix() @ (basis.inverse.entries @ samples)
+    return basis.reconstruct(samples)[0]
 
 
 def interpolation_table(R, hs):
     """Samples ``L_j' c_j(r n)`` of each reconstruction vector, one column per ``j``:
     those of ``c_j = O h_{j,0}`` are ``R h_{j,0}``, so no power of ``T`` is formed."""
-    return R.matrix @ hs.entries[:, :: hs.ell]
+    return R.matrix @ hs.first
 
 
 def filter_bank_coefficients(hs, samples, spec):
@@ -431,5 +404,5 @@ def filter_bank_coefficients(hs, samples, spec):
     beta_j^l(m - r*n)``, with ``beta_j^l`` block ``l`` of ``h_{j,0}`` extended
     ``N_l``-periodically: column ``(j, n)`` of ``H`` is that block shifted by ``r*n``.
     """
-    samples = as_cvector(samples, hs.s * hs.ell)
-    return np.split(hs.entries @ samples, hs.column_offsets()[1:-1])
+    samples = as_cvector(samples, hs.coefficients.shape[1])
+    return np.split(hs.coefficients @ samples, np.cumsum(spec.orders)[:-1])

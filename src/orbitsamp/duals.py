@@ -9,7 +9,8 @@ pseudo-inverse; the shift grid takes it point by point, only where the
 certificate of its Gram solve refuses the point (``spectral.dual_field``).
 The shift grid and the lca section are first scaled exactly by
 ``2**scale_exponent``: their Gram matrices neither overflow nor underflow at
-any finite scale.
+any finite scale.  The duals of both orbit models (cyclic and lca) are one
+``OrbitDual``: the orbit of ``s`` dual generators under the sample group.
 """
 
 from __future__ import annotations
@@ -20,11 +21,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hilbert import RANK_TOL, DimensionMismatch
+from .hilbert import RANK_TOL, DimensionMismatch, as_cvector
 
-__all__ = [
-    "FrameConstants", "FrameError", "DualFamily", "family_member", "frame_bounds", "check_frame"
-]
+__all__ = ["FrameConstants", "FrameError", "DualFamily", "OrbitDual", "family_member",
+           "frame_bounds", "check_frame", "shifted_columns"]
 
 PINV_RCOND = 1e-15
 SAFE_EXPONENT = 200  # Gram matrices of entries up to 2**±200 stay normal floats
@@ -127,3 +127,42 @@ def family_member(A, pinv, U):
     if U.shape[-2:] != (cols, rows):
         raise DimensionMismatch(f"U must have shape {(cols, rows)}, got {U.shape}")
     return pinv + U @ (np.eye(rows) - A @ pinv)
+
+
+def shifted_columns(first, shifts):
+    """``A[:, j*m + q] = first[shifts[:, q], j]`` for the ``m`` columns of ``shifts``:
+    one gather, whose result is the transpose of the rows ``np.take`` lays out."""
+    return np.take(first.T, shifts.T, axis=1).reshape(-1, len(shifts)).T
+
+
+class OrbitDual:
+    """The dual frame of an orbit model, ``x = sum_{j,m} y_j(m) T^m c_j``: column ``j``
+    of ``first`` holds the orbit coefficients of ``c_j``, and ``design`` the orbit
+    matrix ``orbit`` and the table ``shifts`` of the orbit index of ``h - m``.  Those
+    of ``T^m c_j`` are those of ``c_j`` read at ``h - m``, so ``coefficients``
+    (columns ``(j, m)``, sampler-major) is one gather.  ``vectors`` (row ``j`` is
+    ``c_j``) and ``coefficients`` are formed on first read; ``vectors`` raises
+    ``FrameError`` when one leaves the float range."""
+
+    def __init__(self, first, design):
+        self.first, self.design = first, design
+
+    @cached_property
+    def vectors(self):
+        with np.errstate(over="ignore", invalid="ignore"):  # refused by ``finite_duals``
+            return finite_duals(self.design.orbit @ self.first).T
+
+    @cached_property
+    def coefficients(self):
+        return shifted_columns(self.first, self.design.shifts)
+
+    def reconstruct(self, samples):
+        """``(x, alpha)``: the orbit coefficients ``alpha = coefficients @ samples``
+        and ``x = orbit @ alpha``; the samples are sampler-major, ``s*m`` of them."""
+        samples = as_cvector(samples)
+        s, m = self.first.shape[1], self.design.shifts.shape[1]
+        if samples.size != s * m:
+            raise DimensionMismatch(f"sample count {samples.size} does not match "
+                                    f"s*m = {s}*{m} = {s * m}")
+        alpha = self.coefficients @ samples
+        return self.design.orbit @ alpha, alpha

@@ -15,7 +15,7 @@ chains of generator mat-vecs along the enumeration; no power is formed.
 operators on it and forms the character table and the section cells once;
 the duals and the reconstruction read them from the ``GroupSpectrum``.
 Reconstruction is ``orbit @ (A @ samples)``: the coefficient map ``A`` of
-``group_duals`` is formed by index shifts over ``H``.
+the ``duals.OrbitDual`` that ``group_duals`` returns is one gather over ``H``.
 
 The single-generator cyclic pipeline is the special case ``H = Z_N`` with
 ``M = rZ_N``, where ``A`` is the cyclic structured inverse.
@@ -28,8 +28,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .duals import (DualFamily, check_frame, family_member, finite_duals, frame_bounds,
-                    scale_exponent)
+from .duals import DualFamily, OrbitDual, check_frame, family_member, frame_bounds, scale_exponent
 from .hilbert import ORBIT_LAW_TOL, RANK_TOL, as_cvector, require_full_rank
 
 __all__ = [
@@ -38,7 +37,6 @@ __all__ = [
     "DualGroup",
     "GroupRepresentation",
     "GroupSpectrum",
-    "GroupDual",
     "RepresentationError",
     "annihilator",
     "section_omega",
@@ -304,6 +302,7 @@ class GroupSpectrum:
     cells (``section_omega``).  ``family`` holds one SVD of the matrices, whose
     entry ``[i][j, k]`` is sampler ``j``'s spectrum at ``xi_i + mu_k``, and
     ``frame`` their frame constants, true extremes since everything is finite.
+    ``shifts[h, q]`` is the sorted position of ``h - m_q`` over sorted ``M``.
     """
 
     def __init__(self, rep, samplers, M, dual, perp, cells, orbit, characters, family, frame):
@@ -318,6 +317,11 @@ class GroupSpectrum:
     @property
     def s(self):
         return len(self.samplers)
+
+    @cached_property
+    def shifts(self):
+        H, M = self.rep.H, self.M
+        return H.index(H.elements[:, None] - M.elements[None])
 
     @cached_property
     def analyzers(self):
@@ -389,34 +393,8 @@ def take_group_samples(spectrum, x):
     return spectrum.analyzers @ as_cvector(x, spectrum.rep.dim)
 
 
-class GroupDual:
-    """Vectors ``c_j``, with orbit coefficients ``coeff[:, j]``; column ``(j, m)`` of
-    ``coefficients`` (sampler-major) holds those of ``Pi(m) c_j``, and ``synthesis =
-    orbit @ coefficients``.  All three are formed on first read; ``vectors`` raises
-    ``FrameError`` when one leaves the float range."""
-
-    def __init__(self, coeff, spectrum):
-        self.coeff, self.spectrum = coeff, spectrum
-
-    @cached_property
-    def vectors(self):
-        with np.errstate(over="ignore", invalid="ignore"):  # refused by ``finite_duals``
-            C = finite_duals(self.spectrum.orbit @ self.coeff)
-        return list(np.ascontiguousarray(C.T))
-
-    @cached_property
-    def coefficients(self):
-        H, M = self.spectrum.rep.H, self.spectrum.M
-        shifted = H.index(H.elements[:, None] - M.elements[None])
-        return self.coeff[shifted].transpose(0, 2, 1).reshape(H.order, -1)
-
-    @cached_property
-    def synthesis(self):
-        return self.spectrum.orbit @ self.coefficients
-
-
 def group_duals(spectrum, U=None, *, threshold=RANK_TOL):
-    """Reconstruction vectors from per-point pseudo-inverse dual matrices.
+    """The ``OrbitDual`` of per-point pseudo-inverse dual matrices over ``spectrum``.
 
     Raises ``FrameError`` when ``sigma_min / sigma_max`` is at most
     ``threshold``.  Row ``k`` of each ``r x s`` dual matrix carries the dual
@@ -435,9 +413,9 @@ def group_duals(spectrum, U=None, *, threshold=RANK_TOL):
     h_full[spectrum.cells.ravel()] = hmats.reshape(-1, s)
     # coefficients alpha[h, j] = (r / |dual|) sum_gamma h_j(gamma) conj((h, gamma))
     coeff = (spectrum.r / dual.order) * (spectrum.characters.conj().T @ h_full)
-    return GroupDual(coeff=coeff, spectrum=spectrum)
+    return OrbitDual(coeff, spectrum)
 
 
 def group_reconstruct(dual, samples):
     """Evaluate ``sum_j sum_m samples(j, m) Pi(m) c_j``."""
-    return dual.synthesis @ as_cvector(samples, dual.synthesis.shape[1])
+    return dual.reconstruct(samples)[0]

@@ -4,10 +4,10 @@ Each is the direct textbook form of a quantity the package computes by a
 faster or structured route: dense inner products and Gram matrices, the
 sample matrix entry by entry, an entrywise r-circulant check, a projection
 by the normal equations, the cyclic reconstruction sum by a Horner walk in
-``T^r``, the characters of a subgroup by ``np.unique`` over phase rows, the
-orbit law of a group representation over all pairs of elements, an
-operator check that takes its SVD first, the
-shift dual field over the whole grid at once (its verdict from
+``T^r``, the coefficient map of an orbit dual by two loops, the characters
+of a subgroup by ``np.unique`` over phase rows, the orbit law of a group
+representation over all pairs of elements, an operator check that takes
+its SVD first, the shift dual field over the whole grid at once (its verdict from
 ``frame_constants``, a solve or an SVD per point), the shift
 reconstruction coefficients by one batched FFT over all samplers, and CSV
 rows written by the ``csv`` module.  The finite-sequence helpers at the end
@@ -120,6 +120,16 @@ def horner_reconstruct(spec, scheme, basis, samples):
     for n in reversed(range(scheme.ell)):
         x = Tr @ x + W[:, n]
     return x
+
+
+def shifted_columns(first, shifts):
+    """``A[:, j*m + q] = first[shifts[:, q], j]``, one column at a time."""
+    m = shifts.shape[1]
+    A = np.empty((shifts.shape[0], first.shape[1] * m), dtype=first.dtype)
+    for j in range(first.shape[1]):
+        for q in range(m):
+            A[:, j * m + q] = first[shifts[:, q], j]
+    return A
 
 
 def unique_dual_classes(H):

@@ -125,13 +125,13 @@ def test_criterion_4_structured_inverse_invariants(cyclic_instances):
         R = inst.sample_matrix
         hs = o.structurize_left_inverse(R)
         worst_resid = max(worst_resid, hs.certified_residual)
-        offs = hs.column_offsets()
-        for j in range(hs.s):
-            base = hs.first_column(j)
-            for n in range(hs.ell):
-                col = hs.entries[:, j * hs.ell + n]
-                for l, Nl in enumerate(hs.orders):
-                    seg = np.roll(base[offs[l] : offs[l + 1]], (hs.r * n) % Nl)
+        offs = R.column_offsets()
+        for j in range(R.s):
+            base = hs.first[:, j]
+            for n in range(R.ell):
+                col = hs.coefficients[:, j * R.ell + n]
+                for l, Nl in enumerate(R.orders):
+                    seg = np.roll(base[offs[l] : offs[l + 1]], (R.r * n) % Nl)
                     if not np.array_equal(col[offs[l] : offs[l + 1]], seg):
                         all_exact = False
         pt = np.linalg.pinv(R.matrix).T
@@ -305,7 +305,8 @@ def test_criterion_8_holds_on_random_specializations(case):
     # the coefficient maps agree: column (j, n) of each maps samples to orbit coefficients
     hs = o.structurize_left_inverse(R)
     duals = group_duals(spectrum)
-    assert np.linalg.norm(duals.coefficients - hs.entries) <= 1e-10 * np.linalg.norm(hs.entries)
+    assert (np.linalg.norm(duals.coefficients - hs.coefficients)
+            <= 1e-10 * np.linalg.norm(hs.coefficients))
 
     x = spec.synthesize(rng.standard_normal(N) + 1j * rng.standard_normal(N))
     basis = o.reconstruction_vectors(spec, hs)

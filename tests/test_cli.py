@@ -280,6 +280,23 @@ class TestDual:
         assert cli.main(argv) == 0
         assert cli.main(["dual", *argv[1:], "--out", str(tmp_path / "spl")]) == 0
 
+    def test_refused_before_the_field_is_built(self, tmp_path, monkeypatch):
+        # a shift problem for reconstruct and a window beyond grid*r are refused
+        # from the problem's own fields, with the same lines, before any field is built
+        def build(*args):
+            raise AssertionError("spectral field built")
+
+        monkeypatch.setattr(o.spectral, "build_spectral_field", build)
+        doc = spline_shift_problem(method="pseudoinverse")
+        argv = ["reconstruct", "--input", write_problem(tmp_path, doc),
+                "--samples", str(tmp_path / "absent.csv")]
+        assert run_in_process(argv) == (2, "", "error: reconstruct supports the cyclic and lca "
+                                               "models; use pr-check for filter banks\n")
+        doc["dual_length"] = 1025
+        argv = ["analyze", "--input", write_problem(tmp_path, doc)]
+        assert run_in_process(argv) == (2, "", "error: dual_length: expected an integer in "
+                                               "[1, grid*r = 1024], got 1025\n")
+
     def test_u_matrix_on_bezout_exit_two(self, tmp_path, capsys):
         path = write_problem(tmp_path, spline_shift_problem())
         upath = tmp_path / "u.json"
@@ -2196,18 +2213,20 @@ def test_no_command_forms_an_inverse_or_a_matrix_power(tmp_path, monkeypatch):
 
 def test_analyze_forms_only_what_it_reads(tmp_path, monkeypatch):
     # analyze on every shipped problem and on one problem per lca design rung
-    # reads no full R, no pseudo-inverse and no coefficient map; lca dual reads
-    # no coefficient map: the same outcomes and files with each refused
+    # reads no full R, no pseudo-inverse and no coefficient map; cyclic and lca
+    # dual read no coefficient map: the same outcomes and files with each refused
     paths = sorted(glob.glob(os.path.join(ROOT, "problems", "*.json")))
     rng = np.random.default_rng(21)
     for k, (moduli, M_gens) in enumerate(LCA_DESIGN_RUNGS):
         paths.append(write_problem(tmp_path, design_rung_problem(rng, moduli, M_gens)[0],
                                    f"rung{k}.json"))
-    lca_paths = [p for p in paths if json.loads(pathlib.Path(p).read_text())["model"] == "lca"]
-    assert len(lca_paths) > len(LCA_DESIGN_RUNGS)
+    models = [json.loads(pathlib.Path(p).read_text())["model"] for p in paths]
+    lca_paths = [p for p, m in zip(paths, models) if m == "lca"]
+    cyclic_paths = [p for p, m in zip(paths, models) if m == "cyclic"]
+    assert len(lca_paths) > len(LCA_DESIGN_RUNGS) and cyclic_paths
     commands = [["analyze", "--input", p] for p in paths]
     commands += [["dual", "--input", p, "--out", str(tmp_path / f"d{k}")]
-                 for k, p in enumerate(lca_paths)]
+                 for k, p in enumerate(lca_paths + cyclic_paths)]
 
     def outcomes(argvs):
         runs = [run_in_process(argv) for argv in argvs]
@@ -2222,8 +2241,7 @@ def test_analyze_forms_only_what_it_reads(tmp_path, monkeypatch):
             raise AssertionError(f"{name} formed")
         return property(formed)
 
-    monkeypatch.setattr(o.lca.GroupDual, "coefficients", refuse("coefficient map"))
-    monkeypatch.setattr(o.lca.GroupDual, "synthesis", refuse("synthesis"))
+    monkeypatch.setattr(o.duals.OrbitDual, "coefficients", refuse("coefficient map"))
     assert outcomes(commands) == before
     monkeypatch.setattr(o.cyclic.SampleMatrix, "matrix", refuse("R"))
     monkeypatch.setattr(o.duals.DualFamily, "pinv", refuse("pseudo-inverse"))
@@ -2547,6 +2565,19 @@ class TestBeyondTheFloatRange:
                                        "--out", str(tmp_path / "r")])
         assert (rc, err) == (0, "")
         assert float(out.splitlines()[-1].removeprefix("relative residual vs truth: ")) < 1e-12
+
+    def test_group_reconstruct_of_entries_near_1e300(self):
+        # the library's lca reconstruction takes the CLI's path: O (A y), whose
+        # two factors stay in range where the product O A overflows
+        spectrum = cli._Lca(self.wide_orbit("lca_z4.json")).spectrum
+        x = spectrum.orbit @ np.arange(1.0, spectrum.rep.H.order + 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = o.lca.group_reconstruct(o.lca.group_duals(spectrum),
+                                          o.lca.take_group_samples(spectrum, x))
+        scale = 2.0 ** o.duals.scale_exponent(x)
+        assert np.isfinite(got).all()
+        assert np.linalg.norm((got - x) * scale) <= 1e-12 * np.linalg.norm(x * scale)
 
 
 class TestOffsetsBeyondInt64:

@@ -46,14 +46,15 @@ def shift_spec(n):
 
 def periodic_convolution(hs, samples):
     """Independent path: ``alpha_l(m) = sum_{j,n} samples(j, n) beta_j^l(m - r*n)``."""
-    offs = hs.column_offsets()
+    R = hs.design
+    offs = R.column_offsets()
     out = []
-    for l, Nl in enumerate(hs.orders):
+    for l, Nl in enumerate(R.orders):
         alpha = np.zeros(Nl, dtype=complex)
-        for j in range(hs.s):
-            beta = hs.first_column(j)[offs[l] : offs[l + 1]]
-            for n in range(hs.ell):
-                alpha += samples[j * hs.ell + n] * np.roll(beta, (hs.r * n) % Nl)
+        for j in range(R.s):
+            beta = hs.first[:, j][offs[l] : offs[l + 1]]
+            for n in range(R.ell):
+                alpha += samples[j * R.ell + n] * np.roll(beta, (R.r * n) % Nl)
         out.append(alpha)
     return np.concatenate(out)
 
@@ -270,7 +271,7 @@ class TestStructurizeLeftInverse:
         scheme = SamplingScheme.for_spec(spec, [np.eye(5)[0]], 1)
         R = build_sample_matrix(spec, scheme)
         hs = structurize_left_inverse(R)
-        assert np.allclose(hs.entries, np.eye(5))
+        assert np.allclose(hs.coefficients, np.eye(5))
 
     def test_square_equals_inverse(self):
         spec = shift_spec(4)
@@ -278,7 +279,7 @@ class TestStructurizeLeftInverse:
         scheme = SamplingScheme.for_spec(spec, [e[0], e[1]], 2)
         R = build_sample_matrix(spec, scheme)
         hs = structurize_left_inverse(R)
-        assert np.max(np.abs(hs.entries - np.linalg.inv(R.matrix))) < 1e-12
+        assert np.max(np.abs(hs.coefficients - np.linalg.inv(R.matrix))) < 1e-12
 
     def test_oversampled_single_generator(self):
         # N=12, r=3, s=5, ell=4: residual and exact column structure
@@ -292,14 +293,14 @@ class TestStructurizeLeftInverse:
         R = build_sample_matrix(spec, scheme)
         hs = structurize_left_inverse(R)
         assert hs.certified_residual <= 1e-10
-        assert np.max(np.abs(hs.entries @ R.matrix - np.eye(R.cols))) <= 1e-10
-        offs = hs.column_offsets()
-        for j in range(hs.s):
-            base = hs.first_column(j)
-            for n in range(hs.ell):
-                col = hs.entries[:, j * hs.ell + n]
-                for l, Nl in enumerate(hs.orders):
-                    seg = np.roll(base[offs[l] : offs[l + 1]], (hs.r * n) % Nl)
+        assert np.max(np.abs(hs.coefficients @ R.matrix - np.eye(R.cols))) <= 1e-10
+        offs = R.column_offsets()
+        for j in range(R.s):
+            base = hs.first[:, j]
+            for n in range(R.ell):
+                col = hs.coefficients[:, j * R.ell + n]
+                for l, Nl in enumerate(R.orders):
+                    seg = np.roll(base[offs[l] : offs[l + 1]], (R.r * n) % Nl)
                     assert np.array_equal(col[offs[l] : offs[l + 1]], seg)
 
     def test_moore_penrose_axioms(self):
@@ -357,7 +358,7 @@ class TestStructurizeLeftInverse:
         R = build_sample_matrix(spec, scheme)
         U = 0.1 * (rng.standard_normal((12, 20)) + 1j * rng.standard_normal((12, 20)))
         hs = structurize_left_inverse(R, U=U)
-        assert np.max(np.abs(hs.entries @ R.matrix - np.eye(R.cols))) <= 1e-10
+        assert np.max(np.abs(hs.coefficients @ R.matrix - np.eye(R.cols))) <= 1e-10
 
 
     def test_default_seed_matches_numpy_pinv(self):
@@ -373,11 +374,11 @@ class TestStructurizeLeftInverse:
         R = build_sample_matrix(spec, SamplingScheme.for_spec(spec, samplers, 3))
         U = 0.1 * (rng.standard_normal((12, 20)) + 1j * rng.standard_normal((12, 20)))
         pinv = np.linalg.pinv(R.matrix)
-        got = structurize_left_inverse(R).entries
+        got = structurize_left_inverse(R).coefficients
         assert np.max(np.abs(got - pinv)) <= 1e-12 * np.max(np.abs(pinv))
         seed = pinv + U @ (np.eye(20) - R.matrix @ pinv)
-        got = structurize_left_inverse(R, U=U).entries
-        want = structurize_left_inverse(R, U=seed).entries
+        got = structurize_left_inverse(R, U=U).coefficients
+        want = structurize_left_inverse(R, U=seed).coefficients
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -430,7 +431,7 @@ class TestDFTBlocks:
         hs = structurize_left_inverse(R)
         if dense[-1] >= 1e-6 * dense[0]:
             pinv = np.linalg.pinv(R.matrix)
-            assert np.max(np.abs(hs.entries - pinv)) <= 1e-11 * np.max(np.abs(pinv))
+            assert np.max(np.abs(hs.coefficients - pinv)) <= 1e-11 * np.max(np.abs(pinv))
 
 
 class TestReconstruction:
@@ -581,7 +582,7 @@ class TestShiftClassResidual:
                                        "a left inverse (residual ")
             assert str(exc).endswith("; the seed's blocks lack the cyclic structure")
             return
-        H = hs.entries
+        H = hs.coefficients
         bound = 2 * (R.rows + 1) * np.finfo(float).eps * np.max(np.abs(H) @ np.abs(R.matrix))
         assert abs(hs.certified_residual - dense_residual(H, R)) <= bound
         assert not seeded or oracle <= 1e-8
@@ -631,7 +632,7 @@ class TestFilterBankCoefficients:
             inst.sample_matrix.rows
         )
         out = np.concatenate(filter_bank_coefficients(hs, samples, inst.spec))
-        assert np.max(np.abs(out - hs.entries @ samples)) < 1e-12 * max(
+        assert np.max(np.abs(out - hs.coefficients @ samples)) < 1e-12 * max(
             1.0, np.linalg.norm(samples)
         )
 

@@ -2,9 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from orbitsamp.duals import DualFamily, family_member, frame_bounds, scale_exponent
+from orbitsamp.cyclic import structurize_left_inverse, take_samples
+from orbitsamp.duals import (DualFamily, family_member, frame_bounds, scale_exponent,
+                             shifted_columns)
 from orbitsamp.hilbert import DimensionMismatch
+from orbitsamp.lca import (FiniteAbelianGroup, Subgroup, build_group_G_matrix, group_duals,
+                           take_group_samples)
 from orbitsamp.spectral import FiniteSequence, build_spectral_field, dual_field, frame_constants
+import oracles
+from instances import CyclicInstanceConfig, random_cyclic_instance, representation_from_characters
 
 
 def crandn(rng, *shape):
@@ -120,3 +126,64 @@ class TestSpectralDuals:
         fc = frame_bounds(DualFamily(field.values).gram_eigenvalues)
         assert abs(fc.alpha_G - gram.alpha_G) <= 1e-12 * gram.beta_G
         assert abs(fc.beta_G - gram.beta_G) <= 1e-12 * gram.beta_G
+
+
+GROUP_CASES = [
+    ((6,), [(1,)], [(2,)]),
+    ((6,), [(1,)], [(3,)]),
+    ((2, 4), [(1, 0), (0, 1)], [(0, 2)]),
+    ((4, 6), [(2, 0), (1, 3)], [(2, 0)]),
+    ((4, 4), [(1, 0), (0, 1)], [(2, 0), (0, 2)]),
+]
+
+
+def orbit_instance(rng, model):
+    """An ``OrbitDual`` from the cyclic or lca instance builders, and the
+    function that takes an ambient vector to its samples."""
+    if model == "cyclic":
+        inst = random_cyclic_instance(rng, CyclicInstanceConfig(max_dim=16, distortion=0.2))
+        return (structurize_left_inverse(inst.sample_matrix),
+                lambda x: take_samples(inst.spec, inst.scheme, x))
+    moduli, H_gens, M_gens = GROUP_CASES[rng.integers(len(GROUP_CASES))]
+    group = FiniteAbelianGroup(moduli)
+    H, M = Subgroup(group, H_gens), Subgroup(group, M_gens)
+    rep, a = representation_from_characters(rng, H, distortion=0.2)
+    samplers = list(crandn(rng, H.order // M.order + int(rng.integers(2)), rep.dim))
+    spectrum = build_group_G_matrix(rep, a, samplers, H, M)
+    assume(spectrum.frame.sigma_ratio > 1e-3)
+    return group_duals(spectrum), lambda x: take_group_samples(spectrum, x)
+
+
+class TestOrbitDual:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 9), cols=st.integers(1, 9),
+           s=st.integers(1, 4), m=st.integers(1, 6))
+    def test_gather_matches_two_loops(self, seed, rows, cols, s, m):
+        # any table, not only a group's: the gather is bit for bit the two loops
+        rng = np.random.default_rng(seed)
+        first = crandn(rng, cols, s)
+        shifts = rng.integers(0, cols, size=(rows, m))
+        got, want = shifted_columns(first, shifts), oracles.shifted_columns(first, shifts)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), model=st.sampled_from(["cyclic", "lca"]))
+    def test_reconstructs_the_orbit_element(self, seed, model):
+        # the samples of O alpha give back (O alpha, alpha), and column (j, 0)
+        # of the coefficient map is column j of ``first`` itself
+        rng = np.random.default_rng(seed)
+        dual, sample = orbit_instance(rng, model)
+        orbit, first = dual.design.orbit, dual.first
+        alpha = crandn(rng, orbit.shape[1])
+        x = orbit @ alpha
+        got_x, got_alpha = dual.reconstruct(sample(x))
+        assert np.linalg.norm(got_x - x) <= 1e-12 * np.linalg.norm(x)
+        assert np.linalg.norm(got_alpha - alpha) <= 1e-12 * np.linalg.norm(alpha)
+        m = dual.design.shifts.shape[1]
+        assert np.array_equal(dual.coefficients[:, ::m], first)
+
+    def test_sample_count_checked(self):
+        dual, _ = orbit_instance(np.random.default_rng(0), "cyclic")
+        count = dual.coefficients.shape[1]
+        with pytest.raises(DimensionMismatch, match=f"sample count {count - 1} does not match"):
+            dual.reconstruct(np.zeros(count - 1))

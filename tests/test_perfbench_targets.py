@@ -1,16 +1,20 @@
-"""Every span the benchmark tracer wraps names a live binding of the package.
+"""Every span the benchmark tracer wraps names a live binding of the package,
+and the library calls of the ``stream-apply`` workload run and pass their checks.
 
 ``perfbench/spans.py`` is read as text (its ``TARGETS`` literal), not
-imported, so the test neither runs nor writes anything under ``perfbench/``.
+imported; the workload runs in a child interpreter started with ``-B``.  So
+the tests write nothing under ``perfbench/``.
 """
 
 import ast
 import importlib
 import inspect
 import os
+import subprocess
+import sys
 
-SPANS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench",
-                     "spans.py")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SPANS = os.path.join(ROOT, "perfbench", "spans.py")
 
 
 def tracer_targets():
@@ -42,3 +46,29 @@ def test_every_target_resolves():
     targets = tracer_targets()
     assert targets
     assert [t for t in targets if not resolves(*t)] == []
+
+
+STREAM_CALLS = """
+import sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+import workloads
+ctx = workloads.import_program(sys.argv[2])
+workload = workloads.StreamWorkload(np.random.default_rng(1))
+workload.prepare(ctx)
+for op in workload.ops[:4]:
+    print(op.label, op.check(op.call(ctx)))
+"""
+
+
+def test_stream_workload_library_calls():
+    # set-up builds both designs and the first four ops (a cyclic and three lca
+    # applies) each pass their own check: the calls the benchmark times
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", STREAM_CALLS, os.path.join(ROOT, "perfbench"),
+         os.path.join(ROOT, "src")],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["cyclic apply #0 None", "lca apply #0 None",
+                                        "lca apply #1 None", "lca apply #2 None"]
