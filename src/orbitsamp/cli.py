@@ -356,7 +356,7 @@ class _Cyclic:
         if self.R.rows == self.R.cols:
             print("interpolation table L_j' c_j(r n) (rows: j', n; columns: j):")
             ell = self.scheme.ell
-            table = cyclic.interpolation_table(self.R, hs)
+            table = self.R.matrix @ hs.first  # the samples of each c_j = O h_{j,0}
             for jp in range(self.scheme.s):
                 for n in range(ell):
                     cells = " ".join(_fmt(abs(v)) for v in table[jp * ell + n])

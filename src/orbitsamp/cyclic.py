@@ -26,7 +26,6 @@ __all__ = [
     "CyclicSubspaceSpec",
     "SamplingScheme",
     "SampleMatrix",
-    "DFTBlocks",
     "RankReport",
     "StructuredLeftInverse",
     "RankDeficiencyError",
@@ -37,7 +36,6 @@ __all__ = [
     "structurize_left_inverse",
     "reconstruction_vectors",
     "reconstruct",
-    "interpolation_table",
     "filter_bank_coefficients",
 ]
 
@@ -51,7 +49,8 @@ class LeftInverseError(FrameError):
 
 
 class CyclicSubspaceSpec:
-    """Operator plus generators of declared orbit periods.
+    """Operator plus generators of declared orbit periods, and their orbit matrix
+    ``orbit``: columns ``T^k a_l`` for ``0 <= k < N_l``, generator blocks in order.
 
     Construction verifies that there are at most ``dim`` orbit vectors and
     that ``T^{N_l} a_l == a_l`` within ``ORBIT_LAW_TOL`` times the largest entry
@@ -84,7 +83,7 @@ class CyclicSubspaceSpec:
                 raise ValueError(
                     f"generator {l} is not fixed by T^{n} (relative drift {drift / size:.3e})"
                 )
-        self._orbit = np.column_stack(cols)
+        self.orbit = np.column_stack(cols)
 
     @property
     def lcm_order(self):
@@ -94,14 +93,10 @@ class CyclicSubspaceSpec:
     def total_order(self):
         return sum(self.orders)
 
-    def orbit_matrix(self):
-        """Columns ``T^k a_l`` for ``0 <= k < N_l``, generator blocks in order."""
-        return self._orbit
-
     def synthesize(self, coeffs):
         """Map stacked orbit coefficients to the ambient vector they define."""
         coeffs = as_cvector(coeffs, self.total_order)
-        return self._orbit @ coeffs
+        return self.orbit @ coeffs
 
 
 class SamplingScheme:
@@ -136,56 +131,15 @@ class SamplingScheme:
         return np.array(self.samplers).conj()
 
 
-class SampleMatrix:
-    """The ``s*ell x sum(N_l)`` sampling matrix, blockwise r-circulant, held as the
-    first row ``S^H O`` of each sampler's block (``orbit`` is ``O``); ``matrix`` is
-    formed on first read."""
-
-    def __init__(self, first_rows, orbit, r, ell, orders, lcm_order):
-        self.first_rows, self.orbit, self.r, self.ell = first_rows, orbit, r, ell
-        self.orders, self.lcm_order = orders, lcm_order
-
-    @property
-    def s(self):
-        return self.first_rows.shape[0]
-
-    @property
-    def rows(self):
-        return self.s * self.ell
-
-    @property
-    def cols(self):
-        return self.first_rows.shape[1]
-
-    def column_offsets(self):
-        return np.concatenate(([0], np.cumsum(self.orders)))
-
-    @cached_property
-    def shifts(self):
-        """Entry ``[(l, k), n]`` is the orbit index of ``(l, k - r*n mod N_l)``: row
-        ``(j, n)`` of ``matrix`` is row ``j`` of ``first_rows`` read there."""
-        n = np.arange(self.ell)
-        return np.concatenate([off + (np.arange(Nl)[:, None] - self.r * n) % Nl
-                               for off, Nl in zip(self.column_offsets(), self.orders)])
-
-    @cached_property
-    def matrix(self):
-        return shifted_columns(self.first_rows.T, self.shifts).T
-
-    @cached_property
-    def blocks(self):
-        """``DFTBlocks`` of ``matrix``, formed on first use from the first rows."""
-        return DFTBlocks(self)
-
-
 def _block_fft(rows, offsets):
     """Unitary DFT of each generator block (columns ``offsets[l]:offsets[l+1]``) of ``rows``."""
     parts = np.split(rows, offsets[1:-1], axis=1)
     return np.hstack([np.fft.fft(part, axis=1, norm="ortho") for part in parts])
 
 
-class DFTBlocks:
-    """``R`` split by unitary DFTs into ``ell`` small blocks, and one SVD of them.
+class SampleMatrix:
+    """The ``s*ell x sum(N_l)`` sampling matrix ``R``, blockwise r-circulant, held as the
+    first row ``S^H O`` of each sampler's block (``orbit`` is ``O``), and its DFT blocks.
 
     DFTs over each generator block's columns and over each sampler's reads
     make ``R`` block diagonal: column frequency ``m`` of generator ``l`` meets
@@ -194,35 +148,52 @@ class DFTBlocks:
     of block ``(j, l)``).  One ``DualFamily`` over the blocks that some column
     meets, zero-padded to the widest, gives ``singular_values`` of ``R``
     (descending; each empty block adds zeros) and, by one FFT of the block
-    pseudo-inverses, the first columns of ``pinv(R)``.
+    pseudo-inverses, the first columns of ``pinv(R)``.  ``offsets`` bound the
+    generator blocks of the columns; ``shifts`` and ``matrix`` are formed on first read.
     """
 
-    def __init__(self, R):
-        self.offsets = R.column_offsets()
-        self.ell = R.ell
+    def __init__(self, first_rows, orbit, r, ell, orders):
+        self.first_rows, self.orbit, self.r, self.ell = first_rows, orbit, r, ell
+        self.orders = orders
+        self.s, self.cols = first_rows.shape
+        self.rows = self.s * ell
+        self.offsets = np.concatenate(([0], np.cumsum(orders)))
         # column (l, m) meets frequency freq[(l, m)], at position slot[(l, m)] of its
         # block, which is block[(l, m)] among those of the frequencies some column meets
-        freq = np.concatenate([np.arange(N) * (R.lcm_order // N) % R.ell for N in R.orders])
-        widths = np.bincount(freq, minlength=R.ell)
+        lcm = math.lcm(*orders)
+        freq = np.concatenate([np.arange(N) * (lcm // N) % ell for N in orders])
+        widths = np.bincount(freq, minlength=ell)
         order = np.argsort(freq, kind="stable")
         self.slot = np.empty_like(freq)
-        self.slot[order] = np.arange(R.cols) - (np.cumsum(widths) - widths)[freq[order]]
+        self.slot[order] = np.arange(self.cols) - (np.cumsum(widths) - widths)[freq[order]]
         self.block = (np.cumsum(widths > 0) - 1)[freq]
         widths = widths[widths > 0]
-        stack = np.zeros((widths.size, R.s, widths.max()), dtype=complex)
-        spectra = math.sqrt(R.ell) * _block_fft(R.first_rows, self.offsets)
+        stack = np.zeros((widths.size, self.s, widths.max()), dtype=complex)
+        spectra = math.sqrt(ell) * _block_fft(first_rows, self.offsets)
         stack[self.block, :, self.slot] = spectra.T
         self.family = DualFamily(stack)
         # block p has rank at most w_p: its values past w_p come from the padding
         sv = self.family.singular_values
         sv = np.where(np.arange(sv.shape[1]) < widths[:, None], sv, 0.0)
-        sv = np.concatenate((sv.ravel(), np.zeros((R.ell - widths.size) * sv.shape[1])))
-        self.singular_values = np.sort(sv)[::-1][: min(R.rows, R.cols)]
+        sv = np.concatenate((sv.ravel(), np.zeros((ell - widths.size) * sv.shape[1])))
+        self.singular_values = np.sort(sv)[::-1][: min(self.rows, self.cols)]
 
     def pinv_first_columns(self):
         """Column ``(j, 0)`` of ``pinv(R)`` as row ``j``: one FFT of the block pinvs."""
         rows = self.family.pinv[self.block, self.slot].T
         return _block_fft(rows, self.offsets) / math.sqrt(self.ell)
+
+    @cached_property
+    def shifts(self):
+        """Entry ``[(l, k), n]`` is the orbit index of ``(l, k - r*n mod N_l)``: row
+        ``(j, n)`` of ``matrix`` is row ``j`` of ``first_rows`` read there."""
+        n = np.arange(self.ell)
+        return np.concatenate([off + (np.arange(Nl)[:, None] - self.r * n) % Nl
+                               for off, Nl in zip(self.offsets, self.orders)])
+
+    @cached_property
+    def matrix(self):
+        return shifted_columns(self.first_rows.T, self.shifts).T
 
 
 def build_sample_matrix(spec, scheme):
@@ -233,20 +204,14 @@ def build_sample_matrix(spec, scheme):
     the first sampler, then the second, and so on.  Every such value is an
     entry of ``S^H`` times the orbit matrix, so ``R`` is one product and a
     gather.  Row block ``n`` is ``S^H T^{lcm - r n} O`` for the orbit matrix
-    ``O``, so ``rank R <= rank O``: ``R.blocks`` passing the rank test at
-    ``RANK_TOL`` certifies an independent orbit.  Otherwise ``O`` is
+    ``O``, so ``rank R <= rank O``: the DFT blocks of ``R`` passing the rank test
+    at ``RANK_TOL`` certify an independent orbit.  Otherwise ``O`` is
     decomposed, and a dependent orbit raises ``RankDeficiencyError``.
     """
-    orbit = spec.orbit_matrix()
-    R = SampleMatrix(
-        first_rows=scheme.adjoint @ orbit,
-        orbit=orbit,
-        r=scheme.r,
-        ell=scheme.ell,
-        orders=tuple(spec.orders),
-        lcm_order=spec.lcm_order,
-    )
-    if _numerical_rank(R.blocks.singular_values, RANK_TOL) < R.cols:
+    orbit = spec.orbit
+    R = SampleMatrix(first_rows=scheme.adjoint @ orbit, orbit=orbit, r=scheme.r,
+                     ell=scheme.ell, orders=tuple(spec.orders))
+    if _numerical_rank(R.singular_values, RANK_TOL) < R.cols:
         message = "orbit vectors are linearly dependent (sigma ratio {:.3e})"
         require_full_rank(orbit, RankDeficiencyError, message)
     return R
@@ -284,7 +249,7 @@ def _numerical_rank(sv, rank_tol):
 
 def check_rank(R, rank_tol=RANK_TOL):
     """Numerical rank of the sampling matrix from its DFT blocks, values descending."""
-    sv = R.blocks.singular_values
+    sv = R.singular_values
     rank = _numerical_rank(sv, rank_tol)
     return RankReport(
         full_rank=rank == R.cols, rank=rank, cols=R.cols, singular_values=sv
@@ -292,9 +257,10 @@ def check_rank(R, rank_tol=RANK_TOL):
 
 
 class StructuredLeftInverse(OrbitDual):
-    """Left inverse ``H = coefficients`` of ``R``, the ``OrbitDual`` over ``R`` of its
-    columns ``(j, 0)``: column ``(j, n)`` is column ``(j, 0)`` shifted down ``r*n``
+    """Left inverse ``H = coefficients`` of ``R``, the ``OrbitDual`` of its columns
+    ``(j, 0)`` over ``R.orbit``: column ``(j, n)`` is column ``(j, 0)`` shifted down ``r*n``
     within each generator block (modulo ``N_l``), exactly, by the gather ``R.shifts``.
+    Nothing else of ``R`` is kept.
     ``certified_residual`` is ``max |H R - I|``, checked at construction on one row
     per shift class: shifting both indices of ``H R`` by ``r`` within their
     generator blocks leaves it unchanged, up to the order of its sums, so rows
@@ -302,7 +268,7 @@ class StructuredLeftInverse(OrbitDual):
     """
 
     def __init__(self, first, R, certified_residual):
-        super().__init__(first, R)
+        super().__init__(first, R.orbit, R.shifts)
         self.certified_residual = certified_residual
 
 
@@ -316,7 +282,7 @@ def _left_inverse_residual(H, R, rows):
 def _shift_class_rows(R):
     """Rows ``k < gcd(N_l, r)`` of each generator block: one per shift class
     of the rows of ``H R`` (see ``StructuredLeftInverse``)."""
-    offs = R.column_offsets()[:-1]
+    offs = R.offsets[:-1]
     return np.concatenate([off + np.arange(math.gcd(Nl, R.r)) for off, Nl in zip(offs, R.orders)])
 
 
@@ -328,7 +294,7 @@ def _structured_first_columns(H, R):
     ...`` laid end to end.
     """
     p = np.concatenate([np.arange(Nl) for Nl in R.orders])
-    offs = np.repeat(R.column_offsets()[:-1], R.orders)
+    offs = np.repeat(R.offsets[:-1], R.orders)
     rows = offs + p % R.r
     cols = (-(p // R.r)) % R.ell + R.ell * np.arange(R.s)[:, None]
     return H[rows, cols]
@@ -338,7 +304,7 @@ def structurize_left_inverse(R, *, U=None, tol=RANK_TOL):
     """Build a structured left inverse of ``R``.
 
     By default it is the Moore-Penrose pseudo-inverse, whose column
-    ``(j, 0)`` comes from the DFT blocks of ``R`` (``R.blocks``) and whose
+    ``(j, 0)`` comes from the DFT blocks of ``R`` and whose
     other columns are its exact blockwise down-shifts.  Passing ``U`` seeds
     the construction with the member ``pinv + U @ (I - R @ pinv)`` of the
     left-inverse family instead; any left inverse ``H`` is the member with
@@ -352,10 +318,10 @@ def structurize_left_inverse(R, *, U=None, tol=RANK_TOL):
     large ``U``) or the shifted columns fail to form one (possible for
     multi-generator problems with seeds whose blocks lack the cyclic structure).
     """
-    rank = _numerical_rank(R.blocks.singular_values, tol)
+    rank = _numerical_rank(R.singular_values, tol)
     if rank < R.cols:
         raise RankDeficiencyError(f"not recoverable: rank {rank}/{R.cols}")
-    first = R.blocks.pinv_first_columns().T
+    first = R.pinv_first_columns().T
     if U is not None:
         H = family_member(R.matrix, shifted_columns(first, R.shifts), U)
         seed_resid = _left_inverse_residual(H, R, np.arange(R.cols))
@@ -389,12 +355,6 @@ def reconstruct(spec, scheme, basis, samples):
     so ``T^{r n} c_j = O H[:, (j, n)]``: no power of ``T`` is formed.
     """
     return basis.reconstruct(samples)[0]
-
-
-def interpolation_table(R, hs):
-    """Samples ``L_j' c_j(r n)`` of each reconstruction vector, one column per ``j``:
-    those of ``c_j = O h_{j,0}`` are ``R h_{j,0}``, so no power of ``T`` is formed."""
-    return R.matrix @ hs.first
 
 
 def filter_bank_coefficients(hs, samples, spec):

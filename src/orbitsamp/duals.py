@@ -137,32 +137,32 @@ def shifted_columns(first, shifts):
 
 class OrbitDual:
     """The dual frame of an orbit model, ``x = sum_{j,m} y_j(m) T^m c_j``: column ``j``
-    of ``first`` holds the orbit coefficients of ``c_j``, and ``design`` the orbit
-    matrix ``orbit`` and the table ``shifts`` of the orbit index of ``h - m``.  Those
-    of ``T^m c_j`` are those of ``c_j`` read at ``h - m``, so ``coefficients``
-    (columns ``(j, m)``, sampler-major) is one gather.  ``vectors`` (row ``j`` is
-    ``c_j``) and ``coefficients`` are formed on first read; ``vectors`` raises
-    ``FrameError`` when one leaves the float range."""
+    of ``first`` holds the orbit coefficients of ``c_j`` over the orbit matrix
+    ``orbit``, and ``shifts`` is the table of the orbit index of ``h - m``; nothing
+    else of the design is kept.  Those of ``T^m c_j`` are those of ``c_j`` read at
+    ``h - m``, so ``coefficients`` (columns ``(j, m)``, sampler-major) is one gather.
+    ``vectors`` (row ``j`` is ``c_j``) and ``coefficients`` are formed on first read;
+    ``vectors`` raises ``FrameError`` when one leaves the float range."""
 
-    def __init__(self, first, design):
-        self.first, self.design = first, design
+    def __init__(self, first, orbit, shifts):
+        self.first, self.orbit, self.shifts = first, orbit, shifts
 
     @cached_property
     def vectors(self):
         with np.errstate(over="ignore", invalid="ignore"):  # refused by ``finite_duals``
-            return finite_duals(self.design.orbit @ self.first).T
+            return finite_duals(self.orbit @ self.first).T
 
     @cached_property
     def coefficients(self):
-        return shifted_columns(self.first, self.design.shifts)
+        return shifted_columns(self.first, self.shifts)
 
     def reconstruct(self, samples):
         """``(x, alpha)``: the orbit coefficients ``alpha = coefficients @ samples``
         and ``x = orbit @ alpha``; the samples are sampler-major, ``s*m`` of them."""
         samples = as_cvector(samples)
-        s, m = self.first.shape[1], self.design.shifts.shape[1]
+        s, m = self.first.shape[1], self.shifts.shape[1]
         if samples.size != s * m:
             raise DimensionMismatch(f"sample count {samples.size} does not match "
                                     f"s*m = {s}*{m} = {s * m}")
         alpha = self.coefficients @ samples
-        return self.design.orbit @ alpha, alpha
+        return self.orbit @ alpha, alpha

@@ -401,7 +401,8 @@ def group_duals(spectrum, U=None, *, threshold=RANK_TOL):
     functions' values at ``xi + mu_k``; averaging against the characters
     gives the orbit coefficients of the vectors ``c_j``.  Since
     ``Pi(m) Pi(h) a = Pi(h + m) a``, those of ``Pi(m) c_j`` are the same read
-    at ``h - m``: the coefficient map is one gather, and no operator is applied.
+    at ``h - m``: the coefficient map is one gather over ``spectrum.shifts``, and no
+    operator is applied.  The dual keeps ``spectrum.orbit`` and ``shifts``, not ``spectrum``.
     """
     check_frame(spectrum.frame.sigma_ratio, threshold)
     family = spectrum.family
@@ -413,7 +414,7 @@ def group_duals(spectrum, U=None, *, threshold=RANK_TOL):
     h_full[spectrum.cells.ravel()] = hmats.reshape(-1, s)
     # coefficients alpha[h, j] = (r / |dual|) sum_gamma h_j(gamma) conj((h, gamma))
     coeff = (spectrum.r / dual.order) * (spectrum.characters.conj().T @ h_full)
-    return OrbitDual(coeff, spectrum)
+    return OrbitDual(coeff, spectrum.orbit, spectrum.shifts)
 
 
 def group_reconstruct(dual, samples):

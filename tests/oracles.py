@@ -84,7 +84,7 @@ def is_r_circulant(C, block_rows, r, *, col_periods=None, tol=1e-12):
 def project_onto_subspace(spec, v):
     """Orthogonal projection onto the orbit span via the normal equations."""
     v = as_cvector(v, spec.operator.dim)
-    B = spec.orbit_matrix()
+    B = spec.orbit
     G = B.conj().T @ B
     try:
         gamma = np.linalg.solve(G, B.conj().T @ v)

@@ -125,7 +125,7 @@ def test_criterion_4_structured_inverse_invariants(cyclic_instances):
         R = inst.sample_matrix
         hs = o.structurize_left_inverse(R)
         worst_resid = max(worst_resid, hs.certified_residual)
-        offs = R.column_offsets()
+        offs = R.offsets
         for j in range(R.s):
             base = hs.first[:, j]
             for n in range(R.ell):

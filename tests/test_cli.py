@@ -397,7 +397,7 @@ class TestOrbitSynthesis:
         assert cli.main([*argv, "--out", out]) == 0
         _, xr = cli.read_vector_csv(out + ".x.csv")
         _, alpha = cli.read_vector_csv(out + ".alpha.csv")
-        assert np.array_equal(xr, spec.orbit_matrix() @ alpha)
+        assert np.array_equal(xr, spec.orbit @ alpha)
 
     def test_no_command_forms_a_power(self, tmp_path, monkeypatch):
         doc, spec, scheme = unequal_periods_problem(3)

@@ -15,7 +15,6 @@ from orbitsamp.cyclic import (
     build_sample_matrix,
     check_rank,
     filter_bank_coefficients,
-    interpolation_table,
     reconstruct,
     reconstruction_vectors,
     structurize_left_inverse,
@@ -44,10 +43,9 @@ def shift_spec(n):
     return CyclicSubspaceSpec(operator=op, generators=[np.eye(n)[0]], orders=[n])
 
 
-def periodic_convolution(hs, samples):
+def periodic_convolution(R, hs, samples):
     """Independent path: ``alpha_l(m) = sum_{j,n} samples(j, n) beta_j^l(m - r*n)``."""
-    R = hs.design
-    offs = R.column_offsets()
+    offs = R.offsets
     out = []
     for l, Nl in enumerate(R.orders):
         alpha = np.zeros(Nl, dtype=complex)
@@ -294,7 +292,7 @@ class TestStructurizeLeftInverse:
         hs = structurize_left_inverse(R)
         assert hs.certified_residual <= 1e-10
         assert np.max(np.abs(hs.coefficients @ R.matrix - np.eye(R.cols))) <= 1e-10
-        offs = R.column_offsets()
+        offs = R.offsets
         for j in range(R.s):
             base = hs.first[:, j]
             for n in range(R.ell):
@@ -526,14 +524,14 @@ class TestOrbitSynthesis:
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
         assert np.linalg.norm(project_onto_subspace(spec, got) - got) <= 1e-10 * np.linalg.norm(got)
         table = np.column_stack([take_samples(spec, scheme, c) for c in basis.vectors])
-        got_table = interpolation_table(R, hs)
+        got_table = R.matrix @ hs.first
         assert np.max(np.abs(got_table - table)) <= 1e-12 * max(1.0, np.max(np.abs(table)))
 
 
 def structured_oracle(H, R):
     """Column ``(j, 0)`` from rows ``p mod r`` of the seed's columns ``(j, -(p // r))``
     in each generator block, and column ``(j, n)`` that column rolled by ``r n``."""
-    offs, out = R.column_offsets(), np.empty((R.cols, R.rows), dtype=complex)
+    offs, out = R.offsets, np.empty((R.cols, R.rows), dtype=complex)
     for j in range(R.s):
         for o, Nl in zip(offs, R.orders):
             first = [H[o + p % R.r, j * R.ell + (-(p // R.r)) % R.ell] for p in range(Nl)]
@@ -651,7 +649,7 @@ class TestFilterBankCoefficients:
         hs = structurize_left_inverse(R)
         samples = rng.standard_normal(R.rows) + 1j * rng.standard_normal(R.rows)
         out = np.concatenate(filter_bank_coefficients(hs, samples, spec))
-        ref = periodic_convolution(hs, samples)
+        ref = periodic_convolution(R, hs, samples)
         assert np.max(np.abs(out - ref)) < 1e-12 * np.linalg.norm(samples)
 
     def test_structurally_deficient_config_detected(self):

@@ -1,8 +1,12 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from orbitsamp.cyclic import structurize_left_inverse, take_samples
+from orbitsamp.cyclic import (SamplingScheme, build_sample_matrix, structurize_left_inverse,
+                              take_samples)
 from orbitsamp.duals import (DualFamily, family_member, frame_bounds, scale_exponent,
                              shifted_columns)
 from orbitsamp.hilbert import DimensionMismatch
@@ -137,21 +141,39 @@ GROUP_CASES = [
 ]
 
 
-def orbit_instance(rng, model):
-    """An ``OrbitDual`` from the cyclic or lca instance builders, and the
+def orbit_design(rng, model):
+    """The samplers of a recoverable cyclic or lca instance, and the function that
+    takes samplers to the instance sampled by them: its ``OrbitDual``, and the
     function that takes an ambient vector to its samples."""
     if model == "cyclic":
         inst = random_cyclic_instance(rng, CyclicInstanceConfig(max_dim=16, distortion=0.2))
-        return (structurize_left_inverse(inst.sample_matrix),
-                lambda x: take_samples(inst.spec, inst.scheme, x))
+        spec, r = inst.spec, inst.scheme.r
+
+        def design(samplers):
+            scheme = SamplingScheme.for_spec(spec, samplers, r)
+            return (structurize_left_inverse(build_sample_matrix(spec, scheme)),
+                    lambda x: take_samples(spec, scheme, x))
+
+        return inst.scheme.samplers, design
     moduli, H_gens, M_gens = GROUP_CASES[rng.integers(len(GROUP_CASES))]
     group = FiniteAbelianGroup(moduli)
     H, M = Subgroup(group, H_gens), Subgroup(group, M_gens)
     rep, a = representation_from_characters(rng, H, distortion=0.2)
     samplers = list(crandn(rng, H.order // M.order + int(rng.integers(2)), rep.dim))
-    spectrum = build_group_G_matrix(rep, a, samplers, H, M)
-    assume(spectrum.frame.sigma_ratio > 1e-3)
-    return group_duals(spectrum), lambda x: take_group_samples(spectrum, x)
+    assume(build_group_G_matrix(rep, a, samplers, H, M).frame.sigma_ratio > 1e-3)
+
+    def design(samplers):
+        spectrum = build_group_G_matrix(rep, a, samplers, H, M)
+        return group_duals(spectrum), lambda x: take_group_samples(spectrum, x)
+
+    return samplers, design
+
+
+def orbit_instance(rng, model):
+    """An ``OrbitDual`` from the cyclic or lca instance builders, and the
+    function that takes an ambient vector to its samples."""
+    samplers, design = orbit_design(rng, model)
+    return design(samplers)
 
 
 class TestOrbitDual:
@@ -173,14 +195,49 @@ class TestOrbitDual:
         # of the coefficient map is column j of ``first`` itself
         rng = np.random.default_rng(seed)
         dual, sample = orbit_instance(rng, model)
-        orbit, first = dual.design.orbit, dual.first
+        orbit, first = dual.orbit, dual.first
         alpha = crandn(rng, orbit.shape[1])
         x = orbit @ alpha
         got_x, got_alpha = dual.reconstruct(sample(x))
         assert np.linalg.norm(got_x - x) <= 1e-12 * np.linalg.norm(x)
         assert np.linalg.norm(got_alpha - alpha) <= 1e-12 * np.linalg.norm(alpha)
-        m = dual.design.shifts.shape[1]
+        m = dual.shifts.shape[1]
         assert np.array_equal(dual.coefficients[:, ::m], first)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), model=st.sampled_from(["cyclic", "lca"]))
+    def test_sampler_order_permutes_the_duals(self, seed, model):
+        # the dual vector of sampler j stays the dual vector of sampler j, wherever it is listed
+        rng = np.random.default_rng(seed)
+        samplers, design = orbit_design(rng, model)
+        perm = rng.permutation(len(samplers))
+        want = design(samplers)[0].vectors[perm]
+        got = design([samplers[k] for k in perm])[0].vectors
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("model", ["cyclic", "lca"])
+    def test_keeps_nothing_of_its_design(self, model):
+        # the dual holds its orbit and shift table, not the SampleMatrix or GroupSpectrum
+        rng = np.random.default_rng(3)
+        if model == "cyclic":
+            inst = random_cyclic_instance(rng, CyclicInstanceConfig(max_dim=16, distortion=0.2))
+            design = inst.sample_matrix
+            del inst
+            dual = structurize_left_inverse(design)
+        else:
+            group = FiniteAbelianGroup((4, 4))
+            H, M = Subgroup(group, [(1, 0), (0, 1)]), Subgroup(group, [(2, 0), (0, 2)])
+            rep, a = representation_from_characters(rng, H)
+            design = build_group_G_matrix(rep, a, list(crandn(rng, 4, rep.dim)), H, M)
+            dual = group_duals(design)
+        y = crandn(rng, dual.coefficients.shape[1])
+        assert np.isfinite(dual.vectors).all()
+        x = dual.reconstruct(y)[0]
+        ref = weakref.ref(design)
+        del design
+        gc.collect()
+        assert ref() is None
+        assert dual.reconstruct(y)[0].tobytes() == x.tobytes()
 
     def test_sample_count_checked(self):
         dual, _ = orbit_instance(np.random.default_rng(0), "cyclic")

@@ -50,20 +50,31 @@ def test_every_target_resolves():
 
 STREAM_CALLS = """
 import sys
+import weakref
 import numpy as np
 sys.path.insert(0, sys.argv[1])
 import workloads
 ctx = workloads.import_program(sys.argv[2])
 workload = workloads.StreamWorkload(np.random.default_rng(1))
+designs, build = [], ctx.cyclic.build_sample_matrix
+
+def build_sample_matrix(spec, scheme):
+    R = build(spec, scheme)
+    designs.append(weakref.ref(R))
+    return R
+
+ctx.cyclic.build_sample_matrix = build_sample_matrix
 workload.prepare(ctx)
+assert len(designs) == 1 and designs[0]() is None, "the prepared duals keep their SampleMatrix"
 for op in workload.ops[:4]:
     print(op.label, op.check(op.call(ctx)))
 """
 
 
 def test_stream_workload_library_calls():
-    # set-up builds both designs and the first four ops (a cyclic and three lca
-    # applies) each pass their own check: the calls the benchmark times
+    # set-up builds both designs, keeping no SampleMatrix alive, and the first four
+    # ops (a cyclic and three lca applies) each pass their own check: the calls the
+    # benchmark times
     proc = subprocess.run(
         [sys.executable, "-B", "-c", STREAM_CALLS, os.path.join(ROOT, "perfbench"),
          os.path.join(ROOT, "src")],
