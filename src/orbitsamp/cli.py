@@ -304,10 +304,10 @@ def _write_duals(prefix, vectors):
         print(f"wrote {prefix}.c{j}.csv")
 
 
-def _orbit_fields(doc, many=False):
-    """Operators, samplers and truth of a cyclic or lca problem; ``many`` admits ``operators``."""
+def _orbit_fields(doc):
+    """Operators, samplers and truth of a cyclic or lca problem (only lca admits ``operators``)."""
     dim = _int(_require(doc, "dimension"), "dimension")
-    if many and "operators" in doc:
+    if "operators" in doc:
         if "operator" in doc:
             raise SchemaError("give either 'operator' or 'operators', not both")
         ops = _list(doc["operators"], "operators", _matrix)
@@ -348,8 +348,11 @@ class _Cyclic:
         print(f"singular values: {' '.join(_fmt(v) for v in report.singular_values)}")
         return report.full_rank
 
+    def duals(self, U, tol):
+        return cyclic.structurize_left_inverse(self.R, U=U, tol=tol)
+
     def dual(self, U, tol, prefix):
-        hs = cyclic.structurize_left_inverse(self.R, U=U, tol=tol)
+        hs = self.duals(U, tol)
         vectors = hs.vectors  # refused before any line is printed
         print(f"left-inverse residual: {_fmt(hs.certified_residual)}")
         _write_duals(prefix, vectors)
@@ -362,9 +365,6 @@ class _Cyclic:
                     cells = " ".join(_fmt(abs(v)) for v in table[jp * ell + n])
                     print(f"  j'={jp + 1} n={n}: {cells}")
 
-    def reconstruct(self, samples, tol):
-        return cyclic.structurize_left_inverse(self.R, tol=tol).reconstruct(samples)
-
 
 class _Shift:
     """Shift-invariant spaces: recoverable on ``sigma_min/sigma_max`` over the grid;
@@ -372,7 +372,7 @@ class _Shift:
 
     FIELDS = ("model", "sequences", "method", "dual_length", "r", "grid")
 
-    def __init__(self, doc, build_field=True):
+    def __init__(self, doc):
         self.named = _named_sequences(doc)
         names = [n for n in self.named if n.startswith("g")]
         if not names:
@@ -382,15 +382,21 @@ class _Shift:
         self.method = doc.get("method", "pseudoinverse")
         if self.method not in ("pseudoinverse", "bezout"):
             raise SchemaError(f"method: expected 'pseudoinverse' or 'bezout', got {self.method!r}")
-        r = _int(doc.get("r", 1), "r")
+        self.r = _int(doc.get("r", 1), "r")
+        if self.r < 1:
+            raise SchemaError(f"r: expected a positive integer, got {self.r}")
         self.grid = _grid_floor(_int(doc.get("grid", 1024), "grid"), "grid")
-        Q = self.grid * r
+        Q = self.grid * self.r
         self.dual_length = _int(doc.get("dual_length", min(65, Q)), "dual_length")
         if not 1 <= self.dual_length <= Q:
             raise SchemaError(f"dual_length: expected an integer in [1, grid*r = {Q}], "
                               f"got {self.dual_length}")
-        if build_field:  # reconstruct reads the checks above alone, then refuses the model
-            self.field = spectral.build_spectral_field(self.seqs, r, Q)
+        # the one refusal of the field that a loaded problem can reach, in its words
+        spectral._check_grid(Q, spectral.MIN_GRID_FACTOR * self.r, len(self.seqs))
+
+    @functools.cached_property
+    def field(self):  # pr-check, bezout dual and reconstruct never read it
+        return spectral.build_spectral_field(self.seqs, self.r, self.grid * self.r)
 
     def verdict(self, tol):
         return _frame_verdict(spectral.frame_constants(self.field), tol)
@@ -409,7 +415,7 @@ class _Shift:
             print(f"wrote {path}")
 
     def _bezout_duals(self, prefix):
-        if len(self.seqs) != 2 or self.field.r != 1:
+        if len(self.seqs) != 2 or self.r != 1:
             raise SchemaError("bezout duals need exactly two sequences and r = 1")
         # a value with a nonzero imaginary part differs from any real number
         if any(np.any(seq.values != np.round(seq.values.real)) for seq in self.seqs):
@@ -438,7 +444,7 @@ class _Shift:
             got = f", got {', '.join(names)}" if pairs else ""
             raise SchemaError(f"sequences: need analysis/synthesis pairs h1/g1, h2/g2, ...{got}")
         bank = _loaded(spectral.FilterBank, analysis=[self.named[f"h{j}"] for j in pairs],
-                       synthesis=[self.named[f"g{j}"] for j in pairs], r=self.field.r)
+                       synthesis=[self.named[f"g{j}"] for j in pairs], r=self.r)
         pr = _loaded(spectral.perfect_reconstruction_check, bank, self.grid)
         Hp, Gp = spectral.polyphase(bank)
         print("analysis polyphase matrix H(z):")
@@ -461,7 +467,7 @@ class _Lca:
     GROUP_FIELDS = ("moduli", "H_gens", "M_gens")
 
     def __init__(self, doc):
-        ops, samplers, self.truth = _orbit_fields(doc, many=True)
+        ops, samplers, self.truth = _orbit_fields(doc)
         group_doc = _require(doc, "group")
         generators = _require(doc, "generators")
         if not isinstance(generators, list) or len(generators) != 1:
@@ -488,11 +494,11 @@ class _Lca:
         print(f"section labels: {list(map(tuple, section.tolist()))}")
         return _frame_verdict(spectrum.frame, tol)
 
-    def dual(self, U, tol, prefix):
-        _write_duals(prefix, lca.group_duals(self.spectrum, U, threshold=tol).vectors)
+    def duals(self, U, tol):
+        return lca.group_duals(self.spectrum, U, threshold=tol)
 
-    def reconstruct(self, samples, tol):
-        return lca.group_duals(self.spectrum, threshold=tol).reconstruct(samples)
+    def dual(self, U, tol, prefix):
+        _write_duals(prefix, self.duals(U, tol).vectors)
 
 
 _MODELS = {"cyclic": _Cyclic, "shift": _Shift, "lca": _Lca}
@@ -505,16 +511,15 @@ def _known_fields(doc, fields, where):
             raise SchemaError(f"{where}: unknown field {key!r}")
 
 
-def _load_model(doc, grid=None, **options):
-    """The model of a loaded problem, ``options`` passed to its constructor;
-    ``--grid`` stands in for the ``grid`` field."""
+def _load_model(doc, grid=None):
+    """The model of a loaded problem; ``--grid`` stands in for the ``grid`` field."""
     model = _MODELS[doc["model"]]
     _known_fields(doc, model.FIELDS, f"{doc['model']} problem")
     if grid is not None:
         if "grid" not in model.FIELDS:
             raise SchemaError(f"--grid applies to shift problems, not {doc['model']}")
         doc = dict(doc, grid=grid)
-    return _loaded(model, doc, **options)
+    return _loaded(model, doc)
 
 
 # -- commands ----------------------------------------------------------------
@@ -545,16 +550,15 @@ def cmd_dual(args):
 
 def cmd_reconstruct(args):
     doc = load_problem(args.input)
-    if doc["model"] == "shift":  # its fields are read and checked; no spectral field is built
-        _load_model(doc, build_field=False)
+    model = _load_model(doc)
+    if doc["model"] == "shift":  # its fields are read and checked first
         raise SchemaError("reconstruct supports the cyclic and lca models; "
                           "use pr-check for filter banks")
-    model = _load_model(doc)
     del doc  # freed before the reconstruction allocates, which keeps the peak memory down
     indices, samples = read_vector_csv(args.samples)
     if indices != list(range(len(indices))):
         raise SchemaError(f"{args.samples}: indices must run 0..{len(indices) - 1} in order")
-    x, alpha = model.reconstruct(samples, args.tol)
+    x, alpha = model.duals(None, args.tol).reconstruct(samples)
     prefix = args.out or "reconstruction"
     write_vector_csv(f"{prefix}.x.csv", x)
     write_vector_csv(f"{prefix}.alpha.csv", alpha)

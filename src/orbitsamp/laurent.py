@@ -186,12 +186,8 @@ class LaurentPoly:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return LaurentPoly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ci in enumerate(self.coeffs):
-            if ci == 0:
-                continue
-            for j, cj in enumerate(other.coeffs):
-                out[i + j] += ci * cj
+        # object arrays: the products and sums are the coefficients' own, exact for int/Fraction
+        out = np.convolve(np.array(self.coeffs, dtype=object), np.array(other.coeffs, dtype=object))
         return LaurentPoly(self.min_deg + other.min_deg, out)
 
     __rmul__ = __mul__

@@ -122,10 +122,7 @@ class FiniteSequence:
 
 def sequence_from_laurent(p):
     """Coefficients of a Laurent polynomial as a finite sequence."""
-    if p.is_zero:
-        return FiniteSequence(0, np.zeros(1))
-    vals = np.array([complex(c) if isinstance(c, complex) else float(c) for c in p.coeffs])
-    return FiniteSequence(offset=p.min_deg, values=vals)
+    return FiniteSequence(offset=p.min_deg, values=np.array(p.coeffs, dtype=complex))
 
 
 class SpectralField:
@@ -263,16 +260,17 @@ def _certification(G, pinv, step):
 
 
 def _gram_solve(G, A):
-    """``X = solve(A, G*)`` for the Gram matrices ``A`` of ``G``, NaN where ``A`` is
-    exactly singular: a stack that raises is halved until each such ``A`` stands
-    alone (the bits of a solve do not depend on its stack)."""
+    """``X = solve(A, G*)`` for the Gram matrices ``A`` of ``G``, NaN where ``A`` is exactly
+    singular: where the LU that ``slogdet`` shares with the solve has a zero pivot, its sign
+    is 0, and the other points are solved again (bits do not depend on the stack)."""
+    Gh = np.conj(np.swapaxes(G, 1, 2))
     try:
-        return np.linalg.solve(A, np.conj(np.swapaxes(G, 1, 2)))
+        return np.linalg.solve(A, Gh)
     except np.linalg.LinAlgError:
-        if len(A) == 1:
-            return np.full((1, G.shape[2], G.shape[1]), np.nan, dtype=complex)
-        m = len(A) // 2
-        return np.concatenate((_gram_solve(G[:m], A[:m]), _gram_solve(G[m:], A[m:])))
+        X = np.full(Gh.shape, np.nan, dtype=complex)
+        sound = np.linalg.slogdet(A)[0] != 0
+        X[sound] = np.linalg.solve(A[sound], Gh[sound])
+        return X
 
 
 @np.errstate(over="ignore", invalid="ignore")  # duals beyond the float range are refused

@@ -297,6 +297,47 @@ class TestDual:
         assert run_in_process(argv) == (2, "", "error: dual_length: expected an integer in "
                                                "[1, grid*r = 1024], got 1025\n")
 
+    @pytest.mark.parametrize("name", ["shift_spline.json", "bank_spline.json"])
+    @pytest.mark.parametrize("command", ["analyze", "dual", "pr-check", "reconstruct"])
+    @pytest.mark.parametrize("r", [0, -2])
+    def test_r_below_one_named_first(self, tmp_path, name, command, r):
+        # refused as r itself, not as a dual_length beyond grid*r <= 0
+        with open(os.path.join(ROOT, "problems", name)) as fh:
+            doc = json.load(fh)
+        doc["r"] = r
+        argv = [command, "--input", write_problem(tmp_path, doc)]
+        argv += {"dual": ["--out", str(tmp_path / "d")],
+                 "reconstruct": ["--samples", str(tmp_path / "absent.csv")]}.get(command, [])
+        assert run_in_process(argv) == (2, "", f"error: r: expected a positive integer, got {r}\n")
+        assert list(tmp_path.iterdir()) == [tmp_path / "problem.json"]
+
+    def test_commands_that_do_not_read_the_field_never_build_it(self, tmp_path, monkeypatch):
+        # pr-check and bezout dual print and write what they do when the field
+        # cannot be built, and shift reconstruct still refuses with its line
+        runs = [["pr-check", "--input", os.path.join(ROOT, "problems", "bank_spline.json")],
+                ["dual", "--input", os.path.join(ROOT, "problems", "shift_spline.json"),
+                 "--out", str(tmp_path / "spl")]]
+
+        def outcomes():
+            got = [run_in_process(argv) for argv in runs]
+            return got, {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+
+        unpatched = outcomes()
+        assert [rc for rc, *_ in unpatched[0]] == [0, 0]
+        assert sorted(unpatched[1]) == ["spl.c1.csv", "spl.c2.csv"]
+        for path in tmp_path.iterdir():
+            path.unlink()
+
+        def build(*args):
+            raise AssertionError("spectral field built")
+
+        monkeypatch.setattr(o.spectral, "build_spectral_field", build)
+        assert outcomes() == unpatched
+        argv = ["reconstruct", "--input", os.path.join(ROOT, "problems", "shift_spline.json"),
+                "--samples", str(tmp_path / "absent.csv")]
+        assert run_in_process(argv) == (2, "", "error: reconstruct supports the cyclic and lca "
+                                               "models; use pr-check for filter banks\n")
+
     def test_u_matrix_on_bezout_exit_two(self, tmp_path, capsys):
         path = write_problem(tmp_path, spline_shift_problem())
         upath = tmp_path / "u.json"
@@ -801,8 +842,8 @@ class TestDecodeCollector:
         assert proc.stderr.splitlines() == ["error: cannot write standard output: Broken pipe",
                                             f"2 {enabled}"]
 
-    # the model build of every loading command, through main:
-    # r = 2.5 fails in the model build, and r = 3 (shift r = 0) in the library
+    # the model build of every loading command, through main: r = 2.5 fails in
+    # the model build, and r = 3 (a shift grid past the 1 GiB budget) in the library
     LOAD_CASES = ("valid", "unreadable", "invalid JSON", "schema error in the model build",
                   "library ValueError")
 
@@ -813,7 +854,7 @@ class TestDecodeCollector:
         shift = command == "pr-check"
         doc = bank_problem() if shift else cyclic_problem([E4[0], E4[1]], truth=E4[0])
         doc.update({"schema error in the model build": {"r": 2.5},
-                    "library ValueError": {"r": 0 if shift else 3}}.get(case, {}))
+                    "library ValueError": {"grid": 1 << 26} if shift else {"r": 3}}.get(case, {}))
         path = tmp_path / "p.json"  # absent in the unreadable case
         if case == "invalid JSON":
             path.write_bytes(b'{"model": ')

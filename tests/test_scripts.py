@@ -17,7 +17,6 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     "script, args",
     [
         ("spline_support_sweep.py", ["--max-K", "5", "--max-p", "4", "--grid", "128"]),
-        ("frame_bound_convergence.py", ["--max-draws", "1024"]),
     ],
 )
 def test_script_runs(script, args):

@@ -429,6 +429,40 @@ class TestDualField:
             dual_field(SpectralField(r=1, L=width, Q=points, values=sound))
             assert sizes == [block] * (points // block) + [points % block] * (points % block > 0)
 
+    def test_singular_points_screened_without_halving(self, monkeypatch):
+        # 4,096 Gram matrices, two exactly singular: a zero point and one whose G has
+        # two equal unit columns.  One failed solve, one slogdet, one solve of the rest;
+        # every point's bits are its own solve's, and NaN where that solve raises
+        rng = np.random.default_rng(31)
+        G = rng.standard_normal((4096, 6, 4)) + 1j * rng.standard_normal((4096, 6, 4))
+        G[1000] = 0.0
+        G[3000] = np.eye(6, 4)
+        G[3000, :, 1] = G[3000, :, 0]
+        A = np.conj(np.swapaxes(G, 1, 2)) @ G
+        Gh = np.conj(np.swapaxes(G, 1, 2))
+        alone = np.empty_like(Gh)
+        for i in range(len(G)):
+            try:
+                alone[i] = np.linalg.solve(A[i : i + 1], Gh[i : i + 1])[0]
+            except np.linalg.LinAlgError:
+                alone[i] = np.nan
+        calls = {"solve": 0, "slogdet": 0}
+
+        def counted(name):
+            func = getattr(np.linalg, name)
+
+            def call(*args):
+                calls[name] += 1
+                return func(*args)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counted(name))
+        X = spectral._gram_solve(G, A)
+        assert calls == {"solve": 2, "slogdet": 1}
+        assert np.array_equal(X, alone, equal_nan=True)
+        assert np.flatnonzero(np.isnan(X).any(axis=(1, 2))).tolist() == [1000, 3000]
+
     def test_eigenvalues_only_when_uncertified(self, monkeypatch):
         # a point the certificate refuses takes its own SVD; frame_constants, and
         # so eigvalsh, runs only when the bounds do not settle the verdict
